@@ -10,11 +10,15 @@ cross-checked against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from typing import Optional, Sequence
 
 from .linalg import Matrix
-from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
+from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
 from .scalar import ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar
 
 
@@ -43,46 +47,202 @@ class NotInvertible(ValueError):
                          else f"not invertible ({reason})")
 
 
-def _as_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar(x)
+_SCALARS = (int, Fraction, Scalar)
 
 
-class Element:
-    """A finite sum of scalar-weighted normal-form words.
+class Combination:
+    """A finite Q(w)-weighted sum of distinct keys in normal form.
 
-    Stored as a word -> nonzero scalar map; all words are normal forms of
-    the owning system.  Elements are immutable; arithmetic returns new
-    values.
+    A key is one word, or a tuple with one word per leg; `_legs` names the
+    rewrite system of each leg.  The constructor takes a mapping or an
+    iterable of (raw key, coefficient) pairs, puts every leg of every key
+    in normal form exactly once, drops keys that rewrite to zero and sums
+    duplicates, so a product hands its raw concatenations straight in.  A
+    coefficient may also be a tuple of factors: their product is only
+    formed for keys that survive, which spares products the scalar work
+    on annihilated terms.  Values are immutable; operands of one
+    operation must share a context (`_context`).  Subclasses add their
+    context, their legs and their named constructors.
     """
 
-    __slots__ = ("system", "_terms")
+    __slots__ = ("_context", "_terms")
 
-    def __init__(self, system: RewriteSystem, terms: Optional[dict] = None):
-        clean = {}
-        for w, s in (terms or {}).items():
-            s = _as_scalar(s)
-            if s.is_zero():
+    def __init__(self, context, terms=None):
+        object.__setattr__(self, "_context", context)
+        legs = self._legs()
+        clean: dict = {}
+        for raw, s in (terms.items() if isinstance(terms, dict)
+                       else terms or ()):
+            key = _normal_key(legs, raw)
+            if key is ZERO:
                 continue
-            nf = system.normal_form(w)
-            if nf is ZERO:
-                continue
-            clean[nf] = clean.get(nf, ZERO_SCALAR) + s
-        object.__setattr__(self, "system", system)
+            if type(s) is tuple:
+                s = reduce(operator.mul, s)
+            elif not isinstance(s, Scalar):
+                s = Scalar(s)
+            prev = clean.get(key)
+            clean[key] = s if prev is None else prev + s
         object.__setattr__(
-            self, "_terms", {w: s for w, s in clean.items() if s})
+            self, "_terms", {k: s for k, s in clean.items() if s})
 
     def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _legs(self) -> tuple:
+        """The rewrite system of each leg; the context of a bare
+        combination is its tuple of legs."""
+        return self._context
+
+    def _new(self, terms) -> "Combination":
+        """A value of the same kind and context holding `terms`."""
+        new = object.__new__(type(self))
+        Combination.__init__(new, self._context, terms)
+        return new
+
+    @classmethod
+    def zero(cls, *context):
+        """The empty sum; takes the subclass's constructor arguments."""
+        return cls(*context)
+
+    @classmethod
+    def unit(cls, *context):
+        """The unit key (empty word on every leg) with coefficient 1."""
+        return cls(*context) + 1
+
+    def _require_same(self, other: "Combination"):
+        if self._context != other._context:
+            raise AlgebraMismatchError(
+                f"{self._context!r} vs {other._context!r}")
+
+    # -- accessors -----------------------------------------------------------
+
+    def terms(self) -> list:
+        """(key, coefficient) pairs in canonical order."""
+        return sorted(self._terms.items(), key=_term_order)
+
+    def coeff(self, *words) -> Scalar:
+        """The coefficient of the key made of `words`, one per leg."""
+        key = tuple(w if isinstance(w, Word) else Word(w) for w in words)
+        return self._terms.get(key[0] if len(key) == 1 else key, ZERO_SCALAR)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, _SCALARS):
+            unit = EMPTY_WORD if len(self._legs()) == 1 \
+                else (EMPTY_WORD,) * len(self._legs())
+            other = self._new({unit: other})
+        elif type(other) is not type(self):
+            return NotImplemented
+        self._require_same(other)
+        return self._new(chain(self._terms.items(), other._terms.items()))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new((k, -s) for k, s in self._terms.items())
+
+    def scale(self, s):
+        return self._new((k, (s, c)) for k, c in self._terms.items())
+
+    def _product(self, other):
+        """The kind's own bilinear product; none by default."""
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, int) and other == 0:
+            return self.is_zero()
+        return (type(other) is type(self) and self._context == other._context
+                and self._terms == other._terms)
+
+    def __hash__(self):
+        return hash((self._context, frozenset(self._terms.items())))
+
+    def __str__(self):
+        legs = self._legs()
+        parts = []
+        for key, s in self.terms():
+            words = (key,) if len(legs) == 1 else key
+            # a two-part coefficient on the bare unit word prints as two
+            # terms, since +/- always separate terms in the grammar
+            split = words == (EMPTY_WORD,) and s.a != 0 and s.b != 0
+            for part in (Scalar(s.a), Scalar(0, s.b)) if split else (s,):
+                # the sign is the one of the leading part
+                neg = part.a < 0 if part.a != 0 else part.b < 0
+                mag = -part if neg else part
+                body = term_body(mag, words[0], legs[0].symbol) + "".join(
+                    f" (x) {w.to_text(leg.symbol)}"
+                    for leg, w in zip(legs[1:], words[1:]))
+                if parts:
+                    parts.append((" - " if neg else " + ") + body)
+                else:
+                    parts.append(("-" if neg else "") + body)
+        return "".join(parts) or "0"
+
+    def __repr__(self):
+        return f"<{self} over {self._context!r}>"
+
+
+def _normal_key(legs: tuple, raw):
+    """The normal form of a raw key, or ZERO when any leg vanishes."""
+    if len(legs) == 1:
+        return legs[0].normal_form(raw)
+    key = []
+    for system, word in zip(legs, raw):
+        nf = system.normal_form(word)
+        if nf is ZERO:
+            return ZERO
+        key.append(nf)
+    return tuple(key)
+
+
+def _term_order(item):
+    key = item[0]
+    if isinstance(key, Word):
+        return key.sort_key()
+    return tuple(w.sort_key() for w in key)
+
+
+class Element(Combination):
+    """A finite sum of scalar-weighted normal-form words of one system.
+
+    Built as `Element(system, terms)`; keys are words.
+    """
+
+    __slots__ = ()
+
+    @property
+    def system(self) -> RewriteSystem:
+        return self._context
+
+    def _legs(self) -> tuple:
+        return (self._context,)
+
+    def _product(self, other):
+        return mul(self, other)
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, system: RewriteSystem) -> "Element":
-        return cls(system, {})
-
-    @classmethod
-    def unit(cls, system: RewriteSystem) -> "Element":
-        return cls(system, {EMPTY_WORD: ONE})
 
     @classmethod
     def generator(cls, system: RewriteSystem, i: int) -> "Element":
@@ -90,38 +250,25 @@ class Element:
 
     @classmethod
     def from_word(cls, system: RewriteSystem, word, coeff=ONE) -> "Element":
-        w = word if isinstance(word, Word) else Word(word)
-        return cls(system, {w: coeff})
+        return cls(system, [(word, coeff)])
 
     @classmethod
     def from_coeffs(cls, system: RewriteSystem, coeffs: Sequence) -> "Element":
         """Build an n=2 element from (a0, a1, a2, a12, a21)."""
         if system.n != 2:
             raise ValueError("coefficient form requires n=2")
-        a0, a1, a2, a12, a21 = coeffs
-        return cls(system, {EMPTY_WORD: a0, Word((1,)): a1, Word((2,)): a2,
-                            Word((1, 2)): a12, Word((2, 1)): a21})
+        return cls(system, zip(N2_BASIS, coeffs, strict=True))
 
     # -- accessors ---------------------------------------------------------
 
-    def terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
     def support(self) -> list:
         return sorted(self._terms, key=Word.sort_key)
-
-    def coeff(self, word) -> Scalar:
-        w = word if isinstance(word, Word) else Word(word)
-        return self._terms.get(w, ZERO_SCALAR)
 
     def coeffs_n2(self) -> tuple:
         """The five components (a0, a1, a2, a12, a21) for n=2."""
         if self.system.n != 2:
             raise ValueError("component form requires n=2")
         return tuple(self.coeff(w) for w in N2_BASIS)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def parity(self) -> int:
         """Common grade of the support; raises if not homogeneous."""
@@ -130,145 +277,27 @@ class Element:
             raise ValueError("element is not parity-homogeneous")
         return grades.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({w.parity for w in self._terms}) <= 1
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _require_same(self, other: "Element"):
-        if self.system != other.system:
-            raise AlgebraMismatchError(
-                f"{self.system!r} vs {other.system!r}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Element(self.system, {EMPTY_WORD: other})
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same(other)
-        terms = dict(self._terms)
-        for w, s in other._terms.items():
-            terms[w] = terms.get(w, ZERO_SCALAR) + s
-        return Element(self.system, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Element) else -_as_scalar(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Element(self.system, {w: -s for w, s in self._terms.items()})
-
-    def scale(self, s) -> "Element":
-        s = _as_scalar(s)
-        return Element(self.system, {w: s * c for w, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
-        return (isinstance(other, Element) and self.system == other.system
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.system,
-                     tuple(sorted(self._terms.items(),
-                                  key=lambda kv: kv[0].sort_key()))))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        atoms = []
-        for w, s in self.terms():
-            # a two-part coefficient on the unit word prints as two terms,
-            # since +/- always separate terms in the grammar
-            if len(w) == 0 and s.a != 0 and s.b != 0:
-                atoms.append((Scalar(s.a), w))
-                atoms.append((Scalar(0, s.b), w))
-            else:
-                atoms.append((s, w))
-        parts = []
-        for s, w in atoms:
-            parts.append(_format_term(s, w, self.system.symbol, not parts))
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"<{self} over {self.system!r}>"
-
 
 N2_BASIS = (EMPTY_WORD, Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)))
 
 
-def split_sign(s: Scalar):
-    """(is_negative, magnitude); the sign is the one of the leading part."""
-    neg = (s.a < 0) if s.a != 0 else (s.b < 0)
-    return neg, (-s if neg else s)
-
-
 def term_body(mag: Scalar, w: Word, symbol: str) -> str:
     """Canonical unsigned rendering of mag * w."""
+    coeff = f"({mag})" if mag.a != 0 and mag.b != 0 else str(mag)
     if len(w) == 0:
-        if mag == ONE:
-            return "1"
-        if mag.a != 0 and mag.b != 0:
-            return f"({mag})"
-        return str(mag)
-    if mag == ONE:
-        return w.to_text(symbol)
-    if mag.a != 0 and mag.b != 0:
-        return f"({mag}) {w.to_text(symbol)}"
-    return f"{mag} {w.to_text(symbol)}"
-
-
-def _format_term(s: Scalar, w: Word, symbol: str, first: bool) -> str:
-    """One canonical term; the leading sign folds into the separator."""
-    neg, mag = split_sign(s)
-    if len(w) == 0:
-        body = str(mag)
-    else:
-        body = term_body(mag, w, symbol)
-    if first:
-        return ("-" if neg else "") + body
-    return (" - " if neg else " + ") + body
+        return coeff
+    return w.to_text(symbol) if mag == ONE else f"{coeff} {w.to_text(symbol)}"
 
 
 # -- products ------------------------------------------------------------
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def scale(s, a: Element) -> Element:
-    return a.scale(s)
-
-
 def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of word concatenation followed by normal form."""
     a._require_same(b)
-    sys = a.system
-    acc: dict = {}
-    for u, su in a._terms.items():
-        for v, sv in b._terms.items():
-            w = sys.normal_form(u.letters + v.letters)
-            if w is ZERO:
-                continue
-            acc[w] = acc.get(w, ZERO_SCALAR) + su * sv
-    return Element(sys, acc)
+    return Element(a.system, ((u.letters + v.letters, (su, sv))
+                              for u, su in a._terms.items()
+                              for v, sv in b._terms.items()))
 
 
 def mul_closed_form(a: Element, b: Element) -> Element:
@@ -320,8 +349,8 @@ def invert(a: Element) -> Element:
         -(dinv * (a21 * (ONE + a12 * a0inv) - a1 * a2 * a0inv)),
     ))
     one = Element.unit(a.system)
-    assert mul(a, inv) == one and mul(inv, a) == one, \
-        "closed-form inverse failed self-check"
+    if mul(a, inv) != one or mul(inv, a) != one:
+        raise SelfCheckError("closed-form inverse failed self-check")
     return inv
 
 
@@ -334,17 +363,8 @@ def invert_by_solve(a: Element, basis: Optional[Sequence[Word]] = None) -> Eleme
     """
     sys = a.system
     words = tuple(basis) if basis is not None else _default_basis(sys)
-    cols = []
-    index = {w: i for i, w in enumerate(words)}
-    for w in words:
-        img = mul(a, Element.from_word(sys, w))
-        col = [ZERO_SCALAR] * len(words)
-        for u, s in img._terms.items():
-            if u not in index:
-                raise SpanEscapeError(w, u)
-            col[index[u]] = s
-        cols.append(col)
-    m = Matrix.from_columns(cols)
+    space = Subspace("span", words)
+    _, m = left_mul_matrix(a, space, space)
     rhs = [ONE if w == EMPTY_WORD else ZERO_SCALAR for w in words]
     try:
         x = m.solve(rhs)
@@ -529,7 +549,7 @@ def obstructed_product(a: Element, b: Element) -> Element:
 
     Componentwise this is (1+a')(1+b') with the constant parts pinned to
     one, so obstruction(a) * obstruction(b) = obstruction(a ⋆ b) holds
-    exactly; the intertwining is asserted on every call.
+    exactly; the intertwining is checked on every call.
     """
     a._require_same(b)
     if a.system.n != 2:
@@ -543,8 +563,8 @@ def obstructed_product(a: Element, b: Element) -> Element:
         a12 + b12 + a1 * b2 + a12 * b12,
         a21 + b21 + a2 * b1 + a21 * b21,
     ))
-    assert mul(obstruction(a), obstruction(b)) == obstruction(c), \
-        "obstruction intertwining failed"
+    if mul(obstruction(a), obstruction(b)) != obstruction(c):
+        raise SelfCheckError("obstruction intertwining failed")
     return c
 
 
@@ -561,10 +581,12 @@ def find_idempotent_obstructions(system: RewriteSystem) -> list:
         raise ValueError("idempotent obstructions require n=2")
     out = []
     for g in (OMEGA, OMEGA2):
-        assert (g * g + g + ONE).is_zero()
+        if not (g * g + g + ONE).is_zero():
+            raise SelfCheckError(f"{g} is not a root of g**2 + g + 1")
         d = -(ONE + g)
         e = Element.from_coeffs(system, (ONE, ONE, ONE, g, d))
-        assert mul(e, e) == e, "candidate failed the idempotency check"
+        if mul(e, e) != e:
+            raise SelfCheckError("candidate failed the idempotency check")
         out.append(e)
     return out
 
@@ -629,5 +651,3 @@ def regularity_chain(system: RewriteSystem, i: int) -> bool:
     for j in order:
         acc = mul(acc, Element.generator(system, j))
     return acc == Element.generator(system, i)
-
-

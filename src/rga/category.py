@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import Element, Subspace, decompose, left_mul_matrix, mul
 from .linalg import Matrix
-from .rewrite import RewriteSystem
+from .rewrite import RewriteSystem, SelfCheckError
 
 
 class ChainTypeError(ValueError):
@@ -135,13 +135,15 @@ def check_regular_cocycle(c: Cocycle) -> CocycleVerdict:
 
 def obstruction_of(c: Cocycle, i: int) -> Obstruction:
     """The idempotent round trip at space index i (0-based); the cocycle
-    must be regular, which makes idempotency a theorem (still asserted)."""
+    must be regular, which makes idempotency a theorem (still checked)."""
     verdict = check_regular_cocycle(c)
     if not verdict.ok:
         raise ChainTypeError(
             f"not a regular cocycle (fails at index {verdict.failing_index})")
     e = c.cycle_composite(i)
-    assert e.compose(e) == e, "obstruction of a regular cocycle must be idempotent"
+    if e.compose(e) != e:
+        raise SelfCheckError(
+            "obstruction of a regular cocycle must be idempotent")
     return Obstruction(c.spaces[i % c.order], e)
 
 
@@ -212,16 +214,18 @@ class MatrixFunctor:
     @classmethod
     def base_change(cls, change: dict) -> "MatrixFunctor":
         """`change` maps space label -> invertible Matrix."""
+        inverses = {}
         for label, p in change.items():
-            if not p.is_invertible():
+            try:
+                inverses[label] = p.inverse()
+            except ValueError:
                 raise DegeneratePairingError(
-                    f"base change at {label} is singular")
+                    f"base change at {label} is singular") from None
 
         def on_map(m: LinearMap) -> LinearMap:
-            p_dom = change[m.domain.label]
-            p_cod = change[m.codomain.label]
             return LinearMap(m.domain, m.codomain,
-                             p_cod * m.matrix * p_dom.inverse())
+                             change[m.codomain.label] * m.matrix
+                             * inverses[m.domain.label])
 
         return cls(lambda s: s, on_map, "base_change")
 
@@ -319,20 +323,23 @@ def dual_cocycle(c: Cocycle, pairings: dict) -> Cocycle:
     which makes <e_dual(x*), x> = <x*, e(x)> an identity.
     """
     n = c.order
+    inverses = {}
     for s in c.spaces:
         g = pairings[s.label]
         if g.nrows != s.dim or g.ncols != s.dim:
             raise ValueError(f"pairing at {s.label} has wrong size")
-        if not g.is_invertible():
-            raise DegeneratePairingError(f"pairing at {s.label} is singular")
+        try:
+            inverses[s.label] = g.inverse()
+        except ValueError:
+            raise DegeneratePairingError(
+                f"pairing at {s.label} is singular") from None
 
     duals = {s.label: Subspace(s.label + "^", s.basis) for s in c.spaces}
 
     def adjoint(i: int) -> LinearMap:
         m = c.maps[i]
-        g_dom = pairings[m.domain.label]
-        g_cod = pairings[m.codomain.label]
-        mat = (g_cod * m.matrix * g_dom.inverse()).transpose()
+        mat = (pairings[m.codomain.label] * m.matrix
+               * inverses[m.domain.label]).transpose()
         return LinearMap(duals[m.codomain.label], duals[m.domain.label], mat)
 
     # chain X_1^ -> X_n^ -> ... -> X_2^ -> X_1^
@@ -425,9 +432,50 @@ def _matrix_to_json(m: Matrix) -> list:
     return [[str(x) for x in row] for row in m.rows]
 
 
-def _matrix_from_json(rows: list) -> Matrix:
-    from .parser import parse_scalar
-    return Matrix([[parse_scalar(x) for x in row] for row in rows])
+class DocumentError(ValueError):
+    """A JSON document does not have the documented shape.
+
+    `where` is the JSON path of the offending part, e.g. `$.maps[0].from`.
+    """
+
+    def __init__(self, where: str, problem: str):
+        super().__init__(f"{where}: {problem}")
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, where: str):
+    """`value`, checked to be of JSON type `kind`; `where` is its path."""
+    if not isinstance(value, kind):
+        got = _JSON_NAMES.get(type(value)) or json.dumps(value)
+        raise DocumentError(where, f"expected {_JSON_NAMES[kind]}, got {got}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """obj[key], checked to be of JSON type `kind`; `where` is obj's path."""
+    if key not in obj:
+        raise DocumentError(where, f"missing field {key!r}")
+    return _expect(obj[key], kind, f"{where}.{key}")
+
+
+def _matrix_from_json(rows, where: str = "$") -> Matrix:
+    """A matrix given as a list of rows of scalar strings."""
+    from .parser import ParseError, parse_scalar
+    out = []
+    for i, row in enumerate(_expect(rows, list, where)):
+        out.append([])
+        for j, x in enumerate(_expect(row, list, f"{where}[{i}]")):
+            at = f"{where}[{i}][{j}]"
+            try:
+                out[-1].append(parse_scalar(_expect(x, str, at)))
+            except ParseError as exc:
+                raise DocumentError(at, str(exc)) from None
+    try:
+        return Matrix(out)
+    except ValueError as exc:
+        raise DocumentError(where, str(exc)) from None
 
 
 def cocycle_to_json(c: Cocycle, pairings: Optional[dict] = None) -> dict:
@@ -443,26 +491,58 @@ def cocycle_to_json(c: Cocycle, pairings: Optional[dict] = None) -> dict:
     return doc
 
 
-def cocycle_from_json(doc: dict):
-    """Rebuild (cocycle, pairings-or-None) from the document format."""
+def cocycle_from_json(doc, where: str = "$"):
+    """Rebuild (cocycle, pairings-or-None) from the document format.
+
+    A document of the wrong shape raises DocumentError naming the JSON path
+    (below `where`) of its first malformed part.
+    """
+    _expect(doc, dict, where)
     spaces = {}
-    order = []
-    for sp in doc["spaces"]:
-        spaces[sp["name"]] = Subspace(sp["name"], tuple(sp["basis"]))
-        order.append(sp["name"])
+    for i, sp in enumerate(_field(doc, "spaces", list, where)):
+        at = f"{where}.spaces[{i}]"
+        _expect(sp, dict, at)
+        name = _field(sp, "name", str, at)
+        if name in spaces:
+            raise DocumentError(f"{at}.name", f"duplicate space {name!r}")
+        try:
+            spaces[name] = Subspace(name, tuple(_field(sp, "basis", list, at)))
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"{at}.basis", str(exc)) from None
     maps = {}
-    for m in doc["maps"]:
-        maps[m["from"]] = LinearMap(spaces[m["from"]], spaces[m["to"]],
-                                    _matrix_from_json(m["matrix"]))
-    chain = [spaces[name] for name in order]
-    chain_maps = [maps[name] for name in order]
+    for i, m in enumerate(_field(doc, "maps", list, where)):
+        at = f"{where}.maps[{i}]"
+        _expect(m, dict, at)
+        src, dst = _field(m, "from", str, at), _field(m, "to", str, at)
+        for end, label in (("from", src), ("to", dst)):
+            if label not in spaces:
+                raise DocumentError(f"{at}.{end}", f"unknown space {label!r}")
+        if src in maps:
+            raise DocumentError(f"{at}.from", f"second map from {src!r}")
+        matrix = _matrix_from_json(_field(m, "matrix", list, at),
+                                   f"{at}.matrix")
+        try:
+            maps[src] = LinearMap(spaces[src], spaces[dst], matrix)
+        except ValueError as exc:
+            raise DocumentError(f"{at}.matrix", str(exc)) from None
+    for name in spaces:
+        if name not in maps:
+            raise DocumentError(f"{where}.maps", f"no map from {name!r}")
     pairings = None
     if "pairings" in doc:
-        pairings = {label: _matrix_from_json(rows)
-                    for label, rows in doc["pairings"].items()}
-    return Cocycle(chain, chain_maps), pairings
+        pairings = {
+            label: _matrix_from_json(rows, f"{where}.pairings.{label}")
+            for label, rows in _field(doc, "pairings", dict, where).items()}
+    return Cocycle(list(spaces.values()),
+                   [maps[name] for name in spaces]), pairings
 
 
-def load_cocycle(path: str):
+def read_document(path: str) -> dict:
+    """The JSON object in the file at `path`; raises DocumentError when the
+    file holds invalid JSON or another JSON value."""
     with open(path, "r", encoding="utf-8") as fh:
-        return cocycle_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DocumentError("$", f"invalid JSON ({exc})") from None
+    return _expect(doc, dict, "$")

@@ -9,14 +9,14 @@ invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import (NotInvertible, annihilator, decompose,
                       find_idempotent_obstructions, invert, obstruction)
-from .category import (MatrixFunctor, NotAFunctorError, check_duality_identity,
-                       check_obstructed_functor, check_regular_cocycle,
-                       cocycle_from_json, dual_cocycle, _matrix_from_json)
+from .category import (DocumentError, MatrixFunctor, NotAFunctorError,
+                       check_duality_identity, check_obstructed_functor,
+                       check_regular_cocycle, cocycle_from_json, dual_cocycle,
+                       read_document, _field, _matrix_from_json)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
 from .rewrite import RewriteSystem, ZERO
 from .reports import write_all
@@ -105,6 +105,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}")
         return 2
+    except DocumentError as exc:
+        print(f"error: {args.file}: {exc}")
+        return 2
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}")
         return 1
@@ -185,8 +188,7 @@ def _dispatch(args) -> int:
 
 def _dispatch_check(args) -> int:
     if args.checker == "cocycle":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            cocycle, pairings = cocycle_from_json(json.load(fh))
+        cocycle, pairings = cocycle_from_json(read_document(args.file))
         verdict = check_regular_cocycle(cocycle)
         if verdict.ok:
             print("regular cocycle: true")
@@ -202,11 +204,12 @@ def _dispatch_check(args) -> int:
             ok = ok and dual_ok
         return 0 if ok else 1
     if args.checker == "functor":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cocycle, _ = cocycle_from_json(doc["cocycle"])
-        change = {label: _matrix_from_json(rows)
-                  for label, rows in doc["base_change"].items()}
+        doc = read_document(args.file)
+        cocycle, _ = cocycle_from_json(_field(doc, "cocycle", dict, "$"),
+                                       "$.cocycle")
+        change = {label: _matrix_from_json(rows, f"$.base_change.{label}")
+                  for label, rows in _field(doc, "base_change", dict,
+                                            "$").items()}
         functor = MatrixFunctor.base_change(change)
         try:
             verdict = check_obstructed_functor(functor, [cocycle])
@@ -226,8 +229,7 @@ def _dispatch_check(args) -> int:
         print(f"D2 D1 D2 = D2: {str(rep.cyclic[1]).lower()}")
         return 0 if rep.ok else 1
     if args.checker == "module":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_document(args.file)
         sys_ = RewriteSystem(doc.get("n", 2))
         basis = []
         action = {}
@@ -238,7 +240,7 @@ def _dispatch_check(args) -> int:
                 raise ValueError(f"action key {key!r} is not a basis word")
             word = terms[0][0]
             basis.append(word)
-            action[word] = _matrix_from_json(rows)
+            action[word] = _matrix_from_json(rows, f"$.action.{key}")
         dim = doc["module_dim"]
         e_algebra = obstruction if doc.get("e_algebra",
                                            "obstruction") == "obstruction" \
@@ -246,7 +248,7 @@ def _dispatch_check(args) -> int:
         if doc.get("e_module") in (None, "identity"):
             e_module = lambda v: v
         else:
-            m = _matrix_from_json(doc["e_module"])
+            m = _matrix_from_json(doc["e_module"], "$.e_module")
             e_module = m.apply
         ok, witnesses = check_regular_module(action, basis, dim,
                                              e_algebra, e_module, sys_)
@@ -272,9 +274,7 @@ def _dispatch_wick(args) -> int:
         print(f"coherent: false (instances: {rep.checked}, "
               f"order coherent: {str(rep.order_coherent).lower()}, "
               f"disagreements: {len(rep.disagreements)})")
-        for kind, reduces, parts, got, want in rep.disagreements[:10]:
-            cls = "reduction" if reduces else "order"
-            print(f"  {kind}[{cls}] at {parts}: {got} != {want}")
+        print("\n".join(rep.disagreement_lines(10)))
         return 1
     raise AssertionError(f"unhandled wick op {args.wickop}")
 

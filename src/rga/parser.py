@@ -20,12 +20,12 @@ elements multiplied by juxtaposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Element, mul
 from .rewrite import RewriteSystem, Word
-from .scalar import ONE, OMEGA, Scalar
-from .tensor import TensorElement, element_tensor, tensor_mul
+from .scalar import OMEGA, Scalar
+from .tensor import TensorElement, element_tensor
 from .wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
 
 
@@ -173,10 +173,68 @@ def parse_scalar(text: str) -> Scalar:
     return value
 
 
-# -- element context ---------------------------------------------------------
+# -- the shared term / sum grammar ---------------------------------------------
 
 
-def _gen_element(system: RewriteSystem, tok, text: str) -> Element:
+class _Context(NamedTuple):
+    """What one kind of expression plugs into the shared grammar.
+
+    `unit()` is the empty product, `generator(tok)` the value of one GEN
+    token, `product(value, factor, tok)` multiplies a factor that starts at
+    token `tok` onto the running product, and `combine(left, right, tok)`
+    reads `left (x) right`; None where the kind has no (x).
+    """
+
+    unit: Callable[[], object]
+    generator: Callable[[tuple], object]
+    product: Callable[[object, object, tuple], object]
+    combine: Optional[Callable[[object, object, tuple], object]]
+
+
+def _parse_sum(ts: _Stream, ctx: _Context):
+    sign = 1
+    if ts.peek() in ("PLUS", "MINUS"):
+        sign = 1 if ts.next()[0] == "PLUS" else -1
+    value = _parse_term(ts, ctx).scale(sign)
+    while ts.peek() in ("PLUS", "MINUS"):
+        sign = 1 if ts.next()[0] == "PLUS" else -1
+        term = _parse_term(ts, ctx).scale(sign)
+        if type(term) is not type(value):
+            ts.error("cannot add a plain element to a tensor")
+        value = value + term
+    return value
+
+
+def _parse_term(ts: _Stream, ctx: _Context):
+    left = _parse_product(ts, ctx)
+    if ctx.combine is None or ts.peek() != "TENSOR":
+        return left
+    tok = ts.next()
+    return ctx.combine(left, _parse_product(ts, ctx), tok)
+
+
+def _parse_product(ts: _Stream, ctx: _Context):
+    """A scalar prefix, then juxtaposed generators and parenthesized sums."""
+    coeff = _try_parse_scalar(ts)
+    if coeff is not None and ts.peek() == "STAR":
+        ts.next()
+    value = ctx.unit()
+    got_factor = False
+    while ts.peek() in ("GEN", "LPAREN"):
+        got_factor = True
+        tok = ts.next()
+        if tok[0] == "GEN":
+            factor = ctx.generator(tok)
+        else:
+            factor = _parse_sum(ts, ctx)
+            ts.expect("RPAREN")
+        value = ctx.product(value, factor, tok)
+    if coeff is None and not got_factor:
+        ts.error("expected a term")
+    return value if coeff is None else value.scale(coeff)
+
+
+def _gen_index(system: RewriteSystem, tok, text: str) -> int:
     (symbol, index), pos = tok[1], tok[2]
     if symbol != system.symbol:
         raise ParseError(
@@ -185,42 +243,23 @@ def _gen_element(system: RewriteSystem, tok, text: str) -> Element:
     if not 1 <= index <= system.n:
         raise ParseError(
             f"unknown generator index {index} (n={system.n})", pos, text)
-    return Element.generator(system, index)
+    return index
 
 
-def _parse_term(ts: _Stream, system: RewriteSystem) -> Element:
-    coeff = _try_parse_scalar(ts)
-    if coeff is not None and ts.peek() == "STAR":
-        ts.next()
-    value = Element.unit(system).scale(coeff if coeff is not None else ONE)
-    got_factor = False
-    while ts.peek() in ("GEN", "LPAREN"):
-        got_factor = True
-        if ts.peek() == "GEN":
-            value = mul(value, _gen_element(system, ts.next(), ts.text))
-        else:
-            ts.next()
-            value = mul(value, _parse_element_body(ts, system))
-            ts.expect("RPAREN")
-    if coeff is None and not got_factor:
-        ts.error("expected a term")
-    return value
+# -- element context ---------------------------------------------------------
 
 
-def _parse_element_body(ts: _Stream, system: RewriteSystem) -> Element:
-    sign = 1
-    if ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-    value = _parse_term(ts, system).scale(sign)
-    while ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-        value = value + _parse_term(ts, system).scale(sign)
-    return value
+def _element_context(system: RewriteSystem, text: str) -> _Context:
+    return _Context(
+        lambda: Element.unit(system),
+        lambda tok: Element.generator(system, _gen_index(system, tok, text)),
+        lambda value, factor, tok: mul(value, factor),
+        None)
 
 
 def parse_element(text: str, system: RewriteSystem) -> Element:
     ts = _Stream(text)
-    value = _parse_element_body(ts, system)
+    value = _parse_sum(ts, _element_context(system, text))
     ts.expect("END")
     return value
 
@@ -240,161 +279,66 @@ def parse_word_letters(text: str, system: RewriteSystem) -> Word:
 # -- tensor / wick contexts -----------------------------------------------------
 
 
-def _as_theta_side(value: WickElement):
-    """The u -> coeff map when every term has a trivial dagger leg."""
-    if any(len(v) for (_, v) in value._terms):
-        return None
-    return {u: s for (u, _), s in value._terms.items()}
-
-
-def _as_xi_side(value: WickElement):
-    """The v -> coeff map when every term has a trivial algebra leg."""
-    if any(len(u) for (u, _) in value._terms):
-        return None
-    return {v: s for (_, v), s in value._terms.items()}
-
-
-def _parse_wick_product(ts: _Stream, pair: ConjugatedPair,
-                        psi: CrossSymmetry) -> WickElement:
-    coeff = _try_parse_scalar(ts)
-    if coeff is not None and ts.peek() == "STAR":
-        ts.next()
-    value = WickElement.unit(pair).scale(coeff if coeff is not None else ONE)
-    got_factor = False
-    while ts.peek() in ("GEN", "LPAREN"):
-        got_factor = True
-        if ts.peek() == "GEN":
-            tok = ts.next()
-            symbol, index = tok[1]
-            if not 1 <= index <= 2:
-                raise ParseError(f"unknown generator index {index} (n=2)",
-                                 tok[2], ts.text)
-            if symbol == "T":
-                atom = WickElement.single(pair, (index,), ())
-            else:
-                atom = WickElement.single(pair, (), (index,))
-        else:
-            ts.next()
-            atom = _parse_wick_body(ts, pair, psi)
-            ts.expect("RPAREN")
-        value = wick_mul(value, atom, psi)
-    if coeff is None and not got_factor:
-        ts.error("expected a term")
-    return value
-
-
-def _parse_wick_term(ts: _Stream, pair: ConjugatedPair,
-                     psi: CrossSymmetry) -> WickElement:
-    left = _parse_wick_product(ts, pair, psi)
-    if ts.peek() != "TENSOR":
-        return left
-    tok = ts.next()
-    right = _parse_wick_product(ts, pair, psi)
-    lterms = _as_theta_side(left)
-    rterms = _as_xi_side(right)
-    if lterms is None or rterms is None:
-        raise ParseError(
-            "(x) needs a plain algebra element on the left and a plain "
-            "dagger element on the right", tok[2], ts.text)
-    terms = {}
-    for u, s in lterms.items():
-        for v, t in rterms.items():
-            terms[(u, v)] = s * t
-    return WickElement(pair, terms)
-
-
-def _parse_wick_body(ts, pair, psi) -> WickElement:
-    sign = 1
-    if ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-    value = _parse_wick_term(ts, pair, psi).scale(sign)
-    while ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-        value = value + _parse_wick_term(ts, pair, psi).scale(sign)
-    return value
-
-
 def parse_wick(text: str, pair: ConjugatedPair,
                psi: CrossSymmetry) -> WickElement:
     """A Wick expression; juxtaposition is the Wick product through psi."""
+
+    def generator(tok):
+        side = pair.theta if tok[1][0] == "T" else pair.xi
+        i = _gen_index(side, tok, text)
+        if side is pair.theta:
+            return WickElement.single(pair, (i,), ())
+        return WickElement.single(pair, (), (i,))
+
+    def combine(left, right, tok):
+        # a plain algebra element times a plain dagger element is their
+        # Wick product, since psi fixes 1 (x) 1
+        if any(len(v) for _, v in left._terms) \
+                or any(len(u) for u, _ in right._terms):
+            raise ParseError(
+                "(x) needs a plain algebra element on the left and a plain "
+                "dagger element on the right", tok[2], text)
+        return wick_mul(left, right, psi)
+
     ts = _Stream(text)
-    value = _parse_wick_body(ts, pair, psi)
+    value = _parse_sum(ts, _Context(
+        lambda: WickElement.unit(pair), generator,
+        lambda value, factor, tok: wick_mul(value, factor, psi), combine))
     ts.expect("END")
-    return value
-
-
-def _parse_tensor_product(ts: _Stream, system: RewriteSystem, signs: str):
-    """Either a plain element (no parens with (x) inside) or a product of
-    parenthesized tensor elements; returns ('elem', Element) or
-    ('tensor', TensorElement)."""
-    coeff = _try_parse_scalar(ts)
-    if coeff is not None and ts.peek() == "STAR":
-        ts.next()
-    elem: Optional[Element] = Element.unit(system)
-    tens: Optional[TensorElement] = None
-    got_factor = False
-    while ts.peek() in ("GEN", "LPAREN"):
-        got_factor = True
-        if ts.peek() == "GEN":
-            atom = _gen_element(system, ts.next(), ts.text)
-            if tens is not None:
-                ts.error("cannot mix a bare generator into a tensor product")
-            elem = mul(elem, atom)
-        else:
-            tok = ts.next()
-            sub = _parse_tensor_body(ts, system, signs)
-            ts.expect("RPAREN")
-            if isinstance(sub, Element):
-                if tens is not None:
-                    ts.error("cannot mix a bare element into a tensor product")
-                elem = mul(elem, sub)
-            else:
-                if elem is not None and elem != Element.unit(system):
-                    raise ParseError(
-                        "cannot mix a bare element into a tensor product",
-                        tok[2], ts.text)
-                tens = sub if tens is None else tensor_mul(tens, sub)
-                elem = None
-    if coeff is None and not got_factor:
-        ts.error("expected a term")
-    scale = coeff if coeff is not None else ONE
-    if tens is not None:
-        return "tensor", tens.scale(scale)
-    return "elem", elem.scale(scale)
-
-
-def _parse_tensor_term(ts: _Stream, system: RewriteSystem, signs: str):
-    kind, left = _parse_tensor_product(ts, system, signs)
-    if ts.peek() != "TENSOR":
-        return kind, left
-    tok = ts.next()
-    rkind, right = _parse_tensor_product(ts, system, signs)
-    if kind != "elem" or rkind != "elem":
-        raise ParseError("(x) needs plain elements on both sides",
-                         tok[2], ts.text)
-    return "tensor", element_tensor(left, right, signs)
-
-
-def _parse_tensor_body(ts, system, signs):
-    sign = 1
-    if ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-    kind, value = _parse_tensor_term(ts, system, signs)
-    value = value.scale(sign)
-    while ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-        nkind, nval = _parse_tensor_term(ts, system, signs)
-        if nkind != kind:
-            ts.error("cannot add a plain element to a tensor")
-        value = value + nval.scale(sign)
     return value
 
 
 def parse_tensor(text: str, system: RewriteSystem,
                  signs: str = "plain") -> TensorElement:
-    """A tensor expression over one algebra; every summand needs a (x)."""
+    """A tensor expression over one algebra; every summand needs a (x).
+
+    A product is either a plain element or a product of parenthesized
+    tensors, which a plain unit factor may precede.
+    """
+    unit = Element.unit(system)
+
+    def product(value, factor, tok):
+        if type(value) is type(factor):
+            return value * factor
+        if isinstance(value, TensorElement):
+            ts.error(f"cannot mix a bare "
+                     f"{'generator' if tok[0] == 'GEN' else 'element'} "
+                     f"into a tensor product")
+        if value != unit:
+            raise ParseError("cannot mix a bare element into a tensor product",
+                             tok[2], text)
+        return factor
+
+    def combine(left, right, tok):
+        if not (isinstance(left, Element) and isinstance(right, Element)):
+            raise ParseError("(x) needs plain elements on both sides",
+                             tok[2], text)
+        return element_tensor(left, right, signs)
+
     ts = _Stream(text)
-    value = _parse_tensor_body(ts, system, signs)
+    value = _parse_sum(ts, _Context(
+        lambda: unit, _element_context(system, text).generator, product,
+        combine))
     if isinstance(value, Element):
         raise ParseError("a tensor expression needs at least one (x)",
                          ts.tokens[-1][2], text)

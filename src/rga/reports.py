@@ -218,16 +218,10 @@ def dual_comultiplication_report() -> str:
 def wick_regular_report() -> str:
     pair = ConjugatedPair()
     psi = CrossSymmetry.regular(pair, "unit")
-
-    def e_theta(a):
-        return obstruction(a)
-
-    def e_xi(a):
-        return obstruction(a)
-
     lines = ["regular Wick structure with the obstruction map on both legs",
              ""]
-    ok, witnesses = check_regular_cross_symmetry(psi, e_theta, e_xi, 2)
+    ok, witnesses = check_regular_cross_symmetry(psi, obstruction,
+                                                 obstruction, 2)
     lines.append(f"regular cross symmetry law "
                  f"(e (x) e).psi = psi.(e (x) e): {str(ok).lower()}")
     if witnesses:
@@ -236,7 +230,7 @@ def wick_regular_report() -> str:
                      f"{witnesses[0][1].to_text('T')}")
     x = WickElement.single(pair, (1,), ())
     y = WickElement.single(pair, (), (1,))
-    value = wick_mul_regular(x, y, psi, e_theta, e_xi)
+    value = wick_mul_regular(x, y, psi, obstruction, obstruction)
     lines.append(f"regular Wick product (T1 (x) 1)(1 (x) X1) = {value}")
     lines.append("")
 
@@ -249,8 +243,7 @@ def wick_regular_report() -> str:
         action[w] = m
 
     def e_module(vec):
-        e = obstruction(Element(sys, dict(zip(basis, vec))))
-        return tuple(e.coeff(w) for w in basis)
+        return obstruction(Element(sys, zip(basis, vec))).coeffs_n2()
 
     ok, witnesses = check_regular_module(action, basis, 5,
                                          obstruction, e_module, sys)

@@ -28,6 +28,11 @@ class LetterRangeError(ValueError):
     """A word letter lies outside the generator range 1..n."""
 
 
+class SelfCheckError(AssertionError):
+    """A result failed the package's own consistency check: a bug, not bad
+    input.  Raised explicitly, so the checks also run under `python -O`."""
+
+
 class _ZeroWord:
     """Absorbing out-of-band result of a square_zero rule; not a Word."""
 
@@ -257,7 +262,8 @@ class RewriteSystem:
             if letters is ZERO:
                 return ZERO
             steps += 1
-            assert steps <= bound, "rewriting failed to shorten the word"
+            if steps > bound:
+                raise SelfCheckError("rewriting failed to shorten the word")
 
     def is_normal(self, word) -> bool:
         letters = tuple(word.letters) if isinstance(word, Word) else tuple(word)

@@ -11,11 +11,11 @@ so every verdict here is reported for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
-from .algebra import Element, mul, obstruction, split_sign, term_body
+from .algebra import Combination, Element, obstruction
 from .linalg import Matrix
-from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
+from .rewrite import RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar
 
 SIGN_CONVENTIONS = ("plain", "koszul")
@@ -31,128 +31,40 @@ def dual_system(strategy: str = "leftmost") -> RewriteSystem:
     return RewriteSystem(2, symbol="X", strategy=strategy)
 
 
-class TensorElement:
-    """A Q(w)-weighted sum of word pairs u (x) v over one algebra."""
+class TensorElement(Combination):
+    """A Q(w)-weighted sum of word pairs u (x) v over one algebra.
 
-    __slots__ = ("system", "signs", "_terms")
+    Built as `TensorElement(system, signs, terms)`; keys are (u, v).
+    """
+
+    __slots__ = ()
 
     def __init__(self, system: RewriteSystem, signs: str = "plain",
-                 terms: Optional[dict] = None):
+                 terms=None):
         if signs not in SIGN_CONVENTIONS:
             raise ValueError(f"unknown sign convention {signs!r}")
-        clean: dict = {}
-        for (u, v), s in (terms or {}).items():
-            if not isinstance(s, Scalar):
-                s = Scalar(s)
-            if s.is_zero():
-                continue
-            nu = system.normal_form(u)
-            nv = system.normal_form(v)
-            if nu is ZERO or nv is ZERO:
-                continue
-            key = (nu, nv)
-            clean[key] = clean.get(key, ZERO_SCALAR) + s
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(
-            self, "_terms", {k: s for k, s in clean.items() if s})
+        super().__init__((system, signs), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+    @property
+    def system(self) -> RewriteSystem:
+        return self._context[0]
 
-    @classmethod
-    def zero(cls, system, signs="plain"):
-        return cls(system, signs, {})
+    @property
+    def signs(self) -> str:
+        return self._context[1]
 
-    @classmethod
-    def unit(cls, system, signs="plain"):
-        return cls(system, signs, {(EMPTY_WORD, EMPTY_WORD): ONE})
+    def _legs(self) -> tuple:
+        return (self._context[0], self._context[0])
+
+    def _product(self, other):
+        return tensor_mul(self, other)
 
     @classmethod
     def single(cls, system, u, v, coeff=ONE, signs="plain"):
-        u = u if isinstance(u, Word) else Word(u)
-        v = v if isinstance(v, Word) else Word(v)
-        return cls(system, signs, {(u, v): coeff})
-
-    def terms(self):
-        return sorted(self._terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key(),
-                                      kv[0][1].sort_key()))
-
-    def coeff(self, u, v) -> Scalar:
-        return self._terms.get((u, v), ZERO_SCALAR)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return cls(system, signs, [((u, v), coeff)])
 
     def with_signs(self, signs: str) -> "TensorElement":
-        return TensorElement(self.system, signs, dict(self._terms))
-
-    def _require_compatible(self, other: "TensorElement"):
-        if self.system != other.system:
-            raise ValueError("tensor operands live over different algebras")
-        if self.signs != other.signs:
-            raise ValueError(
-                f"sign convention mismatch: {self.signs} vs {other.signs}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._require_compatible(other)
-        terms = dict(self._terms)
-        for k, s in other._terms.items():
-            terms[k] = terms.get(k, ZERO_SCALAR) + s
-        return TensorElement(self.system, self.signs, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.system, self.signs,
-                             {k: -s for k, s in self._terms.items()})
-
-    def scale(self, s) -> "TensorElement":
-        if not isinstance(s, Scalar):
-            s = Scalar(s)
-        return TensorElement(self.system, self.signs,
-                             {k: s * c for k, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return tensor_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
-        return (isinstance(other, TensorElement)
-                and self.system == other.system and self.signs == other.signs
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.system, self.signs, frozenset(self._terms.items())))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        sym = self.system.symbol
-        parts = []
-        for (u, v), s in self.terms():
-            neg, mag = split_sign(s)
-            body = f"{term_body(mag, u, sym)} (x) {v.to_text(sym)}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"<{self}>"
+        return TensorElement(self.system, signs, self._terms)
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -162,34 +74,20 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     'koszul'; components are put back in normal form, annihilated terms
     drop out.
     """
-    s._require_compatible(t)
-    sys = s.system
-    acc: dict = {}
-    for (a, b), x in s._terms.items():
-        for (c, d), y in t._terms.items():
-            left = sys.normal_form(a.letters + c.letters)
-            if left is ZERO:
-                continue
-            right = sys.normal_form(b.letters + d.letters)
-            if right is ZERO:
-                continue
-            coeff = x * y
-            if s.signs == "koszul" and b.parity * c.parity == 1:
-                coeff = -coeff
-            key = (left, right)
-            acc[key] = acc.get(key, ZERO_SCALAR) + coeff
-    return TensorElement(sys, s.signs, acc)
+    s._require_same(t)
+    koszul = s.signs == "koszul"
+    return TensorElement(s.system, s.signs, (
+        ((a.letters + c.letters, b.letters + d.letters),
+         (-x if koszul and b.parity * c.parity else x, y))
+        for (a, b), x in s._terms.items() for (c, d), y in t._terms.items()))
 
 
 def element_tensor(a: Element, b: Element, signs: str = "plain") -> TensorElement:
     """Place two algebra elements side by side: a (x) b."""
-    if a.system != b.system:
-        raise ValueError("tensor legs must share one algebra")
-    terms = {}
-    for u, su in a.terms():
-        for v, sv in b.terms():
-            terms[(u, v)] = terms.get((u, v), ZERO_SCALAR) + su * sv
-    return TensorElement(a.system, signs, terms)
+    a._require_same(b)
+    return TensorElement(a.system, signs, (
+        ((u, v), (su, sv))
+        for u, su in a._terms.items() for v, sv in b._terms.items()))
 
 
 # -- duality pairing ---------------------------------------------------------
@@ -221,13 +119,12 @@ def pair_tensor(xi: TensorElement, a: TensorElement,
         raise ValueError(f"unknown tensor pairing convention {convention!r}")
     acc = ZERO_SCALAR
     for (x, y), s in xi._terms.items():
-        for (u, v), t in a._terms.items():
-            if convention == "straight":
-                p = pair_words(x, u) * pair_words(y, v)
-            else:
-                p = pair_words(x, v) * pair_words(y, u)
-            if p:
-                acc = acc + s * t * p
+        partner = (x.reverse(), y.reverse())
+        if convention == "flip":
+            partner = partner[::-1]
+        t = a._terms.get(partner)
+        if t is not None:
+            acc = acc + s * t
     return acc
 
 
@@ -251,29 +148,19 @@ def dual_comultiplication(theta_sys: RewriteSystem, xi_sys: RewriteSystem,
     over all T-basis pairs, with u-dual the reversed word on the X side.
     """
     thetas = theta_sys.enumerate_normal_forms(basis_deg)
-    xis = xi_sys.enumerate_normal_forms(basis_deg)
-    table: Dict[Word, TensorElement] = {}
-    for w in xis:
-        terms: dict = {}
-        for u in thetas:
-            for v in thetas:
-                prod = theta_sys.normal_form(u.letters + v.letters)
-                if prod is ZERO or prod != w.reverse():
-                    continue
-                key = (u.reverse(), v.reverse())
-                terms[key] = terms.get(key, ZERO_SCALAR) + ONE
-        table[w] = TensorElement(xi_sys, signs, terms)
-    return table
+    return {w: TensorElement(xi_sys, signs, (
+        ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
+        if theta_sys.normal_form(u.letters + v.letters) == w.reverse()))
+        for w in xi_sys.enumerate_normal_forms(basis_deg)}
 
 
 def apply_delta(table: Dict[Word, TensorElement], e: Element,
                 signs: str = "plain") -> TensorElement:
     """Linear extension of a generator table to a full element."""
     sys = next(iter(table.values())).system if table else e.system
-    out = TensorElement.zero(sys, signs)
-    for w, s in e._terms.items():
-        out = out + table[w].with_signs(signs).scale(s)
-    return out
+    return TensorElement(sys, signs, (
+        (k, (s, t)) for w, s in e._terms.items()
+        for k, t in table[w]._terms.items()))
 
 
 def check_dual_pairing_identity(table, theta_sys, xi_sys,
@@ -285,11 +172,10 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
         xi_w = Element.from_word(xi_sys, w)
         for u in thetas:
             for v in thetas:
-                target = element_tensor(Element.from_word(theta_sys, u),
-                                        Element.from_word(theta_sys, v))
+                target = TensorElement.single(theta_sys, u, v)
                 lhs = pair_tensor(delta_w, target, convention)
-                rhs = pair(xi_w, mul(Element.from_word(theta_sys, u),
-                                     Element.from_word(theta_sys, v)))
+                rhs = pair(xi_w, Element.from_word(theta_sys,
+                                                   u.letters + v.letters))
                 if lhs != rhs:
                     return False
     return True
@@ -297,18 +183,13 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
 
 def check_coassociativity(table: Dict[Word, TensorElement]) -> bool:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on the basis words."""
-    for w, delta_w in table.items():
-        left: dict = {}
-        right: dict = {}
-        for (u, v), s in delta_w._terms.items():
-            for (p, q), t in table[u]._terms.items():
-                key = (p, q, v)
-                left[key] = left.get(key, ZERO_SCALAR) + s * t
-            for (p, q), t in table[v]._terms.items():
-                key = (u, p, q)
-                right[key] = right.get(key, ZERO_SCALAR) + s * t
-        left = {k: s for k, s in left.items() if s}
-        right = {k: s for k, s in right.items() if s}
+    for delta_w in table.values():
+        legs = (delta_w.system,) * 3
+        terms = delta_w._terms.items()
+        left = Combination(legs, (((p, q, v), (s, t)) for (u, v), s in terms
+                                  for (p, q), t in table[u]._terms.items()))
+        right = Combination(legs, (((u, p, q), (s, t)) for (u, v), s in terms
+                                   for (p, q), t in table[v]._terms.items()))
         if left != right:
             return False
     return True

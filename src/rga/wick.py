@@ -13,38 +13,25 @@ is well-defined only if all peeling routes agree, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Tuple
 
-from .algebra import Element, mul, split_sign, term_body
+from .algebra import Combination, Element
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
-from .scalar import ONE, ZERO_SCALAR, Scalar
+from .scalar import ONE
 from .tensor import dual_system
 
 
+@dataclass(frozen=True)
 class ConjugatedPair:
     """The algebra on T1, T2 together with its dagger copy on X1, X2."""
 
-    __slots__ = ("theta", "xi")
+    theta: RewriteSystem = field(default_factory=lambda: RewriteSystem(2))
+    xi: RewriteSystem = field(default_factory=dual_system)
 
-    def __init__(self, theta: Optional[RewriteSystem] = None,
-                 xi: Optional[RewriteSystem] = None):
-        theta = theta or RewriteSystem(2)
-        xi = xi or dual_system()
-        if theta.n != 2 or xi.n != 2:
+    def __post_init__(self):
+        if self.theta.n != 2 or self.xi.n != 2:
             raise ValueError("the conjugated pair is built on two generators")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "xi", xi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConjugatedPair is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, ConjugatedPair)
-                and self.theta == other.theta and self.xi == other.xi)
-
-    def __hash__(self):
-        return hash((self.theta, self.xi))
 
     def dagger(self, a: Element) -> Element:
         """Antilinear anti-isomorphism: reverse words, conjugate scalars.
@@ -63,114 +50,25 @@ class ConjugatedPair:
         return Element(target, terms)
 
 
-class WickElement:
+class WickElement(Combination):
     """A weighted sum of pairs (T-word, X-word): an element of the
-    cross-product carrier A (x) A-dagger."""
+    cross-product carrier A (x) A-dagger.
 
-    __slots__ = ("pair", "_terms")
+    Built as `WickElement(pair, terms)`; keys are (theta word, xi word).
+    """
 
-    def __init__(self, pair: ConjugatedPair, terms: Optional[dict] = None):
-        clean: dict = {}
-        for (u, v), s in (terms or {}).items():
-            if not isinstance(s, Scalar):
-                s = Scalar(s)
-            if s.is_zero():
-                continue
-            nu = pair.theta.normal_form(u)
-            nv = pair.xi.normal_form(v)
-            if nu is ZERO or nv is ZERO:
-                continue
-            key = (nu, nv)
-            clean[key] = clean.get(key, ZERO_SCALAR) + s
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(
-            self, "_terms", {k: s for k, s in clean.items() if s})
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WickElement is immutable")
+    @property
+    def pair(self) -> ConjugatedPair:
+        return self._context
 
-    @classmethod
-    def zero(cls, pair):
-        return cls(pair, {})
-
-    @classmethod
-    def unit(cls, pair):
-        return cls(pair, {(EMPTY_WORD, EMPTY_WORD): ONE})
+    def _legs(self) -> tuple:
+        return (self._context.theta, self._context.xi)
 
     @classmethod
     def single(cls, pair, theta_word, xi_word, coeff=ONE):
-        u = theta_word if isinstance(theta_word, Word) else Word(theta_word)
-        v = xi_word if isinstance(xi_word, Word) else Word(xi_word)
-        return cls(pair, {(u, v): coeff})
-
-    @classmethod
-    def from_theta(cls, pair, a: Element):
-        if a.system != pair.theta:
-            raise ValueError("expected a T-side element")
-        return cls(pair, {(w, EMPTY_WORD): s for w, s in a._terms.items()})
-
-    @classmethod
-    def from_xi(cls, pair, a: Element):
-        if a.system != pair.xi:
-            raise ValueError("expected an X-side element")
-        return cls(pair, {(EMPTY_WORD, w): s for w, s in a._terms.items()})
-
-    def terms(self):
-        return sorted(self._terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key(),
-                                      kv[0][1].sort_key()))
-
-    def coeff(self, u, v) -> Scalar:
-        return self._terms.get((u, v), ZERO_SCALAR)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "WickElement") -> "WickElement":
-        if self.pair != other.pair:
-            raise ValueError("operands from different conjugated pairs")
-        terms = dict(self._terms)
-        for k, s in other._terms.items():
-            terms[k] = terms.get(k, ZERO_SCALAR) + s
-        return WickElement(self.pair, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WickElement(self.pair,
-                           {k: -s for k, s in self._terms.items()})
-
-    def scale(self, s) -> "WickElement":
-        if not isinstance(s, Scalar):
-            s = Scalar(s)
-        return WickElement(self.pair,
-                           {k: s * c for k, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
-        return (isinstance(other, WickElement) and self.pair == other.pair
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.pair, frozenset(self._terms.items())))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (u, v), s in self.terms():
-            neg, mag = split_sign(s)
-            body = f"{term_body(mag, u, 'T')} (x) {v.to_text('X')}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"<{self}>"
+        return cls(pair, [((theta_word, xi_word), coeff)])
 
 
 class IncompleteBaseError(ValueError):
@@ -263,37 +161,17 @@ class CrossSymmetry:
 
     def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:
         """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v."""
-        pair = self.pair
-        acc: dict = {}
-        for (p, q), s in self.apply(xi, u)._terms.items():
-            for (r, w), t in self.apply(q, v)._terms.items():
-                left = pair.theta.normal_form(p.letters + r.letters)
-                if left is ZERO:
-                    continue
-                key = (left, w)
-                acc[key] = acc.get(key, ZERO_SCALAR) + s * t
-        return WickElement(pair, acc)
+        return WickElement(self.pair, (
+            ((p.letters + r.letters, w), (s, t))
+            for (p, q), s in self.apply(xi, u)._terms.items()
+            for (r, w), t in self.apply(q, v)._terms.items()))
 
     def _peel_xi(self, x: Word, y: Word, theta: Word) -> WickElement:
         """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta."""
-        pair = self.pair
-        acc: dict = {}
-        for (r, w), t in self.apply(y, theta)._terms.items():
-            for (p, q), s in self.apply(x, r)._terms.items():
-                right = pair.xi.normal_form(q.letters + w.letters)
-                if right is ZERO:
-                    continue
-                key = (p, right)
-                acc[key] = acc.get(key, ZERO_SCALAR) + s * t
-        return WickElement(pair, acc)
-
-    # evaluation with an explicit split, used by the coherence checker
-
-    def _law1_value(self, xi: Word, u: Word, v: Word) -> WickElement:
-        return self._peel_theta(xi, u, v)
-
-    def _law2_value(self, x: Word, y: Word, theta: Word) -> WickElement:
-        return self._peel_xi(x, y, theta)
+        return WickElement(self.pair, (
+            ((p, q.letters + w.letters), (s, t))
+            for (r, w), t in self.apply(y, theta)._terms.items()
+            for (p, q), s in self.apply(x, r)._terms.items()))
 
 
 @dataclass(frozen=True)
@@ -329,10 +207,14 @@ class CoherenceReport:
         if self.disagreements:
             lines.append(f"  disagreements: {len(self.disagreements)} "
                          f"(showing up to {limit})")
-        for kind, reduces, parts, got, want in self.disagreements[:limit]:
-            cls = "reduction" if reduces else "order"
-            lines.append(f"  {kind}[{cls}] at {parts}: {got} != {want}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.disagreement_lines(limit))
+
+    def disagreement_lines(self, limit: int) -> list:
+        """One line per disagreement, the first `limit` of them."""
+        return [f"  {kind}[{'reduction' if reduces else 'order'}] at "
+                f"{parts}: {got} != {want}"
+                for kind, reduces, parts, got, want
+                in self.disagreements[:limit]]
 
 
 def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
@@ -366,7 +248,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
         for u in nonunit_thetas:
             for v in nonunit_thetas:
                 checked += 1
-                law = psi._law1_value(xi, u, v)
+                law = psi._peel_theta(xi, u, v)
                 prod = pair.theta.normal_form(u.letters + v.letters)
                 reduces = prod is ZERO or len(prod) != len(u) + len(v)
                 direct = (WickElement.zero(pair) if prod is ZERO
@@ -381,7 +263,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
         for y in nonunit_xis:
             for theta in thetas:
                 checked += 1
-                law = psi._law2_value(x, y, theta)
+                law = psi._peel_xi(x, y, theta)
                 prod = pair.xi.normal_form(x.letters + y.letters)
                 reduces = prod is ZERO or len(prod) != len(x) + len(y)
                 direct = (WickElement.zero(pair) if prod is ZERO
@@ -404,20 +286,11 @@ def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     Assumes psi is coherent at the degrees involved; run `check_coherence`
     first when in doubt.
     """
-    pair = x.pair
-    acc: dict = {}
-    for (a, b), s in x._terms.items():
-        for (c, d), t in y._terms.items():
-            for (p, q), r in psi.apply(b, c)._terms.items():
-                left = pair.theta.normal_form(a.letters + p.letters)
-                if left is ZERO:
-                    continue
-                right = pair.xi.normal_form(q.letters + d.letters)
-                if right is ZERO:
-                    continue
-                key = (left, right)
-                acc[key] = acc.get(key, ZERO_SCALAR) + s * t * r
-    return WickElement(pair, acc)
+    return WickElement(x.pair, (
+        ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
+        for (a, b), s in x._terms.items()
+        for (c, d), t in y._terms.items()
+        for (p, q), r in psi.apply(b, c)._terms.items()))
 
 
 def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,
@@ -430,21 +303,19 @@ def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,
     With both maps the identity this is exactly `wick_mul`.
     """
     pair = x.pair
-    out = WickElement.zero(pair)
-    for (a, b), s in x._terms.items():
-        ea = e_theta(Element.from_word(pair.theta, a))
-        for (c, d), t in y._terms.items():
-            ed = e_xi(Element.from_word(pair.xi, d))
-            acc: dict = {}
-            for (p, q), r in psi.apply(b, c)._terms.items():
-                left = mul(ea, Element.from_word(pair.theta, p))
-                right = mul(Element.from_word(pair.xi, q), ed)
-                for lw, ls in left._terms.items():
-                    for rw, rs in right._terms.items():
-                        key = (lw, rw)
-                        acc[key] = acc.get(key, ZERO_SCALAR) + r * ls * rs
-            out = out + WickElement(pair, acc).scale(s * t)
-    return out
+
+    def terms():
+        for (a, b), s in x._terms.items():
+            ea = e_theta(Element.from_word(pair.theta, a))
+            for (c, d), t in y._terms.items():
+                ed = e_xi(Element.from_word(pair.xi, d))
+                for (p, q), r in psi.apply(b, c)._terms.items():
+                    for lw, ls in ea._terms.items():
+                        for rw, rs in ed._terms.items():
+                            yield ((lw.letters + p.letters,
+                                    q.letters + rw.letters),
+                                   (s, t, r, ls, rs))
+    return WickElement(pair, terms())
 
 
 def check_regular_cross_symmetry(psi: CrossSymmetry,
@@ -457,25 +328,27 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
     and compared exactly.  Returns (verdict, witnesses).
     """
     pair = psi.pair
+
+    def lhs_terms(xi, theta):
+        for (p, q), s in psi.apply(xi, theta)._terms.items():
+            ep = e_theta(Element.from_word(pair.theta, p))
+            eq = e_xi(Element.from_word(pair.xi, q))
+            for pw, ps in ep._terms.items():
+                for qw, qs in eq._terms.items():
+                    yield (pw, qw), (s, ps, qs)
+
+    def rhs_terms(xi, theta):
+        exi = e_xi(Element.from_word(pair.xi, xi))
+        etheta = e_theta(Element.from_word(pair.theta, theta))
+        for xw, xs in exi._terms.items():
+            for tw, ts in etheta._terms.items():
+                for key, c in psi.apply(xw, tw)._terms.items():
+                    yield key, (xs, ts, c)
+
     witnesses = []
     for xi in pair.xi.enumerate_normal_forms(max_deg):
         for theta in pair.theta.enumerate_normal_forms(max_deg):
-            lhs = WickElement.zero(pair)
-            for (p, q), s in psi.apply(xi, theta)._terms.items():
-                ep = e_theta(Element.from_word(pair.theta, p))
-                eq = e_xi(Element.from_word(pair.xi, q))
-                part: dict = {}
-                for pw, ps in ep._terms.items():
-                    for qw, qs in eq._terms.items():
-                        key = (pw, qw)
-                        part[key] = part.get(key, ZERO_SCALAR) + ps * qs
-                lhs = lhs + WickElement(pair, part).scale(s)
-            rhs = WickElement.zero(pair)
-            exi = e_xi(Element.from_word(pair.xi, xi))
-            etheta = e_theta(Element.from_word(pair.theta, theta))
-            for xw, xs in exi._terms.items():
-                for tw, ts in etheta._terms.items():
-                    rhs = rhs + psi.apply(xw, tw).scale(xs * ts)
-            if lhs != rhs:
+            if WickElement(pair, lhs_terms(xi, theta)) \
+                    != WickElement(pair, rhs_terms(xi, theta)):
                 witnesses.append((xi, theta))
     return not witnesses, tuple(witnesses)

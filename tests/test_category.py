@@ -143,6 +143,12 @@ def test_functor_image_is_regular_cocycle():
     assert check_regular_cocycle(image).ok
 
 
+def test_singular_base_change_rejected():
+    change = {"Y1": Matrix([[2]]), "Y2": Matrix([[1, 1], [2, 2]])}
+    with pytest.raises(DegeneratePairingError):
+        MatrixFunctor.base_change(change)
+
+
 def test_non_functor_raises():
     c = algebra_cocycle()
 

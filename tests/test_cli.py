@@ -215,3 +215,51 @@ def test_deterministic_stdout(capsys):
         # and the output is the canonical form, so it round-trips
         code, out = run(capsys, ["eval", "-n", "2", first[1].strip()])
         assert out == first[1]
+
+
+# -- malformed documents are refused with exit 2 ---------------------------------
+
+TWO_SPACES = [{"name": "X1", "basis": ["u"]}, {"name": "X2", "basis": ["v"]}]
+BACK = {"from": "X2", "to": "X1", "matrix": [["1"]]}
+
+
+def check_document(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out = run(capsys, ["check", "cocycle", str(path)])
+    return code, out.replace(str(path), "doc.json")
+
+
+def test_check_cocycle_numeric_entry(tmp_path, capsys):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X2", "matrix": [[1]]}, BACK]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.maps[0].matrix[0][0]: expected a string, "
+           "got 1\n")
+
+
+def test_check_cocycle_top_level_list(tmp_path, capsys):
+    doc = [{"spaces": TWO_SPACES, "maps": []}]
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $: expected an object, got a list\n")
+
+
+def test_check_cocycle_invalid_json(tmp_path, capsys):
+    assert check_document(tmp_path, capsys, '{"spaces": [') == (
+        2, "error: doc.json: $: invalid JSON (Expecting value: line 1 "
+           "column 13 (char 12))\n")
+
+
+def test_check_cocycle_unknown_space(tmp_path, capsys):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X9", "to": "X2", "matrix": [["1"]]}, BACK]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.maps[0].from: unknown space 'X9'\n")
+
+
+def test_check_cocycle_duplicate_map(tmp_path, capsys):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]},
+                    {"from": "X1", "to": "X2", "matrix": [["0"]]}, BACK]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.maps[1].from: second map from 'X1'\n")

@@ -1,0 +1,108 @@
+"""Module laws of the three kinds of sparse combination, as properties.
+
+`Element`, `TensorElement` (both sign conventions) and `WickElement` are
+finite Q(w)-weighted sums; each must form a Q(w)-vector space whose
+equality, hash and printed form agree.  Keys are drawn from raw words
+(not only normal forms), so normalisation on construction is exercised
+too.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from rga.algebra import Element
+from rga.parser import parse_element, parse_tensor, parse_wick
+from rga.rewrite import RewriteSystem
+from rga.scalar import Scalar
+from rga.tensor import TensorElement
+from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
+
+S2 = RewriteSystem(2)
+S3 = RewriteSystem(3)
+PAIR = ConjugatedPair()
+PSI = CrossSymmetry.regular(PAIR, "unit")
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+scalars = st.builds(Scalar, rationals, rationals)
+
+
+def words(n):
+    return st.lists(st.integers(1, n), max_size=4).map(tuple)
+
+
+def terms(keys):
+    return st.lists(st.tuples(keys, scalars), max_size=5)
+
+
+def elements(system):
+    return terms(words(system.n)).map(lambda ts: Element(system, ts))
+
+
+def tensors(signs):
+    return terms(st.tuples(words(2), words(2))).map(
+        lambda ts: TensorElement(S2, signs, ts))
+
+
+wicks = terms(st.tuples(words(2), words(2))).map(
+    lambda ts: WickElement(PAIR, ts))
+
+# (strategy, parse of the printed text) for every kind and context
+KINDS = {
+    "element-n2": (elements(S2), lambda text: parse_element(text, S2)),
+    "element-n3": (elements(S3), lambda text: parse_element(text, S3)),
+    "tensor-plain": (tensors("plain"),
+                     lambda text: parse_tensor(text, S2, "plain")),
+    "tensor-koszul": (tensors("koszul"),
+                      lambda text: parse_tensor(text, S2, "koszul")),
+    "wick": (wicks, lambda text: parse_wick(text, PAIR, PSI)),
+}
+
+kind_triples = st.sampled_from(sorted(KINDS)).flatmap(
+    lambda k: st.tuples(st.just(k), KINDS[k][0], KINDS[k][0], KINDS[k][0]))
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@PROPS
+@given(kind_triples)
+def test_addition_is_commutative_and_associative(case):
+    _, x, y, z = case
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+
+
+@PROPS
+@given(kind_triples)
+def test_subtraction_cancels(case):
+    _, x, y, _ = case
+    assert (x - x).is_zero() and x - x == 0
+    assert (x + y) - y == x
+    assert -(-x) == x
+
+
+@PROPS
+@given(kind_triples, scalars, scalars)
+def test_scaling_distributes(case, s, t):
+    _, x, y, _ = case
+    assert (x + y).scale(s) == x.scale(s) + y.scale(s)
+    assert x.scale(s + t) == x.scale(s) + x.scale(t)
+    assert x.scale(s).scale(t) == x.scale(s * t)
+
+
+@PROPS
+@given(kind_triples)
+def test_hash_agrees_with_equality(case):
+    _, x, y, _ = case
+    rebuilt = (x + y) - y
+    assert rebuilt == x
+    assert hash(rebuilt) == hash(x)
+
+
+@PROPS
+@given(kind_triples)
+def test_print_parse_round_trip(case):
+    kind, x, _, _ = case
+    # the tensor grammar needs a (x) in every summand, so "0" is no tensor
+    assume(not (kind.startswith("tensor") and x.is_zero()))
+    assert KINDS[kind][1](str(x)) == x

@@ -159,3 +159,127 @@ def test_print_parse_products_agree_with_mul():
         b = rand_element(rng, S2)
         text = f"({a}) ({b})"
         assert parse_element(text, S2) == mul(a, b)
+
+
+# -- characterisation table ------------------------------------------------------
+#
+# One row per (context, input): the canonical printed value, or the
+# position of the ParseError.  The three parse functions share one grammar,
+# so every context lists the same kinds of input: signs, scalar prefixes,
+# juxtaposition, parentheses, the (x) marker and the errors around them.
+
+CONTEXTS = {
+    "element": lambda text: parse_element(text, S2),
+    "plain": lambda text: parse_tensor(text, S2, "plain"),
+    "koszul": lambda text: parse_tensor(text, S2, "koszul"),
+    "wick": lambda text: parse_wick(text, PAIR, PSI),
+}
+
+TABLE = [
+    ("element", "", 0),
+    ("element", "0", "0"),
+    ("element", "-1", "-1"),
+    ("element", "+T1", "T1"),
+    ("element", "T1 + ", 5),
+    ("element", "- - T1", 2),
+    ("element", "2 w", "2*w"),
+    ("element", "1/2*w T1", "1/2*w T1"),
+    ("element", "3 * T1", "3 T1"),
+    ("element", "2 * (T1)", "2 T1"),
+    ("element", "* T1", 0),
+    ("element", "T1 *", 3),
+    ("element", "1/0", 3),
+    ("element", "(T1", 3),
+    ("element", "T1)", 2),
+    ("element", "()", 1),
+    ("element", "(1+T1) (1-T1)", "1"),
+    ("element", "T1 T2 T1 T2 T1 T2", "T1 T2"),
+    ("element", "T1 T1", "0"),
+    ("element", "T3", 0),
+    ("element", "X1", 0),
+    ("element", "T1 X1", 3),
+    ("element", "T1 (x) T2", 3),
+    ("element", "T1 (T2 (x) 1)", 7),
+    ("element", "2 3", 2),
+    ("element", "1 - ", 4),
+    ("element", "(1 + 2*w) T1 - w", "-w + (1+2*w) T1"),
+    ("plain", "T1 + ", 5),
+    ("plain", "1", 1),
+    ("plain", "T1 T2", 5),
+    ("plain", "T1 *", 4),
+    ("plain", "T1)", 3),
+    ("plain", "X1", 0),
+    ("plain", "T1 (x) T2", "T1 (x) T2"),
+    ("plain", "(x) T1", 0),
+    ("plain", "T1 (x)", 6),
+    ("plain", "T1 (x) T2 (x) T1", 10),
+    ("plain", "T1 (T2 (x) 1)", 3),
+    ("plain", "(T1 (x) 1) T2", 13),
+    ("plain", "(T1 (x) 1) (T2 (x) 1)", "T1 T2 (x) 1"),
+    ("plain", "(T1 (x) 1) + T2", 15),
+    ("plain", "T2 + (T1 (x) 1)", 15),
+    ("plain", "1 (x) T1 + T1", 13),
+    ("plain", "2 (T1 (x) T2)", "2 T1 (x) T2"),
+    ("plain", "-(T1 (x) T2)", "-T1 (x) T2"),
+    ("plain", "(T1 + 1) (x) (T2 - 1)",
+     "-1 (x) 1 + 1 (x) T2 - T1 (x) 1 + T1 (x) T2"),
+    ("plain", "((T1 (x) T2))", "T1 (x) T2"),
+    ("plain", "T1 (x) T1 T1", "0"),
+    ("plain", "(1) (T1 (x) 1)", "T1 (x) 1"),
+    ("plain", "(2) (T1 (x) 1)", 4),
+    ("plain", "(T1 (x) 1) (1)", 14),
+    ("plain", "(T1 (x) 1) 2", 11),
+    ("plain", "(T1 (x) T2) (x) T1", 12),
+    ("plain", "T1 (x) (T1 (x) T2)", 3),
+    ("plain", "(1+2*w) (x) T1", "(1+2*w) (x) T1"),
+    ("plain", "(1 (x) T1) (T1 (x) 1)", "T1 (x) T1"),
+    ("plain", "w (T1 (x) 1 + 1 (x) T2) (T2 (x) T1)",
+     "w T2 (x) T2 T1 + w T1 T2 (x) T1"),
+    ("koszul", "T1 + ", 5),
+    ("koszul", "T1 (T2 (x) 1)", 3),
+    ("koszul", "(T1 (x) 1) T2", 13),
+    ("koszul", "T1 T2", 5),
+    ("koszul", "(T1 (x) 1) + T2", 15),
+    ("koszul", "(1 (x) T1) (T1 (x) 1)", "-T1 (x) T1"),
+    ("koszul", "(1 (x) T1 T2) (T1 (x) 1)", "T1 (x) T1 T2"),
+    ("koszul", "1/2 (1 (x) T1) (T2 (x) T2)", "-1/2 T2 (x) T1 T2"),
+    ("koszul", "w (T1 (x) 1 + 1 (x) T2) (T2 (x) T1)",
+     "-w T2 (x) T2 T1 + w T1 T2 (x) T1"),
+    ("koszul", "-w T1 (x) T2 T1 + 1 (x) 1", "1 (x) 1 - w T1 (x) T2 T1"),
+    ("wick", "T1 + ", 5),
+    ("wick", "", 0),
+    ("wick", "-1", "-1 (x) 1"),
+    ("wick", "2 * (T1)", "2 T1 (x) 1"),
+    ("wick", "T3", 0),
+    ("wick", "X3", 0),
+    ("wick", "X1 (x) T1", 3),
+    ("wick", "X1 (T1 T2 T1)", "1 (x) 1 - T1 (x) X1"),
+    ("wick", "(X1 T1 T2) T1", "T1 (x) X1 - T1 T2 (x) 1 + T2 T1 (x) 1"),
+    ("wick", "X1 T1 T2", "T2 (x) 1 - T1 T2 (x) X1"),
+    ("wick", "T1 X1", "T1 (x) X1"),
+    ("wick", "X2 X1 X2", "1 (x) X2"),
+    ("wick", "T1 (x) T2", 3),
+    ("wick", "T1 (x)", 6),
+    ("wick", "(T1 (x) 1) T2", "T1 T2 (x) 1"),
+    ("wick", "(T1 (x) 1) + T2", "T1 (x) 1 + T2 (x) 1"),
+    ("wick", "(T1 (x) X1) (x) X2", 12),
+    ("wick", "T1 (x) (T1 (x) T2)", 11),
+    ("wick", "(1 (x) T1) (T1 (x) 1)", 3),
+    ("wick", "(T1 - T1) (x) X1", "0"),
+    ("wick", "(2) (T1 (x) 1)", "2 T1 (x) 1"),
+    ("wick", "(T1 (x) 1) 2", 11),
+    ("wick", "T1 (x) T1 T1", "0"),
+    ("wick", "(1 + 2*w) X1 T1", "(1+2*w) (x) 1 - (1+2*w) T1 (x) X1"),
+    ("wick", "1 (x) T1 + T1", 2),
+]
+
+
+@pytest.mark.parametrize("context,text,want", TABLE)
+def test_characterisation_table(context, text, want):
+    parse = CONTEXTS[context]
+    if isinstance(want, int):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == want
+    else:
+        assert str(parse(text)) == want
