@@ -476,14 +476,13 @@ class RepresentationReport:
         return "\n".join(lines)
 
 
-def check_representation(n: int, max_deg: int,
-                         strategy: str = "leftmost") -> RepresentationReport:
+def check_representation(n: int, max_deg: int) -> RepresentationReport:
     """Verify L_i L_j = L_{ij} and R_i R_j = R_{ji} on all normal forms.
 
     Both identities are instances of associativity of the rewriting
     product, so a failure here flags a non-confluent presentation.
     """
-    sys = RewriteSystem(n, strategy=strategy)
+    sys = RewriteSystem(n)
     words = sys.enumerate_normal_forms(max_deg)
     gens = [Element.generator(sys, i) for i in range(1, n + 1)]
     failures = []

@@ -447,9 +447,10 @@ _JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 def _expect(value, kind: type, where: str):
     """`value`, checked to be of JSON type `kind`; `where` is its path."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        want = "an integer" if kind is int else _JSON_NAMES[kind]
         got = _JSON_NAMES.get(type(value)) or json.dumps(value)
-        raise DocumentError(where, f"expected {_JSON_NAMES[kind]}, got {got}")
+        raise DocumentError(where, f"expected {want}, got {got}")
     return value
 
 

@@ -118,6 +118,9 @@ def _dispatch(args) -> int:
     if getattr(args, "n", None) is not None and args.n < 1:
         print(f"error: generator count must be >= 1, got {args.n}")
         return 2
+    if getattr(args, "max_deg", None) is not None and args.max_deg < 0:
+        print(f"error: --max-deg must be >= 0, got {args.max_deg}")
+        return 2
     if cmd == "eval":
         sys_ = RewriteSystem(args.n)
         print(parse_element(args.expr, sys_))
@@ -207,9 +210,10 @@ def _dispatch_check(args) -> int:
         doc = read_document(args.file)
         cocycle, _ = cocycle_from_json(_field(doc, "cocycle", dict, "$"),
                                        "$.cocycle")
-        change = {label: _matrix_from_json(rows, f"$.base_change.{label}")
-                  for label, rows in _field(doc, "base_change", dict,
-                                            "$").items()}
+        given = _field(doc, "base_change", dict, "$")
+        change = {s.label: _square_matrix(given, s.label, s.dim,
+                                          "$.base_change")
+                  for s in cocycle.spaces}
         functor = MatrixFunctor.base_change(change)
         try:
             verdict = check_obstructed_functor(functor, [cocycle])
@@ -230,26 +234,33 @@ def _dispatch_check(args) -> int:
         return 0 if rep.ok else 1
     if args.checker == "module":
         doc = read_document(args.file)
-        sys_ = RewriteSystem(doc.get("n", 2))
+        n = _field(doc, "n", int, "$") if "n" in doc else 2
+        if n < 1:
+            raise DocumentError("$.n", f"must be >= 1, got {n}")
+        sys_ = RewriteSystem(n)
+        dim = _field(doc, "module_dim", int, "$")
+        if dim < 0:
+            raise DocumentError("$.module_dim", f"must be >= 0, got {dim}")
         basis = []
         action = {}
-        for key, rows in doc["action"].items():
+        for key in _field(doc, "action", dict, "$"):
             e = parse_element(key, sys_)
             terms = e.terms()
             if len(terms) != 1 or terms[0][1] != ONE:
-                raise ValueError(f"action key {key!r} is not a basis word")
+                raise DocumentError(f"$.action.{key}", "not a basis word")
             word = terms[0][0]
             basis.append(word)
-            action[word] = _matrix_from_json(rows, f"$.action.{key}")
-        dim = doc["module_dim"]
-        e_algebra = obstruction if doc.get("e_algebra",
-                                           "obstruction") == "obstruction" \
-            else (lambda a: a)
+            action[word] = _square_matrix(doc["action"], key, dim, "$.action")
+        name = (_field(doc, "e_algebra", str, "$") if "e_algebra" in doc
+                else "obstruction")
+        if name not in ("obstruction", "identity"):
+            raise DocumentError("$.e_algebra", f"expected 'obstruction' or "
+                                               f"'identity', got {name!r}")
+        e_algebra = obstruction if name == "obstruction" else (lambda a: a)
         if doc.get("e_module") in (None, "identity"):
             e_module = lambda v: v
         else:
-            m = _matrix_from_json(doc["e_module"], "$.e_module")
-            e_module = m.apply
+            e_module = _square_matrix(doc, "e_module", dim, "$").apply
         ok, witnesses = check_regular_module(action, basis, dim,
                                              e_algebra, e_module, sys_)
         print(f"regular module law: {str(ok).lower()}")
@@ -258,6 +269,15 @@ def _dispatch_check(args) -> int:
             print(f"  first failure at word {w.to_text()} basis index {j}")
         return 0 if ok else 1
     raise AssertionError(f"unhandled checker {args.checker}")
+
+
+def _square_matrix(obj: dict, key: str, dim: int, where: str):
+    """obj[key] as a dim x dim matrix; `where` is obj's path."""
+    m = _matrix_from_json(_field(obj, key, list, where), f"{where}.{key}")
+    if (m.nrows, m.ncols) != (dim, dim):
+        raise DocumentError(f"{where}.{key}", f"expected a {dim}x{dim} "
+                            f"matrix, got {m.nrows}x{m.ncols}")
+    return m
 
 
 def _dispatch_wick(args) -> int:

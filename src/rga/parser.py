@@ -310,7 +310,7 @@ def parse_wick(text: str, pair: ConjugatedPair,
 
 def parse_tensor(text: str, system: RewriteSystem,
                  signs: str = "plain") -> TensorElement:
-    """A tensor expression over one algebra; every summand needs a (x).
+    """A tensor expression over one algebra: zero, or summands with a (x).
 
     A product is either a plain element or a product of parenthesized
     tensors, which a plain unit factor may precede.
@@ -340,7 +340,9 @@ def parse_tensor(text: str, system: RewriteSystem,
         lambda: unit, _element_context(system, text).generator, product,
         combine))
     if isinstance(value, Element):
-        raise ParseError("a tensor expression needs at least one (x)",
-                         ts.tokens[-1][2], text)
+        if not value.is_zero():
+            raise ParseError("a tensor expression needs at least one (x)",
+                             ts.tokens[-1][2], text)
+        value = TensorElement.zero(system, signs)  # "0", as zero prints
     ts.expect("END")
     return value

@@ -8,11 +8,16 @@ Grassmann algebras divided by
     g_i g_{i+1} ... g_n g_1 ... g_{i-1} g_i = g_i (cyclic, one per i)
 
 Monomials are words over the alphabet 1..n.  Both rule families strictly
-shorten a word, so exhaustive rewriting terminates; normal forms are
-computed under a fixed deterministic strategy (leftmost position first,
-square_zero before cyclic at equal positions).  Whether the resulting
-normal form is independent of the strategy is exactly local confluence,
-which `check_local_confluence` decides by enumerating critical pairs.
+shorten a word, so rewriting terminates.  Normal forms come from one O(L)
+left-to-right suffix reducer: its stack is irreducible, and beside each
+letter it keeps the run of cyclic successors (x == top % n + 1) ending
+there, so a pushed x completes square_zero (x == top) or, with a run of
+n + 1, cyclic(x).  It repeats the leftmost derivation (square_zero first at
+equal positions) step for step: the first redex to end is the first to
+start, as for n >= 2 the cyclic patterns share one length and none holds a
+square, and for n = 1 the one cyclic pattern 11 is square_zero's.  Whether
+every reduction order reaches the same normal form is exactly local
+confluence, which `check_local_confluence` decides from critical pairs.
 
 Only the stated orientation of the cyclic relation rewrites; the reversed
 cycle (e.g. 1,3,2,1 for n=3) is in normal form.
@@ -21,7 +26,7 @@ cycle (e.g. 1,3,2,1 for n=3) is in normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 
 class LetterRangeError(ValueError):
@@ -122,11 +127,6 @@ class Rule:
     pattern: tuple
     replacement: object  # tuple of letters, or ZERO
 
-    def __str__(self):
-        rhs = "0" if self.replacement is ZERO else (
-            "".join(map(str, self.replacement)) or "1")
-        return f"{self.name}: {''.join(map(str, self.pattern))} -> {rhs}"
-
 
 @dataclass(frozen=True)
 class CriticalPair:
@@ -141,7 +141,6 @@ class CriticalPair:
 @dataclass(frozen=True)
 class ConfluenceReport:
     n: int
-    strategy: str
     critical_pairs: tuple
     locally_confluent: bool
 
@@ -150,7 +149,7 @@ class ConfluenceReport:
             return "0" if w is ZERO else (
                 ".".join(map(str, w.letters)) if len(w) else "e")
 
-        lines = [f"n={self.n} strategy={self.strategy} "
+        lines = [f"n={self.n} strategy=leftmost "
                  f"critical_pairs={len(self.critical_pairs)} "
                  f"locally_confluent={str(self.locally_confluent).lower()}"]
         for p in self.critical_pairs:
@@ -165,43 +164,33 @@ class RewriteSystem:
     """The rewrite presentation of the algebra on n regular generators.
 
     `symbol` only affects printing ("T" for the base algebra, "X" for the
-    dual copy).  `strategy` fixes the reduction order: "leftmost" (default)
-    or "rightmost" scanning, with square_zero taking priority over cyclic
-    at equal positions.  Instances are immutable and safe to share.
+    dual copy).  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("n", "symbol", "strategy", "rules", "_cyclic")
+    __slots__ = ("n", "symbol", "rules")
 
-    def __init__(self, n: int, symbol: str = "T", strategy: str = "leftmost"):
+    def __init__(self, n: int, symbol: str = "T"):
         if n < 1:
             raise ValueError(f"generator count must be >= 1, got {n}")
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "strategy", strategy)
         rules = []
-        cyclic = {}
         for i in range(1, n + 1):
             rules.append(Rule(f"square_zero({i})", (i, i), ZERO))
         for i in range(1, n + 1):
             pat = tuple(range(i, n + 1)) + tuple(range(1, i)) + (i,)
-            rule = Rule(f"cyclic({i})", pat, (i,))
-            rules.append(rule)
-            cyclic[i] = rule
+            rules.append(Rule(f"cyclic({i})", pat, (i,)))
         object.__setattr__(self, "rules", tuple(rules))
-        object.__setattr__(self, "_cyclic", cyclic)
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, RewriteSystem)
-                and self.n == other.n and self.symbol == other.symbol
-                and self.strategy == other.strategy)
+                and self.n == other.n and self.symbol == other.symbol)
 
     def __hash__(self):
-        return hash((self.n, self.symbol, self.strategy))
+        return hash((self.n, self.symbol))
 
     def __repr__(self):
         return f"RewriteSystem(n={self.n}, symbol={self.symbol!r})"
@@ -214,25 +203,13 @@ class RewriteSystem:
                 raise LetterRangeError(
                     f"letter {x} outside generator range 1..{self.n}")
 
-    def _redex_at(self, letters, p) -> Optional[Rule]:
-        # square_zero before cyclic at the same position (fixed tie-break)
-        if p + 1 < len(letters) and letters[p] == letters[p + 1]:
-            return self.rules[letters[p] - 1]
-        rule = self._cyclic[letters[p]]
-        k = len(rule.pattern)
-        if letters[p:p + k] == rule.pattern:
-            return rule
-        return None
-
-    def _find_redex(self, letters, strategy):
-        positions = range(len(letters))
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for p in positions:
-            rule = self._redex_at(letters, p)
-            if rule is not None:
-                return p, rule
-        return None
+    def _run(self, top: int, top_run: int, x: int) -> int:
+        """The cyclic-successor run ending at x placed after `top`, whose run
+        is `top_run` (both 0 on an empty stack): 0 is the square_zero redex,
+        n + 1 is cyclic(x), and 1..n is no redex."""
+        if x == top:
+            return 0
+        return top_run + 1 if x == top % self.n + 1 else 1
 
     @staticmethod
     def _apply(letters, p, rule):
@@ -242,54 +219,47 @@ class RewriteSystem:
 
     # -- public operations ----------------------------------------------
 
-    def normal_form(self, word, strategy: Optional[str] = None) -> WordOrZero:
-        """Reduce to the unique fixpoint of the chosen strategy (or ZERO).
-
-        Every step strictly shortens the word, which bounds the loop by the
-        initial length.
-        """
+    def normal_form(self, word) -> WordOrZero:
+        """The leftmost-derivation normal form of `word` (or ZERO)."""
         letters = tuple(word.letters) if isinstance(word, Word) else tuple(word)
         self._check_letters(letters)
-        strategy = strategy or self.strategy
-        steps = 0
-        bound = len(letters)
-        while True:
-            hit = self._find_redex(letters, strategy)
-            if hit is None:
-                return Word(letters)
-            p, rule = hit
-            letters = self._apply(letters, p, rule)
-            if letters is ZERO:
+        n, run_of = self.n, self._run
+        stack, runs = [0], [0]  # a sentinel below the irreducible prefix
+        for x in letters:
+            run = run_of(stack[-1], runs[-1], x)
+            if run == 0:
                 return ZERO
-            steps += 1
-            if steps > bound:
-                raise SelfCheckError("rewriting failed to shorten the word")
-
-    def is_normal(self, word) -> bool:
-        letters = tuple(word.letters) if isinstance(word, Word) else tuple(word)
-        self._check_letters(letters)
-        return self._find_redex(letters, "leftmost") is None
+            if run > n:
+                # the top n letters are x, x+1, ..., x-1: keep the first x
+                k = len(stack) - n + 1
+                del stack[k:], runs[k:]
+            else:
+                stack.append(x)
+                runs.append(run)
+        return Word(stack[1:])
 
     def enumerate_normal_forms(self, max_len: int) -> list:
         """All normal-form words of length <= max_len in (length, lex) order.
 
         Extends irreducible words letter by letter; a fresh redex can only
-        appear in a suffix ending at the new letter, but the full scan is
-        cheap at these sizes and keeps the check obviously right.
+        be a suffix ending at the new letter, which the run length carried
+        with each word decides.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         out = [EMPTY_WORD]
-        layer = [()]
+        layer, runs = [()], [0]  # the words of one length, the run ending each
         for _ in range(max_len):
-            nxt = []
-            for letters in layer:
-                for a in range(1, self.n + 1):
-                    cand = letters + (a,)
-                    if self._find_redex(cand, "leftmost") is None:
-                        nxt.append(cand)
+            nxt, nxt_runs = [], []
+            for letters, top_run in zip(layer, runs):
+                top = letters[-1] if letters else 0
+                for x in range(1, self.n + 1):
+                    run = self._run(top, top_run, x)
+                    if 0 < run <= self.n:
+                        nxt.append(letters + (x,))
+                        nxt_runs.append(run)
             out.extend(Word(ls) for ls in nxt)
-            layer = nxt
+            layer, runs = nxt, nxt_runs
         return out
 
     def check_local_confluence(self) -> ConfluenceReport:
@@ -298,7 +268,7 @@ class RewriteSystem:
         Overlaps between every ordered pair of rule patterns are listed:
         proper suffix/prefix overlaps and containments, including
         self-overlaps.  A pair is joinable when both one-step reducts reach
-        the same normal form under the fixed strategy.
+        the same normal form.
         """
         pairs = []
         for r1 in self.rules:
@@ -321,17 +291,15 @@ class RewriteSystem:
         pairs.sort(key=lambda p: (p.overlap.sort_key(),
                                   p.rule_left, p.rule_right))
         ok = all(p.joinable for p in pairs)
-        return ConfluenceReport(self.n, self.strategy, tuple(pairs), ok)
+        return ConfluenceReport(self.n, tuple(pairs), ok)
 
     def _critical(self, r1, r2, word, p1, p2) -> CriticalPair:
         left = self._apply(word, p1, r1)
         right = self._apply(word, p2, r2)
         left_nf = ZERO if left is ZERO else self.normal_form(left)
         right_nf = ZERO if right is ZERO else self.normal_form(right)
-        joinable = left_nf == right_nf if not (
-            left_nf is ZERO or right_nf is ZERO) else left_nf is right_nf
         return CriticalPair(r1.name, r2.name, Word(word),
-                            left_nf, right_nf, joinable)
+                            left_nf, right_nf, left_nf == right_nf)
 
 
 def parity(word: Word) -> int:

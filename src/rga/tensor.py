@@ -21,14 +21,14 @@ from .scalar import ONE, ZERO_SCALAR, Scalar
 SIGN_CONVENTIONS = ("plain", "koszul")
 
 
-def dual_system(strategy: str = "leftmost") -> RewriteSystem:
+def dual_system() -> RewriteSystem:
     """The dual two-generator algebra on X1, X2.
 
     It satisfies the same square-zero and cyclic relations as the base
     algebra (the symmetric form X1 X2 X1 = X1; the variant X1 X2 X2 = X1
     would contradict X2**2 = 0 and is rejected as a typo).
     """
-    return RewriteSystem(2, symbol="X", strategy=strategy)
+    return RewriteSystem(2, symbol="X")
 
 
 class TensorElement(Combination):

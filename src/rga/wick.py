@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
-from .algebra import Combination, Element
+from .algebra import AlgebraMismatchError, Combination, Element
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
 from .scalar import ONE
 from .tensor import dual_system
@@ -280,12 +280,20 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
 # -- Wick multiplication --------------------------------------------------------
 
 
+def _require_operands(x: WickElement, y: WickElement, psi: CrossSymmetry):
+    """Both operands and psi must belong to one conjugated pair."""
+    x._require_same(y)
+    if psi.pair != x.pair:
+        raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
+
+
 def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     """(a (x) b)(c (x) d) routes b past c through the cross symmetry.
 
     Assumes psi is coherent at the degrees involved; run `check_coherence`
     first when in doubt.
     """
+    _require_operands(x, y, psi)
     return WickElement(x.pair, (
         ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
         for (a, b), s in x._terms.items()
@@ -302,6 +310,7 @@ def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,
     term; the whole product is then the bilinear extension over terms.
     With both maps the identity this is exactly `wick_mul`.
     """
+    _require_operands(x, y, psi)
     pair = x.pair
 
     def terms():

@@ -223,10 +223,10 @@ TWO_SPACES = [{"name": "X1", "basis": ["u"]}, {"name": "X2", "basis": ["v"]}]
 BACK = {"from": "X2", "to": "X1", "matrix": [["1"]]}
 
 
-def check_document(tmp_path, capsys, text):
+def check_document(tmp_path, capsys, text, checker="cocycle"):
     path = tmp_path / "doc.json"
     path.write_text(text)
-    code, out = run(capsys, ["check", "cocycle", str(path)])
+    code, out = run(capsys, ["check", checker, str(path)])
     return code, out.replace(str(path), "doc.json")
 
 
@@ -263,3 +263,67 @@ def test_check_cocycle_duplicate_map(tmp_path, capsys):
                     {"from": "X1", "to": "X2", "matrix": [["0"]]}, BACK]}
     assert check_document(tmp_path, capsys, json.dumps(doc)) == (
         2, "error: doc.json: $.maps[1].from: second map from 'X1'\n")
+
+
+MODULE = {"n": 2, "module_dim": 1, "action": {"1": [["1"]]},
+          "e_algebra": "identity", "e_module": "identity"}
+
+
+def check_module(tmp_path, capsys, **changes):
+    doc = {k: v for k, v in {**MODULE, **changes}.items() if v is not None}
+    return check_document(tmp_path, capsys, json.dumps(doc), "module")
+
+
+def check_functor(tmp_path, capsys, base_change):
+    c, _ = cocycle_from_algebra(RewriteSystem(2), 2)
+    doc = {"cocycle": cocycle_to_json(c), "base_change": base_change}
+    return check_document(tmp_path, capsys, json.dumps(doc), "functor")
+
+
+def test_check_module_missing_field(tmp_path, capsys):
+    assert check_module(tmp_path, capsys, action=None) == (
+        2, "error: doc.json: $: missing field 'action'\n")
+    assert check_module(tmp_path, capsys, module_dim=None) == (
+        2, "error: doc.json: $: missing field 'module_dim'\n")
+
+
+def test_check_module_non_integer_field(tmp_path, capsys):
+    assert check_module(tmp_path, capsys, n="x") == (
+        2, "error: doc.json: $.n: expected an integer, got a string\n")
+    assert check_module(tmp_path, capsys, module_dim="1") == (
+        2, "error: doc.json: $.module_dim: expected an integer, "
+           "got a string\n")
+
+
+def test_check_module_unknown_e_algebra(tmp_path, capsys):
+    assert check_module(tmp_path, capsys, e_algebra="bogus") == (
+        2, "error: doc.json: $.e_algebra: expected 'obstruction' or "
+           "'identity', got 'bogus'\n")
+
+
+def test_check_module_e_module_wrong_size(tmp_path, capsys):
+    e_module = [["1", "0"], ["0", "1"]]
+    assert check_module(tmp_path, capsys, e_module=e_module) == (
+        2, "error: doc.json: $.e_module: expected a 1x1 matrix, got 2x2\n")
+
+
+def test_check_functor_missing_base_change_label(tmp_path, capsys):
+    base_change = {"X2": [["1", "0"], ["1", "1"]]}
+    assert check_functor(tmp_path, capsys, base_change) == (
+        2, "error: doc.json: $.base_change: missing field 'X1'\n")
+
+
+def test_check_functor_non_square_base_change(tmp_path, capsys):
+    base_change = {"X1": [["1", "1", "0"], ["0", "1", "0"]],
+                   "X2": [["1", "0"], ["1", "1"]]}
+    assert check_functor(tmp_path, capsys, base_change) == (
+        2, "error: doc.json: $.base_change.X1: expected a 2x2 matrix, "
+           "got 2x3\n")
+
+
+@pytest.mark.parametrize("argv", [["decompose", "-n", "2"],
+                                  ["wick", "coherence"]],
+                         ids=["decompose", "wick-coherence"])
+def test_negative_max_deg_exit_2(capsys, argv):
+    assert run(capsys, argv + ["--max-deg", "-1"]) == (
+        2, "error: --max-deg must be >= 0, got -1\n")

@@ -2,13 +2,15 @@ from random import Random
 
 import pytest
 
-from rga.algebra import Element, mul, obstruction
-from rga.rewrite import Word
+from rga.algebra import AlgebraMismatchError, Element, mul, obstruction
+from rga.rewrite import RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
 from rga.wick import (ConjugatedPair, CrossSymmetry, IncompleteBaseError,
                       WickElement, check_coherence,
                       check_regular_cross_symmetry, wick_mul,
                       wick_mul_regular)
+
+from rga.tensor import dual_system
 
 from helpers import rand_element, rand_scalar
 
@@ -169,6 +171,26 @@ def test_wick_nonassociativity_witness_for_incoherent_base():
     x, y, z = wick((), (1,)), wick((1,), ()), wick((2, 1), ())
     assert wick_mul(wick_mul(x, y, PSI), z, PSI) \
         != wick_mul(x, wick_mul(y, z, PSI), PSI)
+
+
+# the same shape as PAIR, but its T-side is another algebra (printed S)
+OTHER = ConjugatedPair(RewriteSystem(2, symbol="S"), dual_system())
+PRODUCTS = [wick_mul, lambda x, y, psi: wick_mul_regular(
+    x, y, psi, obstruction, obstruction)]
+
+
+@pytest.mark.parametrize("product", PRODUCTS, ids=["plain", "regular"])
+def test_wick_products_refuse_operands_of_two_pairs(product):
+    with pytest.raises(AlgebraMismatchError):
+        product(WickElement.single(OTHER, (1,), ()), wick((), (1,)), PSI)
+
+
+@pytest.mark.parametrize("product", PRODUCTS, ids=["plain", "regular"])
+def test_wick_products_refuse_psi_of_another_pair(product):
+    x = WickElement.single(OTHER, (1,), ())
+    y = WickElement.single(OTHER, (), (1,))
+    with pytest.raises(AlgebraMismatchError):
+        product(x, y, PSI)
 
 
 # -- regular wick machinery --------------------------------------------------------
