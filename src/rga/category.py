@@ -479,6 +479,15 @@ def _matrix_from_json(rows, where: str = "$") -> Matrix:
         raise DocumentError(where, str(exc)) from None
 
 
+def _square_matrix(obj: dict, key: str, dim: int, where: str) -> Matrix:
+    """obj[key] as a dim x dim matrix; `where` is obj's path."""
+    m = _matrix_from_json(_field(obj, key, list, where), f"{where}.{key}")
+    if (m.nrows, m.ncols) != (dim, dim):
+        raise DocumentError(f"{where}.{key}", f"expected a {dim}x{dim} "
+                            f"matrix, got {m.nrows}x{m.ncols}")
+    return m
+
+
 def cocycle_to_json(c: Cocycle, pairings: Optional[dict] = None) -> dict:
     doc = {
         "spaces": [{"name": s.label, "basis": s.basis_texts()}
@@ -506,9 +515,11 @@ def cocycle_from_json(doc, where: str = "$"):
         name = _field(sp, "name", str, at)
         if name in spaces:
             raise DocumentError(f"{at}.name", f"duplicate space {name!r}")
+        basis = tuple(_expect(x, str, f"{at}.basis[{j}]") for j, x
+                      in enumerate(_field(sp, "basis", list, at)))
         try:
-            spaces[name] = Subspace(name, tuple(_field(sp, "basis", list, at)))
-        except (TypeError, ValueError) as exc:
+            spaces[name] = Subspace(name, basis)
+        except ValueError as exc:
             raise DocumentError(f"{at}.basis", str(exc)) from None
     maps = {}
     for i, m in enumerate(_field(doc, "maps", list, where)):
@@ -531,9 +542,12 @@ def cocycle_from_json(doc, where: str = "$"):
             raise DocumentError(f"{where}.maps", f"no map from {name!r}")
     pairings = None
     if "pairings" in doc:
-        pairings = {
-            label: _matrix_from_json(rows, f"{where}.pairings.{label}")
-            for label, rows in _field(doc, "pairings", dict, where).items()}
+        given, at = _field(doc, "pairings", dict, where), f"{where}.pairings"
+        for label in given:
+            if label not in spaces:
+                raise DocumentError(f"{at}.{label}", f"unknown space {label!r}")
+        pairings = {name: _square_matrix(given, name, s.dim, at)
+                    for name, s in spaces.items()}
     return Cocycle(list(spaces.values()),
                    [maps[name] for name in spaces]), pairings
 

@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import (NotInvertible, annihilator, decompose,
+from .algebra import (Element, NotInvertible, annihilator, decompose,
                       find_idempotent_obstructions, invert, obstruction)
 from .category import (DocumentError, MatrixFunctor, NotAFunctorError,
                        check_duality_identity, check_obstructed_functor,
                        check_regular_cocycle, cocycle_from_json, dual_cocycle,
-                       read_document, _field, _matrix_from_json)
+                       read_document, _field, _square_matrix)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
-from .rewrite import RewriteSystem, ZERO
+from .rewrite import (MAX_GENERATORS, RewriteSystem, SizeLimitError, ZERO,
+                      check_size)
 from .reports import write_all
 from .scalar import ONE
 from .tensor import (SIGN_CONVENTIONS, bialgebra_candidates,
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, SizeLimitError) as exc:
         print(f"error: {exc}")
         return 2
     except DocumentError as exc:
@@ -118,9 +119,12 @@ def _dispatch(args) -> int:
     if getattr(args, "n", None) is not None and args.n < 1:
         print(f"error: generator count must be >= 1, got {args.n}")
         return 2
-    if getattr(args, "max_deg", None) is not None and args.max_deg < 0:
-        print(f"error: --max-deg must be >= 0, got {args.max_deg}")
+    max_deg = getattr(args, "max_deg", None)
+    if max_deg is not None and max_deg < 0:
+        print(f"error: --max-deg must be >= 0, got {max_deg}")
         return 2
+    # before any rule or word is built; `wick` works at n = 2
+    check_size(getattr(args, "n", None) or 2, max_deg or 0)
     if cmd == "eval":
         sys_ = RewriteSystem(args.n)
         print(parse_element(args.expr, sys_))
@@ -235,28 +239,41 @@ def _dispatch_check(args) -> int:
     if args.checker == "module":
         doc = read_document(args.file)
         n = _field(doc, "n", int, "$") if "n" in doc else 2
-        if n < 1:
-            raise DocumentError("$.n", f"must be >= 1, got {n}")
+        if not 1 <= n <= MAX_GENERATORS:
+            raise DocumentError("$.n", f"must be in 1..{MAX_GENERATORS}, "
+                                       f"got {n}")
         sys_ = RewriteSystem(n)
         dim = _field(doc, "module_dim", int, "$")
         if dim < 0:
             raise DocumentError("$.module_dim", f"must be >= 0, got {dim}")
-        basis = []
-        action = {}
-        for key in _field(doc, "action", dict, "$"):
-            e = parse_element(key, sys_)
-            terms = e.terms()
-            if len(terms) != 1 or terms[0][1] != ONE:
-                raise DocumentError(f"$.action.{key}", "not a basis word")
-            word = terms[0][0]
-            basis.append(word)
-            action[word] = _square_matrix(doc["action"], key, dim, "$.action")
         name = (_field(doc, "e_algebra", str, "$") if "e_algebra" in doc
                 else "obstruction")
         if name not in ("obstruction", "identity"):
             raise DocumentError("$.e_algebra", f"expected 'obstruction' or "
                                                f"'identity', got {name!r}")
+        if name == "obstruction" and n != 2:
+            raise DocumentError("$.e_algebra", f"'obstruction' needs n = 2, "
+                                               f"got n = {n}")
         e_algebra = obstruction if name == "obstruction" else (lambda a: a)
+        action = {}
+        for key in _field(doc, "action", dict, "$"):
+            try:
+                terms = parse_element(key, sys_).terms()
+            except ParseError as exc:
+                raise DocumentError(f"$.action.{key}", str(exc)) from None
+            if len(terms) != 1 or terms[0][1] != ONE:
+                raise DocumentError(f"$.action.{key}", "not a basis word")
+            word = terms[0][0]
+            if word in action:
+                raise DocumentError(f"$.action.{key}",
+                                    f"names the word {word} a second time")
+            action[word] = _square_matrix(doc["action"], key, dim, "$.action")
+        basis = list(action)
+        for w in basis:
+            for u in e_algebra(Element.from_word(sys_, w)).support():
+                if u not in action:
+                    raise DocumentError(f"$.action.{u}", f"missing: the "
+                                        f"{name} of {w} needs this word")
         if doc.get("e_module") in (None, "identity"):
             e_module = lambda v: v
         else:
@@ -269,15 +286,6 @@ def _dispatch_check(args) -> int:
             print(f"  first failure at word {w.to_text()} basis index {j}")
         return 0 if ok else 1
     raise AssertionError(f"unhandled checker {args.checker}")
-
-
-def _square_matrix(obj: dict, key: str, dim: int, where: str):
-    """obj[key] as a dim x dim matrix; `where` is obj's path."""
-    m = _matrix_from_json(_field(obj, key, list, where), f"{where}.{key}")
-    if (m.nrows, m.ncols) != (dim, dim):
-        raise DocumentError(f"{where}.{key}", f"expected a {dim}x{dim} "
-                            f"matrix, got {m.nrows}x{m.ncols}")
-    return m
 
 
 def _dispatch_wick(args) -> int:

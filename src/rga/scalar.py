@@ -5,43 +5,66 @@ This is the smallest field containing the coefficients -1/2 +- i*sqrt(3)/2
 that show up in the idempotent-obstruction computation: they are exactly
 w and w**2.  Staying inside Q(w) keeps every check in the package an exact
 equality; there is no floating point anywhere.
+
+An element is stored the way number-field libraries store one (Cohen, A
+Course in Computational Algebraic Number Theory, 4.2; FLINT's nf_elem): an
+integer coefficient vector over one common denominator, so the field
+operations are a handful of integer products and a single gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x):
+    """x as (numerator, denominator) in lowest terms, denominator > 0."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class Scalar:
-    """An element a + b*w of Q(w), stored as two exact rationals.
+    """An element a + b*w of Q(w), stored as integers (p + q*w)/d in
+    canonical form: d > 0 and gcd(p, q, d) == 1.
 
+    `a` and `b` read back the two rational coordinates as `Fraction`s.
     Multiplication uses w**2 = -1 - w; conjugation sends w to w**2.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _rat(a))
-        object.__setattr__(self, "b", _rat(b))
+        pa, da = _ratio(a)
+        pb, db = _ratio(b)
+        d = lcm(da, db)
+        # both inputs are in lowest terms, so over their lcm no prime
+        # divides p, q and d at once: the triple is already canonical
+        _set_p(self, pa * (d // da))
+        _set_q(self, pb * (d // db))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -52,23 +75,35 @@ class Scalar:
     def _coerce(x):
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Scalar(x)
+        if isinstance(x, int):
+            return _make(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _make(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.a + o.a, self.b + o.b)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._p + other._p, self._q + other._q, d)
+        return _make(self._p * e + other._p * d, self._q * e + other._q * d,
+                     d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.a - o.a, self.b - o.b)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._p - other._p, self._q - other._q, d)
+        return _make(self._p * e - other._p * d, self._q * e - other._q * d,
+                     d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -77,32 +112,36 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b)
+        return _make(-self._p, -self._q, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd(-1 - w)
-        return Scalar(self.a * o.a - self.b * o.b,
-                      self.a * o.b + self.b * o.a - self.b * o.b)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        p, q, r, s = self._p, self._q, other._p, other._q
+        # (p + qw)(r + sw) = pr + (ps + qr)w + qs(-1 - w)
+        qs = q * s
+        return _make(p * r - qs, p * s + q * r - qs, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation restricted to Q(w): w -> w**2 = -1 - w."""
-        return Scalar(self.a - self.b, -self.b)
+        return _make(self._p - self._q, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Multiplicative norm a**2 - a*b + b**2 (zero only at zero)."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        p, q, d = self._p, self._q, self._d
+        return Fraction(p * p - p * q + q * q, d * d)
 
     def inverse(self) -> "Scalar":
-        n = self.norm()
+        # d / (p + qw) = d (p - q - qw) / (p**2 - pq + q**2)
+        p, q, d = self._p, self._q, self._d
+        n = p * p - p * q + q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero scalar")
-        c = self.conjugate()
-        return Scalar(c.a / n, c.b / n)
+        return _make((p - q) * d, -q * d, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -127,26 +166,49 @@ class Scalar:
     # -- identity and display -------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._p == other._p and self._q == other._q
+                and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self._p, self._q, self._d))
 
     def __repr__(self):
         return f"Scalar({self.a!r}, {self.b!r})"
 
     def __str__(self):
         """Canonical form: `p/q`, `p/q*w`, or `p/q+r/s*w` (signs folded)."""
-        if self.b == 0:
-            return str(self.a)
-        w = "w" if abs(self.b) == 1 else f"{abs(self.b)}*w"
-        if self.a == 0:
-            return w if self.b > 0 else "-" + w
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a}{sign}{w}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        w = "w" if abs(b) == 1 else f"{abs(b)}*w"
+        if a == 0:
+            return w if b > 0 else "-" + w
+        sign = "+" if b > 0 else "-"
+        return f"{a}{sign}{w}"
+
+
+_new = object.__new__
+_set_p = Scalar._p.__set__
+_set_q = Scalar._q.__set__
+_set_d = Scalar._d.__set__
+
+
+def _make(p: int, q: int, d: int) -> Scalar:
+    """The Scalar (p + q*w)/d, d > 0, brought to canonical form.  Every
+    denominator the field operations form is positive: a product of
+    denominators, or the norm p**2 - pq + q**2 of a nonzero element."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    s = _new(Scalar)
+    _set_p(s, p)
+    _set_q(s, q)
+    _set_d(s, d)
+    return s
 
 
 ZERO_SCALAR = Scalar(0)

@@ -8,7 +8,7 @@ from rga.category import cocycle_from_algebra, cocycle_to_json
 from rga.cli import main
 from rga.linalg import Matrix
 from rga.parser import parse_element
-from rga.rewrite import RewriteSystem
+from rga.rewrite import MAX_GENERATORS, MAX_WORDS, RewriteSystem
 
 from helpers import rand_element
 
@@ -307,6 +307,22 @@ def test_check_module_e_module_wrong_size(tmp_path, capsys):
         2, "error: doc.json: $.e_module: expected a 1x1 matrix, got 2x2\n")
 
 
+def test_check_module_action_missing_word(tmp_path, capsys):
+    # the obstruction of T1 is 1 + T2, so the action must also give 1 and T2
+    action = {"T1": [["1"]]}
+    assert check_module(tmp_path, capsys, action=action,
+                        e_algebra="obstruction") == (
+        2, "error: doc.json: $.action.1: missing: the obstruction of T1 "
+           "needs this word\n")
+
+
+def test_check_module_action_word_named_twice(tmp_path, capsys):
+    action = {"1": [["1"]], "T1": [["1"]], "1 T1": [["0"]]}
+    assert check_module(tmp_path, capsys, action=action) == (
+        2, "error: doc.json: $.action.1 T1: names the word T1 a second "
+           "time\n")
+
+
 def test_check_functor_missing_base_change_label(tmp_path, capsys):
     base_change = {"X2": [["1", "0"], ["1", "1"]]}
     assert check_functor(tmp_path, capsys, base_change) == (
@@ -327,3 +343,51 @@ def test_check_functor_non_square_base_change(tmp_path, capsys):
 def test_negative_max_deg_exit_2(capsys, argv):
     assert run(capsys, argv + ["--max-deg", "-1"]) == (
         2, "error: --max-deg must be >= 0, got -1\n")
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail the test if a rewrite system or an enumeration is entered."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("entered past a size ceiling")
+    monkeypatch.setattr(RewriteSystem, "__init__", refuse)
+    monkeypatch.setattr(RewriteSystem, "enumerate_normal_forms", refuse)
+
+
+def first_degree_above_ceiling(n):
+    """The least degree up to which more than MAX_WORDS words have no two
+    equal adjacent letters (n(n-1)^(k-1) of each length k >= 1)."""
+    d, words, length_d = 0, 1, 1
+    while words <= MAX_WORDS:
+        d += 1
+        length_d = n if d == 1 else length_d * (n - 1)
+        words += length_d
+    return d
+
+
+@pytest.mark.parametrize("argv", [["eval", "-n", "{n}", "T1"],
+                                  ["nf", "-n", "{n}", "1"],
+                                  ["confluence", "-n", "{n}"],
+                                  ["decompose", "-n", "{n}", "--max-deg", "1"]],
+                         ids=["eval", "nf", "confluence", "decompose"])
+def test_generator_ceiling_exit_2(capsys, nothing_built, argv):
+    n = MAX_GENERATORS + 1
+    assert run(capsys, [a.format(n=n) for a in argv]) == (
+        2, f"error: generator count must be <= {MAX_GENERATORS}, got {n}\n")
+
+
+@pytest.mark.parametrize("n, argv", [(4, ["decompose", "-n", "4"]),
+                                     (2, ["wick", "coherence"])],
+                         ids=["decompose", "wick-coherence"])
+def test_degree_ceiling_exit_2(capsys, nothing_built, n, argv):
+    d = first_degree_above_ceiling(n)
+    assert run(capsys, argv + ["--max-deg", str(d)]) == (
+        2, f"error: degree {d} is above the ceiling for n={n} "
+           f"(more than {MAX_WORDS} words to list)\n")
+
+
+def test_check_module_generator_ceiling(tmp_path, capsys, nothing_built):
+    n = MAX_GENERATORS + 1
+    assert check_module(tmp_path, capsys, n=n) == (
+        2, f"error: doc.json: $.n: must be in 1..{MAX_GENERATORS}, "
+           f"got {n}\n")

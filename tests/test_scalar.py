@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR
 
@@ -72,3 +74,116 @@ def test_canonical_strings():
 def test_immutable():
     with pytest.raises(AttributeError):
         ONE.a = Fraction(2)
+
+
+# -- properties against a Fraction-pair reference ----------------------------
+#
+# The reference keeps a + b*w as a pair (a, b) of Fractions and does the
+# textbook arithmetic on it; every Scalar result must match it exactly.
+
+coordinates = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**6))
+pairs = st.tuples(coordinates, coordinates)
+nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def ref_conjugate(x):
+    return (x[0] - x[1], -x[1])
+
+
+def ref_norm(x):
+    a, b = x
+    return Fraction(a * a - a * b + b * b)
+
+
+def ref_inverse(x):
+    c, n = ref_conjugate(x), ref_norm(x)
+    return (c[0] / n, c[1] / n)
+
+
+def ref_str(x):
+    a, b = Fraction(x[0]), Fraction(x[1])
+    if b == 0:
+        return str(a)
+    w = "w" if abs(b) == 1 else f"{abs(b)}*w"
+    if a == 0:
+        return w if b > 0 else "-" + w
+    return f"{a}{'+' if b > 0 else '-'}{w}"
+
+
+def agrees(s, x):
+    """s is the reference pair x, in canonical form."""
+    p, q, d = s._p, s._q, s._d
+    assert d > 0 and gcd(p, q, d) == 1
+    assert type(s.a) is Fraction and type(s.b) is Fraction
+    return (s.a, s.b) == (Fraction(x[0]), Fraction(x[1]))
+
+
+@given(pairs, pairs)
+def test_ring_operations_match_reference(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    assert agrees(s, x)
+    assert agrees(s + t, ref_add(x, y))
+    assert agrees(s - t, ref_sub(x, y))
+    assert agrees(s * t, ref_mul(x, y))
+    assert agrees(-s, ref_sub((0, 0), x))
+    assert agrees(s.conjugate(), ref_conjugate(x))
+    assert s.norm() == ref_norm(x) and type(s.norm()) is Fraction
+    assert str(s) == ref_str(x)
+
+
+@given(pairs, nonzero_pairs)
+def test_division_matches_reference(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    assert agrees(t.inverse(), ref_inverse(y))
+    assert agrees(s / t, ref_mul(x, ref_inverse(y)))
+
+
+@given(pairs, pairs)
+def test_equality_and_hash_match_reference(x, y):
+    s, t = Scalar(*x), Scalar(*y)
+    assert (s == t) == (ref_sub(x, y) == (0, 0))
+    if s == t:
+        assert hash(s) == hash(t)
+    # the same value reached another way is equal and hashes alike
+    u = (s + t) - t
+    assert u == s and hash(u) == hash(s)
+
+
+@given(pairs, coordinates)
+def test_mixed_operands_on_both_sides(x, r):
+    s, c = Scalar(*x), (r, 0)
+    assert agrees(s + r, ref_add(x, c)) and agrees(r + s, ref_add(c, x))
+    assert agrees(s - r, ref_sub(x, c)) and agrees(r - s, ref_sub(c, x))
+    assert agrees(s * r, ref_mul(x, c)) and agrees(r * s, ref_mul(c, x))
+    assert (Scalar(r) == r) and (r == Scalar(r))
+    assert (s == r) == (ref_sub(x, c) == (0, 0))
+    if r != 0:
+        assert agrees(s / r, ref_mul(x, ref_inverse(c)))
+    if x != (0, 0):
+        assert agrees(r / s, ref_mul(c, ref_inverse(x)))
+
+
+def test_float_is_refused():
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)
+    for op in (lambda: ONE + 0.5, lambda: 0.5 * ONE, lambda: ONE / 0.5,
+               lambda: 0.5 - ONE):
+        with pytest.raises(TypeError):
+            op()
