@@ -24,7 +24,12 @@ class ChainTypeError(ValueError):
 
 
 class DegeneratePairingError(ValueError):
-    """A duality pairing matrix is singular."""
+    """A duality pairing or base-change matrix is singular; `label` names
+    the space it belongs to."""
+
+    def __init__(self, what: str, label: str):
+        super().__init__(f"{what} at {label} is singular")
+        self.label = label
 
 
 class NotAFunctorError(ValueError):
@@ -68,9 +73,12 @@ class LinearMap:
 
 
 class Cocycle:
-    """A cyclic chain psi_i : X_i -> X_{i+1 mod n} of linear maps."""
+    """A cyclic chain psi_i : X_i -> X_{i+1 mod n} of linear maps.
 
-    __slots__ = ("spaces", "maps")
+    Immutable; each cycle composite is computed on first use and kept.
+    """
+
+    __slots__ = ("spaces", "maps", "_composites")
 
     def __init__(self, spaces: Sequence[Subspace], maps: Sequence[LinearMap]):
         spaces = tuple(spaces)
@@ -84,6 +92,7 @@ class Cocycle:
                 raise ChainTypeError(f"map {i} does not end at space {i + 1}")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "_composites", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Cocycle is immutable")
@@ -95,9 +104,13 @@ class Cocycle:
     def cycle_composite(self, start: int) -> LinearMap:
         """The n-fold composite around the cycle beginning at `start`."""
         n = self.order
-        comp = self.maps[start % n]
-        for k in range(1, n):
-            comp = self.maps[(start + k) % n].compose(comp)
+        start %= n
+        comp = self._composites.get(start)
+        if comp is None:
+            comp = self.maps[start]
+            for k in range(1, n):
+                comp = self.maps[(start + k) % n].compose(comp)
+            self._composites[start] = comp
         return comp
 
     def __repr__(self):
@@ -219,8 +232,7 @@ class MatrixFunctor:
             try:
                 inverses[label] = p.inverse()
             except ValueError:
-                raise DegeneratePairingError(
-                    f"base change at {label} is singular") from None
+                raise DegeneratePairingError("base change", label) from None
 
         def on_map(m: LinearMap) -> LinearMap:
             return LinearMap(m.domain, m.codomain,
@@ -258,34 +270,34 @@ def check_obstructed_functor(functor: MatrixFunctor,
     to obstructions, whether image chains are again regular cocycles, and
     the absorption identity used in proving that.
     """
-    comp_ok = True
+    # each generator (the maps, then the cycle composites) mapped once
+    images = []
     for c in source:
         gens = list(c.maps) + [c.cycle_composite(i) for i in range(c.order)]
-        for g in gens:
-            for f in gens:
-                if f.codomain != g.domain:
-                    continue
-                if functor(g.compose(f)) != functor(g).compose(functor(f)):
-                    comp_ok = False
-    if not comp_ok:
-        raise NotAFunctorError("morphism map does not respect composition")
+        mapped = [functor(g) for g in gens]
+        for g, fg in zip(gens, mapped):
+            for f, ff in zip(gens, mapped):
+                if f.codomain == g.domain \
+                        and functor(g.compose(f)) != fg.compose(ff):
+                    raise NotAFunctorError(
+                        "morphism map does not respect composition")
+        images.append(mapped)
 
     preserved = True
     regular = True
     absorption = True
-    for c in source:
-        image = Cocycle([functor.object_map(s) for s in c.spaces],
-                        [functor(m) for m in c.maps])
+    for c, mapped in zip(source, images):
+        n = c.order
+        image = Cocycle([functor.object_map(s) for s in c.spaces], mapped[:n])
         if not check_regular_cocycle(image).ok:
             regular = False
-        for i in range(c.order):
-            e_src = c.cycle_composite(i)
+        for i in range(n):
             e_img = image.cycle_composite(i)
-            if functor(e_src) != e_img:
+            if mapped[n + i] != e_img:
                 preserved = False
             if image.maps[i].compose(e_img) != image.maps[i]:
                 absorption = False
-    return FunctorVerdict(comp_ok, preserved, regular, absorption)
+    return FunctorVerdict(True, preserved, regular, absorption)
 
 
 def check_natural_transformation(components: dict, f: MatrixFunctor,
@@ -331,8 +343,7 @@ def dual_cocycle(c: Cocycle, pairings: dict) -> Cocycle:
         try:
             inverses[s.label] = g.inverse()
         except ValueError:
-            raise DegeneratePairingError(
-                f"pairing at {s.label} is singular") from None
+            raise DegeneratePairingError("pairing", s.label) from None
 
     duals = {s.label: Subspace(s.label + "^", s.basis) for s in c.spaces}
 

@@ -13,10 +13,11 @@ import sys
 
 from .algebra import (Element, NotInvertible, annihilator, decompose,
                       find_idempotent_obstructions, invert, obstruction)
-from .category import (DocumentError, MatrixFunctor, NotAFunctorError,
-                       check_duality_identity, check_obstructed_functor,
-                       check_regular_cocycle, cocycle_from_json, dual_cocycle,
-                       read_document, _field, _square_matrix)
+from .category import (DegeneratePairingError, DocumentError, MatrixFunctor,
+                       NotAFunctorError, check_duality_identity,
+                       check_obstructed_functor, check_regular_cocycle,
+                       cocycle_from_json, dual_cocycle, read_document, _field,
+                       _square_matrix)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
 from .rewrite import (MAX_GENERATORS, RewriteSystem, SizeLimitError, ZERO,
                       check_size)
@@ -128,12 +129,14 @@ def _dispatch(args) -> int:
     if cmd == "eval":
         sys_ = RewriteSystem(args.n)
         print(parse_element(args.expr, sys_))
+        _note_leftmost(args.n)
         return 0
     if cmd == "nf":
         sys_ = RewriteSystem(args.n)
         word = parse_word_letters(args.letters, sys_)
         nf = sys_.normal_form(word)
         print("0" if nf is ZERO else nf.to_text(sys_.symbol))
+        _note_leftmost(args.n)
         return 0
     if cmd == "invert":
         sys_ = RewriteSystem(2)
@@ -193,9 +196,28 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {cmd}")
 
 
+def _note_leftmost(n: int) -> None:
+    """Say on stderr that an n = 1 answer is one of several normal forms."""
+    if n == 1:
+        print("note: n = 1 is not confluent; the answer is the leftmost "
+              "normal form", file=sys.stderr)
+
+
+def _nonsingular(build, where: str):
+    """build(), with a singular matrix refused as bad input at the JSON path
+    `where`.<space label>."""
+    try:
+        return build()
+    except DegeneratePairingError as exc:
+        raise DocumentError(f"{where}.{exc.label}",
+                            "singular matrix") from None
+
+
 def _dispatch_check(args) -> int:
     if args.checker == "cocycle":
         cocycle, pairings = cocycle_from_json(read_document(args.file))
+        dual = None if pairings is None else _nonsingular(
+            lambda: dual_cocycle(cocycle, pairings), "$.pairings")
         verdict = check_regular_cocycle(cocycle)
         if verdict.ok:
             print("regular cocycle: true")
@@ -203,8 +225,7 @@ def _dispatch_check(args) -> int:
             print(f"regular cocycle: false "
                   f"(fails at index {verdict.failing_index})")
         ok = verdict.ok
-        if pairings is not None and verdict.ok:
-            dual = dual_cocycle(cocycle, pairings)
+        if dual is not None and verdict.ok:
             dual_ok = (check_regular_cocycle(dual).ok
                        and check_duality_identity(cocycle, dual, pairings))
             print(f"duality identity: {str(dual_ok).lower()}")
@@ -218,7 +239,8 @@ def _dispatch_check(args) -> int:
         change = {s.label: _square_matrix(given, s.label, s.dim,
                                           "$.base_change")
                   for s in cocycle.spaces}
-        functor = MatrixFunctor.base_change(change)
+        functor = _nonsingular(lambda: MatrixFunctor.base_change(change),
+                               "$.base_change")
         try:
             verdict = check_obstructed_functor(functor, [cocycle])
         except NotAFunctorError as exc:

@@ -1,14 +1,20 @@
 """Dense exact matrices over the Q(w) scalar field.
 
-Small and unoptimized on purpose: every space in the package has dimension
-at most a few dozen, and exactness is the whole point.
+Every space in the package has dimension at most a few dozen, and
+exactness is the whole point, so a matrix is a tuple of rows of `Scalar`s.
+Products and matrix-vector applications run on integers: each row of the
+left factor and each column of the right factor is brought to one common
+denominator once, every entry is then one Z[w] integer dot product, and
+only the finished entry is normalised into a `Scalar`.  Elimination (RREF,
+solve, inverse) works entry by entry in `Scalar` arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
-from .scalar import ONE, ZERO_SCALAR, Scalar
+from .scalar import ONE, ZERO_SCALAR, Scalar, _make, common_denominator
 
 
 def _scal(x) -> Scalar:
@@ -28,9 +34,9 @@ class Matrix:
                 raise ValueError("ragged rows")
         else:
             width = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
+        _set_rows(self, rows)
+        _set_nrows(self, len(rows))
+        _set_ncols(self, width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -68,18 +74,18 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix([[a + b for a, b in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)])
+        return _matrix(tuple(tuple(a + b for a, b in zip(r, s))
+                             for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix([[a - b for a, b in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)])
+        return _matrix(tuple(tuple(a - b for a, b in zip(r, s))
+                             for r, s in zip(self.rows, other.rows)))
 
     def scale(self, s) -> "Matrix":
         s = _scal(s)
-        return Matrix([[s * x for x in r] for r in self.rows])
+        return _matrix(tuple(tuple(s * x for x in r) for r in self.rows))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -88,26 +94,20 @@ class Matrix:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} "
                 f"with {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return Matrix([[sum((a * b for a, b in zip(row, col)), ZERO_SCALAR)
-                        for col in cols] for row in self.rows])
+        return _matrix(_products(self.rows, zip(*other.rows)))
 
     def apply(self, vec: Sequence) -> tuple:
         vec = tuple(_scal(x) for x in vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), ZERO_SCALAR)
-                     for row in self.rows)
+        return tuple(r[0] for r in _products(self.rows, [vec]))
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)) if self.rows else [])
+        return _matrix(tuple(zip(*self.rows)))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for r in self.rows:
-            for s in other.rows:
-                out.append([a * b for a in r for b in s])
-        return Matrix(out)
+        return _matrix(tuple(tuple(a * b for a in r for b in s)
+                             for r in self.rows for s in other.rows))
 
     def is_identity(self) -> bool:
         return (self.nrows == self.ncols
@@ -138,7 +138,7 @@ class Matrix:
             r += 1
             if r == self.nrows:
                 break
-        return Matrix(rows), pivots
+        return _matrix(tuple(map(tuple, rows))), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -183,7 +183,7 @@ class Matrix:
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Matrix([r[n:] for r in red.rows])
+        return _matrix(tuple(r[n:] for r in red.rows))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -194,3 +194,37 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{body}]"
+
+
+_set_rows = Matrix.rows.__set__
+_set_nrows = Matrix.nrows.__set__
+_set_ncols = Matrix.ncols.__set__
+
+
+def _matrix(rows: tuple) -> Matrix:
+    """The Matrix over `rows`, a tuple of equal-length tuples of Scalars
+    built by the caller; skips the public constructor's conversion."""
+    m = object.__new__(Matrix)
+    _set_rows(m, rows)
+    _set_nrows(m, len(rows))
+    _set_ncols(m, len(rows[0]) if rows else 0)
+    return m
+
+
+def _products(rows: Sequence[Sequence[Scalar]],
+              cols: Iterable[Sequence[Scalar]]) -> tuple:
+    """The entries sum_k row[k]*col[k] for every row and column, as a tuple
+    of rows: integer dot products over each row's and column's common
+    denominator, (a + bw)(c + fw) = ac - bf + (af + bc - bf)w."""
+    cols = [common_denominator(c) for c in cols]
+    out = []
+    for row in rows:
+        a, b, d = common_denominator(row)
+        entries = []
+        for c, f, e in cols:
+            bf = sum(map(mul, b, f))
+            entries.append(_make(sum(map(mul, a, c)) - bf,
+                                 sum(map(mul, a, f)) + sum(map(mul, b, c))
+                                 - bf, d * e))
+        out.append(tuple(entries))
+    return tuple(out)

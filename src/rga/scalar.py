@@ -211,6 +211,19 @@ def _make(p: int, q: int, d: int) -> Scalar:
     return s
 
 
+def common_denominator(xs) -> tuple:
+    """(ps, qs, d): the Scalars `xs` over their least common denominator d,
+    so that xs[k] == (ps[k] + qs[k]*w)/d for every k.  An empty `xs` has
+    d = 1."""
+    d = lcm(*(x._d for x in xs))
+    ps, qs = [], []
+    for x in xs:
+        f = d // x._d
+        ps.append(x._p * f)
+        qs.append(x._q * f)
+    return ps, qs, d
+
+
 ZERO_SCALAR = Scalar(0)
 ONE = Scalar(1)
 OMEGA = Scalar(0, 1)

@@ -57,6 +57,48 @@ def test_zero_one_cocycle_fails_at_two():
     assert not v.ok and v.failing_index == 2
 
 
+def random_chain(rng, dims):
+    """A cyclic chain of random maps between spaces of the given dims (not
+    regular in general)."""
+    spaces = [Subspace(f"X{i + 1}", tuple(f"b{j}" for j in range(d)))
+              for i, d in enumerate(dims)]
+    maps = [LinearMap(s, t, Matrix([[rand_scalar(rng, 3) for _ in s.basis]
+                                    for _ in t.basis]))
+            for s, t in zip(spaces, spaces[1:] + spaces[:1])]
+    return Cocycle(spaces, maps)
+
+
+def test_cycle_composite_is_the_fold_at_every_start():
+    c = random_chain(Random(31), [2, 3, 1, 2])
+    n = c.order
+    for i in range(-n, 2 * n):
+        fold = c.maps[i % n]
+        for k in range(1, n):
+            fold = c.maps[(i + k) % n].compose(fold)
+        assert c.cycle_composite(i) == fold
+        assert c.cycle_composite(i) == c.cycle_composite(i + n)
+
+
+def test_cocycle_stays_immutable():
+    c = algebra_cocycle()
+    c.cycle_composite(0)
+    for name in ("maps", "spaces", "_composites", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+
+
+def test_doubled_chain_fails_after_composites_of_the_original_were_used():
+    c = algebra_cocycle()
+    assert check_regular_cocycle(c).ok
+    first = c.maps[0]
+    doubled = Cocycle(c.spaces, [LinearMap(first.domain, first.codomain,
+                                           first.matrix.scale(2))]
+                      + list(c.maps[1:]))
+    v = check_regular_cocycle(doubled)
+    assert not v.ok and v.failing_index == 1
+    assert check_regular_cocycle(c).ok
+
+
 def test_chain_type_error():
     x1 = Subspace("X1", ("u",))
     x2 = Subspace("X2", ("v", "w"))
@@ -131,6 +173,21 @@ def test_base_change_functor():
         f = MatrixFunctor.base_change(change)
         v = check_obstructed_functor(f, [source])
         assert v.ok and v.images_regular and v.obstruction_preserved
+
+
+def test_functor_maps_each_generator_once():
+    source = obstructed_example()
+    seen = []
+
+    def on_map(m: LinearMap) -> LinearMap:
+        seen.append(m)
+        return m
+
+    functor = MatrixFunctor(lambda s: s, on_map)
+    assert check_obstructed_functor(functor, [source]).ok
+    gens = list(source.maps) + [source.cycle_composite(i)
+                                for i in range(source.order)]
+    assert [sum(m is g for m in seen) for g in gens] == [1] * len(gens)
 
 
 def test_functor_image_is_regular_cocycle():

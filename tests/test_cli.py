@@ -337,6 +337,37 @@ def test_check_functor_non_square_base_change(tmp_path, capsys):
            "got 2x3\n")
 
 
+def test_check_cocycle_singular_pairing(tmp_path, capsys):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]}, BACK],
+           "pairings": {"X1": [["0"]], "X2": [["1"]]}}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.pairings.X1: singular matrix\n")
+
+
+def test_check_functor_singular_base_change(tmp_path, capsys):
+    base_change = {"X1": [["1", "w"], ["0", "1"]],
+                   "X2": [["1", "1"], ["2", "2"]]}
+    assert check_functor(tmp_path, capsys, base_change) == (
+        2, "error: doc.json: $.base_change.X2: singular matrix\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "-n", "1", "T1 T1"], "0\n"),
+    (["nf", "-n", "1", "1 1 1"], "0\n")], ids=["eval", "nf"])
+def test_n1_answer_flagged_on_stderr(capsys, argv, out):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("note: n = 1 is not confluent; the answer is "
+                            "the leftmost normal form\n")
+
+
+def test_no_n1_note_for_confluent_systems(capsys):
+    assert main(["nf", "-n", "2", "1 2 1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [["decompose", "-n", "2"],
                                   ["wick", "coherence"]],
                          ids=["decompose", "wick-coherence"])

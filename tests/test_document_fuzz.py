@@ -5,7 +5,8 @@ CLI on it.  Any document may only end in exit 0, 1 or 2, never in an
 exception out of `main`.  A mutation that breaks the documented shape
 (README, "File formats") must end in exit 2 with an `error:` line naming
 the file; one that only changes a matrix entry to another scalar keeps the
-document well-formed and must end in 0 or 1.
+document well-formed and must end in 0 or 1, unless it makes a pairing or a
+base change singular, which must end in exit 2 naming that matrix.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from rga.category import cocycle_from_algebra, cocycle_to_json
 from rga.cli import main
+from rga.parser import parse_scalar
 from rga.rewrite import RewriteSystem
 
 _COCYCLE, _ = cocycle_from_algebra(RewriteSystem(2), 2)
@@ -101,6 +103,16 @@ def reentered(doc, data):
     parent_of(doc, path)[path[-1]] = data.draw(st.sampled_from(SCALARS))
 
 
+def singular_path(checker, doc):
+    """The JSON path of a singular 2x2 pairing or base change, or None."""
+    group = {"cocycle": "pairings", "functor": "base_change"}.get(checker)
+    for label, rows in doc.get(group, {}).items():
+        (a, b), (c, d) = ([parse_scalar(x) for x in row] for row in rows)
+        if a * d - b * c == 0:
+            return f"$.{group}.{label}"
+    return None
+
+
 def run_checker(checker, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
@@ -134,4 +146,9 @@ def test_reentered_documents_get_a_verdict(checker, data):
     doc = copy.deepcopy(DOCUMENTS[checker])
     reentered(doc, data)
     code, out = run_checker(checker, doc)
-    assert code in (0, 1), out
+    where = singular_path(checker, doc)
+    if where is None:
+        assert code in (0, 1), out
+    else:
+        assert (code, out) == (2, f"error: doc.json: {where}: singular "
+                                  f"matrix\n")
