@@ -4,12 +4,12 @@ duality, the transported coalgebra structure, and Wick cross products,
 all over the exact field Q(w)."""
 
 from .algebra import (AlgebraMismatchError, Element, NotInvertible,
-                      SpanEscapeError, Subspace, annihilator,
+                      SpanEscapeError, Subspace, Verdict, Witness, annihilator,
                       check_representation, decompose,
                       find_idempotent_obstructions, grading_check, invert,
                       invert_by_solve, left_mul_matrix, mul, mul_closed_form,
                       obstructed_product, obstruction, right_mul_matrix)
-from .category import (Cocycle, CocycleVerdict, LinearMap, MatrixFunctor,
+from .category import (Cocycle, LinearMap, MatrixFunctor,
                        Obstruction, check_cocycle_morphism,
                        check_duality_identity, check_natural_transformation,
                        check_obstructed_functor, check_regular_cocycle,

@@ -47,6 +47,34 @@ class NotInvertible(ValueError):
                          else f"not invertible ({reason})")
 
 
+@dataclass(frozen=True)
+class Witness:
+    """Where a law fails: at `at` (an index, a word, a tuple of them) the
+    two sides `lhs` and `rhs` of the law `law` differ."""
+
+    law: str
+    at: object
+    lhs: object
+    rhs: object
+
+    def __str__(self):
+        return f"{self.law} at {self.at}: {self.lhs} != {self.rhs}"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A law checker's answer: true exactly when it holds no witness."""
+
+    witnesses: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
+
+    def __bool__(self):
+        return self.ok
+
+
 _SCALARS = (int, Fraction, Scalar)
 
 
@@ -606,40 +634,21 @@ def decompose(system: RewriteSystem, max_deg: int) -> list:
             for i in range(1, system.n + 1)]
 
 
-@dataclass(frozen=True)
-class GradingReport:
-    parity_a: int
-    parity_b: int
-    product_zero: bool
-    product_ok: bool
-    violations: tuple
-    triple_checked: bool
-    triple_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.product_ok and (self.triple_ok or not self.triple_checked)
-
-
-def grading_check(a: Element, b: Element) -> GradingReport:
+def grading_check(a: Element, b: Element) -> Verdict:
     """Check parity additivity of a*b, and odd*odd*odd closure via a*b*a.
 
-    Inputs must be parity-homogeneous.  Violations list the offending
-    product words with their actual grade.
+    Inputs must be parity-homogeneous.  Each witness is an offending product
+    word with its actual and its expected grade, under the law it breaks.
     """
     a._require_same(b)
     pa, pb = a.parity(), b.parity()
-    expected = (pa + pb) % 2
     prod = mul(a, b)
-    violations = tuple((w, w.parity) for w in prod.support()
-                       if w.parity != expected)
-    triple_checked = pa == 1 and pb == 1
-    triple_ok = True
-    if triple_checked:
-        triple = mul(prod, a)
-        triple_ok = all(w.parity == 1 for w in triple.support())
-    return GradingReport(pa, pb, prod.is_zero(), not violations,
-                         violations, triple_checked, triple_ok)
+    laws = [("product grade", prod, (pa + pb) % 2)]
+    if pa == 1 and pb == 1:
+        laws.append(("odd triple", mul(prod, a), 1))
+    return Verdict(tuple(Witness(law, w, w.parity, grade)
+                         for law, product, grade in laws
+                         for w in product.support() if w.parity != grade))
 
 
 def regularity_chain(system: RewriteSystem, i: int) -> bool:

@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .algebra import Element, Subspace, decompose, left_mul_matrix, mul
+from .algebra import (Element, Subspace, Verdict, Witness, decompose,
+                      left_mul_matrix, mul)
 from .linalg import Matrix
 from .rewrite import RewriteSystem, SelfCheckError
 
@@ -75,10 +76,10 @@ class LinearMap:
 class Cocycle:
     """A cyclic chain psi_i : X_i -> X_{i+1 mod n} of linear maps.
 
-    Immutable; each cycle composite is computed on first use and kept.
+    Immutable; each cycle composite and the regularity verdict is kept.
     """
 
-    __slots__ = ("spaces", "maps", "_composites")
+    __slots__ = ("spaces", "maps", "_composites", "_regularity")
 
     def __init__(self, spaces: Sequence[Subspace], maps: Sequence[LinearMap]):
         spaces = tuple(spaces)
@@ -93,6 +94,7 @@ class Cocycle:
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "_composites", {})
+        object.__setattr__(self, "_regularity", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cocycle is immutable")
@@ -127,23 +129,17 @@ class Obstruction:
         return self.map.is_identity()
 
 
-@dataclass(frozen=True)
-class CocycleVerdict:
-    ok: bool
-    failing_index: Optional[int] = None  # 1-based position of a bad psi
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_regular_cocycle(c: Cocycle) -> CocycleVerdict:
-    """Verify psi_i . (cycle at i) = psi_i for every cyclic start."""
-    for i in range(c.order):
-        e_i = c.cycle_composite(i)
-        psi = c.maps[i]
-        if psi.compose(e_i) != psi:
-            return CocycleVerdict(False, i + 1)
-    return CocycleVerdict(True)
+def check_regular_cocycle(c: Cocycle) -> Verdict:
+    """Verify psi_i . (cycle at i) = psi_i at every start i (1-based)."""
+    if c._regularity is None:
+        verdict = Verdict()
+        for i, psi in enumerate(c.maps):
+            lhs = psi.compose(c.cycle_composite(i))
+            if lhs != psi:
+                verdict = Verdict((Witness("regularity", i + 1, lhs, psi),))
+                break
+        object.__setattr__(c, "_regularity", verdict)
+    return c._regularity
 
 
 def obstruction_of(c: Cocycle, i: int) -> Obstruction:
@@ -151,8 +147,7 @@ def obstruction_of(c: Cocycle, i: int) -> Obstruction:
     must be regular, which makes idempotency a theorem (still checked)."""
     verdict = check_regular_cocycle(c)
     if not verdict.ok:
-        raise ChainTypeError(
-            f"not a regular cocycle (fails at index {verdict.failing_index})")
+        raise ChainTypeError(f"not a regular cocycle ({verdict.witnesses[0]})")
     e = c.cycle_composite(i)
     if e.compose(e) != e:
         raise SelfCheckError(
@@ -174,18 +169,8 @@ def obstruction_order(cocycles: Sequence[Cocycle]) -> Optional[int]:
     return min(orders) if orders else None
 
 
-@dataclass(frozen=True)
-class MorphismVerdict:
-    ok: bool
-    failing_square: Optional[int] = None
-    intertwines_obstruction: bool = True
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_cocycle_morphism(alpha: Sequence[LinearMap], c: Cocycle,
-                           d: Cocycle) -> MorphismVerdict:
+                           d: Cocycle) -> Verdict:
     """Check alpha_{i+1} . psi_i = phi_i . alpha_i for all i (cyclically),
     plus the derived relation alpha_1 . e_X1 = e_Y1 . alpha_1."""
     n = c.order
@@ -195,11 +180,12 @@ def check_cocycle_morphism(alpha: Sequence[LinearMap], c: Cocycle,
         lhs = alpha[(i + 1) % n].compose(c.maps[i])
         rhs = d.maps[i].compose(alpha[i])
         if lhs != rhs:
-            return MorphismVerdict(False, i + 1)
-    e_x = c.cycle_composite(0)
-    e_y = d.cycle_composite(0)
-    inter = alpha[0].compose(e_x) == e_y.compose(alpha[0])
-    return MorphismVerdict(inter, None, inter)
+            return Verdict((Witness("square", i + 1, lhs, rhs),))
+    lhs = alpha[0].compose(c.cycle_composite(0))
+    rhs = d.cycle_composite(0).compose(alpha[0])
+    if lhs != rhs:
+        return Verdict((Witness("obstruction intertwining", 1, lhs, rhs),))
+    return Verdict()
 
 
 # -- functors ---------------------------------------------------------------
@@ -267,8 +253,8 @@ def check_obstructed_functor(functor: MatrixFunctor,
 
     Composition preservation is a precondition: its failure raises
     NotAFunctorError.  The verdict then records whether obstructions map
-    to obstructions, whether image chains are again regular cocycles, and
-    the absorption identity used in proving that.
+    to obstructions and whether image chains are again regular cocycles;
+    their regularity law is the absorption identity used in proving that.
     """
     # each generator (the maps, then the cycle composites) mapped once
     images = []
@@ -285,42 +271,43 @@ def check_obstructed_functor(functor: MatrixFunctor,
 
     preserved = True
     regular = True
-    absorption = True
     for c, mapped in zip(source, images):
         n = c.order
         image = Cocycle([functor.object_map(s) for s in c.spaces], mapped[:n])
         if not check_regular_cocycle(image).ok:
             regular = False
         for i in range(n):
-            e_img = image.cycle_composite(i)
-            if mapped[n + i] != e_img:
+            if mapped[n + i] != image.cycle_composite(i):
                 preserved = False
-            if image.maps[i].compose(e_img) != image.maps[i]:
-                absorption = False
-    return FunctorVerdict(True, preserved, regular, absorption)
+    return FunctorVerdict(True, preserved, regular, regular)
 
 
-def check_natural_transformation(components: dict, f: MatrixFunctor,
-                                 g: MatrixFunctor,
-                                 test_morphisms: Sequence[LinearMap]) -> bool:
+def check_natural_transformation(
+        components: dict, f: MatrixFunctor, g: MatrixFunctor,
+        test_morphisms: Sequence[LinearMap]) -> Verdict:
     """s_Y . F(psi) = G(psi) . s_X for every supplied morphism.
 
     `components` maps a space label to the LinearMap s_X : F(X) -> G(X).
     """
     for psi in test_morphisms:
-        s_x = components[psi.domain.label]
-        s_y = components[psi.codomain.label]
-        if s_y.compose(f(psi)) != g(psi).compose(s_x):
-            return False
-    return True
+        lhs = components[psi.codomain.label].compose(f(psi))
+        rhs = g(psi).compose(components[psi.domain.label])
+        if lhs != rhs:
+            return Verdict((Witness("naturality", psi, lhs, rhs),))
+    return Verdict()
 
 
-def check_tensor_obstruction(e_x: Matrix, e_y: Matrix, e_xy: Matrix) -> bool:
-    """e_{X(x)Y} must be the Kronecker product of e_X and e_Y."""
+def check_tensor_obstruction(e_x: Matrix, e_y: Matrix,
+                             e_xy: Matrix) -> Verdict:
+    """e_{X(x)Y} must be the Kronecker product of e_X and e_Y, row by row."""
     if e_xy.nrows != e_x.nrows * e_y.nrows \
             or e_xy.ncols != e_x.ncols * e_y.ncols:
         raise ValueError("tensor obstruction has the wrong dimensions")
-    return e_xy == e_x.kron(e_y)
+    kron = e_x.kron(e_y)
+    for i, (row, want) in enumerate(zip(e_xy.rows, kron.rows)):
+        if row != want:
+            return Verdict((Witness("tensor obstruction", i, row, want),))
+    return Verdict()
 
 
 # -- duality ----------------------------------------------------------------
@@ -360,16 +347,18 @@ def dual_cocycle(c: Cocycle, pairings: dict) -> Cocycle:
     return Cocycle(spaces, maps)
 
 
-def check_duality_identity(c: Cocycle, dual: Cocycle, pairings: dict) -> bool:
+def check_duality_identity(c: Cocycle, dual: Cocycle,
+                           pairings: dict) -> Verdict:
     """<e_dual(x*), x> = <x*, e(x)> on all basis pairs, every object."""
     dual_pos = {s.label: i for i, s in enumerate(dual.spaces)}
     for i, s in enumerate(c.spaces):
         g = pairings[s.label]
         e = c.cycle_composite(i).matrix
         e_dual = dual.cycle_composite(dual_pos[s.label + "^"]).matrix
-        if e_dual.transpose() * g != g * e:
-            return False
-    return True
+        lhs, rhs = e_dual.transpose() * g, g * e
+        if lhs != rhs:
+            return Verdict((Witness("duality", s.label, lhs, rhs),))
+    return Verdict()
 
 
 # -- the cocycle carried by the algebra itself ------------------------------
@@ -564,11 +553,15 @@ def cocycle_from_json(doc, where: str = "$"):
 
 
 def read_document(path: str) -> dict:
-    """The JSON object in the file at `path`; raises DocumentError when the
-    file holds invalid JSON or another JSON value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON object in the UTF-8 file at `path`; raises DocumentError
+    when the file cannot be read or holds invalid JSON or another value."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("$", f"invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise DocumentError("$", f"cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError("$", f"not UTF-8 ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise DocumentError("$", f"invalid JSON ({exc})") from None
     return _expect(doc, dict, "$")

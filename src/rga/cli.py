@@ -110,7 +110,10 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {args.file}: {exc}")
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except OSError as exc:  # `report --out` cannot be written
+        print(f"error: {exc.filename}: cannot write ({exc.strerror})")
+        return 2
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}")
         return 1
 
@@ -223,14 +226,14 @@ def _dispatch_check(args) -> int:
             print("regular cocycle: true")
         else:
             print(f"regular cocycle: false "
-                  f"(fails at index {verdict.failing_index})")
-        ok = verdict.ok
+                  f"(fails at index {verdict.witnesses[0].at})")
         if dual is not None and verdict.ok:
-            dual_ok = (check_regular_cocycle(dual).ok
+            verdict = (check_regular_cocycle(dual)
                        and check_duality_identity(cocycle, dual, pairings))
-            print(f"duality identity: {str(dual_ok).lower()}")
-            ok = ok and dual_ok
-        return 0 if ok else 1
+            print(f"duality identity: {str(verdict.ok).lower()}")
+        if not verdict.ok:
+            print(f"witness: {verdict.witnesses[0]}", file=sys.stderr)
+        return 0 if verdict.ok else 1
     if args.checker == "functor":
         doc = read_document(args.file)
         cocycle, _ = cocycle_from_json(_field(doc, "cocycle", dict, "$"),
@@ -300,13 +303,13 @@ def _dispatch_check(args) -> int:
             e_module = lambda v: v
         else:
             e_module = _square_matrix(doc, "e_module", dim, "$").apply
-        ok, witnesses = check_regular_module(action, basis, dim,
-                                             e_algebra, e_module, sys_)
-        print(f"regular module law: {str(ok).lower()}")
-        if witnesses:
-            w, j = witnesses[0]
+        verdict = check_regular_module(action, basis, dim,
+                                       e_algebra, e_module, sys_)
+        print(f"regular module law: {str(verdict.ok).lower()}")
+        if verdict.witnesses:
+            w, j = verdict.witnesses[0].at
             print(f"  first failure at word {w.to_text()} basis index {j}")
-        return 0 if ok else 1
+        return 0 if verdict.ok else 1
     raise AssertionError(f"unhandled checker {args.checker}")
 
 

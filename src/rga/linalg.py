@@ -12,7 +12,7 @@ solve, inverse) works entry by entry in `Scalar` arithmetic.
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO_SCALAR, Scalar, _make, common_denominator
 
@@ -42,10 +42,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO_SCALAR] * ncols for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO_SCALAR for j in range(n)]
                     for i in range(n)])
@@ -56,9 +52,6 @@ class Matrix:
         if not cols:
             return cls([])
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -110,8 +103,9 @@ class Matrix:
                              for r in self.rows for s in other.rows))
 
     def is_identity(self) -> bool:
-        return (self.nrows == self.ncols
-                and self == Matrix.identity(self.nrows))
+        return self.nrows == self.ncols and all(
+            r[i] == ONE and not any(r[:i]) and not any(r[i + 1:])
+            for i, r in enumerate(self.rows))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.rows for x in r)
@@ -178,8 +172,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
         n = self.nrows
-        aug = Matrix([list(r) + list(Matrix.identity(n).rows[i])
-                      for i, r in enumerate(self.rows)])
+        aug = _matrix(tuple(r + e for r, e
+                            in zip(self.rows, Matrix.identity(n).rows)))
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
@@ -187,9 +181,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def map(self, f: Callable[[Scalar], Scalar]) -> "Matrix":
-        return Matrix([[f(x) for x in r] for r in self.rows])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)

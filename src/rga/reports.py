@@ -75,12 +75,12 @@ def grading_report() -> str:
             for v in words:
                 a = Element.from_word(sys, u)
                 b = Element.from_word(sys, v)
-                rep = grading_check(a, b)
-                if not rep.product_ok:
+                laws = {w.law for w in grading_check(a, b).witnesses}
+                if "product grade" in laws:
                     pair_bad.append(
                         f"  {u.to_text()} * {v.to_text()} = {mul(a, b)} "
                         f"(expected grade {(u.parity + v.parity) % 2})")
-                if rep.triple_checked and not rep.triple_ok:
+                if "odd triple" in laws:
                     triple = mul(mul(a, b), a)
                     triple_bad.append(
                         f"  {u.to_text()} * {v.to_text()} * {u.to_text()} "
@@ -199,18 +199,18 @@ def dual_comultiplication_report() -> str:
         lines.append(f"Delta({w.to_text('X')}) = {table[w]}")
     lines.append("")
     lines.append(f"coassociative: "
-                 f"{str(check_coassociativity(table)).lower()}")
+                 f"{str(check_coassociativity(table).ok).lower()}")
     for conv in ("straight", "flip"):
-        ok = check_dual_pairing_identity(table, theta, xi, 2, conv)
+        ok = check_dual_pairing_identity(table, theta, xi, 2, conv).ok
         lines.append(f"pairing transport identity "
                      f"<Delta(w), u (x) v> = <w, uv> [{conv}]: "
                      f"{str(ok).lower()}")
-    ok, witnesses = check_coalgebra_obstruction(table, xi)
+    verdict = check_coalgebra_obstruction(table, xi)
     lines.append(f"coalgebra obstruction law Delta.e = (e (x) e).Delta: "
-                 f"{str(ok).lower()}")
-    if witnesses:
-        lines.append("  fails at: " +
-                     ", ".join(w.to_text("X") for w in witnesses))
+                 f"{str(verdict.ok).lower()}")
+    if verdict.witnesses:
+        lines.append("  fails at: " + ", ".join(
+            w.at.to_text("X") for w in verdict.witnesses))
     lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -220,14 +220,13 @@ def wick_regular_report() -> str:
     psi = CrossSymmetry.regular(pair, "unit")
     lines = ["regular Wick structure with the obstruction map on both legs",
              ""]
-    ok, witnesses = check_regular_cross_symmetry(psi, obstruction,
-                                                 obstruction, 2)
+    verdict = check_regular_cross_symmetry(psi, obstruction, obstruction, 2)
     lines.append(f"regular cross symmetry law "
-                 f"(e (x) e).psi = psi.(e (x) e): {str(ok).lower()}")
-    if witnesses:
-        lines.append(f"  witnesses: {len(witnesses)}; first at " +
-                     f"{witnesses[0][0].to_text('X')} (x) "
-                     f"{witnesses[0][1].to_text('T')}")
+                 f"(e (x) e).psi = psi.(e (x) e): {str(verdict.ok).lower()}")
+    if verdict.witnesses:
+        xi, theta = verdict.witnesses[0].at
+        lines.append(f"  witnesses: {len(verdict.witnesses)}; first at "
+                     f"{xi.to_text('X')} (x) {theta.to_text('T')}")
     x = WickElement.single(pair, (1,), ())
     y = WickElement.single(pair, (), (1,))
     value = wick_mul_regular(x, y, psi, obstruction, obstruction)
@@ -245,19 +244,20 @@ def wick_regular_report() -> str:
     def e_module(vec):
         return obstruction(Element(sys, zip(basis, vec))).coeffs_n2()
 
-    ok, witnesses = check_regular_module(action, basis, 5,
-                                         obstruction, e_module, sys)
+    verdict = check_regular_module(action, basis, 5,
+                                   obstruction, e_module, sys)
     lines.append("module law rho.(e_A (x) e_M) = e_M.rho with M = A, "
                  "rho = multiplication,")
-    lines.append(f"e_A = e_M = obstruction map: {str(ok).lower()}")
-    if witnesses:
-        shown = ", ".join(f"({w.to_text()}, {j})" for w, j in witnesses[:4])
-        lines.append(f"  fails at {len(witnesses)} basis pairs, "
+    lines.append(f"e_A = e_M = obstruction map: {str(verdict.ok).lower()}")
+    if verdict.witnesses:
+        shown = ", ".join(f"({w.at[0].to_text()}, {w.at[1]})"
+                          for w in verdict.witnesses[:4])
+        lines.append(f"  fails at {len(verdict.witnesses)} basis pairs, "
                      f"first: {shown}")
-    identity_ok, _ = check_regular_module(action, basis, 5,
-                                          lambda a: a, lambda v: v, sys)
+    identity = check_regular_module(action, basis, 5,
+                                    lambda a: a, lambda v: v, sys)
     lines.append(f"same with identity obstruction maps: "
-                 f"{str(identity_ok).lower()}")
+                 f"{str(identity.ok).lower()}")
     lines.append("")
 
     cocycle, trunc = cocycle_from_algebra(RewriteSystem(3), 4)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from .algebra import Combination, Element, obstruction
+from .algebra import Combination, Element, Verdict, Witness, obstruction
 from .linalg import Matrix
 from .rewrite import RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar
@@ -165,7 +165,7 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element,
 
 def check_dual_pairing_identity(table, theta_sys, xi_sys,
                                 basis_deg: int = 2,
-                                convention: str = "straight") -> bool:
+                                convention: str = "straight") -> Verdict:
     """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples."""
     thetas = theta_sys.enumerate_normal_forms(basis_deg)
     for w, delta_w in table.items():
@@ -177,13 +177,14 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
                 rhs = pair(xi_w, Element.from_word(theta_sys,
                                                    u.letters + v.letters))
                 if lhs != rhs:
-                    return False
-    return True
+                    return Verdict((Witness("pairing transport", (w, u, v),
+                                            lhs, rhs),))
+    return Verdict()
 
 
-def check_coassociativity(table: Dict[Word, TensorElement]) -> bool:
+def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on the basis words."""
-    for delta_w in table.values():
+    for w, delta_w in table.items():
         legs = (delta_w.system,) * 3
         terms = delta_w._terms.items()
         left = Combination(legs, (((p, q, v), (s, t)) for (u, v), s in terms
@@ -191,18 +192,17 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> bool:
         right = Combination(legs, (((u, p, q), (s, t)) for (u, v), s in terms
                                    for (p, q), t in table[v]._terms.items()))
         if left != right:
-            return False
-    return True
+            return Verdict((Witness("coassociativity", w, left, right),))
+    return Verdict()
 
 
 def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
                                 xi_sys: RewriteSystem,
-                                signs: str = "plain"):
+                                signs: str = "plain") -> Verdict:
     """Does Delta . e = (e (x) e) . Delta hold for the obstruction map?
 
-    Returns (verdict, witnesses); the witnesses name the basis words where
-    the two sides differ.  The obstruction map is affine, so e (x) e is
-    applied term by term.
+    There is one witness at each basis word where the two sides differ.  The
+    obstruction map is affine, so e (x) e is applied term by term.
     """
     witnesses = []
     for w in sorted(table, key=Word.sort_key):
@@ -214,8 +214,8 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
             ev = obstruction(Element.from_word(xi_sys, v))
             rhs = rhs + element_tensor(eu, ev, signs).scale(s)
         if lhs != rhs:
-            witnesses.append(w)
-    return not witnesses, tuple(witnesses)
+            witnesses.append(Witness("coalgebra obstruction", w, lhs, rhs))
+    return Verdict(tuple(witnesses))
 
 
 # -- almost bialgebra ----------------------------------------------------------
@@ -277,13 +277,13 @@ def check_regular_module(action: Dict[Word, Matrix],
                          module_dim: int,
                          e_algebra: Callable[[Element], Element],
                          e_module: Callable[[tuple], tuple],
-                         system: RewriteSystem):
+                         system: RewriteSystem) -> Verdict:
     """Check rho . (e_A (x) e_M) = e_M . rho on all basis pairs.
 
     `action[w]` is the matrix of the basis word w acting on the module;
     `e_module` maps module coefficient vectors to vectors (it may be
-    affine, like the element obstruction map).  Returns (verdict,
-    witnesses).
+    affine, like the element obstruction map).  There is one witness at
+    each pair (word, module basis index) where the two sides differ.
     """
     def act(element: Element, vec: tuple) -> tuple:
         out = [ZERO_SCALAR] * module_dim
@@ -301,5 +301,5 @@ def check_regular_module(action: Dict[Word, Matrix],
             lhs = act(e_algebra(a), e_module(m_vec))
             rhs = e_module(act(a, m_vec))
             if lhs != rhs:
-                witnesses.append((w, j))
-    return not witnesses, tuple(witnesses)
+                witnesses.append(Witness("regular module", (w, j), lhs, rhs))
+    return Verdict(tuple(witnesses))

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
-from .algebra import AlgebraMismatchError, Combination, Element
+from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
+                      Witness)
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
 from .scalar import ONE
 from .tensor import dual_system
@@ -330,11 +331,11 @@ def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,
 def check_regular_cross_symmetry(psi: CrossSymmetry,
                                  e_theta: Callable[[Element], Element],
                                  e_xi: Callable[[Element], Element],
-                                 max_deg: int):
+                                 max_deg: int) -> Verdict:
     """(e_A (x) e_Ad) . psi = psi . (e_Ad (x) e_A) on word pairs.
 
     Both sides are evaluated termwise (the obstruction maps are affine)
-    and compared exactly.  Returns (verdict, witnesses).
+    and compared exactly.  Each differing (xi, theta) is a witness.
     """
     pair = psi.pair
 
@@ -357,7 +358,9 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
     witnesses = []
     for xi in pair.xi.enumerate_normal_forms(max_deg):
         for theta in pair.theta.enumerate_normal_forms(max_deg):
-            if WickElement(pair, lhs_terms(xi, theta)) \
-                    != WickElement(pair, rhs_terms(xi, theta)):
-                witnesses.append((xi, theta))
-    return not witnesses, tuple(witnesses)
+            lhs = WickElement(pair, lhs_terms(xi, theta))
+            rhs = WickElement(pair, rhs_terms(xi, theta))
+            if lhs != rhs:
+                witnesses.append(Witness("regular cross symmetry",
+                                         (xi, theta), lhs, rhs))
+    return Verdict(tuple(witnesses))

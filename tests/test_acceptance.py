@@ -151,7 +151,7 @@ def test_criterion_07_cocycle_suite():
                 pairings[s.label] = m
             d = dual_cocycle(cc, pairings)
             assert check_regular_cocycle(d).ok
-            assert check_duality_identity(cc, d, pairings)
+            assert check_duality_identity(cc, d, pairings).ok
     _ok(7, "swap-matrix cocycle regular; all corpus obstructions "
            "idempotent; duality adjoint identity exact")
 

@@ -10,7 +10,7 @@ from rga.algebra import (AlgebraMismatchError, Element, N2_BASIS,
                          find_idempotent_obstructions, grading_check, invert,
                          invert_by_solve, left_mul_matrix, mul,
                          mul_closed_form, obstructed_product, obstruction,
-                         regularity_chain, right_mul_matrix)
+                         regularity_chain, right_mul_matrix, Witness)
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
@@ -298,9 +298,9 @@ def test_decompose_covers_basis():
 
 
 def test_grading_check_n2():
-    rep = grading_check(T1, T2)
-    assert rep.ok and rep.parity_a == 1 and rep.parity_b == 1
-    assert rep.triple_checked and rep.triple_ok  # T1*T2*T1 = T1 is odd
+    # both odd, so the triple T1*T2*T1 = T1 is checked too, and is odd
+    assert T1.parity() == 1 and T2.parity() == 1
+    assert grading_check(T1, T2).ok
 
 
 def test_grading_check_violation_n3():
@@ -308,8 +308,8 @@ def test_grading_check_violation_n3():
     a = Element.from_word(sys, Word([1, 2, 3]))
     b = Element.generator(sys, 1)
     rep = grading_check(a, b)
-    assert not rep.product_ok
-    assert rep.violations == ((Word([1]), 1),)
+    assert not rep.ok
+    assert rep.witnesses == (Witness("product grade", Word([1]), 1, 0),)
 
 
 def test_grading_check_rejects_inhomogeneous():

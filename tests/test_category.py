@@ -54,7 +54,7 @@ def test_identity_cocycle_regular():
 
 def test_zero_one_cocycle_fails_at_two():
     v = check_regular_cocycle(one_dim_cocycle(0, 1))
-    assert not v.ok and v.failing_index == 2
+    assert not v.ok and v.witnesses[0].at == 2
 
 
 def random_chain(rng, dims):
@@ -95,7 +95,7 @@ def test_doubled_chain_fails_after_composites_of_the_original_were_used():
                                            first.matrix.scale(2))]
                       + list(c.maps[1:]))
     v = check_regular_cocycle(doubled)
-    assert not v.ok and v.failing_index == 1
+    assert not v.ok and v.witnesses[0].at == 1
     assert check_regular_cocycle(c).ok
 
 
@@ -134,7 +134,7 @@ def test_cocycle_morphism_identity():
     c = algebra_cocycle()
     ident = [LinearMap.identity(s) for s in c.spaces]
     v = check_cocycle_morphism(ident, c, c)
-    assert v.ok and v.intertwines_obstruction
+    assert v.ok and not v.witnesses
 
 
 def test_cocycle_morphism_violation():
@@ -142,7 +142,8 @@ def test_cocycle_morphism_violation():
     bad = [LinearMap.identity(c.spaces[0]),
            LinearMap(c.spaces[1], c.spaces[1], Matrix([[2, 0], [0, 1]]))]
     v = check_cocycle_morphism(bad, c, c)
-    assert not v.ok and v.failing_square in (1, 2)
+    assert not v.ok and v.witnesses[0].law == "square"
+    assert v.witnesses[0].at in (1, 2)
 
 
 def test_swap_conjugation_is_cocycle_morphism():
@@ -236,7 +237,7 @@ def test_natural_transformation_identity_components():
     c = algebra_cocycle()
     f = MatrixFunctor.identity()
     comps = {s.label: LinearMap.identity(s) for s in c.spaces}
-    assert check_natural_transformation(comps, f, f, list(c.maps))
+    assert check_natural_transformation(comps, f, f, list(c.maps)).ok
 
 
 def test_natural_transformation_obstruction_components():
@@ -245,7 +246,7 @@ def test_natural_transformation_obstruction_components():
     c = obstructed_example()
     f = MatrixFunctor.identity()
     comps = {s.label: c.cycle_composite(i) for i, s in enumerate(c.spaces)}
-    assert check_natural_transformation(comps, f, f, list(c.maps))
+    assert check_natural_transformation(comps, f, f, list(c.maps)).ok
 
 
 def test_natural_transformation_scaled_component_fails():
@@ -254,7 +255,7 @@ def test_natural_transformation_scaled_component_fails():
     comps = {s.label: LinearMap.identity(s) for s in c.spaces}
     comps["Y2"] = LinearMap(c.spaces[1], c.spaces[1],
                             Matrix([[2, 0], [0, 2]]))
-    assert not check_natural_transformation(comps, f, f, list(c.maps))
+    assert not check_natural_transformation(comps, f, f, list(c.maps)).ok
 
 
 def test_tensor_obstruction():
@@ -262,15 +263,15 @@ def test_tensor_obstruction():
     e_y = Matrix.identity(2)
     expected = Matrix([[1, 0, 0, 0], [0, 1, 0, 0],
                        [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert check_tensor_obstruction(e_x, e_y, expected)
-    assert not check_tensor_obstruction(e_x, e_y, Matrix.identity(4))
+    assert check_tensor_obstruction(e_x, e_y, expected).ok
+    assert not check_tensor_obstruction(e_x, e_y, Matrix.identity(4)).ok
     with pytest.raises(ValueError):
         check_tensor_obstruction(e_x, e_y, Matrix.identity(3))
 
 
 def test_identity_tensor_obstruction():
     assert check_tensor_obstruction(Matrix.identity(2), Matrix.identity(3),
-                                    Matrix.identity(6))
+                                    Matrix.identity(6)).ok
 
 
 # -- duality ---------------------------------------------------------------------
@@ -282,7 +283,7 @@ def test_dual_of_algebra_cocycle_with_unit_pairings():
     d = dual_cocycle(c, pairings)
     assert [m.matrix for m in d.maps] == [SWAP, SWAP]
     assert check_regular_cocycle(d).ok
-    assert check_duality_identity(c, d, pairings)
+    assert check_duality_identity(c, d, pairings).ok
 
 
 def test_dual_of_identity_cocycle():
@@ -290,7 +291,7 @@ def test_dual_of_identity_cocycle():
     pairings = {"X1": Matrix([[3]]), "X2": Matrix([[5]])}
     d = dual_cocycle(c, pairings)
     assert check_regular_cocycle(d).ok
-    assert check_duality_identity(c, d, pairings)
+    assert check_duality_identity(c, d, pairings).ok
 
 
 def test_dual_random_pairings():
@@ -309,7 +310,7 @@ def test_dual_random_pairings():
                         for s in source.spaces}
             d = dual_cocycle(source, pairings)
             assert check_regular_cocycle(d).ok
-            assert check_duality_identity(source, d, pairings)
+            assert check_duality_identity(source, d, pairings).ok
 
 
 def test_degenerate_pairing_rejected():

@@ -124,9 +124,12 @@ def test_check_cocycle_failure(tmp_path, capsys):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out = run(capsys, ["check", "cocycle", str(path)])
+    code = main(["check", "cocycle", str(path)])
+    captured = capsys.readouterr()
     assert code == 1
-    assert out == "regular cocycle: false (fails at index 2)\n"
+    assert captured.out == "regular cocycle: false (fails at index 2)\n"
+    assert captured.err == ("witness: regularity at 2: X2->X1Matrix[0] "
+                            "!= X2->X1Matrix[1]\n")
 
 
 def test_check_functor_file(tmp_path, capsys):
@@ -228,6 +231,38 @@ def check_document(tmp_path, capsys, text, checker="cocycle"):
     path.write_text(text)
     code, out = run(capsys, ["check", checker, str(path)])
     return code, out.replace(str(path), "doc.json")
+
+
+def refused(tmp_path, capsys, argv):
+    code, out = run(capsys, argv)
+    return code, out.replace(str(tmp_path), "tmp")
+
+
+def test_check_cocycle_missing_file(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert refused(tmp_path, capsys, ["check", "cocycle", path]) == (
+        2, "error: tmp/missing.json: $: cannot read (No such file or "
+           "directory)\n")
+
+
+def test_check_cocycle_directory(tmp_path, capsys):
+    assert refused(tmp_path, capsys, ["check", "cocycle", str(tmp_path)]) \
+        == (2, "error: tmp: $: cannot read (Is a directory)\n")
+
+
+def test_check_cocycle_not_utf8(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert refused(tmp_path, capsys, ["check", "cocycle", str(path)]) == (
+        2, "error: tmp/doc.json: $: not UTF-8 ('utf-8' codec can't decode "
+           "byte 0xff in position 0: invalid start byte)\n")
+
+
+def test_report_out_under_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "reports")
+    assert refused(tmp_path, capsys, ["report", "--all", "--out", out]) == (
+        2, "error: tmp/file/reports: cannot write (Not a directory)\n")
 
 
 def test_check_cocycle_numeric_entry(tmp_path, capsys):

@@ -1,0 +1,181 @@
+"""Every law checker answers with one `Verdict`, and a false verdict names
+where its law fails: each checker below is made to fail once on a
+hand-broken input, and its first witness must carry the right law and
+place and two unequal sides."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from rga.algebra import (Element, N2_BASIS, Subspace, Verdict, Witness,
+                         grading_check, left_mul_matrix)
+from rga.category import (Cocycle, LinearMap, MatrixFunctor,
+                          check_cocycle_morphism, check_duality_identity,
+                          check_natural_transformation, check_regular_cocycle,
+                          check_tensor_obstruction, dual_cocycle)
+from rga.linalg import Matrix
+from rga.rewrite import RewriteSystem, Word
+from rga.scalar import Scalar
+from rga.tensor import (TensorElement, check_coalgebra_obstruction,
+                        check_coassociativity, check_dual_pairing_identity,
+                        check_regular_module, dual_comultiplication,
+                        dual_system)
+from rga.wick import (ConjugatedPair, CrossSymmetry,
+                      check_regular_cross_symmetry)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
+THETA = RewriteSystem(2)
+XI = dual_system()
+T1 = Word([1])
+
+
+def one_dim_cocycle(a, b):
+    x1 = Subspace("X1", ("u",))
+    x2 = Subspace("X2", ("v",))
+    return Cocycle([x1, x2], [LinearMap(x1, x2, Matrix([[a]])),
+                              LinearMap(x2, x1, Matrix([[b]]))])
+
+
+def first_witness(verdict, law, at):
+    assert isinstance(verdict, Verdict)
+    assert not verdict.ok and not verdict
+    w = verdict.witnesses[0]
+    assert (w.law, w.at) == (law, at)
+    assert w.lhs != w.rhs
+    return w
+
+
+def test_verdict_is_true_exactly_without_witnesses():
+    assert Verdict().ok and Verdict()
+    bad = Verdict((Witness("law", 3, 1, 2),))
+    assert not bad.ok and not bad
+    assert str(bad.witnesses[0]) == "law at 3: 1 != 2"
+
+
+def test_regular_cocycle():
+    w = first_witness(check_regular_cocycle(one_dim_cocycle(0, 1)),
+                      "regularity", 2)
+    assert (w.lhs.matrix, w.rhs.matrix) == (Matrix([[0]]), Matrix([[1]]))
+
+
+def test_regular_cocycle_verdict_is_kept():
+    c = one_dim_cocycle(0, 1)
+    assert check_regular_cocycle(c) is check_regular_cocycle(c)
+
+
+def test_cocycle_morphism():
+    c = one_dim_cocycle(1, 1)
+    alpha = [LinearMap.identity(c.spaces[0]),
+             LinearMap(c.spaces[1], c.spaces[1], Matrix([[2]]))]
+    first_witness(check_cocycle_morphism(alpha, c, c), "square", 1)
+
+
+def test_grading_product_grade():
+    s3 = RewriteSystem(3)
+    a = Element.from_word(s3, Word([1, 2, 3]))
+    w = first_witness(grading_check(a, Element.generator(s3, 1)),
+                      "product grade", T1)
+    assert (w.lhs, w.rhs) == (1, 0)
+
+
+def test_grading_odd_triple():
+    s3 = RewriteSystem(3)
+    a = Element.from_word(s3, Word([1, 2, 1]))
+    b = Element.from_word(s3, Word([3, 2, 3]))
+    w = first_witness(grading_check(a, b), "odd triple",
+                      Word([1, 2, 1, 3, 2, 1]))
+    assert (w.lhs, w.rhs) == (0, 1)
+
+
+def test_natural_transformation():
+    c = one_dim_cocycle(1, 1)
+    comps = {"X1": LinearMap.identity(c.spaces[0]),
+             "X2": LinearMap(c.spaces[1], c.spaces[1], Matrix([[2]]))}
+    f = MatrixFunctor.identity()
+    first_witness(check_natural_transformation(comps, f, f, list(c.maps)),
+                  "naturality", c.maps[0])
+
+
+def test_tensor_obstruction():
+    e_x = Matrix([[1, 0], [0, 0]])
+    w = first_witness(check_tensor_obstruction(e_x, Matrix.identity(2),
+                                               Matrix.identity(4)),
+                      "tensor obstruction", 2)
+    assert w.lhs == Matrix.identity(4).rows[2]
+    assert w.rhs == (Scalar(0),) * 4
+
+
+def test_duality_identity():
+    # the dual of the zero chain, checked against the identity chain
+    pairings = {"X1": Matrix([[3]]), "X2": Matrix([[5]])}
+    dual = dual_cocycle(one_dim_cocycle(0, 0), pairings)
+    w = first_witness(check_duality_identity(one_dim_cocycle(1, 1), dual,
+                                             pairings), "duality", "X1")
+    assert (w.lhs, w.rhs) == (Matrix([[0]]), Matrix([[3]]))
+
+
+def test_dual_pairing_identity():
+    table = dict(dual_comultiplication(THETA, XI))
+    table[T1] = TensorElement.zero(XI)
+    w = first_witness(check_dual_pairing_identity(table, THETA, XI),
+                      "pairing transport", (T1, Word(()), T1))
+    assert (w.lhs, w.rhs) == (Scalar(0), Scalar(1))
+
+
+def test_coassociativity():
+    table = dict(dual_comultiplication(THETA, XI))
+    table[T1] = TensorElement.single(XI, (1,), (), Scalar(2))
+    first_witness(check_coassociativity(table), "coassociativity", T1)
+
+
+def test_coalgebra_obstruction():
+    # the transported comultiplication does not intertwine the obstruction
+    # map; the first of its four failures is at X1
+    first_witness(check_coalgebra_obstruction(
+        dual_comultiplication(THETA, XI), XI), "coalgebra obstruction", T1)
+
+
+def test_regular_module():
+    space = Subspace("A", N2_BASIS)
+    action = {w: left_mul_matrix(Element.from_word(THETA, w), space,
+                                 space)[1] for w in N2_BASIS}
+
+    def zero_first(vec):
+        return (Scalar(0),) + tuple(vec[1:])
+
+    first_witness(check_regular_module(action, N2_BASIS, 5, lambda a: a,
+                                       zero_first, THETA),
+                  "regular module", (T1, 0))
+
+
+def test_regular_cross_symmetry():
+    psi = CrossSymmetry.regular(ConjugatedPair(), "unit")
+
+    def shifted(a):
+        return a + Element.unit(a.system)
+
+    first_witness(check_regular_cross_symmetry(psi, shifted, lambda a: a, 2),
+                  "regular cross symmetry", (T1, T1))
+
+
+# -- no checker answers with a bare bool or a tuple --------------------------
+
+
+def _bare(annotation) -> bool:
+    """A return annotation naming bool, tuple or Tuple (subscripted or not)."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return isinstance(annotation, ast.Name) \
+        and annotation.id in ("bool", "tuple", "Tuple")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_checkers_return_no_bool_or_tuple(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bad = [f"{node.name} (line {node.lineno})" for node in ast.walk(tree)
+           if isinstance(node, ast.FunctionDef)
+           and node.name.startswith("check_")
+           and (node.returns is None or _bare(node.returns))]
+    assert not bad, f"{path.name}: checkers without a typed answer: {bad}"

@@ -225,16 +225,14 @@ def test_regular_wick_bilinear():
 
 def test_regular_cross_symmetry_identity_maps():
     ident = lambda a: a
-    ok, witnesses = check_regular_cross_symmetry(PSI, ident, ident, 2)
-    assert ok and not witnesses
-    ok, _ = check_regular_cross_symmetry(FLIP, ident, ident, 2)
-    assert ok
+    v = check_regular_cross_symmetry(PSI, ident, ident, 2)
+    assert v.ok and not v.witnesses
+    assert check_regular_cross_symmetry(FLIP, ident, ident, 2).ok
 
 
 def test_regular_cross_symmetry_obstruction_frozen():
-    ok, witnesses = check_regular_cross_symmetry(PSI, obstruction,
-                                                 obstruction, 2)
-    assert not ok and len(witnesses) == 14
+    v = check_regular_cross_symmetry(PSI, obstruction, obstruction, 2)
+    assert not v.ok and len(v.witnesses) == 14
 
 
 def test_regular_cross_symmetry_perturbed():
@@ -243,5 +241,5 @@ def test_regular_cross_symmetry_perturbed():
     def bad(a):
         return a + Element.unit(a.system)
 
-    ok, witnesses = check_regular_cross_symmetry(PSI, bad, lambda a: a, 2)
-    assert not ok and witnesses
+    v = check_regular_cross_symmetry(PSI, bad, lambda a: a, 2)
+    assert not v.ok and v.witnesses
