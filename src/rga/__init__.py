@@ -15,12 +15,13 @@ from .category import (Cocycle, LinearMap, MatrixFunctor,
                        check_obstructed_functor, check_regular_cocycle,
                        check_tensor_obstruction, cocycle_from_algebra,
                        cocycle_from_json, cocycle_to_json, dual_cocycle,
-                       obstruction_of, obstruction_order)
+                       functor_from_json, module_from_json, obstruction_of,
+                       obstruction_order)
 from .linalg import Matrix
 from .parser import (ParseError, parse_element, parse_scalar, parse_tensor,
                      parse_wick, parse_word_letters)
 from .rewrite import (EMPTY_WORD, ZERO, ConfluenceReport, RewriteSystem,
-                      Word, parity)
+                      Word)
 from .scalar import OMEGA, OMEGA2, ONE, Scalar
 from .tensor import (TensorElement, check_almost_bialgebra,
                      check_coassociativity, check_regular_module,

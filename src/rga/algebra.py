@@ -49,8 +49,8 @@ class NotInvertible(ValueError):
 
 @dataclass(frozen=True)
 class Witness:
-    """Where a law fails: at `at` (an index, a word, a tuple of them) the
-    two sides `lhs` and `rhs` of the law `law` differ."""
+    """Where a law fails: at `at` (an index, a word, a place as text or a
+    tuple of them) the two sides `lhs` and `rhs` of the law `law` differ."""
 
     law: str
     at: object

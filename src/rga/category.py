@@ -1,6 +1,7 @@
 """Concrete categories of based spaces and exact matrices: regular
 n-cocycles, their obstructions, cocycle morphisms, obstructed functors,
-natural transformations, tensor obstructions and duality.
+natural transformations, tensor obstructions and duality, and the JSON
+documents of the `rga check` cocycles, functors and modules.
 
 Everything is presented matricially: a cyclic chain of spaces X_1 -> X_2
 -> ... -> X_n -> X_1 whose round trip composites e_X (the obstructions)
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .algebra import (Element, Subspace, Verdict, Witness, decompose,
-                      left_mul_matrix, mul)
+                      left_mul_matrix, mul, obstruction)
 from .linalg import Matrix
-from .rewrite import RewriteSystem, SelfCheckError
+from .parser import ParseError, parse_element, parse_scalar
+from .rewrite import MAX_GENERATORS, RewriteSystem, SelfCheckError
+from .scalar import ONE
 
 
 class ChainTypeError(ValueError):
@@ -25,12 +28,7 @@ class ChainTypeError(ValueError):
 
 
 class DegeneratePairingError(ValueError):
-    """A duality pairing or base-change matrix is singular; `label` names
-    the space it belongs to."""
-
-    def __init__(self, what: str, label: str):
-        super().__init__(f"{what} at {label} is singular")
-        self.label = label
+    """A duality pairing or base-change matrix is singular."""
 
 
 class NotAFunctorError(ValueError):
@@ -218,7 +216,8 @@ class MatrixFunctor:
             try:
                 inverses[label] = p.inverse()
             except ValueError:
-                raise DegeneratePairingError("base change", label) from None
+                raise DegeneratePairingError(
+                    f"base change at {label} is singular") from None
 
         def on_map(m: LinearMap) -> LinearMap:
             return LinearMap(m.domain, m.codomain,
@@ -330,7 +329,8 @@ def dual_cocycle(c: Cocycle, pairings: dict) -> Cocycle:
         try:
             inverses[s.label] = g.inverse()
         except ValueError:
-            raise DegeneratePairingError("pairing", s.label) from None
+            raise DegeneratePairingError(
+                f"pairing at {s.label} is singular") from None
 
     duals = {s.label: Subspace(s.label + "^", s.basis) for s in c.spaces}
 
@@ -463,7 +463,6 @@ def _field(obj: dict, key: str, kind: type, where: str):
 
 def _matrix_from_json(rows, where: str = "$") -> Matrix:
     """A matrix given as a list of rows of scalar strings."""
-    from .parser import ParseError, parse_scalar
     out = []
     for i, row in enumerate(_expect(rows, list, where)):
         out.append([])
@@ -486,6 +485,26 @@ def _square_matrix(obj: dict, key: str, dim: int, where: str) -> Matrix:
         raise DocumentError(f"{where}.{key}", f"expected a {dim}x{dim} "
                             f"matrix, got {m.nrows}x{m.ncols}")
     return m
+
+
+def _invertible(obj: dict, key: str, dim: int, where: str) -> Matrix:
+    """obj[key] as an invertible dim x dim matrix; `where` is obj's path."""
+    m = _square_matrix(obj, key, dim, where)
+    if not m.is_invertible():
+        raise DocumentError(f"{where}.{key}", "singular matrix")
+    return m
+
+
+def _per_space(doc: dict, key: str, spaces: Sequence[Subspace],
+               where: str) -> dict:
+    """doc[key], one invertible square matrix for each of `spaces` keyed by
+    its label, with any other label refused; `where` is doc's path."""
+    given, at = _field(doc, key, dict, where), f"{where}.{key}"
+    labels = {s.label for s in spaces}
+    for label in given:
+        if label not in labels:
+            raise DocumentError(f"{at}.{label}", f"unknown space {label!r}")
+    return {s.label: _invertible(given, s.label, s.dim, at) for s in spaces}
 
 
 def cocycle_to_json(c: Cocycle, pairings: Optional[dict] = None) -> dict:
@@ -521,7 +540,9 @@ def cocycle_from_json(doc, where: str = "$"):
             spaces[name] = Subspace(name, basis)
         except ValueError as exc:
             raise DocumentError(f"{at}.basis", str(exc)) from None
-    maps = {}
+    if not spaces:
+        raise DocumentError(f"{where}.spaces", "expected at least one space")
+    names, maps = list(spaces), {}
     for i, m in enumerate(_field(doc, "maps", list, where)):
         at = f"{where}.maps[{i}]"
         _expect(m, dict, at)
@@ -531,25 +552,82 @@ def cocycle_from_json(doc, where: str = "$"):
                 raise DocumentError(f"{at}.{end}", f"unknown space {label!r}")
         if src in maps:
             raise DocumentError(f"{at}.from", f"second map from {src!r}")
+        after = names[(names.index(src) + 1) % len(names)]
+        if dst != after:
+            raise DocumentError(f"{at}.to", f"expected space {after!r} "
+                                f"after {src!r}, got {dst!r}")
         matrix = _matrix_from_json(_field(m, "matrix", list, at),
                                    f"{at}.matrix")
         try:
             maps[src] = LinearMap(spaces[src], spaces[dst], matrix)
         except ValueError as exc:
             raise DocumentError(f"{at}.matrix", str(exc)) from None
-    for name in spaces:
+    for name in names:
         if name not in maps:
             raise DocumentError(f"{where}.maps", f"no map from {name!r}")
+    cocycle = Cocycle(list(spaces.values()), [maps[name] for name in names])
     pairings = None
     if "pairings" in doc:
-        given, at = _field(doc, "pairings", dict, where), f"{where}.pairings"
-        for label in given:
-            if label not in spaces:
-                raise DocumentError(f"{at}.{label}", f"unknown space {label!r}")
-        pairings = {name: _square_matrix(given, name, s.dim, at)
-                    for name, s in spaces.items()}
-    return Cocycle(list(spaces.values()),
-                   [maps[name] for name in spaces]), pairings
+        pairings = _per_space(doc, "pairings", cocycle.spaces, where)
+    return cocycle, pairings
+
+
+def functor_from_json(doc):
+    """Rebuild (cocycle, base-change functor) from a functor document,
+    refusing one of the wrong shape as `cocycle_from_json` does."""
+    _expect(doc, dict, "$")
+    cocycle, _ = cocycle_from_json(_field(doc, "cocycle", dict, "$"),
+                                   "$.cocycle")
+    change = _per_space(doc, "base_change", cocycle.spaces, "$")
+    return cocycle, MatrixFunctor.base_change(change)
+
+
+def module_from_json(doc):
+    """The arguments (action, basis, dim, e_algebra, e_module, system) of
+    `check_regular_module`, read from a module document and refused as
+    `cocycle_from_json` refuses; nothing is built before `$.n` is checked."""
+    _expect(doc, dict, "$")
+    n = _field(doc, "n", int, "$") if "n" in doc else 2
+    if not 1 <= n <= MAX_GENERATORS:
+        raise DocumentError("$.n", f"must be in 1..{MAX_GENERATORS}, "
+                                   f"got {n}")
+    system = RewriteSystem(n)
+    dim = _field(doc, "module_dim", int, "$")
+    if dim < 0:
+        raise DocumentError("$.module_dim", f"must be >= 0, got {dim}")
+    name = (_field(doc, "e_algebra", str, "$") if "e_algebra" in doc
+            else "obstruction")
+    if name not in ("obstruction", "identity"):
+        raise DocumentError("$.e_algebra", f"expected 'obstruction' or "
+                                           f"'identity', got {name!r}")
+    if name == "obstruction" and n != 2:
+        raise DocumentError("$.e_algebra", f"'obstruction' needs n = 2, "
+                                           f"got n = {n}")
+    e_algebra = obstruction if name == "obstruction" else (lambda a: a)
+    action = {}
+    for key in _field(doc, "action", dict, "$"):
+        try:
+            terms = parse_element(key, system).terms()
+        except ParseError as exc:
+            raise DocumentError(f"$.action.{key}", str(exc)) from None
+        if len(terms) != 1 or terms[0][1] != ONE:
+            raise DocumentError(f"$.action.{key}", "not a basis word")
+        word = terms[0][0]
+        if word in action:
+            raise DocumentError(f"$.action.{key}",
+                                f"names the word {word} a second time")
+        action[word] = _square_matrix(doc["action"], key, dim, "$.action")
+    basis = list(action)
+    for w in basis:
+        for u in e_algebra(Element.from_word(system, w)).support():
+            if u not in action:
+                raise DocumentError(f"$.action.{u}", f"missing: the "
+                                    f"{name} of {w} needs this word")
+    if doc.get("e_module") in (None, "identity"):
+        e_module = lambda v: v
+    else:
+        e_module = _square_matrix(doc, "e_module", dim, "$").apply
+    return action, basis, dim, e_algebra, e_module, system
 
 
 def read_document(path: str) -> dict:

@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import (Element, NotInvertible, annihilator, decompose,
+from .algebra import (NotInvertible, annihilator, decompose,
                       find_idempotent_obstructions, invert, obstruction)
-from .category import (DegeneratePairingError, DocumentError, MatrixFunctor,
-                       NotAFunctorError, check_duality_identity,
-                       check_obstructed_functor, check_regular_cocycle,
-                       cocycle_from_json, dual_cocycle, read_document, _field,
-                       _square_matrix)
+from .category import (DocumentError, NotAFunctorError,
+                       check_duality_identity, check_obstructed_functor,
+                       check_regular_cocycle, cocycle_from_json, dual_cocycle,
+                       functor_from_json, module_from_json, read_document)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
-from .rewrite import (MAX_GENERATORS, RewriteSystem, SizeLimitError, ZERO,
-                      check_size)
+from .rewrite import RewriteSystem, SizeLimitError, ZERO, check_size
 from .reports import write_all
-from .scalar import ONE
 from .tensor import (SIGN_CONVENTIONS, bialgebra_candidates,
                      check_almost_bialgebra, check_regular_module,
                      dual_comultiplication, dual_system)
@@ -120,15 +117,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if getattr(args, "n", None) is not None and args.n < 1:
-        print(f"error: generator count must be >= 1, got {args.n}")
-        return 2
-    max_deg = getattr(args, "max_deg", None)
-    if max_deg is not None and max_deg < 0:
+    max_deg = getattr(args, "max_deg", 0)
+    if max_deg < 0:
         print(f"error: --max-deg must be >= 0, got {max_deg}")
         return 2
     # before any rule or word is built; `wick` works at n = 2
-    check_size(getattr(args, "n", None) or 2, max_deg or 0)
+    check_size(getattr(args, "n", 2), max_deg)
     if cmd == "eval":
         sys_ = RewriteSystem(args.n)
         print(parse_element(args.expr, sys_))
@@ -206,28 +200,17 @@ def _note_leftmost(n: int) -> None:
               "normal form", file=sys.stderr)
 
 
-def _nonsingular(build, where: str):
-    """build(), with a singular matrix refused as bad input at the JSON path
-    `where`.<space label>."""
-    try:
-        return build()
-    except DegeneratePairingError as exc:
-        raise DocumentError(f"{where}.{exc.label}",
-                            "singular matrix") from None
-
-
 def _dispatch_check(args) -> int:
     if args.checker == "cocycle":
         cocycle, pairings = cocycle_from_json(read_document(args.file))
-        dual = None if pairings is None else _nonsingular(
-            lambda: dual_cocycle(cocycle, pairings), "$.pairings")
         verdict = check_regular_cocycle(cocycle)
         if verdict.ok:
             print("regular cocycle: true")
         else:
             print(f"regular cocycle: false "
                   f"(fails at index {verdict.witnesses[0].at})")
-        if dual is not None and verdict.ok:
+        if pairings is not None and verdict.ok:
+            dual = dual_cocycle(cocycle, pairings)
             verdict = (check_regular_cocycle(dual)
                        and check_duality_identity(cocycle, dual, pairings))
             print(f"duality identity: {str(verdict.ok).lower()}")
@@ -235,15 +218,7 @@ def _dispatch_check(args) -> int:
             print(f"witness: {verdict.witnesses[0]}", file=sys.stderr)
         return 0 if verdict.ok else 1
     if args.checker == "functor":
-        doc = read_document(args.file)
-        cocycle, _ = cocycle_from_json(_field(doc, "cocycle", dict, "$"),
-                                       "$.cocycle")
-        given = _field(doc, "base_change", dict, "$")
-        change = {s.label: _square_matrix(given, s.label, s.dim,
-                                          "$.base_change")
-                  for s in cocycle.spaces}
-        functor = _nonsingular(lambda: MatrixFunctor.base_change(change),
-                               "$.base_change")
+        cocycle, functor = functor_from_json(read_document(args.file))
         try:
             verdict = check_obstructed_functor(functor, [cocycle])
         except NotAFunctorError as exc:
@@ -262,49 +237,8 @@ def _dispatch_check(args) -> int:
         print(f"D2 D1 D2 = D2: {str(rep.cyclic[1]).lower()}")
         return 0 if rep.ok else 1
     if args.checker == "module":
-        doc = read_document(args.file)
-        n = _field(doc, "n", int, "$") if "n" in doc else 2
-        if not 1 <= n <= MAX_GENERATORS:
-            raise DocumentError("$.n", f"must be in 1..{MAX_GENERATORS}, "
-                                       f"got {n}")
-        sys_ = RewriteSystem(n)
-        dim = _field(doc, "module_dim", int, "$")
-        if dim < 0:
-            raise DocumentError("$.module_dim", f"must be >= 0, got {dim}")
-        name = (_field(doc, "e_algebra", str, "$") if "e_algebra" in doc
-                else "obstruction")
-        if name not in ("obstruction", "identity"):
-            raise DocumentError("$.e_algebra", f"expected 'obstruction' or "
-                                               f"'identity', got {name!r}")
-        if name == "obstruction" and n != 2:
-            raise DocumentError("$.e_algebra", f"'obstruction' needs n = 2, "
-                                               f"got n = {n}")
-        e_algebra = obstruction if name == "obstruction" else (lambda a: a)
-        action = {}
-        for key in _field(doc, "action", dict, "$"):
-            try:
-                terms = parse_element(key, sys_).terms()
-            except ParseError as exc:
-                raise DocumentError(f"$.action.{key}", str(exc)) from None
-            if len(terms) != 1 or terms[0][1] != ONE:
-                raise DocumentError(f"$.action.{key}", "not a basis word")
-            word = terms[0][0]
-            if word in action:
-                raise DocumentError(f"$.action.{key}",
-                                    f"names the word {word} a second time")
-            action[word] = _square_matrix(doc["action"], key, dim, "$.action")
-        basis = list(action)
-        for w in basis:
-            for u in e_algebra(Element.from_word(sys_, w)).support():
-                if u not in action:
-                    raise DocumentError(f"$.action.{u}", f"missing: the "
-                                        f"{name} of {w} needs this word")
-        if doc.get("e_module") in (None, "identity"):
-            e_module = lambda v: v
-        else:
-            e_module = _square_matrix(doc, "e_module", dim, "$").apply
-        verdict = check_regular_module(action, basis, dim,
-                                       e_algebra, e_module, sys_)
+        verdict = check_regular_module(
+            *module_from_json(read_document(args.file)))
         print(f"regular module law: {str(verdict.ok).lower()}")
         if verdict.witnesses:
             w, j = verdict.witnesses[0].at

@@ -210,7 +210,7 @@ def dual_comultiplication_report() -> str:
                  f"{str(verdict.ok).lower()}")
     if verdict.witnesses:
         lines.append("  fails at: " + ", ".join(
-            w.at.to_text("X") for w in verdict.witnesses))
+            w.at for w in verdict.witnesses))
     lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -224,9 +224,8 @@ def wick_regular_report() -> str:
     lines.append(f"regular cross symmetry law "
                  f"(e (x) e).psi = psi.(e (x) e): {str(verdict.ok).lower()}")
     if verdict.witnesses:
-        xi, theta = verdict.witnesses[0].at
         lines.append(f"  witnesses: {len(verdict.witnesses)}; first at "
-                     f"{xi.to_text('X')} (x) {theta.to_text('T')}")
+                     f"{verdict.witnesses[0].at}")
     x = WickElement.single(pair, (1,), ())
     y = WickElement.single(pair, (), (1,))
     value = wick_mul_regular(x, y, psi, obstruction, obstruction)

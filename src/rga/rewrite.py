@@ -39,7 +39,7 @@ class SelfCheckError(AssertionError):
 
 
 class SizeLimitError(ValueError):
-    """A generator count or degree above the package's size ceilings."""
+    """A generator count or degree outside the package's size bounds."""
 
 
 MAX_GENERATORS = 64
@@ -67,10 +67,12 @@ def _word_bound(n: int, max_len: int) -> int:
 
 
 def check_size(n: int, max_len: int = 0) -> None:
-    """Refuse, before anything is built, a generator count above
+    """Refuse, before anything is built, a generator count below 1 or above
     MAX_GENERATORS or a degree whose enumeration may list more than
     MAX_WORDS words: degree 10 at n = 4, 16 at n = 3, 99,999 at n = 2 and
     none at n = 1, whose normal forms stop at length 1."""
+    if n < 1:
+        raise SizeLimitError(f"generator count must be >= 1, got {n}")
     if n > MAX_GENERATORS:
         raise SizeLimitError(
             f"generator count must be <= {MAX_GENERATORS}, got {n}")
@@ -225,8 +227,6 @@ class RewriteSystem:
     __slots__ = ("n", "symbol", "rules")
 
     def __init__(self, n: int, symbol: str = "T"):
-        if n < 1:
-            raise ValueError(f"generator count must be >= 1, got {n}")
         check_size(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbol", symbol)
@@ -359,10 +359,3 @@ class RewriteSystem:
         right_nf = ZERO if right is ZERO else self.normal_form(right)
         return CriticalPair(r1.name, r2.name, Word(word),
                             left_nf, right_nf, left_nf == right_nf)
-
-
-def parity(word: Word) -> int:
-    """Grade of a monomial: word length mod 2.  Undefined for ZERO."""
-    if word is ZERO:
-        raise ValueError("parity of ZERO is undefined")
-    return word.parity

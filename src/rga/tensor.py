@@ -177,8 +177,9 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
                 rhs = pair(xi_w, Element.from_word(theta_sys,
                                                    u.letters + v.letters))
                 if lhs != rhs:
-                    return Verdict((Witness("pairing transport", (w, u, v),
-                                            lhs, rhs),))
+                    at = f"<Delta({w.to_text(xi_sys.symbol)}), {u} (x) {v}>"
+                    return Verdict((Witness("pairing transport", at, lhs,
+                                            rhs),))
     return Verdict()
 
 
@@ -192,7 +193,8 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
         right = Combination(legs, (((u, p, q), (s, t)) for (u, v), s in terms
                                    for (p, q), t in table[v]._terms.items()))
         if left != right:
-            return Verdict((Witness("coassociativity", w, left, right),))
+            return Verdict((Witness("coassociativity", w.to_text(
+                delta_w.system.symbol), left, right),))
     return Verdict()
 
 
@@ -214,7 +216,8 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
             ev = obstruction(Element.from_word(xi_sys, v))
             rhs = rhs + element_tensor(eu, ev, signs).scale(s)
         if lhs != rhs:
-            witnesses.append(Witness("coalgebra obstruction", w, lhs, rhs))
+            witnesses.append(Witness("coalgebra obstruction",
+                                     w.to_text(xi_sys.symbol), lhs, rhs))
     return Verdict(tuple(witnesses))
 
 

@@ -361,6 +361,7 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
             lhs = WickElement(pair, lhs_terms(xi, theta))
             rhs = WickElement(pair, rhs_terms(xi, theta))
             if lhs != rhs:
-                witnesses.append(Witness("regular cross symmetry",
-                                         (xi, theta), lhs, rhs))
+                at = f"{xi.to_text(pair.xi.symbol)} (x) {theta}"
+                witnesses.append(Witness("regular cross symmetry", at, lhs,
+                                         rhs))
     return Verdict(tuple(witnesses))

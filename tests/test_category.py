@@ -203,7 +203,8 @@ def test_functor_image_is_regular_cocycle():
 
 def test_singular_base_change_rejected():
     change = {"Y1": Matrix([[2]]), "Y2": Matrix([[1, 1], [2, 2]])}
-    with pytest.raises(DegeneratePairingError):
+    with pytest.raises(DegeneratePairingError,
+                       match="^base change at Y2 is singular$"):
         MatrixFunctor.base_change(change)
 
 
@@ -315,7 +316,8 @@ def test_dual_random_pairings():
 
 def test_degenerate_pairing_rejected():
     c = one_dim_cocycle(1, 1)
-    with pytest.raises(DegeneratePairingError):
+    with pytest.raises(DegeneratePairingError,
+                       match="^pairing at X1 is singular$"):
         dual_cocycle(c, {"X1": Matrix([[0]]), "X2": Matrix([[1]])})
 
 

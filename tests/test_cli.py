@@ -102,7 +102,7 @@ def test_usage_error_exit_2(capsys):
 
 def test_invalid_generator_count_exit_2(capsys):
     code, out = run(capsys, ["eval", "-n", "0", "T1"])
-    assert code == 2 and out.startswith("error:")
+    assert (code, out) == (2, "error: generator count must be >= 1, got 0\n")
 
 
 def test_check_cocycle_file(tmp_path, capsys):
@@ -292,6 +292,20 @@ def test_check_cocycle_unknown_space(tmp_path, capsys):
         2, "error: doc.json: $.maps[0].from: unknown space 'X9'\n")
 
 
+def test_check_cocycle_map_to_wrong_space(tmp_path, capsys):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X1", "matrix": [["1"]]}, BACK]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.maps[0].to: expected space 'X2' after 'X1', "
+           "got 'X1'\n")
+
+
+def test_check_cocycle_no_spaces(tmp_path, capsys):
+    doc = {"spaces": [], "maps": []}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.spaces: expected at least one space\n")
+
+
 def test_check_cocycle_duplicate_map(tmp_path, capsys):
     doc = {"spaces": TWO_SPACES,
            "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]},
@@ -309,9 +323,10 @@ def check_module(tmp_path, capsys, **changes):
     return check_document(tmp_path, capsys, json.dumps(doc), "module")
 
 
-def check_functor(tmp_path, capsys, base_change):
-    c, _ = cocycle_from_algebra(RewriteSystem(2), 2)
-    doc = {"cocycle": cocycle_to_json(c), "base_change": base_change}
+def check_functor(tmp_path, capsys, base_change, cocycle=None):
+    if cocycle is None:
+        cocycle = cocycle_to_json(cocycle_from_algebra(RewriteSystem(2), 2)[0])
+    doc = {"cocycle": cocycle, "base_change": base_change}
     return check_document(tmp_path, capsys, json.dumps(doc), "functor")
 
 
@@ -362,6 +377,23 @@ def test_check_functor_missing_base_change_label(tmp_path, capsys):
     base_change = {"X2": [["1", "0"], ["1", "1"]]}
     assert check_functor(tmp_path, capsys, base_change) == (
         2, "error: doc.json: $.base_change: missing field 'X1'\n")
+
+
+def test_check_functor_unknown_base_change_label(tmp_path, capsys):
+    base_change = {"X1": [["1", "0"], ["0", "1"]],
+                   "X2": [["1", "0"], ["0", "1"]], "X9": [["1"]]}
+    assert check_functor(tmp_path, capsys, base_change) == (
+        2, "error: doc.json: $.base_change.X9: unknown space 'X9'\n")
+
+
+def test_check_functor_map_to_wrong_space(tmp_path, capsys):
+    cocycle = {"spaces": TWO_SPACES,
+               "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]},
+                        {"from": "X2", "to": "X2", "matrix": [["1"]]}]}
+    base_change = {"X1": [["1"]], "X2": [["1"]]}
+    assert check_functor(tmp_path, capsys, base_change, cocycle) == (
+        2, "error: doc.json: $.cocycle.maps[1].to: expected space 'X1' "
+           "after 'X2', got 'X2'\n")
 
 
 def test_check_functor_non_square_base_change(tmp_path, capsys):

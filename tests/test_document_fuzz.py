@@ -1,12 +1,14 @@
 """Fuzz the `rga check cocycle|functor|module` document loaders.
 
-Each example takes a well-formed document, mutates it once and runs the
-CLI on it.  Any document may only end in exit 0, 1 or 2, never in an
-exception out of `main`.  A mutation that breaks the documented shape
-(README, "File formats") must end in exit 2 with an `error:` line naming
-the file; one that only changes a matrix entry to another scalar keeps the
-document well-formed and must end in 0 or 1, unless it makes a pairing or a
-base change singular, which must end in exit 2 naming that matrix.
+Each example takes a well-formed document, mutates it once, runs the CLI
+on it and calls the document's loader in `rga.category` on it directly.
+Any document may only end in exit 0, 1 or 2, never in an exception out of
+`main`.  A mutation that breaks the documented shape (README, "File
+formats") must end in exit 2 with an `error:` line naming the file, and the
+loader must raise DocumentError; one that only changes a matrix entry to
+another scalar keeps the document well-formed and must end in 0 or 1 with
+no `error:` line, unless it makes a pairing or a base change singular,
+which must end in exit 2 naming that matrix.
 """
 
 import contextlib
@@ -16,9 +18,12 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.category import cocycle_from_algebra, cocycle_to_json
+from rga.category import (DocumentError, cocycle_from_algebra,
+                          cocycle_from_json, cocycle_to_json,
+                          functor_from_json, module_from_json)
 from rga.cli import main
 from rga.parser import parse_scalar
 from rga.rewrite import RewriteSystem
@@ -39,6 +44,9 @@ DOCUMENTS = {
                           for w in ("1", "T1", "T2", "T1 T2", "T2 T1")},
                "e_algebra": "obstruction", "e_module": IDENTITY2},
 }
+
+LOADERS = {"cocycle": cocycle_from_json, "functor": functor_from_json,
+           "module": module_from_json}
 
 # Fields the README lets a document leave out; dropping one keeps it valid.
 OPTIONAL = {"pairings", "n", "e_algebra", "e_module"}
@@ -74,9 +82,20 @@ def malformed(doc, data):
     """Mutate `doc` in place so that it breaks the documented shape."""
     paths = [p for p, _ in nodes(doc) if p]
     droppable = [p for p in paths if p[-1] not in OPTIONAL]
-    kinds = ["drop", "retype"] + (["alias"] if "action" in doc else [])
+    chain = doc.get("cocycle", doc)
+    labelled = "pairings" if "pairings" in doc else "base_change"
+    kinds = ["drop", "retype"] + (["alias"] if "action" in doc else []) \
+        + (["retarget"] if "maps" in chain else []) \
+        + (["unknown label"] if labelled in doc else [])
     kind = data.draw(st.sampled_from(kinds))
-    if kind == "alias":
+    if kind == "retarget":
+        # a map that ends at a space other than the next one in the chain
+        m = data.draw(st.sampled_from(chain["maps"]))
+        m["to"] = data.draw(st.sampled_from(
+            [s["name"] for s in chain["spaces"] if s["name"] != m["to"]]))
+    elif kind == "unknown label":
+        doc[labelled]["X9"] = [["1"]]
+    elif kind == "alias":
         # a second key naming an action word already given
         key = data.draw(st.sampled_from(sorted(doc["action"])))
         doc["action"][f"({key})"] = copy.deepcopy(doc["action"][key])
@@ -128,6 +147,7 @@ def test_unmutated_documents_are_accepted():
     for checker, doc in DOCUMENTS.items():
         code, out = run_checker(checker, doc)
         assert code in (0, 1) and not out.startswith("error:"), out
+        LOADERS[checker](doc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,6 +158,8 @@ def test_malformed_documents_exit_2(checker, data):
     code, out = run_checker(checker, doc)
     assert code == 2, out
     assert out.startswith("error: doc.json: $") and out.count("\n") == 1, out
+    with pytest.raises(DocumentError):
+        LOADERS[checker](doc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,7 +170,11 @@ def test_reentered_documents_get_a_verdict(checker, data):
     code, out = run_checker(checker, doc)
     where = singular_path(checker, doc)
     if where is None:
-        assert code in (0, 1), out
+        # a verdict code never hides a refusal
+        assert code in (0, 1) and "error:" not in out, out
+        LOADERS[checker](doc)
     else:
         assert (code, out) == (2, f"error: doc.json: {where}: singular "
                                   f"matrix\n")
+        with pytest.raises(DocumentError, match="singular matrix"):
+            LOADERS[checker](doc)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rga.rewrite import (EMPTY_WORD, ZERO, LetterRangeError, RewriteSystem,
-                         Word, parity)
+                         SizeLimitError, Word, check_size)
 
 
 def words(seq):
@@ -167,12 +167,20 @@ def test_termination_step_bound():
         sys.normal_form(w)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_generator_count_below_one_refused(n):
+    message = f"^generator count must be >= 1, got {n}$"
+    with pytest.raises(SizeLimitError, match=message):
+        check_size(n)
+    with pytest.raises(SizeLimitError, match=message):
+        RewriteSystem(n)
+
+
 def test_parity():
-    assert parity(Word([1, 2])) == 0
-    assert parity(Word([1])) == 1
-    assert parity(EMPTY_WORD) == 0
-    with pytest.raises(ValueError):
-        parity(ZERO)
+    assert Word([1, 2]).parity == 0
+    assert Word([1]).parity == 1
+    assert EMPTY_WORD.parity == 0
+    assert not hasattr(ZERO, "parity")  # the zero result has no grade
 
 
 def test_parity_preserved_for_even_n():

@@ -119,21 +119,25 @@ def test_dual_pairing_identity():
     table = dict(dual_comultiplication(THETA, XI))
     table[T1] = TensorElement.zero(XI)
     w = first_witness(check_dual_pairing_identity(table, THETA, XI),
-                      "pairing transport", (T1, Word(()), T1))
+                      "pairing transport", "<Delta(X1), 1 (x) T1>")
     assert (w.lhs, w.rhs) == (Scalar(0), Scalar(1))
 
 
 def test_coassociativity():
     table = dict(dual_comultiplication(THETA, XI))
     table[T1] = TensorElement.single(XI, (1,), (), Scalar(2))
-    first_witness(check_coassociativity(table), "coassociativity", T1)
+    first_witness(check_coassociativity(table), "coassociativity", "X1")
 
 
 def test_coalgebra_obstruction():
     # the transported comultiplication does not intertwine the obstruction
-    # map; the first of its four failures is at X1
-    first_witness(check_coalgebra_obstruction(
-        dual_comultiplication(THETA, XI), XI), "coalgebra obstruction", T1)
+    # map; the first of its four failures is at X1, named with its own symbol
+    w = first_witness(check_coalgebra_obstruction(
+        dual_comultiplication(THETA, XI), XI), "coalgebra obstruction", "X1")
+    assert str(w) == (
+        "coalgebra obstruction at X1: 1 (x) 1 + 1 (x) X2 + X2 (x) 1 "
+        "+ X2 (x) X2 X1 + X1 X2 (x) X2 != 4 (x) 1 + 2 (x) X2 + 1 (x) X2 X1 "
+        "+ 2 X2 (x) 1 + X2 (x) X2 X1 + X1 X2 (x) 1 + X1 X2 (x) X2")
 
 
 def test_regular_module():
@@ -155,8 +159,12 @@ def test_regular_cross_symmetry():
     def shifted(a):
         return a + Element.unit(a.system)
 
-    first_witness(check_regular_cross_symmetry(psi, shifted, lambda a: a, 2),
-                  "regular cross symmetry", (T1, T1))
+    w = first_witness(check_regular_cross_symmetry(psi, shifted,
+                                                   lambda a: a, 2),
+                      "regular cross symmetry", "X1 (x) T1")
+    assert str(w) == ("regular cross symmetry at X1 (x) T1: 2 (x) 1 "
+                      "- 1 (x) X1 - T1 (x) X1 != 1 (x) 1 + 1 (x) X1 "
+                      "- T1 (x) X1")
 
 
 # -- no checker answers with a bare bool or a tuple --------------------------
