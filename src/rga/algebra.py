@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .linalg import Matrix
@@ -150,11 +150,32 @@ class Combination:
 
     def coeff(self, *words) -> Scalar:
         """The coefficient of the key made of `words`, one per leg."""
+        if len(words) != len(self._legs()):
+            raise ValueError(f"expected one word per leg, got {len(words)}")
         key = tuple(w if isinstance(w, Word) else Word(w) for w in words)
         return self._terms.get(key[0] if len(key) == 1 else key, ZERO_SCALAR)
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def map_legs(self, *maps) -> "Combination":
+        """Apply one map per leg (None keeps the leg) to each basis word,
+        extended linearly.  A map takes an `Element` of its leg's system to
+        one of the same system, so an affine map acts on each term."""
+        one = len(self._legs()) == 1
+
+        def image(f, system, word):
+            e = Element.from_word(system, word)
+            fe = e if f is None else f(e)
+            e._require_same(fe)
+            return fe._terms.items()
+
+        return self._new(
+            (words[0] if one else words, (s, *coeffs))
+            for key, s in self._terms.items()
+            for parts in product(*(image(f, leg, w) for f, leg, w in zip(
+                maps, self._legs(), (key,) if one else key, strict=True)))
+            for words, coeffs in [zip(*parts)])
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -189,42 +189,42 @@ def check_cocycle_morphism(alpha: Sequence[LinearMap], c: Cocycle,
 # -- functors ---------------------------------------------------------------
 
 
+def _conjugation(matrices: dict, labels, noun: str):
+    """m -> P[codomain] * M * P[domain]^-1 with P = `matrices`, inverted
+    once at each of `labels`; a singular P raises DegeneratePairingError."""
+    inverses = {}
+    for label in labels:
+        try:
+            inverses[label] = matrices[label].inverse()
+        except ValueError:
+            raise DegeneratePairingError(
+                f"{noun} at {label} is singular") from None
+    return lambda m: (matrices[m.codomain.label] * m.matrix
+                      * inverses[m.domain.label])
+
+
 class MatrixFunctor:
-    """A functor given by an object map and a morphism map.
+    """A functor that fixes every space, given by (and named after) its
+    morphism map.  `base_change(change)` builds the standard example: every
+    morphism is conjugated by the per-space invertible matrix."""
 
-    `base_change(spaces, matrices)` builds the standard example: objects
-    are fixed and every morphism is conjugated by the per-object
-    invertible matrix.
-    """
-
-    def __init__(self, object_map: Callable[[Subspace], Subspace],
-                 morphism_map: Callable[[LinearMap], LinearMap],
-                 name: str = "functor"):
-        self.object_map = object_map
+    def __init__(self, morphism_map: Callable[[LinearMap], LinearMap]):
         self.morphism_map = morphism_map
-        self.name = name
+        self.name = getattr(morphism_map, "__name__", "functor")
 
     @classmethod
     def identity(cls) -> "MatrixFunctor":
-        return cls(lambda s: s, lambda m: m, "identity")
+        return cls(lambda m: m)
 
     @classmethod
     def base_change(cls, change: dict) -> "MatrixFunctor":
         """`change` maps space label -> invertible Matrix."""
-        inverses = {}
-        for label, p in change.items():
-            try:
-                inverses[label] = p.inverse()
-            except ValueError:
-                raise DegeneratePairingError(
-                    f"base change at {label} is singular") from None
+        conjugate = _conjugation(change, change, "base change")
 
-        def on_map(m: LinearMap) -> LinearMap:
-            return LinearMap(m.domain, m.codomain,
-                             change[m.codomain.label] * m.matrix
-                             * inverses[m.domain.label])
+        def base_change(m: LinearMap) -> LinearMap:
+            return LinearMap(m.domain, m.codomain, conjugate(m))
 
-        return cls(lambda s: s, on_map, "base_change")
+        return cls(base_change)
 
     def __call__(self, m: LinearMap) -> LinearMap:
         return self.morphism_map(m)
@@ -272,7 +272,7 @@ def check_obstructed_functor(functor: MatrixFunctor,
     regular = True
     for c, mapped in zip(source, images):
         n = c.order
-        image = Cocycle([functor.object_map(s) for s in c.spaces], mapped[:n])
+        image = Cocycle(c.spaces, mapped[:n])
         if not check_regular_cocycle(image).ok:
             regular = False
         for i in range(n):
@@ -321,24 +321,17 @@ def dual_cocycle(c: Cocycle, pairings: dict) -> Cocycle:
     which makes <e_dual(x*), x> = <x*, e(x)> an identity.
     """
     n = c.order
-    inverses = {}
     for s in c.spaces:
         g = pairings[s.label]
         if g.nrows != s.dim or g.ncols != s.dim:
             raise ValueError(f"pairing at {s.label} has wrong size")
-        try:
-            inverses[s.label] = g.inverse()
-        except ValueError:
-            raise DegeneratePairingError(
-                f"pairing at {s.label} is singular") from None
-
+    conjugate = _conjugation(pairings, [s.label for s in c.spaces], "pairing")
     duals = {s.label: Subspace(s.label + "^", s.basis) for s in c.spaces}
 
     def adjoint(i: int) -> LinearMap:
         m = c.maps[i]
-        mat = (pairings[m.codomain.label] * m.matrix
-               * inverses[m.domain.label]).transpose()
-        return LinearMap(duals[m.codomain.label], duals[m.domain.label], mat)
+        return LinearMap(duals[m.codomain.label], duals[m.domain.label],
+                         conjugate(m).transpose())
 
     # chain X_1^ -> X_n^ -> ... -> X_2^ -> X_1^
     spaces = [duals[c.spaces[0].label]] + [

@@ -19,7 +19,7 @@ from .category import (DocumentError, NotAFunctorError,
                        functor_from_json, module_from_json, read_document)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
 from .rewrite import RewriteSystem, SizeLimitError, ZERO, check_size
-from .reports import write_all
+from .reports import comultiplication_lines, write_all
 from .tensor import (SIGN_CONVENTIONS, bialgebra_candidates,
                      check_almost_bialgebra, check_regular_module,
                      dual_comultiplication, dual_system)
@@ -180,11 +180,9 @@ def _dispatch(args) -> int:
     if cmd == "wick":
         return _dispatch_wick(args)
     if cmd == "dual":
-        theta = RewriteSystem(2)
-        xi = dual_system()
-        table = dual_comultiplication(theta, xi)
-        for w in sorted(table, key=lambda w: w.sort_key()):
-            print(f"Delta({w.to_text('X')}) = {table[w]}")
+        table = dual_comultiplication(RewriteSystem(2), dual_system())
+        for line in comultiplication_lines(table):
+            print(line)
         return 0
     if cmd == "report":
         for path in write_all(args.out):

@@ -190,13 +190,18 @@ def psi_coherence_report() -> str:
     return "\n".join(lines) + "\n"
 
 
+def comultiplication_lines(table) -> list:
+    """One `Delta(w) = ...` line per X-word of a comultiplication table."""
+    return [f"Delta({w.to_text('X')}) = {table[w]}"
+            for w in sorted(table, key=lambda w: w.sort_key())]
+
+
 def dual_comultiplication_report() -> str:
     theta = RewriteSystem(2)
     xi = dual_system()
     table = dual_comultiplication(theta, xi)
-    lines = ["comultiplication transported through the reversal pairing", ""]
-    for w in sorted(table, key=lambda w: w.sort_key()):
-        lines.append(f"Delta({w.to_text('X')}) = {table[w]}")
+    lines = ["comultiplication transported through the reversal pairing", "",
+             *comultiplication_lines(table)]
     lines.append("")
     lines.append(f"coassociative: "
                  f"{str(check_coassociativity(table).ok).lower()}")

@@ -210,11 +210,7 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
     for w in sorted(table, key=Word.sort_key):
         lhs = apply_delta(table, obstruction(Element.from_word(xi_sys, w)),
                           signs)
-        rhs = TensorElement.zero(xi_sys, signs)
-        for (u, v), s in table[w]._terms.items():
-            eu = obstruction(Element.from_word(xi_sys, u))
-            ev = obstruction(Element.from_word(xi_sys, v))
-            rhs = rhs + element_tensor(eu, ev, signs).scale(s)
+        rhs = table[w].with_signs(signs).map_legs(obstruction, obstruction)
         if lhs != rhs:
             witnesses.append(Witness("coalgebra obstruction",
                                      w.to_text(xi_sys.symbol), lhs, rhs))

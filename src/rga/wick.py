@@ -94,6 +94,7 @@ class CrossSymmetry:
                 if (i, j) not in base:
                     raise IncompleteBaseError(
                         f"missing base value for X{i} (x) T{j}")
+                WickElement.zero(pair)._require_same(base[(i, j)])
         self.pair = pair
         self.base = dict(base)
         self.label = label
@@ -133,14 +134,18 @@ class CrossSymmetry:
     # -- extension -------------------------------------------------------
 
     def apply(self, xi_word, theta_word) -> WickElement:
-        """Value on xi_word (x) theta_word as a normally ordered element."""
+        """Value on xi_word (x) theta_word as a normally ordered element;
+        zero when either word rewrites to 0."""
         xi = xi_word if isinstance(xi_word, Word) else Word(xi_word)
         theta = theta_word if isinstance(theta_word, Word) else Word(theta_word)
         key = (xi.letters, theta.letters)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = self._compute(xi, theta)
+        xi = self.pair.xi.normal_form(xi)
+        theta = self.pair.theta.normal_form(theta)
+        out = (WickElement.zero(self.pair) if xi is ZERO or theta is ZERO
+               else self._compute(xi, theta))
         self._cache[key] = out
         return out
 
@@ -281,20 +286,15 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
 # -- Wick multiplication --------------------------------------------------------
 
 
-def _require_operands(x: WickElement, y: WickElement, psi: CrossSymmetry):
-    """Both operands and psi must belong to one conjugated pair."""
-    x._require_same(y)
-    if psi.pair != x.pair:
-        raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
-
-
 def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     """(a (x) b)(c (x) d) routes b past c through the cross symmetry.
 
     Assumes psi is coherent at the degrees involved; run `check_coherence`
     first when in doubt.
     """
-    _require_operands(x, y, psi)
+    x._require_same(y)
+    if psi.pair != x.pair:
+        raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
     return WickElement(x.pair, (
         ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
         for (a, b), s in x._terms.items()
@@ -311,21 +311,7 @@ def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,
     term; the whole product is then the bilinear extension over terms.
     With both maps the identity this is exactly `wick_mul`.
     """
-    _require_operands(x, y, psi)
-    pair = x.pair
-
-    def terms():
-        for (a, b), s in x._terms.items():
-            ea = e_theta(Element.from_word(pair.theta, a))
-            for (c, d), t in y._terms.items():
-                ed = e_xi(Element.from_word(pair.xi, d))
-                for (p, q), r in psi.apply(b, c)._terms.items():
-                    for lw, ls in ea._terms.items():
-                        for rw, rs in ed._terms.items():
-                            yield ((lw.letters + p.letters,
-                                    q.letters + rw.letters),
-                                   (s, t, r, ls, rs))
-    return WickElement(pair, terms())
+    return wick_mul(x.map_legs(e_theta, None), y.map_legs(None, e_xi), psi)
 
 
 def check_regular_cross_symmetry(psi: CrossSymmetry,
@@ -338,28 +324,14 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
     and compared exactly.  Each differing (xi, theta) is a witness.
     """
     pair = psi.pair
-
-    def lhs_terms(xi, theta):
-        for (p, q), s in psi.apply(xi, theta)._terms.items():
-            ep = e_theta(Element.from_word(pair.theta, p))
-            eq = e_xi(Element.from_word(pair.xi, q))
-            for pw, ps in ep._terms.items():
-                for qw, qs in eq._terms.items():
-                    yield (pw, qw), (s, ps, qs)
-
-    def rhs_terms(xi, theta):
-        exi = e_xi(Element.from_word(pair.xi, xi))
-        etheta = e_theta(Element.from_word(pair.theta, theta))
-        for xw, xs in exi._terms.items():
-            for tw, ts in etheta._terms.items():
-                for key, c in psi.apply(xw, tw)._terms.items():
-                    yield key, (xs, ts, c)
-
     witnesses = []
     for xi in pair.xi.enumerate_normal_forms(max_deg):
         for theta in pair.theta.enumerate_normal_forms(max_deg):
-            lhs = WickElement(pair, lhs_terms(xi, theta))
-            rhs = WickElement(pair, rhs_terms(xi, theta))
+            lhs = psi.apply(xi, theta).map_legs(e_theta, e_xi)
+            rhs = wick_mul(
+                WickElement.single(pair, (), xi).map_legs(None, e_xi),
+                WickElement.single(pair, theta, ()).map_legs(e_theta, None),
+                psi)
             if lhs != rhs:
                 at = f"{xi.to_text(pair.xi.symbol)} (x) {theta}"
                 witnesses.append(Witness("regular cross symmetry", at, lhs,

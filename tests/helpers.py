@@ -5,6 +5,8 @@ from random import Random
 
 from rga.algebra import Element
 from rga.scalar import Scalar
+from rga.tensor import TensorElement, element_tensor
+from rga.wick import WickElement
 
 
 def rand_scalar(rng: Random, span: int = 6) -> Scalar:
@@ -28,3 +30,63 @@ def rand_invertible(rng: Random, system) -> Element:
             return a
         except NotInvertible:
             continue
+
+
+# -- reference implementations ---------------------------------------------
+# The hand-written leg loops that `Combination.map_legs` replaced, kept as
+# oracles for it: the regular Wick product, both sides of the regular
+# cross-symmetry law and the right side of the coalgebra obstruction law.
+
+
+def wick_mul_regular_reference(x, y, psi, e_theta, e_xi):
+    """`wick_mul_regular` with the maps applied inside the product loop."""
+    pair = x.pair
+
+    def terms():
+        for (a, b), s in x._terms.items():
+            ea = e_theta(Element.from_word(pair.theta, a))
+            for (c, d), t in y._terms.items():
+                ed = e_xi(Element.from_word(pair.xi, d))
+                for (p, q), r in psi.apply(b, c)._terms.items():
+                    for lw, ls in ea._terms.items():
+                        for rw, rs in ed._terms.items():
+                            yield ((lw.letters + p.letters,
+                                    q.letters + rw.letters),
+                                   (s, t, r, ls, rs))
+    return WickElement(pair, terms())
+
+
+def cross_symmetry_sides_reference(psi, e_theta, e_xi, xi, theta):
+    """Both sides of (e_A (x) e_Ad) . psi = psi . (e_Ad (x) e_A) on the
+    word pair xi (x) theta, as (lhs, rhs)."""
+    pair = psi.pair
+
+    def lhs_terms(xi, theta):
+        for (p, q), s in psi.apply(xi, theta)._terms.items():
+            ep = e_theta(Element.from_word(pair.theta, p))
+            eq = e_xi(Element.from_word(pair.xi, q))
+            for pw, ps in ep._terms.items():
+                for qw, qs in eq._terms.items():
+                    yield (pw, qw), (s, ps, qs)
+
+    def rhs_terms(xi, theta):
+        exi = e_xi(Element.from_word(pair.xi, xi))
+        etheta = e_theta(Element.from_word(pair.theta, theta))
+        for xw, xs in exi._terms.items():
+            for tw, ts in etheta._terms.items():
+                for key, c in psi.apply(xw, tw)._terms.items():
+                    yield key, (xs, ts, c)
+
+    return (WickElement(pair, lhs_terms(xi, theta)),
+            WickElement(pair, rhs_terms(xi, theta)))
+
+
+def tensor_map_reference(delta_w, xi_sys, signs, e):
+    """(e (x) e)(delta_w), summed term by term; with e = obstruction this
+    is the right side of the coalgebra obstruction law."""
+    rhs = TensorElement.zero(xi_sys, signs)
+    for (u, v), s in delta_w._terms.items():
+        eu = e(Element.from_word(xi_sys, u))
+        ev = e(Element.from_word(xi_sys, v))
+        rhs = rhs + element_tensor(eu, ev, signs).scale(s)
+    return rhs

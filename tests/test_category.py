@@ -184,7 +184,7 @@ def test_functor_maps_each_generator_once():
         seen.append(m)
         return m
 
-    functor = MatrixFunctor(lambda s: s, on_map)
+    functor = MatrixFunctor(on_map)
     assert check_obstructed_functor(functor, [source]).ok
     gens = list(source.maps) + [source.cycle_composite(i)
                                 for i in range(source.order)]
@@ -196,8 +196,7 @@ def test_functor_image_is_regular_cocycle():
     source = obstructed_example()
     change = {"Y1": Matrix([[2]]), "Y2": Matrix([[1, 1], [0, 1]])}
     f = MatrixFunctor.base_change(change)
-    image = Cocycle([f.object_map(s) for s in source.spaces],
-                    [f(m) for m in source.maps])
+    image = Cocycle(source.spaces, [f(m) for m in source.maps])
     assert check_regular_cocycle(image).ok
 
 
@@ -217,7 +216,7 @@ def test_non_functor_raises():
         return m
 
     with pytest.raises(NotAFunctorError):
-        check_obstructed_functor(MatrixFunctor(lambda s: s, warp), [c])
+        check_obstructed_functor(MatrixFunctor(warp), [c])
 
 
 def test_functor_breaking_obstruction_detected():
@@ -228,7 +227,7 @@ def test_functor_breaking_obstruction_detected():
     def double(m: LinearMap) -> LinearMap:
         return LinearMap(m.domain, m.codomain, m.matrix.scale(2))
 
-    f = MatrixFunctor(lambda s: s, double)
+    f = MatrixFunctor(double)
     # composition fails (F(g.f) = 2 g f while F(g)F(f) = 4 g f)
     with pytest.raises(NotAFunctorError):
         check_obstructed_functor(f, [c])

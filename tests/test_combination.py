@@ -9,13 +9,14 @@ too.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rga.algebra import Element
 from rga.parser import parse_element, parse_tensor, parse_wick
 from rga.rewrite import RewriteSystem
 from rga.scalar import Scalar
-from rga.tensor import TensorElement
+from rga.tensor import TensorElement, element_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
 S2 = RewriteSystem(2)
@@ -105,3 +106,27 @@ def test_hash_agrees_with_equality(case):
 def test_print_parse_round_trip(case):
     kind, x, _, _ = case
     assert KINDS[kind][1](str(x)) == x
+
+
+
+def test_coeff_refuses_a_wrong_word_count():
+    t1, t2 = Element.generator(S2, 1), Element.generator(S2, 2)
+    with pytest.raises(ValueError, match="^expected one word per leg, got 1$"):
+        element_tensor(t1, t2).coeff((1,))
+    with pytest.raises(ValueError, match="^expected one word per leg, got 2$"):
+        t1.coeff((1,), (2,))
+    assert element_tensor(t1, t2).coeff((1,), (2,)) == 1
+    assert t1.coeff((1,)) == 1
+
+
+@PROPS
+@given(kind_triples)
+def test_coeff_needs_one_word_per_leg(case):
+    _, x, _, _ = case
+    legs = len(x._legs())
+    for count in (0, legs - 1, legs + 1, 3):
+        if count != legs:
+            with pytest.raises(ValueError, match="one word per leg"):
+                x.coeff(*[()] * count)
+    for key, s in x.terms():
+        assert x.coeff(*((key,) if legs == 1 else key)) == s

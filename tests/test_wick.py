@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from rga.algebra import AlgebraMismatchError, Element, mul, obstruction
-from rga.rewrite import RewriteSystem, Word
+from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
 from rga.wick import (ConjugatedPair, CrossSymmetry, IncompleteBaseError,
                       WickElement, check_coherence,
@@ -88,6 +88,30 @@ def test_derived_value_bit_exact():
 def test_idem_vacuum_changes_derived_value():
     psi = CrossSymmetry.regular(PAIR, "idem")
     assert psi.apply((1,), (1, 2)) == -wick((1, 2), (1,))
+
+
+def test_apply_puts_words_in_normal_form():
+    # X1 X2 X1 = X1, and X1 X1 = 0 = T2 T2
+    assert PSI.apply((1, 2, 1), (1,)) == PSI.apply((1,), (1,))
+    assert PSI.apply((1,), (1, 2, 1, 2)) == PSI.apply((1,), (1, 2))
+    assert PSI.apply((1, 1), (2,)) == 0
+    assert PSI.apply((2,), (2, 2)) == 0
+    for theta in PAIR.theta.enumerate_normal_forms(2):
+        assert FLIP.apply((2, 1, 2, 1), theta) == FLIP.apply((2, 1), theta)
+
+
+@pytest.mark.parametrize("words", [((3,), (1,)), ((1,), (0,)),
+                                   ((1, 2), (2, 3))])
+def test_apply_refuses_letters_out_of_range(words):
+    with pytest.raises(LetterRangeError):
+        CrossSymmetry.regular(PAIR).apply(*words)
+
+
+def test_base_over_another_pair_rejected():
+    base = dict(PSI.base)
+    base[(1, 2)] = WickElement.single(OTHER, (2,), (1,))
+    with pytest.raises(AlgebraMismatchError):
+        CrossSymmetry(PAIR, base)
 
 
 def test_incomplete_base_rejected():
