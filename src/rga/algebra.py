@@ -84,13 +84,14 @@ class Combination:
     A key is one word, or a tuple with one word per leg; `_legs` names the
     rewrite system of each leg.  The constructor takes a mapping or an
     iterable of (raw key, coefficient) pairs, puts every leg of every key
-    in normal form exactly once, drops keys that rewrite to zero and sums
-    duplicates, so a product hands its raw concatenations straight in.  A
-    coefficient may also be a tuple of factors: their product is only
-    formed for keys that survive, which spares products the scalar work
-    on annihilated terms.  Values are immutable; operands of one
-    operation must share a context (`_context`).  Subclasses add their
-    context, their legs and their named constructors.
+    in normal form, drops keys that rewrite to zero and sums duplicates.
+    Products and `+ - scale map_legs`, whose keys are normal already, go
+    through the trusted `_new` instead.  A coefficient may also be a tuple
+    of factors: their product is only formed for keys that survive, which
+    spares products the scalar work on annihilated terms.  Values are
+    immutable; operands of one operation must share a context
+    (`_context`).  Subclasses add their context, their legs and their
+    named constructors.
     """
 
     __slots__ = ("_context", "_terms")
@@ -98,20 +99,9 @@ class Combination:
     def __init__(self, context, terms=None):
         object.__setattr__(self, "_context", context)
         legs = self._legs()
-        clean: dict = {}
-        for raw, s in (terms.items() if isinstance(terms, dict)
-                       else terms or ()):
-            key = _normal_key(legs, raw)
-            if key is ZERO:
-                continue
-            if type(s) is tuple:
-                s = reduce(operator.mul, s)
-            elif not isinstance(s, Scalar):
-                s = Scalar(s)
-            prev = clean.get(key)
-            clean[key] = s if prev is None else prev + s
-        object.__setattr__(
-            self, "_terms", {k: s for k, s in clean.items() if s})
+        object.__setattr__(self, "_terms", _summed(
+            (_normal_key(legs, raw), s) for raw, s in (
+                terms.items() if isinstance(terms, dict) else terms or ())))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -122,9 +112,12 @@ class Combination:
         return self._context
 
     def _new(self, terms) -> "Combination":
-        """A value of the same kind and context holding `terms`."""
+        """A value of the same kind and context summing `terms`, pairs of
+        (normal key or ZERO, coefficient): the trusted path, which skips
+        `normal_form` as `rewrite._word` skips the letter check."""
         new = object.__new__(type(self))
-        Combination.__init__(new, self._context, terms)
+        object.__setattr__(new, "_context", self._context)
+        object.__setattr__(new, "_terms", _summed(terms))
         return new
 
     @classmethod
@@ -183,7 +176,7 @@ class Combination:
         if isinstance(other, _SCALARS):
             unit = EMPTY_WORD if len(self._legs()) == 1 \
                 else (EMPTY_WORD,) * len(self._legs())
-            other = self._new({unit: other})
+            other = self._new([(unit, other)])
         elif type(other) is not type(self):
             return NotImplemented
         self._require_same(other)
@@ -251,6 +244,26 @@ class Combination:
 
     def __repr__(self):
         return f"<{self} over {self._context!r}>"
+
+
+def _summed(terms) -> dict:
+    """The nonzero sums per key of (key or ZERO, coefficient) pairs."""
+    clean: dict = {}
+    for key, s in terms:
+        if key is ZERO:
+            continue
+        if type(s) is tuple:
+            s = reduce(operator.mul, s)
+        elif not isinstance(s, Scalar):
+            s = Scalar(s)
+        prev = clean.get(key)
+        clean[key] = s if prev is None else prev + s
+    return {k: s for k, s in clean.items() if s}
+
+
+def _pair_key(u, v):
+    """The two-leg key (u, v), or ZERO when either leg is ZERO."""
+    return ZERO if u is ZERO or v is ZERO else (u, v)
 
 
 def _normal_key(legs: tuple, raw):
@@ -342,11 +355,11 @@ def term_body(mag: Scalar, w: Word, symbol: str) -> str:
 
 
 def mul(a: Element, b: Element) -> Element:
-    """Bilinear extension of word concatenation followed by normal form."""
+    """Bilinear extension of the product of normal words."""
     a._require_same(b)
-    return Element(a.system, ((u.letters + v.letters, (su, sv))
-                              for u, su in a._terms.items()
-                              for v, sv in b._terms.items()))
+    product = a.system.product
+    return a._new((product(u, v), (su, sv)) for u, su in a._terms.items()
+                  for v, sv in b._terms.items())
 
 
 def mul_closed_form(a: Element, b: Element) -> Element:

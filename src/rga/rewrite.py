@@ -53,6 +53,12 @@ which sets the largest degree for each n (see `check_size`).  At n = 4,
 degree 10 lists 112,273 words in about 0.3 s on the same machine, and each
 degree triples it."""
 
+MAX_PRODUCTS = 1 << 15
+"""The most normal-word products one RewriteSystem memoises; past it,
+`product` still answers but stores nothing more.  A full memo of n = 4
+words of up to 8 letters holds about 8 MB (Python 3.11), plus the operand
+letter tuples it keeps alive."""
+
 
 def _word_bound(n: int, max_len: int) -> int:
     """The count of words of length <= max_len without two equal adjacent
@@ -104,13 +110,16 @@ class Word:
 
     The empty word is the unit monomial; its parity is even.  Words order
     by (length, letters), which is the canonical term order everywhere in
-    the package.
+    the package.  A letter that is not an int raises LetterRangeError.
     """
 
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Sequence[int] = ()):
-        letters = tuple(int(i) for i in letters)
+        letters = tuple(letters)
+        for x in letters:
+            if type(x) is not int:
+                raise LetterRangeError(f"letter {x!r} is not an int")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash(letters))
 
@@ -221,10 +230,11 @@ class RewriteSystem:
     """The rewrite presentation of the algebra on n regular generators.
 
     `symbol` only affects printing ("T" for the base algebra, "X" for the
-    dual copy).  Instances are immutable and safe to share.
+    dual copy).  Instances are immutable and safe to share; `product`
+    memoises the normal-word products it has formed.
     """
 
-    __slots__ = ("n", "symbol", "rules")
+    __slots__ = ("n", "symbol", "rules", "_products")
 
     def __init__(self, n: int, symbol: str = "T"):
         check_size(n)
@@ -237,6 +247,7 @@ class RewriteSystem:
             pat = tuple(range(i, n + 1)) + tuple(range(1, i)) + (i,)
             rules.append(Rule(f"cyclic({i})", pat, (i,)))
         object.__setattr__(self, "rules", tuple(rules))
+        object.__setattr__(self, "_products", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -293,6 +304,18 @@ class RewriteSystem:
                 stack.append(x)
                 runs.append(run)
         return _word(tuple(stack[1:]))
+
+    def product(self, u: Word, v: Word) -> WordOrZero:
+        """nf(u v): one normal word or ZERO, since every rule's right-hand
+        side is one word or 0.  Memoised by letter tuples, up to
+        MAX_PRODUCTS entries; `normal_form` itself is not."""
+        key = (u.letters, v.letters)
+        uv = self._products.get(key)
+        if uv is None:
+            uv = self.normal_form(u.letters + v.letters)
+            if len(self._products) < MAX_PRODUCTS:
+                self._products[key] = uv
+        return uv
 
     def enumerate_normal_forms(self, max_len: int) -> list:
         """All normal-form words of length <= max_len in (length, lex) order.

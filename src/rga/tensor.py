@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from .algebra import Combination, Element, Verdict, Witness, obstruction
+from .algebra import (Combination, Element, Verdict, Witness, _pair_key,
+                      obstruction)
 from .linalg import Matrix
 from .rewrite import RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar
@@ -76,8 +77,9 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     """
     s._require_same(t)
     koszul = s.signs == "koszul"
-    return TensorElement(s.system, s.signs, (
-        ((a.letters + c.letters, b.letters + d.letters),
+    product = s.system.product
+    return s._new((
+        (_pair_key(product(a, c), product(b, d)),
          (-x if koszul and b.parity * c.parity else x, y))
         for (a, b), x in s._terms.items() for (c, d), y in t._terms.items()))
 
@@ -94,7 +96,8 @@ def element_tensor(a: Element, b: Element, signs: str = "plain") -> TensorElemen
 
 
 def pair_words(xi: Word, theta: Word) -> Scalar:
-    """<xi-word | theta-word> = 1 exactly when theta is the reversal."""
+    """<xi-word | theta-word> = 1 exactly when theta is the reversal; 0
+    when theta is ZERO."""
     return ONE if theta == xi.reverse() else ZERO_SCALAR
 
 
@@ -150,7 +153,7 @@ def dual_comultiplication(theta_sys: RewriteSystem, xi_sys: RewriteSystem,
     thetas = theta_sys.enumerate_normal_forms(basis_deg)
     return {w: TensorElement(xi_sys, signs, (
         ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
-        if theta_sys.normal_form(u.letters + v.letters) == w.reverse()))
+        if theta_sys.product(u, v) == w.reverse()))
         for w in xi_sys.enumerate_normal_forms(basis_deg)}
 
 
@@ -169,13 +172,11 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
     """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples."""
     thetas = theta_sys.enumerate_normal_forms(basis_deg)
     for w, delta_w in table.items():
-        xi_w = Element.from_word(xi_sys, w)
         for u in thetas:
             for v in thetas:
                 target = TensorElement.single(theta_sys, u, v)
                 lhs = pair_tensor(delta_w, target, convention)
-                rhs = pair(xi_w, Element.from_word(theta_sys,
-                                                   u.letters + v.letters))
+                rhs = pair_words(w, theta_sys.product(u, v))
                 if lhs != rhs:
                     at = f"<Delta({w.to_text(xi_sys.symbol)}), {u} (x) {v}>"
                     return Verdict((Witness("pairing transport", at, lhs,

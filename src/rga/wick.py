@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
-                      Witness)
+                      Witness, _pair_key)
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
 from .scalar import ONE
 from .tensor import dual_system
@@ -167,17 +167,19 @@ class CrossSymmetry:
 
     def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:
         """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v."""
-        return WickElement(self.pair, (
-            ((p.letters + r.letters, w), (s, t))
-            for (p, q), s in self.apply(xi, u)._terms.items()
-            for (r, w), t in self.apply(q, v)._terms.items()))
+        first, product = self.apply(xi, u), self.pair.theta.product
+        return first._new(
+            (_pair_key(product(p, r), w), (s, t))
+            for (p, q), s in first._terms.items()
+            for (r, w), t in self.apply(q, v)._terms.items())
 
     def _peel_xi(self, x: Word, y: Word, theta: Word) -> WickElement:
         """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta."""
-        return WickElement(self.pair, (
-            ((p, q.letters + w.letters), (s, t))
-            for (r, w), t in self.apply(y, theta)._terms.items()
-            for (p, q), s in self.apply(x, r)._terms.items()))
+        first, product = self.apply(y, theta), self.pair.xi.product
+        return first._new(
+            (_pair_key(p, product(q, w)), (s, t))
+            for (r, w), t in first._terms.items()
+            for (p, q), s in self.apply(x, r)._terms.items())
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
             for v in nonunit_thetas:
                 checked += 1
                 law = psi._peel_theta(xi, u, v)
-                prod = pair.theta.normal_form(u.letters + v.letters)
+                prod = pair.theta.product(u, v)
                 reduces = prod is ZERO or len(prod) != len(u) + len(v)
                 direct = (WickElement.zero(pair) if prod is ZERO
                           else psi.apply(xi, prod))
@@ -270,7 +272,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
             for theta in thetas:
                 checked += 1
                 law = psi._peel_xi(x, y, theta)
-                prod = pair.xi.normal_form(x.letters + y.letters)
+                prod = pair.xi.product(x, y)
                 reduces = prod is ZERO or len(prod) != len(x) + len(y)
                 direct = (WickElement.zero(pair) if prod is ZERO
                           else psi.apply(prod, theta))
@@ -295,11 +297,12 @@ def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     x._require_same(y)
     if psi.pair != x.pair:
         raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
-    return WickElement(x.pair, (
-        ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
+    theta, xi = x.pair.theta.product, x.pair.xi.product
+    return x._new(
+        (_pair_key(theta(a, p), xi(q, d)), (s, t, r))
         for (a, b), s in x._terms.items()
         for (c, d), t in y._terms.items()
-        for (p, q), r in psi.apply(b, c)._terms.items()))
+        for (p, q), r in psi.apply(b, c)._terms.items())
 
 
 def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,

@@ -90,3 +90,49 @@ def tensor_map_reference(delta_w, xi_sys, signs, e):
         ev = e(Element.from_word(xi_sys, v))
         rhs = rhs + element_tensor(eu, ev, signs).scale(s)
     return rhs
+
+
+# The products as they were before `RewriteSystem.product`: raw
+# concatenations of the operands' words handed to the public, normalising
+# constructor.  They are the oracles of the memoised products.
+
+
+def mul_reference(a, b):
+    """`mul`: every word product normalised by the constructor."""
+    return Element(a.system, ((u.letters + v.letters, (su, sv))
+                              for u, su in a._terms.items()
+                              for v, sv in b._terms.items()))
+
+
+def tensor_mul_reference(s, t):
+    """`tensor_mul`: both legs concatenated, then normalised."""
+    koszul = s.signs == "koszul"
+    return TensorElement(s.system, s.signs, (
+        ((a.letters + c.letters, b.letters + d.letters),
+         (-x if koszul and b.parity * c.parity else x, y))
+        for (a, b), x in s._terms.items() for (c, d), y in t._terms.items()))
+
+
+def wick_mul_reference(x, y, psi):
+    """`wick_mul`: b routed past c by psi, outer legs concatenated."""
+    return WickElement(x.pair, (
+        ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
+        for (a, b), s in x._terms.items()
+        for (c, d), t in y._terms.items()
+        for (p, q), r in psi.apply(b, c)._terms.items()))
+
+
+def peel_theta_reference(psi, xi, u, v):
+    """`CrossSymmetry._peel_theta` on xi (x) u (x) v."""
+    return WickElement(psi.pair, (
+        ((p.letters + r.letters, w), (s, t))
+        for (p, q), s in psi.apply(xi, u)._terms.items()
+        for (r, w), t in psi.apply(q, v)._terms.items()))
+
+
+def peel_xi_reference(psi, x, y, theta):
+    """`CrossSymmetry._peel_xi` on x (x) y (x) theta."""
+    return WickElement(psi.pair, (
+        ((p, q.letters + w.letters), (s, t))
+        for (r, w), t in psi.apply(y, theta)._terms.items()
+        for (p, q), s in psi.apply(x, r)._terms.items()))

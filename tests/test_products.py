@@ -1,0 +1,138 @@
+"""Products through `RewriteSystem.product`, against the raw-concatenation
+products they replaced (kept in `helpers` as oracles), and the two guards
+that keep one path for products: no module but `rga.rewrite` concatenates
+two words' letters, and `+ - scale neg` never call `normal_form`.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rga.algebra import Element, mul
+from rga.rewrite import RewriteSystem
+from rga.scalar import Scalar
+from rga.tensor import TensorElement, tensor_mul
+from rga.wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
+
+from helpers import (mul_reference, peel_theta_reference, peel_xi_reference,
+                     tensor_mul_reference, wick_mul_reference)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
+S2, S3 = RewriteSystem(2), RewriteSystem(3)
+PAIR = ConjugatedPair()
+PSIS = {"flip": CrossSymmetry.flip(PAIR),
+        "regular[unit]": CrossSymmetry.regular(PAIR, "unit"),
+        "regular[idem]": CrossSymmetry.regular(PAIR, "idem")}
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+scalars = st.builds(Scalar, rationals, rationals)
+
+
+def words(n):
+    return st.lists(st.integers(1, n), max_size=4).map(tuple)
+
+
+def terms(keys):
+    return st.lists(st.tuples(keys, scalars), max_size=6)
+
+
+def elements(system):
+    return terms(words(system.n)).map(lambda ts: Element(system, ts))
+
+
+def tensors(signs):
+    return terms(st.tuples(words(2), words(2))).map(
+        lambda ts: TensorElement(S2, signs, ts))
+
+
+wicks = terms(st.tuples(words(2), words(2))).map(
+    lambda ts: WickElement(PAIR, ts))
+
+PROPS = settings(max_examples=80, deadline=None)
+
+
+@PROPS
+@given(st.sampled_from([S2, S3]).flatmap(
+    lambda s: st.tuples(elements(s), elements(s))))
+def test_mul_matches_concatenation(case):
+    a, b = case
+    assert mul(a, b) == mul_reference(a, b)
+
+
+@PROPS
+@given(st.sampled_from(["plain", "koszul"]).flatmap(
+    lambda signs: st.tuples(tensors(signs), tensors(signs))))
+def test_tensor_mul_matches_concatenation(case):
+    s, t = case
+    assert tensor_mul(s, t) == tensor_mul_reference(s, t)
+
+
+@PROPS
+@given(st.sampled_from(sorted(PSIS)), wicks, wicks)
+def test_wick_mul_matches_concatenation(label, x, y):
+    psi = PSIS[label]
+    assert wick_mul(x, y, psi) == wick_mul_reference(x, y, psi)
+
+
+@pytest.mark.parametrize("label", sorted(PSIS))
+def test_peeling_matches_concatenation(label):
+    # every triple of the n = 2 basis, which holds all its normal words
+    psi = PSIS[label]
+    thetas = PAIR.theta.enumerate_normal_forms(2)
+    xis = PAIR.xi.enumerate_normal_forms(2)
+    for a in xis:
+        for b in thetas:
+            for c in thetas:
+                assert psi._peel_theta(a, b, c) == \
+                    peel_theta_reference(psi, a, b, c)
+    for a in xis:
+        for b in xis:
+            for c in thetas:
+                assert psi._peel_xi(a, b, c) == \
+                    peel_xi_reference(psi, a, b, c)
+
+
+def _concatenations(tree):
+    """Lines of `<expr>.letters + <expr>.letters` in `tree`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and all(isinstance(side, ast.Attribute) and side.attr == "letters"
+                    for side in (node.left, node.right))]
+
+
+def test_guard_sees_a_concatenation():
+    assert _concatenations(ast.parse("u.letters + v.letters")) == [1]
+    assert _concatenations(ast.parse("u.letters + (1,)")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "rewrite.py"),
+    ids=lambda p: p.name)
+def test_products_of_words_go_through_product(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = _concatenations(tree)
+    assert not lines, (f"{path.name} concatenates word letters at lines "
+                       f"{lines}; use RewriteSystem.product")
+
+
+@PROPS
+@given(st.sampled_from(["element", "tensor", "wick"]).flatmap(
+    lambda kind: st.tuples(*[{"element": elements(S3),
+                              "tensor": tensors("koszul"),
+                              "wick": wicks}[kind]] * 2)), scalars)
+def test_linear_operations_skip_normal_form(case, s):
+    x, y = case
+    calls = []
+    original = RewriteSystem.normal_form
+
+    def spy(self, word):
+        calls.append(word)
+        return original(self, word)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RewriteSystem, "normal_form", spy)
+        x + y, x - y, x.scale(s), -x, x + 2, 3 - y, x * s
+    assert calls == []

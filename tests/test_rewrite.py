@@ -1,10 +1,13 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rga import rewrite
+from rga.algebra import Element
 from rga.rewrite import (EMPTY_WORD, ZERO, LetterRangeError, RewriteSystem,
                          SizeLimitError, Word, check_size)
+from rga.wick import ConjugatedPair, CrossSymmetry
 
 
 def words(seq):
@@ -205,3 +208,72 @@ def test_word_ordering_and_concat():
     assert u + v == Word([1, 2, 1])
     assert sorted([v, u, EMPTY_WORD]) == [EMPTY_WORD, u, v]
     assert Word([1, 2]).reverse() == Word([2, 1])
+
+
+# -- RewriteSystem.product ------------------------------------------------
+
+
+def product_inputs(n):
+    # one reducer input split at a drawn point: the operands are arbitrary
+    # words, normal or not, and their product may be ZERO
+    return reducer_inputs(n).flatmap(lambda case: st.tuples(
+        st.just(case[0]), st.just(case[1]),
+        st.integers(0, len(case[1]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(product_inputs))
+@example((2, [1, 2, 1, 1], 2))  # a non-normal right operand, ZERO product
+@example((2, [1, 2, 1, 2], 2))  # normal operands, a cyclic collapse
+@example((3, [1, 2, 3, 1], 4))  # a non-normal left operand, empty right
+def test_product_is_normal_form_of_concatenation(case):
+    n, letters, k = case
+    system = RewriteSystem(n)
+    u, v = Word(letters[:k]), Word(letters[k:])
+    expected = system.normal_form(u + v)
+    for _ in range(2):  # a miss, then a hit of the memo
+        got = system.product(u, v)
+        assert got is expected if expected is ZERO else got == expected
+
+
+@pytest.mark.parametrize("n,max_len", [(2, 2), (3, 3), (4, 3)])
+def test_product_is_associative(n, max_len):
+    system = RewriteSystem(n)
+    words = system.enumerate_normal_forms(max_len)
+
+    def times(u, v):
+        return ZERO if u is ZERO or v is ZERO else system.product(u, v)
+
+    for u in words:
+        for v in words:
+            uv = times(u, v)
+            for w in words:
+                assert times(uv, w) == times(u, times(v, w)), (u, v, w)
+
+
+def test_product_memo_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_PRODUCTS", 3)
+    system = RewriteSystem(3)
+    words = system.enumerate_normal_forms(2)
+    for _ in range(2):
+        for u in words:
+            for v in words:
+                got = system.product(u, v)
+                expected = system.normal_form(u + v)
+                assert got is expected if expected is ZERO else got == expected
+                assert len(system._products) <= 3
+    assert len(system._products) == 3
+
+
+# -- letters that are not ints ------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CrossSymmetry.regular(ConjugatedPair()).apply((1.7,), (1,)),
+    lambda: CrossSymmetry.regular(ConjugatedPair()).apply(("2",), (1,)),
+    lambda: Element.generator(RewriteSystem(2), 1.5),
+    lambda: Word((True, 2)),
+], ids=["float-apply", "str-apply", "float-generator", "bool-word"])
+def test_letters_that_are_not_ints_are_refused(call):
+    with pytest.raises(LetterRangeError, match="is not an int$"):
+        call()
