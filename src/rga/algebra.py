@@ -497,7 +497,8 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Optional[Subspace],
                 raise SpanEscapeError(w, u)
             col[index[u]] = s
         cols.append(col)
-    return codomain, Matrix.from_columns(cols) if cols else Matrix([])
+    return codomain, (Matrix.from_columns(cols) if cols
+                      else Matrix([[]] * codomain.dim))
 
 
 def left_mul_matrix(a: Element, domain: Subspace,

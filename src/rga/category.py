@@ -454,8 +454,11 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return _expect(obj[key], kind, f"{where}.{key}")
 
 
-def _matrix_from_json(rows, where: str = "$") -> Matrix:
-    """A matrix given as a list of rows of scalar strings."""
+def _matrix_from_json(rows, width: int, where: str = "$") -> Matrix:
+    """A matrix given as a list of rows of scalar strings; no rows is the
+    0 x `width` matrix, the number of columns the document needs."""
+    if rows == []:
+        return Matrix.from_columns([()] * width)
     out = []
     for i, row in enumerate(_expect(rows, list, where)):
         out.append([])
@@ -473,7 +476,8 @@ def _matrix_from_json(rows, where: str = "$") -> Matrix:
 
 def _square_matrix(obj: dict, key: str, dim: int, where: str) -> Matrix:
     """obj[key] as a dim x dim matrix; `where` is obj's path."""
-    m = _matrix_from_json(_field(obj, key, list, where), f"{where}.{key}")
+    m = _matrix_from_json(_field(obj, key, list, where), dim,
+                          f"{where}.{key}")
     if (m.nrows, m.ncols) != (dim, dim):
         raise DocumentError(f"{where}.{key}", f"expected a {dim}x{dim} "
                             f"matrix, got {m.nrows}x{m.ncols}")
@@ -550,7 +554,7 @@ def cocycle_from_json(doc, where: str = "$"):
             raise DocumentError(f"{at}.to", f"expected space {after!r} "
                                 f"after {src!r}, got {dst!r}")
         matrix = _matrix_from_json(_field(m, "matrix", list, at),
-                                   f"{at}.matrix")
+                                   spaces[src].dim, f"{at}.matrix")
         try:
             maps[src] = LinearMap(spaces[src], spaces[dst], matrix)
         except ValueError as exc:

@@ -1,19 +1,35 @@
 """Dense exact matrices over the Q(w) scalar field.
 
 Every space in the package has dimension at most a few dozen, and
-exactness is the whole point, so a matrix is a tuple of rows of `Scalar`s.
-Products and matrix-vector applications run on integers: each row of the
-left factor and each column of the right factor is brought to one common
-denominator once, every entry is then one Z[w] integer dot product, and
-only the finished entry is normalised into a `Scalar`.  Elimination (RREF,
-solve, inverse) works entry by entry in `Scalar` arithmetic.
+exactness is the whole point.  A matrix is stored the way a number-field
+library stores a vector (the layout of `rga.scalar`, one level up): integer
+numerator rows `P` and `Q` over one denominator `d`, so that entry (i, j) is
+(P[i][j] + Q[i][j]*w)/d, with d > 0 and gcd(all P, all Q, d) == 1.  That
+form is unique, so `==` and `hash` compare integers; `rows` and `m[i, j]`
+build `Scalar`s on demand.  The shape is stored, so k x 0 and 0 x k
+matrices keep it.
+
+Every operation runs on the integers.  A product entry is three integer dot
+products, (a + bw)(c + fw) = ac - bf + ((a + b)(c + f) - ac - 2bf)w, and
+the whole product takes one gcd.  RREF, rank, nullspace, solve and inverse
+share one fraction-free Gauss-Jordan elimination over Z[w], the Eisenstein
+integers (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2): each step divides exactly by
+the previous pivot, as a product with its conjugate and an integer division
+by its norm, and checks the remainder.  A row with a zero in the pivot
+column is skipped and divides by its own last pivot at its next step.  Only
+the finished rows are normalised.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, floordiv, mod, mul
+from typing import Sequence
 
+from .rewrite import SelfCheckError
 from .scalar import ONE, ZERO_SCALAR, Scalar, _make, common_denominator
 
 
@@ -24,61 +40,80 @@ def _scal(x) -> Scalar:
 
 
 class Matrix:
-    __slots__ = ("rows", "nrows", "ncols")
+    """An nrows x ncols matrix over Q(w) whose entry (i, j) is
+    (P[i][j] + Q[i][j]*w)/d: `P` and `Q` are tuples of integer rows, d > 0
+    and gcd(all P, all Q, d) == 1.  Immutable."""
+
+    __slots__ = ("nrows", "ncols", "P", "Q", "d")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(tuple(_scal(x) for x in r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        _set_rows(self, rows)
-        _set_nrows(self, len(rows))
-        _set_ncols(self, width)
+        rows = [[_scal(x) for x in r] for r in rows]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        _of_scalars(self, rows, len(rows), width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO_SCALAR for j in range(n)]
-                    for i in range(n)])
+        zeros = (0,) * n
+        return _matrix(n, n, tuple(zeros[:i] + (1,) + zeros[i + 1:]
+                                   for i in range(n)), (zeros,) * n, 1)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(_scal(x) for x in c) for c in cols]
-        if not cols:
-            return cls([])
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
+        """The matrix with columns `cols`; k empty columns make it 0 x k."""
+        cols = [[_scal(x) for x in c] for c in cols]
+        height = len(cols[0]) if cols else 0
+        if any(len(c) != height for c in cols):
+            raise ValueError("ragged columns")
+        m = object.__new__(cls)
+        _of_scalars(m, list(zip(*cols)), height, len(cols))
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as `Scalar`s, row by row, built on each call."""
+        d = repeat(self.d)
+        return tuple(tuple(map(_make, p, q, d))
+                     for p, q in zip(self.P, self.Q))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _make(self.P[i][j], self.Q[i][j], self.d)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.d == other.d
+                and self.P == other.P and self.Q == other.Q)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nrows, self.ncols, self.d, self.P, self.Q))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return _matrix(tuple(tuple(a + b for a, b in zip(r, s))
-                             for r, s in zip(self.rows, other.rows)))
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the two denominators."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return _matrix(tuple(tuple(a - b for a, b in zip(r, s))
-                             for r, s in zip(self.rows, other.rows)))
+        d = lcm(self.d, other.d)
+        s, t = d // self.d, sign * (d // other.d)
+        return _reduced(self.nrows, self.ncols,
+                        [[x * s + y * t for x, y in zip(r, u)]
+                         for r, u in zip(self.P, other.P)],
+                        [[x * s + y * t for x, y in zip(r, u)]
+                         for r, u in zip(self.Q, other.Q)], d)
 
     def scale(self, s) -> "Matrix":
-        s = _scal(s)
-        return _matrix(tuple(tuple(s * x for x in r) for r in self.rows))
+        (sp,), (sq,), sd = common_denominator([_scal(s)])
+        return _reduced(self.nrows, self.ncols,
+                        *_scaled_rows(self.P, self.Q, sp, sq), self.d * sd)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -87,97 +122,101 @@ class Matrix:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} "
                 f"with {other.nrows}x{other.ncols}")
-        return _matrix(_products(self.rows, zip(*other.rows)))
+        P, Q = _products(self.P, self.Q, _columns(other.P, other.ncols),
+                         _columns(other.Q, other.ncols))
+        return _reduced(self.nrows, other.ncols, P, Q, self.d * other.d)
 
     def apply(self, vec: Sequence) -> tuple:
-        vec = tuple(_scal(x) for x in vec)
+        vec = [_scal(x) for x in vec]
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(r[0] for r in _products(self.rows, [vec]))
+        c, f, e = common_denominator(vec)
+        P, Q = _products(self.P, self.Q, [c], [f])
+        return tuple(map(_make, chain.from_iterable(P),
+                         chain.from_iterable(Q), repeat(self.d * e)))
 
     def transpose(self) -> "Matrix":
-        return _matrix(tuple(zip(*self.rows)))
+        return _matrix(self.ncols, self.nrows, _columns(self.P, self.ncols),
+                       _columns(self.Q, self.ncols), self.d)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        return _matrix(tuple(tuple(a * b for a in r for b in s)
-                             for r in self.rows for s in other.rows))
+        P, Q = [], []
+        for ap, aq in zip(self.P, self.Q):
+            for bp, bq in zip(other.P, other.Q):
+                P.append([x * u - y * v for x, y in zip(ap, aq)
+                          for u, v in zip(bp, bq)])
+                Q.append([x * v + y * (u - v) for x, y in zip(ap, aq)
+                          for u, v in zip(bp, bq)])
+        return _reduced(self.nrows * other.nrows, self.ncols * other.ncols,
+                        P, Q, self.d * other.d)
 
     def is_identity(self) -> bool:
-        return self.nrows == self.ncols and all(
-            r[i] == ONE and not any(r[:i]) and not any(r[i + 1:])
-            for i, r in enumerate(self.rows))
+        return (self.nrows == self.ncols and self.d == 1
+                and not any(map(any, self.Q)) and all(
+                    r[i] == 1 and not any(r[:i]) and not any(r[i + 1:])
+                    for i, r in enumerate(self.P)))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.rows for x in r)
+        return not any(map(any, self.P)) and not any(map(any, self.Q))
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return _matrix(tuple(map(tuple, rows))), pivots
+        P, Q, pivots, c, f = _eliminated(self.P, self.Q)
+        return _over(self.nrows, self.ncols, P, Q, c, f, 1), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminated(self.P, self.Q)[2])
 
     def nullspace(self) -> list:
         """Basis of the kernel, one vector per free column, in column order."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        for f in free:
+        for free in range(self.ncols):
+            if free in pivot_set:
+                continue
             v = [ZERO_SCALAR] * self.ncols
-            v[f] = ONE
+            v[free] = ONE
             for r, c in enumerate(pivots):
-                v[c] = -red.rows[r][f]
+                v[c] = _make(-red.P[r][free], -red.Q[r][free], red.d)
             basis.append(tuple(v))
         return basis
 
     def solve(self, rhs: Sequence) -> tuple:
         """Unique solution of self @ x = rhs; raises if none or many."""
-        rhs = tuple(_scal(x) for x in rhs)
+        rhs = [_scal(x) for x in rhs]
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = Matrix([list(r) + [b] for r, b in zip(self.rows, rhs)]
-                     if self.rows else [])
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
+        # [A | b] over one denominator has the RREF of [A/d | b/e]
+        bp, bq, e = common_denominator(rhs)
+        d = lcm(self.d, e)
+        s, t = d // self.d, d // e
+        n = self.ncols
+        P, Q, pivots, c, f = _eliminated(
+            [[x * s for x in r] + [y * t] for r, y in zip(self.P, bp)],
+            [[x * s for x in r] + [y * t] for r, y in zip(self.Q, bq)])
+        if n in pivots:
             raise ValueError("inconsistent system")
-        if len(pivots) < self.ncols:
+        if len(pivots) < n:
             raise ValueError("underdetermined system")
-        x = [ZERO_SCALAR] * self.ncols
-        for r, c in enumerate(pivots):
-            x[c] = red.rows[r][self.ncols]
-        return tuple(x)
+        x = _over(n, 1, [r[n:] for r in P[:n]], [r[n:] for r in Q[:n]],
+                  c, f, 1)
+        return tuple(chain.from_iterable(x.rows))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
         n = self.nrows
-        aug = _matrix(tuple(r + e for r, e
-                            in zip(self.rows, Matrix.identity(n).rows)))
-        red, pivots = aug.rref()
+        unit = Matrix.identity(n)
+        P, Q, pivots, c, f = _eliminated(map(add, self.P, unit.P),
+                                         map(add, self.Q, unit.Q))
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return _matrix(tuple(r[n:] for r in red.rows))
+        # (A/d)^-1 = d * A^-1, and A^-1 is the right half over the pivot
+        return _over(n, n, [r[n:] for r in P], [r[n:] for r in Q], c, f,
+                     self.d)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -187,35 +226,197 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-_set_rows = Matrix.rows.__set__
 _set_nrows = Matrix.nrows.__set__
 _set_ncols = Matrix.ncols.__set__
+_set_P = Matrix.P.__set__
+_set_Q = Matrix.Q.__set__
+_set_d = Matrix.d.__set__
 
 
-def _matrix(rows: tuple) -> Matrix:
-    """The Matrix over `rows`, a tuple of equal-length tuples of Scalars
-    built by the caller; skips the public constructor's conversion."""
+def _init(m: Matrix, nrows: int, ncols: int, P: tuple, Q: tuple, d: int):
+    _set_nrows(m, nrows)
+    _set_ncols(m, ncols)
+    _set_P(m, P)
+    _set_Q(m, Q)
+    _set_d(m, d)
+
+
+def _matrix(nrows: int, ncols: int, P: tuple, Q: tuple, d: int) -> Matrix:
+    """The Matrix over tuples of integer rows already in canonical form;
+    skips the public constructor's conversion."""
     m = object.__new__(Matrix)
-    _set_rows(m, rows)
-    _set_nrows(m, len(rows))
-    _set_ncols(m, len(rows[0]) if rows else 0)
+    _init(m, nrows, ncols, P, Q, d)
     return m
 
 
-def _products(rows: Sequence[Sequence[Scalar]],
-              cols: Iterable[Sequence[Scalar]]) -> tuple:
-    """The entries sum_k row[k]*col[k] for every row and column, as a tuple
-    of rows: integer dot products over each row's and column's common
-    denominator, (a + bw)(c + fw) = ac - bf + (af + bc - bf)w."""
-    cols = [common_denominator(c) for c in cols]
-    out = []
-    for row in rows:
-        a, b, d = common_denominator(row)
-        entries = []
-        for c, f, e in cols:
-            bf = sum(map(mul, b, f))
-            entries.append(_make(sum(map(mul, a, c)) - bf,
-                                 sum(map(mul, a, f)) + sum(map(mul, b, c))
-                                 - bf, d * e))
-        out.append(tuple(entries))
-    return tuple(out)
+def _of_scalars(m: Matrix, rows, nrows: int, ncols: int):
+    """Fill `m` from rows of Scalars over their least common denominator;
+    every Scalar is canonical, so the content is already 1."""
+    ps, qs, d = common_denominator([x for r in rows for x in r])
+    _init(m, nrows, ncols,
+          tuple(tuple(ps[i * ncols:(i + 1) * ncols]) for i in range(nrows)),
+          tuple(tuple(qs[i * ncols:(i + 1) * ncols]) for i in range(nrows)),
+          d)
+
+
+def _reduced(nrows: int, ncols: int, P: list, Q: list, d: int) -> Matrix:
+    """The Matrix (P + Q*w)/d for lists of integer rows and d > 0, with
+    the one gcd of all its integers divided out."""
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(P), *chain.from_iterable(Q))
+        if g != 1:
+            P = [[x // g for x in r] for r in P]
+            Q = [[x // g for x in r] for r in Q]
+            d //= g
+    return _matrix(nrows, ncols, tuple(map(tuple, P)), tuple(map(tuple, Q)),
+                   d)
+
+
+def _columns(rows: tuple, ncols: int) -> tuple:
+    """The columns of a tuple of rows that are `ncols` long."""
+    return tuple(zip(*rows)) if rows else ((),) * ncols
+
+
+def _products(ap, aq, cp, cq) -> tuple:
+    """Integer rows (P, Q) of the dot products of every Z[w] row
+    ap[i] + aq[i]*w with every Z[w] column cp[j] + cq[j]*w:
+    (a + bw)(c + fw) = ac - bf + ((a + b)(c + f) - ac - 2bf)w, with the
+    products of a zero w part left out."""
+    ac = _dots(ap, cp)
+    a_w, c_w = any(map(any, aq)), any(map(any, cq))
+    if not c_w:
+        return ac, (_dots(aq, cp) if a_w else [[0] * len(cp) for _ in ap])
+    if not a_w:
+        return ac, _dots(ap, cq)
+    bf = _dots(aq, cq)
+    s = _dots(map(_plus, ap, aq), map(_plus, cp, cq))
+    return ([[x - y for x, y in zip(r, u)] for r, u in zip(ac, bf)],
+            [[z - x - 2 * y for x, y, z in zip(r, u, v)]
+             for r, u, v in zip(ac, bf, s)])
+
+
+def _dots(rows, cols) -> list:
+    """The integer matrix of the dot products of `rows` with `cols`."""
+    cols = list(cols)
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
+def _plus(r, s) -> tuple:
+    return tuple(map(add, r, s))
+
+
+def _eliminated(P, Q) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of the Z[w] matrix P + Q*w,
+    given as two iterables of integer rows.
+
+    Returns (P, Q, pivots, c, f): the eliminated rows as lists, the pivot
+    columns and the last pivot c + f*w.  At the end every pivot entry is
+    c + f*w, the rows past the pivots are zero, and P + Q*w divided by
+    c + f*w is the reduced row echelon form.
+
+    A step with pivot row y and pivot g + h*w replaces every other row x by
+    ((g + hw)x - (x's pivot-column entry)y) / (previous pivot), so every
+    entry is a minor of the input and every division is exact in Z[w]
+    (Sylvester's identity).  A row whose pivot-column entry is zero would
+    only be scaled by (g + hw)/(previous pivot), so it is left as it is
+    and remembers the pivot it is over, `over[i]`: its next step divides
+    by that pivot instead, which scales it by the whole product of the
+    skipped ratios at once.
+    """
+    P, Q = list(map(list, P)), list(map(list, Q))
+    nrows = len(P)
+    ncols = len(P[0]) if P else 0
+    over = [(1, 0)] * nrows
+    pivots = []
+    prev = (1, 0)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        i = next((i for i in range(r, nrows) if P[i][col] or Q[i][col]),
+                 None)
+        if i is None:
+            continue
+        for rows in (P, Q, over):
+            rows[r], rows[i] = rows[i], rows[r]
+        _rescale(P, Q, over, r, prev)
+        yp, yq = P[r], Q[r]
+        g, h = yp[col], yq[col]
+        for i in range(nrows):
+            if i == r or not (P[i][col] or Q[i][col]):
+                continue
+            # a division by the row's pivot is a product with e0 + e1 w,
+            # folded into the two row factors, then one by n
+            e0, e1, n = _conjugate(*over[i])
+            g0, g1 = _times(g, h, e0, e1)
+            xp, xq = P[i], Q[i]
+            a0, a1 = _times(xp[col], xq[col], e0, e1)
+            # a row below the pivot row is zero left of the pivot column,
+            # and so is the pivot row: only the other entries change
+            k = col if i > r else 0
+            # (g0 + g1 w)(x0 + x1 w) - (a0 + a1 w)(y0 + y1 w)
+            terms = list(zip(xp[k:], xq[k:], yp[k:], yq[k:]))
+            xp[k:] = _quotients([g0 * x0 - g1 * x1 - a0 * y0 + a1 * y1
+                                 for x0, x1, y0, y1 in terms], n)
+            xq[k:] = _quotients([g0 * x1 + g1 * (x0 - x1) - a0 * y1
+                                 - a1 * (y0 - y1)
+                                 for x0, x1, y0, y1 in terms], n)
+            over[i] = (g, h)
+        over[r] = prev = (g, h)
+        pivots.append(col)
+    for i in range(nrows):
+        _rescale(P, Q, over, i, prev)
+    return (P, Q, pivots) + prev
+
+
+def _rescale(P: list, Q: list, over: list, i: int, pivot: tuple):
+    """Bring row i from the pivot it is over to `pivot`: times `pivot`,
+    divided exactly by `over[i]`."""
+    if over[i] == pivot or not (any(P[i]) or any(Q[i])):
+        return
+    e0, e1, n = _conjugate(*over[i])
+    (p,), (q,) = _scaled_rows([P[i]], [Q[i]], *_times(*pivot, e0, e1))
+    P[i], Q[i], over[i] = _quotients(p, n), _quotients(q, n), pivot
+
+
+def _conjugate(c: int, f: int) -> tuple:
+    """(e0, e1, n) with 1/(c + f*w) = (e0 + e1*w)/n for c + f*w != 0:
+    the conjugate c - f - f*w over the norm c**2 - cf + f**2, or 1 over c
+    when f == 0."""
+    if f == 0:
+        return 1, 0, c
+    return c - f, -f, c * c - c * f + f * f
+
+
+def _times(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """(x0 + x1 w)(y0 + y1 w) = x0 y0 - x1 y1 + (x0 y1 + x1 (y0 - y1))w."""
+    return x0 * y0 - x1 * y1, x0 * y1 + x1 * (y0 - y1)
+
+
+def _quotients(xs: list, n: int) -> list:
+    """The integers `xs` divided exactly by n.  Sylvester's identity makes
+    every elimination quotient exact, so a remainder is a fault:
+    SelfCheckError."""
+    if n == 1:
+        return xs
+    if any(map(mod, xs, repeat(n))):
+        raise SelfCheckError("fraction-free elimination: inexact division")
+    return list(map(floordiv, xs, repeat(n)))
+
+
+def _over(nrows: int, ncols: int, P: list, Q: list, c: int, f: int,
+          k: int) -> Matrix:
+    """The Matrix k * (P + Q*w) / (c + f*w) for integer rows P and Q, an
+    integer k and a nonzero c + f*w."""
+    e0, e1, n = _conjugate(c, f)
+    if n < 0:
+        e0, e1, n = -e0, -e1, -n
+    return _reduced(nrows, ncols, *_scaled_rows(P, Q, e0 * k, e1 * k), n)
+
+
+def _scaled_rows(P, Q, s: int, t: int) -> tuple:
+    """The Z[w] rows P + Q*w times s + t*w, as two lists of integer rows:
+    (x + yw)(s + tw) = xs - yt + (xt + y(s - t))w."""
+    return ([[x * s - y * t for x, y in zip(p, q)] for p, q in zip(P, Q)],
+            [[x * t + y * (s - t) for x, y in zip(p, q)]
+             for p, q in zip(P, Q)])

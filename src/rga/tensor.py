@@ -65,7 +65,7 @@ class TensorElement(Combination):
         return cls(system, signs, [((u, v), coeff)])
 
     def with_signs(self, signs: str) -> "TensorElement":
-        return TensorElement(self.system, signs, self._terms)
+        return TensorElement(self.system, signs)._new(self._terms.items())
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -161,9 +161,9 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element,
                 signs: str = "plain") -> TensorElement:
     """Linear extension of a generator table to a full element."""
     sys = next(iter(table.values())).system if table else e.system
-    return TensorElement(sys, signs, (
+    return TensorElement(sys, signs)._new(
         (k, (s, t)) for w, s in e._terms.items()
-        for k, t in table[w]._terms.items()))
+        for k, t in table[w]._terms.items())
 
 
 def check_dual_pairing_identity(table, theta_sys, xi_sys,

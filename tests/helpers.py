@@ -136,3 +136,69 @@ def peel_xi_reference(psi, x, y, theta):
         ((p, q.letters + w.letters), (s, t))
         for (r, w), t in psi.apply(y, theta)._terms.items()
         for (p, q), s in psi.apply(x, r)._terms.items()))
+
+
+# The elimination as it was before the fraction-free Gauss-Jordan of
+# `rga.linalg`: Gauss-Jordan entry by entry in `Scalar` arithmetic, on
+# tuples of Scalar rows.  It is the oracle of `Matrix.rref`, `inverse`,
+# `solve` and `nullspace`.
+
+
+def rref_reference(rows, ncols):
+    """(reduced rows, pivot columns) of a list of Scalar rows."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), pivots
+
+
+def nullspace_reference(rows, ncols):
+    """One kernel vector per free column, in column order."""
+    red, pivots = rref_reference(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Scalar(0)] * ncols
+        v[free] = Scalar(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_reference(rows, ncols, rhs):
+    """The unique x with rows @ x = rhs; ValueError if none or many."""
+    red, pivots = rref_reference([list(r) + [b] for r, b in zip(rows, rhs)],
+                                 ncols + 1)
+    if ncols in pivots:
+        raise ValueError("inconsistent system")
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined system")
+    return tuple(red[r][ncols] for r in range(ncols))
+
+
+def inverse_reference(rows):
+    """The inverse of a square list of Scalar rows; ValueError if singular."""
+    n = len(rows)
+    red, pivots = rref_reference(
+        [list(r) + [Scalar(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)], 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(r[n:] for r in red)

@@ -306,6 +306,15 @@ def test_check_cocycle_no_spaces(tmp_path, capsys):
         2, "error: doc.json: $.spaces: expected at least one space\n")
 
 
+def test_check_cocycle_zero_dimensional_space(tmp_path, capsys):
+    # X1 -> X2 is 1x0 and X2 -> X1 is 0x1, whose document has no rows
+    doc = {"spaces": [{"name": "X1", "basis": []}, TWO_SPACES[1]],
+           "maps": [{"from": "X1", "to": "X2", "matrix": [[]]},
+                    {"from": "X2", "to": "X1", "matrix": []}]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        0, "regular cocycle: true\n")
+
+
 def test_check_cocycle_duplicate_map(tmp_path, capsys):
     doc = {"spaces": TWO_SPACES,
            "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]},

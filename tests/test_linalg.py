@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.linalg import Matrix
+from rga.linalg import Matrix, _conjugate, _quotients, _times
+from rga.rewrite import SelfCheckError
 from rga.scalar import Scalar
 
-from helpers import rand_scalar
+from helpers import (inverse_reference, nullspace_reference, rand_scalar,
+                     rref_reference, solve_reference)
 
 
 def rand_matrix(rng, rows, cols):
@@ -100,15 +103,26 @@ entries = st.one_of(st.just(Scalar(0)), st.builds(Scalar, coordinates),
 
 
 @st.composite
-def matrices(draw, nrows, ncols):
-    """nrows x ncols matrices, some rows and columns all zero."""
+def scalar_rows(draw, nrows, ncols):
+    """nrows x ncols lists of Scalars, some rows and columns all zero."""
     rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
-    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
-        rows[i] = [Scalar(0)] * ncols
-    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
-        for row in rows:
-            row[j] = Scalar(0)
-    return Matrix(rows)
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            rows[i] = [Scalar(0)] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[j] = Scalar(0)
+    return rows
+
+
+def matrices(nrows, ncols):
+    return scalar_rows(nrows, ncols).map(Matrix)
+
+
+def matrix_of(rows, ncols):
+    """The Matrix of `rows`, ncols wide even when there are no rows."""
+    return Matrix(rows) if rows else Matrix.from_columns([()] * ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,6 +130,9 @@ def matrices(draw, nrows, ncols):
 def test_product_matches_scalar_arithmetic(data):
     m, k, n = (data.draw(st.integers(1, 6)) for _ in range(3))
     a, b = data.draw(matrices(m, k)), data.draw(matrices(k, n))
+    # a factor without w parts takes fewer dot products
+    a, b = (Matrix([[Scalar(x.a) for x in r] for r in f.rows])
+            if data.draw(st.booleans()) else f for f in (a, b))
     vec = data.draw(st.lists(entries, min_size=k, max_size=k))
     ab = a * b
     assert ab.rows == tuple(tuple(scalar_dot(row, col)
@@ -123,3 +140,130 @@ def test_product_matches_scalar_arithmetic(data):
     assert (ab.nrows, ab.ncols) == (m, n)
     assert ab == Matrix(ab.rows) and hash(ab) == hash(Matrix(ab.rows))
     assert a.apply(vec) == tuple(scalar_dot(row, vec) for row in a.rows)
+
+
+# -- the fraction-free elimination against Scalar elimination ---------------
+
+
+@st.composite
+def systems(draw, square=False):
+    """(rows, ncols): up to 7 x 7, with k x 0 and 0 x k; about half of
+    them have rank below min(nrows, ncols), as a product through a
+    narrower middle (rank 0 included)."""
+    nrows = draw(st.integers(0, 7))
+    ncols = nrows if square else draw(st.integers(0, 7))
+    if min(nrows, ncols) and draw(st.booleans()):
+        r = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = draw(scalar_rows(nrows, r))
+        right = draw(scalar_rows(r, ncols))
+        rows = [[scalar_dot(a, [row[j] for row in right])
+                 for j in range(ncols)] for a in left]
+    else:
+        rows = draw(scalar_rows(nrows, ncols))
+    return rows, ncols
+
+
+def assert_canonical(m):
+    """m is the unique integer form of its entries."""
+    again = matrix_of(m.rows, m.ncols)
+    assert again == m and hash(again) == hash(m)
+    assert len(m.P) == len(m.Q) == m.nrows
+    assert all(len(r) == m.ncols for r in m.P + m.Q)
+    assert m.d > 0
+    assert gcd(m.d, *(x for r in m.P + m.Q for x in r)) == 1
+
+
+ELIMINATION = settings(max_examples=150, deadline=None)
+
+
+@ELIMINATION
+@given(systems())
+def test_rref_matches_scalar_elimination(case):
+    rows, ncols = case
+    m = matrix_of(rows, ncols)
+    red, pivots = m.rref()
+    want, want_pivots = rref_reference(rows, ncols)
+    assert (red.rows, pivots) == (want, want_pivots)
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert m.rank() == len(want_pivots)
+    assert m.nullspace() == nullspace_reference(rows, ncols)
+    for x in (m, red, m.transpose()):
+        assert_canonical(x)
+
+
+@ELIMINATION
+@given(systems(square=True))
+def test_inverse_matches_scalar_elimination(case):
+    rows, n = case
+    m = matrix_of(rows, n)
+    try:
+        want = inverse_reference(rows)
+    except ValueError:
+        assert not m.is_invertible()
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    assert m.is_invertible()
+    inv = m.inverse()
+    assert inv.rows == want and (inv.nrows, inv.ncols) == (n, n)
+    assert_canonical(inv)
+
+
+@ELIMINATION
+@given(systems(), st.data())
+def test_solve_matches_scalar_elimination(case, data):
+    rows, ncols = case
+    m = matrix_of(rows, ncols)
+    if data.draw(st.booleans()):
+        rhs = data.draw(st.lists(entries, min_size=len(rows),
+                                 max_size=len(rows)))
+    else:  # consistent by construction
+        x = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [scalar_dot(r, x) for r in rows]
+    try:
+        want = solve_reference(rows, ncols, rhs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            m.solve(rhs)
+        return
+    assert m.solve(rhs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), systems(), entries)
+def test_integer_operations_stay_canonical(a, b, s):
+    x, y = matrix_of(*a), matrix_of(*b)
+    assert_canonical(x.scale(s))
+    assert_canonical(x.kron(y))
+    assert_canonical(x - x)
+    assert (x - x).is_zero() and (x + x) == x.scale(2)
+    assert_canonical(x + x.scale(s))
+    if x.ncols == y.nrows:
+        assert_canonical(x * y)
+
+
+def test_empty_shapes_survive():
+    assert (Matrix([[], []]).transpose().nrows,
+            Matrix([[], []]).transpose().ncols) == (0, 2)
+    wide = Matrix.from_columns([()] * 3)
+    assert (wide.nrows, wide.ncols) == (0, 3)
+    assert (wide.transpose().nrows, wide.transpose().ncols) == (3, 0)
+    product = wide.transpose() * wide
+    assert (product.nrows, product.ncols) == (3, 3) and product.is_zero()
+    assert wide.nullspace() == [(Scalar(1), Scalar(0), Scalar(0)),
+                                (Scalar(0), Scalar(1), Scalar(0)),
+                                (Scalar(0), Scalar(0), Scalar(1))]
+    assert Matrix.identity(0).inverse() == Matrix.identity(0)
+
+
+def test_inexact_division_is_refused():
+    # 1/(c + fw) = (e0 + e1 w)/n, and a quotient with a remainder raises,
+    # also under -O
+    for c, f in ((3, 0), (-2, 0), (1, 1), (2, 1), (-5, 7)):
+        e0, e1, n = _conjugate(c, f)
+        assert _times(c, f, e0, e1) == (n, 0)
+    assert _quotients([6, -3, 0], 3) == [2, -1, 0]
+    assert _quotients([6, -3], -3) == [-2, 1]
+    for xs, n in (([1], 2), ([3, 1], 3), ([4], -3)):
+        with pytest.raises(SelfCheckError):
+            _quotients(xs, n)

@@ -1,10 +1,12 @@
 """Products through `RewriteSystem.product`, against the raw-concatenation
 products they replaced (kept in `helpers` as oracles), and the two guards
 that keep one path for products: no module but `rga.rewrite` concatenates
-two words' letters, and `+ - scale neg` never call `normal_form`.
+two words' letters, and `+ - scale neg`, `with_signs` and `apply_delta`
+never call `normal_form`.
 """
 
 import ast
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from rga.algebra import Element, mul
 from rga.rewrite import RewriteSystem
 from rga.scalar import Scalar
-from rga.tensor import TensorElement, tensor_mul
+from rga.tensor import TensorElement, apply_delta, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
 
 from helpers import (mul_reference, peel_theta_reference, peel_xi_reference,
@@ -125,6 +127,32 @@ def test_products_of_words_go_through_product(path):
                               "wick": wicks}[kind]] * 2)), scalars)
 def test_linear_operations_skip_normal_form(case, s):
     x, y = case
+    with normal_form_calls() as calls:
+        x + y, x - y, x.scale(s), -x, x + 2, 3 - y, x * s
+    assert calls == []
+
+
+@PROPS
+@given(tensors("plain"), elements(S2), st.sampled_from(["plain", "koszul"]))
+def test_with_signs_and_apply_delta_skip_normal_form(t, e, signs):
+    # a generator table over every normal word that `e` can hold
+    table = {w: t.scale(k + 1)
+             for k, w in enumerate(S2.enumerate_normal_forms(4))}
+    with normal_form_calls() as calls:
+        resigned = t.with_signs(signs)
+        applied = apply_delta(table, e, signs)
+    assert calls == []
+    assert resigned == TensorElement(S2, signs, t._terms)
+    assert resigned.signs == signs
+    assert applied == TensorElement(S2, signs, (
+        (k, (s, c)) for w, s in e._terms.items()
+        for k, c in table[w]._terms.items()))
+
+
+@contextmanager
+def normal_form_calls():
+    """The list of words `RewriteSystem.normal_form` is called on inside
+    the block."""
     calls = []
     original = RewriteSystem.normal_form
 
@@ -134,5 +162,4 @@ def test_linear_operations_skip_normal_form(case, s):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RewriteSystem, "normal_form", spy)
-        x + y, x - y, x.scale(s), -x, x + 2, 3 - y, x * s
-    assert calls == []
+        yield calls
