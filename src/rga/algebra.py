@@ -10,16 +10,16 @@ cross-checked against.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, product
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import Matrix
+from .linalg import _reduced
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
-from .scalar import ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar
+from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make, _times,
+                     common_denominator)
 
 
 class AlgebraMismatchError(ValueError):
@@ -82,26 +82,31 @@ class Combination:
     """A finite Q(w)-weighted sum of distinct keys in normal form.
 
     A key is one word, or a tuple with one word per leg; `_legs` names the
-    rewrite system of each leg.  The constructor takes a mapping or an
-    iterable of (raw key, coefficient) pairs, puts every leg of every key
-    in normal form, drops keys that rewrite to zero and sums duplicates.
-    Products and `+ - scale map_legs`, whose keys are normal already, go
-    through the trusted `_new` instead.  A coefficient may also be a tuple
-    of factors: their product is only formed for keys that survive, which
-    spares products the scalar work on annihilated terms.  Values are
-    immutable; operands of one operation must share a context
-    (`_context`).  Subclasses add their context, their legs and their
-    named constructors.
+    rewrite system of each leg.  As in `Matrix`, `_num` maps each key to
+    integers (p, q) over one denominator `_d`, the coefficient (p + q*w)/d,
+    with d > 0, gcd(all p, all q, d) == 1 and no (0, 0): `==` and `hash`
+    compare integers, `terms` and `coeff` build `Scalar`s.  The constructor
+    takes a mapping or an iterable of (raw key, coefficient) pairs, puts
+    each leg of each key in normal form, drops keys that rewrite to zero and
+    sums duplicates.  Products and `+ - scale map_legs`, whose keys are
+    normal already, multiply and add integers with `rga.scalar._times` and
+    go through the trusted `_new`, which takes one gcd per result.  Values
+    are immutable; operands of one operation share a context (`_context`).
+    Subclasses add their context, legs and constructors.
     """
 
-    __slots__ = ("_context", "_terms")
+    __slots__ = ("_context", "_num", "_d")
 
     def __init__(self, context, terms=None):
         object.__setattr__(self, "_context", context)
         legs = self._legs()
-        object.__setattr__(self, "_terms", _summed(
-            (_normal_key(legs, raw), s) for raw, s in (
-                terms.items() if isinstance(terms, dict) else terms or ())))
+        keys, coeffs = [], []
+        for raw, s in (terms.items() if isinstance(terms, dict)
+                       else terms or ()):
+            keys.append(_normal_key(legs, raw))
+            coeffs.append(s)
+        ps, qs, d = common_denominator(coeffs)
+        _fill(self, zip(keys, zip(ps, qs)), d)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -111,13 +116,14 @@ class Combination:
         combination is its tuple of legs."""
         return self._context
 
-    def _new(self, terms) -> "Combination":
+    def _new(self, terms, d: int = 1) -> "Combination":
         """A value of the same kind and context summing `terms`, pairs of
-        (normal key or ZERO, coefficient): the trusted path, which skips
-        `normal_form` as `rewrite._word` skips the letter check."""
+        (normal key or ZERO, integers (p, q)), over the denominator d > 0:
+        the trusted path, which skips `normal_form` as `rewrite._word`
+        skips the letter check."""
         new = object.__new__(type(self))
         object.__setattr__(new, "_context", self._context)
-        object.__setattr__(new, "_terms", _summed(terms))
+        _fill(new, terms, d)
         return new
 
     @classmethod
@@ -139,48 +145,60 @@ class Combination:
 
     def terms(self) -> list:
         """(key, coefficient) pairs in canonical order."""
-        return sorted(self._terms.items(), key=_term_order)
+        return sorted(((k, _make(p, q, self._d))
+                       for k, (p, q) in self._num.items()), key=_term_order)
 
     def coeff(self, *words) -> Scalar:
         """The coefficient of the key made of `words`, one per leg."""
         if len(words) != len(self._legs()):
             raise ValueError(f"expected one word per leg, got {len(words)}")
         key = tuple(w if isinstance(w, Word) else Word(w) for w in words)
-        return self._terms.get(key[0] if len(key) == 1 else key, ZERO_SCALAR)
+        return _make(*self._num.get(key[0] if len(key) == 1 else key, (0, 0)),
+                     self._d)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def map_legs(self, *maps) -> "Combination":
         """Apply one map per leg (None keeps the leg) to each basis word,
         extended linearly.  A map takes an `Element` of its leg's system to
         one of the same system, so an affine map acts on each term."""
-        one = len(self._legs()) == 1
-
-        def image(f, system, word):
-            e = Element.from_word(system, word)
-            fe = e if f is None else f(e)
-            e._require_same(fe)
-            return fe._terms.items()
-
-        return self._new(
-            (words[0] if one else words, (s, *coeffs))
-            for key, s in self._terms.items()
-            for parts in product(*(image(f, leg, w) for f, leg, w in zip(
-                maps, self._legs(), (key,) if one else key, strict=True)))
-            for words, coeffs in [zip(*parts)])
+        legs = self._legs()
+        one = len(legs) == 1
+        images = {}
+        for key in self._num:
+            for i, (f, leg, w) in enumerate(zip(
+                    maps, legs, (key,) if one else key, strict=True)):
+                if (i, w) not in images:
+                    e = Element.from_word(leg, w)
+                    images[i, w] = e if f is None else f(e)
+                    e._require_same(images[i, w])
+        e = lcm(*(fe._d for fe in images.values()))  # each leg's over e
+        images = {iw: _lifted(fe, e) for iw, fe in images.items()}
+        terms = []
+        for key, s in self._num.items():
+            for parts in product(*(images[iw] for iw in enumerate(
+                    (key,) if one else key))):
+                c = s
+                for _, x in parts:
+                    c = _times(*c, *x)
+                terms.append((parts[0][0] if one
+                              else tuple(k for k, _ in parts), c))
+        return self._new(terms, self._d * e ** len(legs))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            unit = EMPTY_WORD if len(self._legs()) == 1 \
-                else (EMPTY_WORD,) * len(self._legs())
-            other = self._new([(unit, other)])
+            legs = len(self._legs())
+            unit = EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
+            (p,), (q,), d = common_denominator([other])
+            other = self._new([(unit, (p, q))], d)
         elif type(other) is not type(self):
             return NotImplemented
         self._require_same(other)
-        return self._new(chain(self._terms.items(), other._terms.items()))
+        d = lcm(self._d, other._d)
+        return self._new(chain(_lifted(self, d), _lifted(other, d)), d)
 
     __radd__ = __add__
 
@@ -191,10 +209,13 @@ class Combination:
         return (-self) + other
 
     def __neg__(self):
-        return self._new((k, -s) for k, s in self._terms.items())
+        return self._new(((k, (-p, -q)) for k, (p, q) in self._num.items()),
+                         self._d)
 
     def scale(self, s):
-        return self._new((k, (s, c)) for k, c in self._terms.items())
+        (sp,), (sq,), sd = common_denominator([s])
+        return self._new(((k, _times(p, q, sp, sq))
+                          for k, (p, q) in self._num.items()), self._d * sd)
 
     def _product(self, other):
         """The kind's own bilinear product; none by default."""
@@ -216,24 +237,29 @@ class Combination:
         if isinstance(other, int) and other == 0:
             return self.is_zero()
         return (type(other) is type(self) and self._context == other._context
-                and self._terms == other._terms)
+                and self._d == other._d and self._num == other._num)
 
     def __hash__(self):
-        return hash((self._context, frozenset(self._terms.items())))
+        # the zero value equals, so hashes as, the int 0
+        if not self._num:
+            return hash(0)
+        return hash((self._context, self._d, frozenset(self._num.items())))
 
     def __str__(self):
-        legs = self._legs()
+        legs, d = self._legs(), self._d
         parts = []
-        for key, s in self.terms():
+        for key, (p, q) in sorted(self._num.items(), key=_term_order):
             words = (key,) if len(legs) == 1 else key
             # a two-part coefficient on the bare unit word prints as two
             # terms, since +/- always separate terms in the grammar
-            split = words == (EMPTY_WORD,) and s.a != 0 and s.b != 0
-            for part in (Scalar(s.a), Scalar(0, s.b)) if split else (s,):
+            split = words == (EMPTY_WORD,) and p and q
+            for x, y in ((p, 0), (0, q)) if split else ((p, q),):
                 # the sign is the one of the leading part
-                neg = part.a < 0 if part.a != 0 else part.b < 0
-                mag = -part if neg else part
-                body = term_body(mag, words[0], legs[0].symbol) + "".join(
+                neg = x < 0 if x else y < 0
+                if neg:
+                    x, y = -x, -y
+                body = term_body(_make(x, y, d), bool(x and y), words[0],
+                                 legs[0].symbol) + "".join(
                     f" (x) {w.to_text(leg.symbol)}"
                     for leg, w in zip(legs[1:], words[1:]))
                 if parts:
@@ -246,24 +272,34 @@ class Combination:
         return f"<{self} over {self._context!r}>"
 
 
-def _summed(terms) -> dict:
-    """The nonzero sums per key of (key or ZERO, coefficient) pairs."""
-    clean: dict = {}
-    for key, s in terms:
-        if key is ZERO:
-            continue
-        if type(s) is tuple:
-            s = reduce(operator.mul, s)
-        elif not isinstance(s, Scalar):
-            s = Scalar(s)
-        prev = clean.get(key)
-        clean[key] = s if prev is None else prev + s
-    return {k: s for k, s in clean.items() if s}
+_set_num, _set_d = Combination._num.__set__, Combination._d.__set__
 
 
-def _pair_key(u, v):
-    """The two-leg key (u, v), or ZERO when either leg is ZERO."""
-    return ZERO if u is ZERO or v is ZERO else (u, v)
+def _fill(c: Combination, terms, d: int):
+    """Set c's `_num` and `_d` to the nonzero sums per key of (key or ZERO,
+    (p, q)) pairs over d > 0, divided by the gcd of all their integers."""
+    acc: dict = {}
+    sums = acc.setdefault
+    for key, (p, q) in terms:
+        if key is not ZERO:
+            pq = sums(key, [0, 0])
+            pq[0] += p
+            pq[1] += q
+    num = {k: (p, q) for k, (p, q) in acc.items() if p or q}
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(num.values()))
+        if g != 1:
+            num = {k: (p // g, q // g) for k, (p, q) in num.items()}
+            d //= g
+    _set_num(c, num)
+    _set_d(c, d)
+
+
+def _lifted(c: Combination, d: int):
+    """The (key, (p, q)) pairs of c over d, a multiple of its denominator."""
+    f = d // c._d
+    return c._num.items() if f == 1 else [
+        (k, (p * f, q * f)) for k, (p, q) in c._num.items()]
 
 
 def _normal_key(legs: tuple, raw):
@@ -324,17 +360,18 @@ class Element(Combination):
     # -- accessors ---------------------------------------------------------
 
     def support(self) -> list:
-        return sorted(self._terms, key=Word.sort_key)
+        return sorted(self._num, key=Word.sort_key)
 
     def coeffs_n2(self) -> tuple:
         """The five components (a0, a1, a2, a12, a21) for n=2."""
         if self.system.n != 2:
             raise ValueError("component form requires n=2")
-        return tuple(self.coeff(w) for w in N2_BASIS)
+        num, d = self._num, self._d
+        return tuple(_make(*num.get(w, (0, 0)), d) for w in N2_BASIS)
 
     def parity(self) -> int:
         """Common grade of the support; raises if not homogeneous."""
-        grades = {w.parity for w in self._terms}
+        grades = {w.parity for w in self._num}
         if len(grades) != 1:
             raise ValueError("element is not parity-homogeneous")
         return grades.pop()
@@ -343,9 +380,9 @@ class Element(Combination):
 N2_BASIS = (EMPTY_WORD, Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)))
 
 
-def term_body(mag: Scalar, w: Word, symbol: str) -> str:
-    """Canonical unsigned rendering of mag * w."""
-    coeff = f"({mag})" if mag.a != 0 and mag.b != 0 else str(mag)
+def term_body(mag: Scalar, two_part: bool, w: Word, symbol: str) -> str:
+    """Canonical unsigned rendering of mag * w, mag with two parts or not."""
+    coeff = f"({mag})" if two_part else str(mag)
     if len(w) == 0:
         return coeff
     return w.to_text(symbol) if mag == ONE else f"{coeff} {w.to_text(symbol)}"
@@ -358,8 +395,8 @@ def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the product of normal words."""
     a._require_same(b)
     product = a.system.product
-    return a._new((product(u, v), (su, sv)) for u, su in a._terms.items()
-                  for v, sv in b._terms.items())
+    return a._new(((product(u, v), _times(*x, *y)) for u, x in a._num.items()
+                   for v, y in b._num.items()), a._d * b._d)
 
 
 def mul_closed_form(a: Element, b: Element) -> Element:
@@ -474,31 +511,24 @@ class Subspace:
 
 def _mul_matrix(a: Element, domain: Subspace, codomain: Optional[Subspace],
                 left: bool):
-    sys = a.system
-    images = []
-    for w in domain.basis:
-        e = Element.from_word(sys, w)
-        images.append(mul(a, e) if left else mul(e, a))
+    images = [mul(a, e) if left else mul(e, a) for e in (
+        Element.from_word(a.system, w) for w in domain.basis)]
     if codomain is None:
-        seen = set()
-        for img in images:
-            seen.update(img._terms)
+        seen = set().union(*(img._num for img in images))
         if seen <= set(domain.basis):
             codomain = domain
         else:
             codomain = Subspace(domain.label + "'",
                                 tuple(sorted(seen, key=Word.sort_key)))
     index = {w: i for i, w in enumerate(codomain.basis)}
-    cols = []
-    for w, img in zip(domain.basis, images):
-        col = [ZERO_SCALAR] * codomain.dim
-        for u, s in img._terms.items():
+    d = lcm(*(img._d for img in images))
+    P, Q = ([[0] * domain.dim for _ in codomain.basis] for _ in "PQ")
+    for j, (w, img) in enumerate(zip(domain.basis, images)):
+        for u, (p, q) in _lifted(img, d):
             if u not in index:
                 raise SpanEscapeError(w, u)
-            col[index[u]] = s
-        cols.append(col)
-    return codomain, (Matrix.from_columns(cols) if cols
-                      else Matrix([[]] * codomain.dim))
+            P[index[u]][j], Q[index[u]][j] = p, q
+    return codomain, _reduced(codomain.dim, domain.dim, P, Q, d)
 
 
 def left_mul_matrix(a: Element, domain: Subspace,
@@ -602,8 +632,9 @@ def obstruction(a: Element) -> Element:
     """
     if a.system.n != 2:
         raise ValueError("obstruction map requires n=2")
-    a0, a1, a2, a12, a21 = a.coeffs_n2()
-    return Element.from_coeffs(a.system, (ONE, a2, a1, a21, a12))
+    # the index swap is the letter swap i <-> 3 - i, which keeps words normal
+    return a._new([(EMPTY_WORD, (a._d, 0))] + [
+        (Word(3 - i for i in w), pq) for w, pq in a._num.items() if w], a._d)
 
 
 def obstructed_product(a: Element, b: Element) -> Element:

@@ -9,34 +9,28 @@ form is unique, so `==` and `hash` compare integers; `rows` and `m[i, j]`
 build `Scalar`s on demand.  The shape is stored, so k x 0 and 0 x k
 matrices keep it.
 
-Every operation runs on the integers.  A product entry is three integer dot
-products, (a + bw)(c + fw) = ac - bf + ((a + b)(c + f) - ac - 2bf)w, and
-the whole product takes one gcd.  RREF, rank, nullspace, solve and inverse
-share one fraction-free Gauss-Jordan elimination over Z[w], the Eisenstein
-integers (Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22, 1968; Cohen, A Course in
-Computational Algebraic Number Theory, 2.2): each step divides exactly by
-the previous pivot, as a product with its conjugate and an integer division
-by its norm, and checks the remainder.  A row with a zero in the pivot
-column is skipped and divides by its own last pivot at its next step.  Only
-the finished rows are normalised.
+Every operation runs on the integers through the Z[w] kernel of
+`rga.scalar`, and a product takes one gcd.  RREF, rank, nullspace, solve
+and inverse share one fraction-free Gauss-Jordan elimination over Z[w],
+the Eisenstein integers (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968; Cohen, A
+Course in Computational Algebraic Number Theory, 2.2): each step divides
+exactly by the previous pivot, as a product with its conjugate and an
+integer division by its norm, and checks the remainder.  A row with a zero
+in the pivot column is skipped and divides by its own last pivot at its
+next step.  Only the finished rows are normalised.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mod
 from typing import Sequence
 
 from .rewrite import SelfCheckError
-from .scalar import ONE, ZERO_SCALAR, Scalar, _make, common_denominator
-
-
-def _scal(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return Scalar(x)
+from .scalar import (ONE, ZERO_SCALAR, _conjugate, _make, _products,
+                     _scaled_rows, _times, common_denominator)
 
 
 class Matrix:
@@ -47,11 +41,15 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "P", "Q", "d")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = [[_scal(x) for x in r] for r in rows]
+        rows = [list(r) for r in rows]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        _of_scalars(self, rows, len(rows), width)
+        # canonical Scalars over their lcm: the content is already 1
+        ps, qs, d = common_denominator([x for r in rows for x in r])
+        cuts = [slice(i * width, (i + 1) * width) for i in range(len(rows))]
+        _init(self, len(rows), width, tuple(tuple(ps[c]) for c in cuts),
+              tuple(tuple(qs[c]) for c in cuts), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -65,13 +63,7 @@ class Matrix:
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         """The matrix with columns `cols`; k empty columns make it 0 x k."""
-        cols = [[_scal(x) for x in c] for c in cols]
-        height = len(cols[0]) if cols else 0
-        if any(len(c) != height for c in cols):
-            raise ValueError("ragged columns")
-        m = object.__new__(cls)
-        _of_scalars(m, list(zip(*cols)), height, len(cols))
-        return m
+        return cls(cols).transpose()
 
     @property
     def rows(self) -> tuple:
@@ -111,7 +103,7 @@ class Matrix:
                          for r, u in zip(self.Q, other.Q)], d)
 
     def scale(self, s) -> "Matrix":
-        (sp,), (sq,), sd = common_denominator([_scal(s)])
+        (sp,), (sq,), sd = common_denominator([s])
         return _reduced(self.nrows, self.ncols,
                         *_scaled_rows(self.P, self.Q, sp, sq), self.d * sd)
 
@@ -127,7 +119,7 @@ class Matrix:
         return _reduced(self.nrows, other.ncols, P, Q, self.d * other.d)
 
     def apply(self, vec: Sequence) -> tuple:
-        vec = [_scal(x) for x in vec]
+        vec = list(vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         c, f, e = common_denominator(vec)
@@ -142,11 +134,12 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         P, Q = [], []
         for ap, aq in zip(self.P, self.Q):
-            for bp, bq in zip(other.P, other.Q):
-                P.append([x * u - y * v for x, y in zip(ap, aq)
-                          for u, v in zip(bp, bq)])
-                Q.append([x * v + y * (u - v) for x, y in zip(ap, aq)
-                          for u, v in zip(bp, bq)])
+            # one block per entry x + yw of this row: `other` times it
+            blocks = [_scaled_rows(other.P, other.Q, x, y)
+                      for x, y in zip(ap, aq)]
+            for i in range(other.nrows):
+                P.append([v for bp, _ in blocks for v in bp[i]])
+                Q.append([v for _, bq in blocks for v in bq[i]])
         return _reduced(self.nrows * other.nrows, self.ncols * other.ncols,
                         P, Q, self.d * other.d)
 
@@ -186,7 +179,7 @@ class Matrix:
 
     def solve(self, rhs: Sequence) -> tuple:
         """Unique solution of self @ x = rhs; raises if none or many."""
-        rhs = [_scal(x) for x in rhs]
+        rhs = list(rhs)
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
         # [A | b] over one denominator has the RREF of [A/d | b/e]
@@ -249,16 +242,6 @@ def _matrix(nrows: int, ncols: int, P: tuple, Q: tuple, d: int) -> Matrix:
     return m
 
 
-def _of_scalars(m: Matrix, rows, nrows: int, ncols: int):
-    """Fill `m` from rows of Scalars over their least common denominator;
-    every Scalar is canonical, so the content is already 1."""
-    ps, qs, d = common_denominator([x for r in rows for x in r])
-    _init(m, nrows, ncols,
-          tuple(tuple(ps[i * ncols:(i + 1) * ncols]) for i in range(nrows)),
-          tuple(tuple(qs[i * ncols:(i + 1) * ncols]) for i in range(nrows)),
-          d)
-
-
 def _reduced(nrows: int, ncols: int, P: list, Q: list, d: int) -> Matrix:
     """The Matrix (P + Q*w)/d for lists of integer rows and d > 0, with
     the one gcd of all its integers divided out."""
@@ -275,34 +258,6 @@ def _reduced(nrows: int, ncols: int, P: list, Q: list, d: int) -> Matrix:
 def _columns(rows: tuple, ncols: int) -> tuple:
     """The columns of a tuple of rows that are `ncols` long."""
     return tuple(zip(*rows)) if rows else ((),) * ncols
-
-
-def _products(ap, aq, cp, cq) -> tuple:
-    """Integer rows (P, Q) of the dot products of every Z[w] row
-    ap[i] + aq[i]*w with every Z[w] column cp[j] + cq[j]*w:
-    (a + bw)(c + fw) = ac - bf + ((a + b)(c + f) - ac - 2bf)w, with the
-    products of a zero w part left out."""
-    ac = _dots(ap, cp)
-    a_w, c_w = any(map(any, aq)), any(map(any, cq))
-    if not c_w:
-        return ac, (_dots(aq, cp) if a_w else [[0] * len(cp) for _ in ap])
-    if not a_w:
-        return ac, _dots(ap, cq)
-    bf = _dots(aq, cq)
-    s = _dots(map(_plus, ap, aq), map(_plus, cp, cq))
-    return ([[x - y for x, y in zip(r, u)] for r, u in zip(ac, bf)],
-            [[z - x - 2 * y for x, y, z in zip(r, u, v)]
-             for r, u, v in zip(ac, bf, s)])
-
-
-def _dots(rows, cols) -> list:
-    """The integer matrix of the dot products of `rows` with `cols`."""
-    cols = list(cols)
-    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
-
-
-def _plus(r, s) -> tuple:
-    return tuple(map(add, r, s))
 
 
 def _eliminated(P, Q) -> tuple:
@@ -354,7 +309,8 @@ def _eliminated(P, Q) -> tuple:
             # a row below the pivot row is zero left of the pivot column,
             # and so is the pivot row: only the other entries change
             k = col if i > r else 0
-            # (g0 + g1 w)(x0 + x1 w) - (a0 + a1 w)(y0 + y1 w)
+            # (g0 + g1 w)(x0 + x1 w) - (a0 + a1 w)(y0 + y1 w): two
+            # products of the kernel's `_times`, fused into one update
             terms = list(zip(xp[k:], xq[k:], yp[k:], yq[k:]))
             xp[k:] = _quotients([g0 * x0 - g1 * x1 - a0 * y0 + a1 * y1
                                  for x0, x1, y0, y1 in terms], n)
@@ -379,20 +335,6 @@ def _rescale(P: list, Q: list, over: list, i: int, pivot: tuple):
     P[i], Q[i], over[i] = _quotients(p, n), _quotients(q, n), pivot
 
 
-def _conjugate(c: int, f: int) -> tuple:
-    """(e0, e1, n) with 1/(c + f*w) = (e0 + e1*w)/n for c + f*w != 0:
-    the conjugate c - f - f*w over the norm c**2 - cf + f**2, or 1 over c
-    when f == 0."""
-    if f == 0:
-        return 1, 0, c
-    return c - f, -f, c * c - c * f + f * f
-
-
-def _times(x0: int, x1: int, y0: int, y1: int) -> tuple:
-    """(x0 + x1 w)(y0 + y1 w) = x0 y0 - x1 y1 + (x0 y1 + x1 (y0 - y1))w."""
-    return x0 * y0 - x1 * y1, x0 * y1 + x1 * (y0 - y1)
-
-
 def _quotients(xs: list, n: int) -> list:
     """The integers `xs` divided exactly by n.  Sylvester's identity makes
     every elimination quotient exact, so a remainder is a fault:
@@ -409,14 +351,4 @@ def _over(nrows: int, ncols: int, P: list, Q: list, c: int, f: int,
     """The Matrix k * (P + Q*w) / (c + f*w) for integer rows P and Q, an
     integer k and a nonzero c + f*w."""
     e0, e1, n = _conjugate(c, f)
-    if n < 0:
-        e0, e1, n = -e0, -e1, -n
     return _reduced(nrows, ncols, *_scaled_rows(P, Q, e0 * k, e1 * k), n)
-
-
-def _scaled_rows(P, Q, s: int, t: int) -> tuple:
-    """The Z[w] rows P + Q*w times s + t*w, as two lists of integer rows:
-    (x + yw)(s + tw) = xs - yt + (xt + y(s - t))w."""
-    return ([[x * s - y * t for x, y in zip(p, q)] for p, q in zip(P, Q)],
-            [[x * t + y * (s - t) for x, y in zip(p, q)]
-             for p, q in zip(P, Q)])

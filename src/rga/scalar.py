@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 
 
 def _ratio(x):
@@ -82,28 +83,25 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._p + other._p, self._q + other._q, d)
-        return _make(self._p * e + other._p * d, self._q * e + other._q * d,
-                     d * e)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign: int):
+        """self + sign * other."""
         if type(other) is not Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         d, e = self._d, other._d
         if d == e:
-            return _make(self._p - other._p, self._q - other._q, d)
-        return _make(self._p * e - other._p * d, self._q * e - other._q * d,
-                     d * e)
+            return _make(self._p + sign * other._p,
+                         self._q + sign * other._q, d)
+        return _make(self._p * e + sign * other._p * d,
+                     self._q * e + sign * other._q * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -119,10 +117,8 @@ class Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        p, q, r, s = self._p, self._q, other._p, other._q
-        # (p + qw)(r + sw) = pr + (ps + qr)w + qs(-1 - w)
-        qs = q * s
-        return _make(p * r - qs, p * s + q * r - qs, self._d * other._d)
+        return _make(*_times(self._p, self._q, other._p, other._q),
+                     self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -136,12 +132,10 @@ class Scalar:
         return Fraction(p * p - p * q + q * q, d * d)
 
     def inverse(self) -> "Scalar":
-        # d / (p + qw) = d (p - q - qw) / (p**2 - pq + q**2)
-        p, q, d = self._p, self._q, self._d
-        n = p * p - p * q + q * q
-        if n == 0:
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        return _make((p - q) * d, -q * d, n)
+        e0, e1, n = _conjugate(self._p, self._q)
+        return _make(e0 * self._d, e1 * self._d, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -174,7 +168,9 @@ class Scalar:
                 and self._d == other._d)
 
     def __hash__(self):
-        return hash((self._p, self._q, self._d))
+        # a rational scalar equals, so hashes as, its int or Fraction
+        return hash(Fraction(self._p, self._d) if self._q == 0
+                    else (self._p, self._q, self._d))
 
     def __repr__(self):
         return f"Scalar({self.a!r}, {self.b!r})"
@@ -211,10 +207,59 @@ def _make(p: int, q: int, d: int) -> Scalar:
     return s
 
 
+# -- the Z[w] kernel ---------------------------------------------------------
+# Every product of scalars, matrices and combinations goes through these.
+
+
+def _times(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """(x0 + x1 w)(y0 + y1 w) = x0 y0 - x1 y1 + (x0 y1 + x1 (y0 - y1))w."""
+    return x0 * y0 - x1 * y1, x0 * y1 + x1 * (y0 - y1)
+
+
+def _conjugate(c: int, f: int) -> tuple:
+    """(e0, e1, n) with 1/(c + f*w) = (e0 + e1*w)/n, n > 0, for c + f*w != 0:
+    the conjugate c - f - f*w over the norm c**2 - cf + f**2, or +-1/|c|."""
+    if f == 0:
+        return (1, 0, c) if c > 0 else (-1, 0, -c)
+    return c - f, -f, c * c - c * f + f * f
+
+
+def _scaled_rows(P, Q, s: int, t: int) -> tuple:
+    """The Z[w] rows P + Q*w times s + t*w, as two lists of integer rows."""
+    rows = [[_times(x, y, s, t) for x, y in zip(p, q)] for p, q in zip(P, Q)]
+    return ([[x for x, _ in r] for r in rows],
+            [[y for _, y in r] for r in rows])
+
+
+def _products(ap, aq, cp, cq) -> tuple:
+    """Integer rows (P, Q) of the dot products of every Z[w] row ap + aq*w
+    with every column cp + cq*w: `_times` in its three-product form
+    (a + bw)(c + fw) = ac - bf + ((a + b)(c + f) - ac - 2bf)w, summed by
+    integer dot products, which beat a `_times` call per term."""
+    ac = _dots(ap, cp)
+    a_w, c_w = any(map(any, aq)), any(map(any, cq))
+    if not c_w:
+        return ac, (_dots(aq, cp) if a_w else [[0] * len(cp) for _ in ap])
+    if not a_w:
+        return ac, _dots(ap, cq)
+    bf = _dots(aq, cq)
+    s = _dots([tuple(map(add, r, u)) for r, u in zip(ap, aq)],
+              [tuple(map(add, c, f)) for c, f in zip(cp, cq)])
+    return ([[x - y for x, y in zip(r, u)] for r, u in zip(ac, bf)],
+            [[z - x - 2 * y for x, y, z in zip(r, u, v)]
+             for r, u, v in zip(ac, bf, s)])
+
+
+def _dots(rows, cols) -> list:
+    """The integer matrix of the dot products of `rows` with `cols`."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
 def common_denominator(xs) -> tuple:
-    """(ps, qs, d): the Scalars `xs` over their least common denominator d,
-    so that xs[k] == (ps[k] + qs[k]*w)/d for every k.  An empty `xs` has
-    d = 1."""
+    """(ps, qs, d): the ints, Fractions or Scalars `xs` over their least
+    common denominator d, so that xs[k] == (ps[k] + qs[k]*w)/d for every
+    k.  An empty `xs` has d = 1."""
+    xs = [x if type(x) is Scalar else Scalar(x) for x in xs]
     d = lcm(*(x._d for x in xs))
     ps, qs = [], []
     for x in xs:

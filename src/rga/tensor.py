@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from .algebra import (Combination, Element, Verdict, Witness, _pair_key,
+from math import lcm
+
+from .algebra import (Combination, Element, Verdict, Witness, _lifted,
                       obstruction)
 from .linalg import Matrix
-from .rewrite import RewriteSystem, Word
-from .scalar import ONE, ZERO_SCALAR, Scalar
+from .rewrite import ZERO, RewriteSystem, Word
+from .scalar import ONE, ZERO_SCALAR, Scalar, _make, _times
 
 SIGN_CONVENTIONS = ("plain", "koszul")
 
@@ -65,7 +67,8 @@ class TensorElement(Combination):
         return cls(system, signs, [((u, v), coeff)])
 
     def with_signs(self, signs: str) -> "TensorElement":
-        return TensorElement(self.system, signs)._new(self._terms.items())
+        return TensorElement(self.system, signs)._new(self._num.items(),
+                                                      self._d)
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -79,17 +82,19 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     koszul = s.signs == "koszul"
     product = s.system.product
     return s._new((
-        (_pair_key(product(a, c), product(b, d)),
-         (-x if koszul and b.parity * c.parity else x, y))
-        for (a, b), x in s._terms.items() for (c, d), y in t._terms.items()))
+        ((u, v), _times(x0 * k, x1 * k, *y))
+        for (a, b), (x0, x1) in s._num.items() for (c, d), y in t._num.items()
+        if (u := product(a, c)) is not ZERO
+        and (v := product(b, d)) is not ZERO
+        for k in [-1 if koszul and b.parity * c.parity else 1]), s._d * t._d)
 
 
 def element_tensor(a: Element, b: Element, signs: str = "plain") -> TensorElement:
     """Place two algebra elements side by side: a (x) b."""
     a._require_same(b)
-    return TensorElement(a.system, signs, (
-        ((u, v), (su, sv))
-        for u, su in a._terms.items() for v, sv in b._terms.items()))
+    return TensorElement(a.system, signs)._new((
+        ((u, v), _times(*x, *y))
+        for u, x in a._num.items() for v, y in b._num.items()), a._d * b._d)
 
 
 # -- duality pairing ---------------------------------------------------------
@@ -103,12 +108,7 @@ def pair_words(xi: Word, theta: Word) -> Scalar:
 
 def pair(xi: Element, a: Element) -> Scalar:
     """Bilinear extension of the reversal pairing to elements."""
-    acc = ZERO_SCALAR
-    for w, s in xi._terms.items():
-        t = a._terms.get(w.reverse())
-        if t is not None:
-            acc = acc + s * t
-    return acc
+    return _paired(xi, a, Word.reverse)
 
 
 def pair_tensor(xi: TensorElement, a: TensorElement,
@@ -120,15 +120,19 @@ def pair_tensor(xi: TensorElement, a: TensorElement,
     """
     if convention not in ("straight", "flip"):
         raise ValueError(f"unknown tensor pairing convention {convention!r}")
-    acc = ZERO_SCALAR
-    for (x, y), s in xi._terms.items():
-        partner = (x.reverse(), y.reverse())
-        if convention == "flip":
-            partner = partner[::-1]
-        t = a._terms.get(partner)
-        if t is not None:
-            acc = acc + s * t
-    return acc
+    step = -1 if convention == "flip" else 1
+    return _paired(xi, a, lambda key: tuple(w.reverse() for w in key[::step]))
+
+
+def _paired(xi: Combination, a: Combination, partner) -> Scalar:
+    """The sum of xi's coefficient at k times a's at partner(k)."""
+    p = q = 0
+    for k, x in xi._num.items():
+        y = a._num.get(partner(k))
+        if y is not None:
+            s, t = _times(*x, *y)
+            p, q = p + s, q + t
+    return _make(p, q, xi._d * a._d)
 
 
 def pairing_matrix(xi_sys: RewriteSystem, theta_sys: RewriteSystem,
@@ -161,9 +165,10 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element,
                 signs: str = "plain") -> TensorElement:
     """Linear extension of a generator table to a full element."""
     sys = next(iter(table.values())).system if table else e.system
-    return TensorElement(sys, signs)._new(
-        (k, (s, t)) for w, s in e._terms.items()
-        for k, t in table[w]._terms.items())
+    d = lcm(*(table[w]._d for w in e._num))
+    return TensorElement(sys, signs)._new((
+        (k, _times(*s, *t)) for w, s in e._num.items()
+        for k, t in _lifted(table[w], d)), e._d * d)
 
 
 def check_dual_pairing_identity(table, theta_sys, xi_sys,
@@ -186,13 +191,15 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
 
 def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on the basis words."""
+    d = lcm(*(t._d for t in table.values()))
+    lifted = {w: _lifted(t, d) for w, t in table.items()}
     for w, delta_w in table.items():
-        legs = (delta_w.system,) * 3
-        terms = delta_w._terms.items()
-        left = Combination(legs, (((p, q, v), (s, t)) for (u, v), s in terms
-                                  for (p, q), t in table[u]._terms.items()))
-        right = Combination(legs, (((u, p, q), (s, t)) for (u, v), s in terms
-                                   for (p, q), t in table[v]._terms.items()))
+        zero = Combination((delta_w.system,) * 3)
+        terms = delta_w._num.items()
+        left = zero._new((((p, q, v), _times(*s, *t)) for (u, v), s in terms
+                          for (p, q), t in lifted[u]), delta_w._d * d)
+        right = zero._new((((u, p, q), _times(*s, *t)) for (u, v), s in terms
+                           for (p, q), t in lifted[v]), delta_w._d * d)
         if left != right:
             return Verdict((Witness("coassociativity", w.to_text(
                 delta_w.system.symbol), left, right),))
@@ -287,7 +294,7 @@ def check_regular_module(action: Dict[Word, Matrix],
     """
     def act(element: Element, vec: tuple) -> tuple:
         out = [ZERO_SCALAR] * module_dim
-        for w, s in element._terms.items():
+        for w, s in element.terms():
             col = action[w].apply(vec)
             out = [o + s * c for o, c in zip(out, col)]
         return tuple(out)

@@ -14,12 +14,13 @@ is well-defined only if all peeling routes agree, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Callable, Dict, Tuple
 
 from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
-                      Witness, _pair_key)
+                      Witness)
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
-from .scalar import ONE
+from .scalar import ONE, _times
 from .tensor import dual_system
 
 
@@ -47,8 +48,9 @@ class ConjugatedPair:
             target = self.theta
         else:
             raise ValueError("element does not belong to this pair")
-        terms = {w.reverse(): s.conjugate() for w, s in a._terms.items()}
-        return Element(target, terms)
+        # reversed words stay normal; w -> w**2 maps p + qw to p - q - qw
+        return Element(target)._new(
+            ((w.reverse(), (p - q, -q)) for w, (p, q) in a._num.items()), a._d)
 
 
 class WickElement(Combination):
@@ -166,20 +168,18 @@ class CrossSymmetry:
         return self.base[(xi[0], theta[0])]
 
     def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:
-        """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v."""
-        first, product = self.apply(xi, u), self.pair.theta.product
-        return first._new(
-            (_pair_key(product(p, r), w), (s, t))
-            for (p, q), s in first._terms.items()
-            for (r, w), t in self.apply(q, v)._terms.items())
+        """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v:
+        the Wick product of psi(xi (x) u) with v (x) 1."""
+        first = self.apply(xi, u)
+        return _routed(self, first, _grouped(first, 1),
+                       {v: [(EMPTY_WORD, (1, 0))]}, first._d)
 
     def _peel_xi(self, x: Word, y: Word, theta: Word) -> WickElement:
-        """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta."""
-        first, product = self.apply(y, theta), self.pair.xi.product
-        return first._new(
-            (_pair_key(p, product(q, w)), (s, t))
-            for (r, w), t in first._terms.items()
-            for (p, q), s in self.apply(x, r)._terms.items())
+        """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta:
+        the Wick product of 1 (x) x with psi(y (x) theta)."""
+        first = self.apply(y, theta)
+        return _routed(self, first, {x: [(EMPTY_WORD, (1, 0))]},
+                       _grouped(first, 0), first._d)
 
 
 @dataclass(frozen=True)
@@ -291,18 +291,43 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
 def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     """(a (x) b)(c (x) d) routes b past c through the cross symmetry.
 
-    Assumes psi is coherent at the degrees involved; run `check_coherence`
-    first when in doubt.
+    psi(b (x) c) is looked up once per block of x's terms with X-word b and
+    y's with T-word c.  Assumes psi is coherent at the degrees involved;
+    run `check_coherence` first when in doubt.
     """
     x._require_same(y)
     if psi.pair != x.pair:
         raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
-    theta, xi = x.pair.theta.product, x.pair.xi.product
-    return x._new(
-        (_pair_key(theta(a, p), xi(q, d)), (s, t, r))
-        for (a, b), s in x._terms.items()
-        for (c, d), t in y._terms.items()
-        for (p, q), r in psi.apply(b, c)._terms.items())
+    return _routed(psi, x, _grouped(x, 1), _grouped(y, 0), x._d * y._d)
+
+
+def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
+            rights: dict, den: int) -> WickElement:
+    """The Wick product, like `like`, of lefts[b] = [(a, (p, q))] for a (x) b
+    with rights[c] = [(d, (p, q))] for c (x) d, all over the denominator den;
+    each leg product a.p and q.d is formed once per term p (x) q of psi."""
+    theta, xi = psi.pair.theta.product, psi.pair.xi.product
+    blocks = [(lefts[b], rights[c], psi.apply(b, c))
+              for b in lefts for c in rights]
+    e = lcm(*[value._d for _, _, value in blocks])
+    terms = []
+    for ls, rs, value in blocks:
+        f = e // value._d
+        for (p, q), (r0, r1) in value._num.items():
+            right = [(v, t) for d, t in rs if (v := xi(q, d)) is not ZERO]
+            for a, (s0, s1) in ls:
+                if (u := theta(a, p)) is not ZERO:
+                    s = _times(s0, s1, r0 * f, r1 * f)
+                    terms += [((u, v), _times(*s, *t)) for v, t in right]
+    return like._new(terms, den * e)
+
+
+def _grouped(x: WickElement, side: int) -> dict:
+    """x's terms by their word on leg `side`: [(other leg's word, (p, q))]."""
+    groups: dict = {}
+    for key, s in x._num.items():
+        groups.setdefault(key[side], []).append((key[1 - side], s))
+    return groups
 
 
 def wick_mul_regular(x: WickElement, y: WickElement, psi: CrossSymmetry,

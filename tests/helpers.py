@@ -1,11 +1,13 @@
 """Shared random generators for the test suite (seeded, deterministic)."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 from rga.algebra import Element
 from rga.scalar import Scalar
-from rga.tensor import TensorElement, element_tensor
+from rga.tensor import TensorElement
 from rga.wick import WickElement
 
 
@@ -33,6 +35,35 @@ def rand_invertible(rng: Random, system) -> Element:
 
 
 # -- reference implementations ---------------------------------------------
+# Every reference sums its coefficients as `Scalar`s, the way combinations
+# did before they stored integer numerators, so that the integer products
+# of `rga` are checked against an independent summation.
+
+
+def summed_reference(legs, terms):
+    """{normal key: Scalar} summing (raw key, coefficient) pairs: each leg
+    of a key in normal form through the systems `legs` (a key is a word
+    when there is one leg), keys that rewrite to zero dropped, a tuple
+    coefficient multiplied out, duplicates added and zero sums dropped."""
+    from rga.rewrite import ZERO
+    clean = {}
+    for raw, s in terms:
+        words = [leg.normal_form(w)
+                 for leg, w in zip(legs, (raw,) if len(legs) == 1 else raw)]
+        if any(w is ZERO for w in words):
+            continue
+        key = words[0] if len(legs) == 1 else tuple(words)
+        if type(s) is tuple:
+            s = reduce(operator.mul, s)
+        elif not isinstance(s, Scalar):
+            s = Scalar(s)
+        clean[key] = clean[key] + s if key in clean else s
+    return {k: s for k, s in clean.items() if s}
+
+
+def wick_reference(pair, terms):
+    """The WickElement over `pair` of raw terms, through `summed_reference`."""
+    return WickElement(pair, summed_reference((pair.theta, pair.xi), terms))
 # The hand-written leg loops that `Combination.map_legs` replaced, kept as
 # oracles for it: the regular Wick product, both sides of the regular
 # cross-symmetry law and the right side of the coalgebra obstruction law.
@@ -43,17 +74,17 @@ def wick_mul_regular_reference(x, y, psi, e_theta, e_xi):
     pair = x.pair
 
     def terms():
-        for (a, b), s in x._terms.items():
+        for (a, b), s in x.terms():
             ea = e_theta(Element.from_word(pair.theta, a))
-            for (c, d), t in y._terms.items():
+            for (c, d), t in y.terms():
                 ed = e_xi(Element.from_word(pair.xi, d))
-                for (p, q), r in psi.apply(b, c)._terms.items():
-                    for lw, ls in ea._terms.items():
-                        for rw, rs in ed._terms.items():
+                for (p, q), r in psi.apply(b, c).terms():
+                    for lw, ls in ea.terms():
+                        for rw, rs in ed.terms():
                             yield ((lw.letters + p.letters,
                                     q.letters + rw.letters),
                                    (s, t, r, ls, rs))
-    return WickElement(pair, terms())
+    return wick_reference(pair, terms())
 
 
 def cross_symmetry_sides_reference(psi, e_theta, e_xi, xi, theta):
@@ -62,34 +93,36 @@ def cross_symmetry_sides_reference(psi, e_theta, e_xi, xi, theta):
     pair = psi.pair
 
     def lhs_terms(xi, theta):
-        for (p, q), s in psi.apply(xi, theta)._terms.items():
+        for (p, q), s in psi.apply(xi, theta).terms():
             ep = e_theta(Element.from_word(pair.theta, p))
             eq = e_xi(Element.from_word(pair.xi, q))
-            for pw, ps in ep._terms.items():
-                for qw, qs in eq._terms.items():
+            for pw, ps in ep.terms():
+                for qw, qs in eq.terms():
                     yield (pw, qw), (s, ps, qs)
 
     def rhs_terms(xi, theta):
         exi = e_xi(Element.from_word(pair.xi, xi))
         etheta = e_theta(Element.from_word(pair.theta, theta))
-        for xw, xs in exi._terms.items():
-            for tw, ts in etheta._terms.items():
-                for key, c in psi.apply(xw, tw)._terms.items():
+        for xw, xs in exi.terms():
+            for tw, ts in etheta.terms():
+                for key, c in psi.apply(xw, tw).terms():
                     yield key, (xs, ts, c)
 
-    return (WickElement(pair, lhs_terms(xi, theta)),
-            WickElement(pair, rhs_terms(xi, theta)))
+    return (wick_reference(pair, lhs_terms(xi, theta)),
+            wick_reference(pair, rhs_terms(xi, theta)))
 
 
 def tensor_map_reference(delta_w, xi_sys, signs, e):
     """(e (x) e)(delta_w), summed term by term; with e = obstruction this
     is the right side of the coalgebra obstruction law."""
-    rhs = TensorElement.zero(xi_sys, signs)
-    for (u, v), s in delta_w._terms.items():
+    terms = []
+    for (u, v), s in delta_w.terms():
         eu = e(Element.from_word(xi_sys, u))
         ev = e(Element.from_word(xi_sys, v))
-        rhs = rhs + element_tensor(eu, ev, signs).scale(s)
-    return rhs
+        terms += [((a, b), (s, x, y)) for a, x in eu.terms()
+                  for b, y in ev.terms()]
+    return TensorElement(xi_sys, signs,
+                         summed_reference((xi_sys,) * 2, terms))
 
 
 # The products as they were before `RewriteSystem.product`: raw
@@ -98,44 +131,45 @@ def tensor_map_reference(delta_w, xi_sys, signs, e):
 
 
 def mul_reference(a, b):
-    """`mul`: every word product normalised by the constructor."""
-    return Element(a.system, ((u.letters + v.letters, (su, sv))
-                              for u, su in a._terms.items()
-                              for v, sv in b._terms.items()))
+    """`mul`: every word product normalised by the reference sum."""
+    return Element(a.system, summed_reference((a.system,), (
+        (u.letters + v.letters, (su, sv))
+        for u, su in a.terms() for v, sv in b.terms())))
 
 
 def tensor_mul_reference(s, t):
     """`tensor_mul`: both legs concatenated, then normalised."""
     koszul = s.signs == "koszul"
-    return TensorElement(s.system, s.signs, (
-        ((a.letters + c.letters, b.letters + d.letters),
-         (-x if koszul and b.parity * c.parity else x, y))
-        for (a, b), x in s._terms.items() for (c, d), y in t._terms.items()))
+    return TensorElement(s.system, s.signs, summed_reference(
+        (s.system,) * 2,
+        (((a.letters + c.letters, b.letters + d.letters),
+          (-x if koszul and b.parity * c.parity else x, y))
+         for (a, b), x in s.terms() for (c, d), y in t.terms())))
 
 
 def wick_mul_reference(x, y, psi):
     """`wick_mul`: b routed past c by psi, outer legs concatenated."""
-    return WickElement(x.pair, (
+    return wick_reference(x.pair, (
         ((a.letters + p.letters, q.letters + d.letters), (s, t, r))
-        for (a, b), s in x._terms.items()
-        for (c, d), t in y._terms.items()
-        for (p, q), r in psi.apply(b, c)._terms.items()))
+        for (a, b), s in x.terms()
+        for (c, d), t in y.terms()
+        for (p, q), r in psi.apply(b, c).terms()))
 
 
 def peel_theta_reference(psi, xi, u, v):
     """`CrossSymmetry._peel_theta` on xi (x) u (x) v."""
-    return WickElement(psi.pair, (
+    return wick_reference(psi.pair, (
         ((p.letters + r.letters, w), (s, t))
-        for (p, q), s in psi.apply(xi, u)._terms.items()
-        for (r, w), t in psi.apply(q, v)._terms.items()))
+        for (p, q), s in psi.apply(xi, u).terms()
+        for (r, w), t in psi.apply(q, v).terms()))
 
 
 def peel_xi_reference(psi, x, y, theta):
     """`CrossSymmetry._peel_xi` on x (x) y (x) theta."""
-    return WickElement(psi.pair, (
+    return wick_reference(psi.pair, (
         ((p, q.letters + w.letters), (s, t))
-        for (r, w), t in psi.apply(y, theta)._terms.items()
-        for (p, q), s in psi.apply(x, r)._terms.items()))
+        for (r, w), t in psi.apply(y, theta).terms()
+        for (p, q), s in psi.apply(x, r).terms()))
 
 
 # The elimination as it was before the fraction-free Gauss-Jordan of

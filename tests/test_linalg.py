@@ -5,9 +5,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.linalg import Matrix, _conjugate, _quotients, _times
+from rga.linalg import Matrix, _quotients
 from rga.rewrite import SelfCheckError
-from rga.scalar import Scalar
+from rga.scalar import Scalar, _conjugate, _times
 
 from helpers import (inverse_reference, nullspace_reference, rand_scalar,
                      rref_reference, solve_reference)

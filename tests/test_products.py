@@ -20,7 +20,8 @@ from rga.tensor import TensorElement, apply_delta, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
 
 from helpers import (mul_reference, peel_theta_reference, peel_xi_reference,
-                     tensor_mul_reference, wick_mul_reference)
+                     summed_reference, tensor_mul_reference,
+                     wick_mul_reference)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 S2, S3 = RewriteSystem(2), RewriteSystem(3)
@@ -142,11 +143,11 @@ def test_with_signs_and_apply_delta_skip_normal_form(t, e, signs):
         resigned = t.with_signs(signs)
         applied = apply_delta(table, e, signs)
     assert calls == []
-    assert resigned == TensorElement(S2, signs, t._terms)
+    assert resigned == TensorElement(S2, signs, t.terms())
     assert resigned.signs == signs
-    assert applied == TensorElement(S2, signs, (
-        (k, (s, c)) for w, s in e._terms.items()
-        for k, c in table[w]._terms.items()))
+    assert applied == TensorElement(S2, signs, summed_reference(
+        (S2, S2), ((k, (s, c)) for w, s in e.terms()
+                   for k, c in table[w].terms())))
 
 
 @contextmanager
