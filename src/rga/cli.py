@@ -2,7 +2,8 @@
 
 Every subcommand prints canonical text and exits 0 on success, 1 when a
 checker answers false (including `invert` on a non-invertible element),
-and 2 on usage or parse errors.  Output is deterministic: identical
+and 2 on usage or parse errors.  Any other exception is a fault and
+propagates out of `main`.  Output is deterministic: identical
 invocations produce byte-identical stdout.
 """
 
@@ -38,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="normal form of a raw word")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("letters", help='word letters, e.g. "1 2 1"')
+    p.add_argument("word", metavar="letters",
+                   help='word letters, e.g. "1 2 1"')
 
     p = sub.add_parser("invert", help="closed-form inverse (n=2)")
     p.add_argument("-n", type=int, required=True, choices=[2])
@@ -110,9 +112,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # `report --out` cannot be written
         print(f"error: {exc.filename}: cannot write ({exc.strerror})")
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}")
-        return 1
 
 
 def _dispatch(args) -> int:
@@ -130,7 +129,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "nf":
         sys_ = RewriteSystem(args.n)
-        word = parse_word_letters(args.letters, sys_)
+        word = parse_word_letters(args.word, sys_)
         nf = sys_.normal_form(word)
         print("0" if nf is ZERO else nf.to_text(sys_.symbol))
         _note_leftmost(args.n)

@@ -26,7 +26,7 @@ cycle (e.g. 1,3,2,1 for n=3) is in normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 
 class LetterRangeError(ValueError):
@@ -57,7 +57,7 @@ MAX_PRODUCTS = 1 << 15
 """The most normal-word products one RewriteSystem memoises; past it,
 `product` still answers but stores nothing more.  A full memo of n = 4
 words of up to 8 letters holds about 8 MB (Python 3.11), plus the operand
-letter tuples it keeps alive."""
+words it keeps alive."""
 
 
 def _word_bound(n: int, max_len: int) -> int:
@@ -105,81 +105,56 @@ class _ZeroWord:
 ZERO = _ZeroWord()
 
 
-class Word:
-    """An immutable monomial: a finite sequence of generator indices.
+class Word(tuple):
+    """An immutable monomial: a tuple of int generator indices, which
+    equals and hashes as that tuple.
 
-    The empty word is the unit monomial; its parity is even.  Words order
-    by (length, letters), which is the canonical term order everywhere in
-    the package.  A letter that is not an int raises LetterRangeError.
+    The empty word is the unit monomial; its parity is even.  The
+    canonical term order everywhere in the package is `sort_key`, (length,
+    letters); `<` is plain tuple order.  A letter whose type is not exactly
+    int raises LetterRangeError.
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters: Sequence[int] = ()):
+    def __new__(cls, letters: Sequence[int] = ()):
         letters = tuple(letters)
         for x in letters:
             if type(x) is not int:
                 raise LetterRangeError(f"letter {x!r} is not an int")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
+        return tuple.__new__(cls, letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def __add__(self, other: "Word") -> "Word":
-        return _word(self.letters + other.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def letters(self) -> "Word":
+        """The word itself, a tuple of letters."""
+        return self
 
     def sort_key(self):
-        return (len(self.letters), self.letters)
-
-    def __lt__(self, other: "Word"):
-        return self.sort_key() < other.sort_key()
+        return (len(self), self)
 
     @property
     def parity(self) -> int:
-        return len(self.letters) % 2
+        return len(self) % 2
 
     def reverse(self) -> "Word":
-        return _word(self.letters[::-1])
+        return _word(self[::-1])
 
     def to_text(self, symbol: str = "T") -> str:
-        if not self.letters:
+        if not self:
             return "1"
-        return " ".join(f"{symbol}{i}" for i in self.letters)
+        return " ".join(f"{symbol}{i}" for i in self)
 
     def __repr__(self):
-        return f"Word({list(self.letters)!r})"
+        return f"Word({list(self)!r})"
 
     def __str__(self):
         return self.to_text()
 
 
-_set_letters = Word.letters.__set__
-_set_hash = Word._hash.__set__
-
-
-def _word(letters: tuple) -> Word:
-    """The Word over `letters`, a tuple of ints already checked by the
-    caller; skips the public constructor's conversion."""
-    w = object.__new__(Word)
-    _set_letters(w, letters)
-    _set_hash(w, hash(letters))
-    return w
+def _word(letters) -> Word:
+    """The Word over `letters`, ints already checked by the caller; skips
+    the public constructor's check."""
+    return tuple.__new__(Word, letters)
 
 
 EMPTY_WORD = Word(())
@@ -213,7 +188,7 @@ class ConfluenceReport:
     def render(self) -> str:
         def show(w):
             return "0" if w is ZERO else (
-                ".".join(map(str, w.letters)) if len(w) else "e")
+                ".".join(map(str, w)) if w else "e")
 
         lines = [f"n={self.n} strategy=leftmost "
                  f"critical_pairs={len(self.critical_pairs)} "
@@ -288,7 +263,7 @@ class RewriteSystem:
 
     def normal_form(self, word) -> WordOrZero:
         """The leftmost-derivation normal form of `word` (or ZERO)."""
-        letters = tuple(word.letters) if isinstance(word, Word) else tuple(word)
+        letters = tuple(word)
         self._check_letters(letters)
         n, run_of = self.n, self._run
         stack, runs = [0], [0]  # a sentinel below the irreducible prefix
@@ -307,12 +282,17 @@ class RewriteSystem:
 
     def product(self, u: Word, v: Word) -> WordOrZero:
         """nf(u v): one normal word or ZERO, since every rule's right-hand
-        side is one word or 0.  Memoised by letter tuples, up to
-        MAX_PRODUCTS entries; `normal_form` itself is not."""
-        key = (u.letters, v.letters)
+        side is one word or 0.  Memoised by (u, v), up to MAX_PRODUCTS
+        entries; `normal_form` itself is not.  An operand that is not a
+        Word raises TypeError before the memo is read, since a tuple such
+        as (True,) equals, so would find, the entry made for (1,)."""
+        if type(u) is not Word or type(v) is not Word:
+            raise TypeError(f"product takes two Words, got "
+                            f"{type(u).__name__} and {type(v).__name__}")
+        key = (u, v)
         uv = self._products.get(key)
         if uv is None:
-            uv = self.normal_form(u.letters + v.letters)
+            uv = self.normal_form(u + v)
             if len(self._products) < MAX_PRODUCTS:
                 self._products[key] = uv
         return uv
@@ -328,19 +308,20 @@ class RewriteSystem:
             raise ValueError("max_len must be >= 0")
         check_size(self.n, max_len)
         out = [EMPTY_WORD]
-        layer, runs = [()], [0]  # the words of one length, the run ending each
+        # the words of one length, each built once, and the run ending each
+        layer, runs = [EMPTY_WORD], [0]
         for _ in range(max_len):
             nxt, nxt_runs = [], []
-            for letters, top_run in zip(layer, runs):
-                top = letters[-1] if letters else 0
+            for word, top_run in zip(layer, runs):
+                top = word[-1] if word else 0
                 for x in range(1, self.n + 1):
                     run = self._run(top, top_run, x)
                     if 0 < run <= self.n:
-                        nxt.append(letters + (x,))
+                        nxt.append(_word(word + (x,)))
                         nxt_runs.append(run)
             if not nxt:
                 break
-            out.extend(map(_word, nxt))
+            out.extend(nxt)
             layer, runs = nxt, nxt_runs
         return out
 

@@ -140,7 +140,7 @@ class CrossSymmetry:
         zero when either word rewrites to 0."""
         xi = xi_word if isinstance(xi_word, Word) else Word(xi_word)
         theta = theta_word if isinstance(theta_word, Word) else Word(theta_word)
-        key = (xi.letters, theta.letters)
+        key = (xi, theta)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -159,12 +159,10 @@ class CrossSymmetry:
             return WickElement.single(pair, (), xi)
         if len(theta) > 1:
             # first law: psi(xi (x) u.t) routes psi(xi (x) u) into t
-            return self._peel_theta(xi, Word(theta.letters[:-1]),
-                                    Word(theta.letters[-1:]))
+            return self._peel_theta(xi, Word(theta[:-1]), Word(theta[-1:]))
         if len(xi) > 1:
             # second law: psi(x.y (x) t) routes y into t first, then x
-            return self._peel_xi(Word(xi.letters[:-1]),
-                                 Word(xi.letters[-1:]), theta)
+            return self._peel_xi(Word(xi[:-1]), Word(xi[-1:]), theta)
         return self.base[(xi[0], theta[0])]
 
     def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from rga import cli
 from rga.algebra import Element
 from rga.category import cocycle_from_algebra, cocycle_to_json
 from rga.cli import main
@@ -49,6 +54,34 @@ def test_nf(capsys):
 def test_invert_success(capsys):
     code, out = run(capsys, ["invert", "-n", "2", "1 + T1"])
     assert (code, out) == (0, "1 - T1\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_internal_errors_propagate(monkeypatch, capsys, error):
+    # only the typed refusals are answers; any other error is a fault
+    def fault(*args, **kwargs):
+        raise error("internal fault")
+    monkeypatch.setattr(cli, "obstruction", fault)
+    with pytest.raises(error, match="internal fault"):
+        main(["obstruction", "-n", "2", "T1"])
+    assert capsys.readouterr().out == ""
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [["invert", "-n", "2", "1 + T1"],
+                                  ["idempotents", "-n", "2"],
+                                  ["wick", "eval", "X1 T1 T2"]],
+                         ids=["invert", "idempotents", "wick-eval"])
+def test_cli_runs_without_asserts(capsys, argv):
+    # `python -O` strips every assert statement from the package
+    code, out = run(capsys, argv)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "rga.cli", *argv], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+        text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (code, out)
 
 
 def test_annihilate(capsys):

@@ -1,8 +1,9 @@
 """Products through `RewriteSystem.product`, against the raw-concatenation
-products they replaced (kept in `helpers` as oracles), and the two guards
+products they replaced (kept in `helpers` as oracles), and the guards
 that keep one path for products: no module but `rga.rewrite` concatenates
-two words' letters, and `+ - scale neg`, `with_signs` and `apply_delta`
-never call `normal_form`.
+two words' letters or reads `.letters` at all (a word is a tuple, so `u + v`
+needs no attribute and only the product memo should form it), and
+`+ - scale neg`, `with_signs` and `apply_delta` never call `normal_form`.
 """
 
 import ast
@@ -106,19 +107,40 @@ def _concatenations(tree):
                     for side in (node.left, node.right))]
 
 
+def _letters_reads(tree):
+    """Lines that read an attribute named `letters` in `tree`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "letters"]
+
+
 def test_guard_sees_a_concatenation():
     assert _concatenations(ast.parse("u.letters + v.letters")) == [1]
     assert _concatenations(ast.parse("u.letters + (1,)")) == []
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "rewrite.py"),
-    ids=lambda p: p.name)
+def test_guard_sees_a_letters_read():
+    assert _letters_reads(ast.parse("u.letters + v")) == [1]
+    assert _letters_reads(ast.parse("x = 1\nw.letters[:-1]")) == [2]
+    assert _letters_reads(ast.parse("letters = u + v")) == []
+
+
+NOT_REWRITE = sorted(p for p in SRC.glob("*.py") if p.name != "rewrite.py")
+
+
+@pytest.mark.parametrize("path", NOT_REWRITE, ids=lambda p: p.name)
 def test_products_of_words_go_through_product(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     lines = _concatenations(tree)
     assert not lines, (f"{path.name} concatenates word letters at lines "
                        f"{lines}; use RewriteSystem.product")
+
+
+@pytest.mark.parametrize("path", NOT_REWRITE, ids=lambda p: p.name)
+def test_only_rewrite_reads_word_letters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = _letters_reads(tree)
+    assert not lines, (f"{path.name} reads .letters at lines {lines}; a "
+                       f"Word is its tuple of letters")
 
 
 @PROPS

@@ -210,6 +210,58 @@ def test_word_ordering_and_concat():
     assert Word([1, 2]).reverse() == Word([2, 1])
 
 
+# -- Word is a tuple ------------------------------------------------------
+
+
+def test_word_is_a_plain_tuple_subclass():
+    # hashing and equality run in C, and no instance carries a dict
+    assert issubclass(Word, tuple) and Word.__slots__ == ()
+    assert Word.__hash__ is tuple.__hash__
+    assert Word.__eq__ is tuple.__eq__
+    assert Word.__lt__ is tuple.__lt__
+    assert Word.__add__ is tuple.__add__
+
+
+def test_word_compares_as_its_tuple():
+    assert Word((1,)) == (1,) and hash(Word((1,))) == hash((1,))
+    # `<` is tuple order; the canonical (length, letters) order is sort_key
+    assert not Word((2,)) < Word((1, 1))
+    assert Word((2,)).sort_key() < Word((1, 1)).sort_key()
+    assert type(Word((1,)) + Word((2,))) is tuple
+
+
+int_tuples = st.lists(st.integers(-3, 70), max_size=6).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(int_tuples, max_size=10))
+def test_word_behaves_as_its_letters(ts):
+    for t in ts:
+        w = Word(t)
+        assert w == t and hash(w) == hash(t) and w.letters == t
+        assert type(w.reverse()) is Word and w.reverse() == t[::-1]
+        assert w.parity == len(t) % 2
+        assert w.to_text("X") == (" ".join(f"X{i}" for i in t) or "1")
+        assert str(w) == w.to_text("T")
+        assert repr(w) == f"Word({list(t)!r})"
+    assert sorted(map(Word, ts), key=Word.sort_key) == sorted(
+        ts, key=lambda t: (len(t), t))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_results_are_exact_words(n):
+    # a plain tuple key would be read as a multi-leg key by term ordering
+    system = RewriteSystem(n)
+    words = system.enumerate_normal_forms(3)
+    assert all(type(w) is Word for w in words)
+    for u in words:
+        assert type(u.reverse()) is Word
+        for v in words:
+            for got in (system.normal_form(list(u) + list(v)),
+                        system.product(u, v)):
+                assert got is ZERO or type(got) is Word
+
+
 # -- RewriteSystem.product ------------------------------------------------
 
 
@@ -277,3 +329,36 @@ def test_product_memo_stops_at_its_bound(monkeypatch):
 def test_letters_that_are_not_ints_are_refused(call):
     with pytest.raises(LetterRangeError, match="is not an int$"):
         call()
+
+
+# a tuple of bools, floats or strings may equal a memo key made for (1,)
+NOT_INT_ONE = [(True,), (1.0,), ("1",)]
+
+
+@pytest.mark.parametrize("raw", NOT_INT_ONE, ids=["bool", "float", "str"])
+def test_product_refuses_non_words_against_a_warm_memo(raw):
+    system = RewriteSystem(2)
+    one, two = Word((1,)), Word((2,))
+    assert system.product(one, two) == (1, 2)
+    assert system.product(two, one) == (2, 1)
+    for u, v in [(raw, two), (two, raw), ((1,), two)]:
+        with pytest.raises(TypeError, match="product takes two Words"):
+            system.product(u, v)
+
+
+@pytest.mark.parametrize("raw", NOT_INT_ONE, ids=["bool", "float", "str"])
+def test_apply_refuses_non_int_letters_against_a_warm_memo(raw):
+    psi = CrossSymmetry.regular(ConjugatedPair())
+    psi.apply((1,), (1,))
+    assert ((1,), (1,)) in psi._cache
+    for xi, theta in [(raw, (1,)), ((1,), raw)]:
+        with pytest.raises(LetterRangeError, match="is not an int$"):
+            psi.apply(xi, theta)
+
+
+@pytest.mark.parametrize("raw", NOT_INT_ONE, ids=["bool", "float", "str"])
+def test_coeff_refuses_non_int_letters(raw):
+    e = Element.generator(RewriteSystem(2), 1)
+    assert e.coeff((1,)) == 1
+    with pytest.raises(LetterRangeError, match="is not an int$"):
+        e.coeff(raw)
