@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .linalg import _reduced
+from .linalg import Matrix, _reduced
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
 from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make, _times,
                      common_denominator)
@@ -453,33 +453,28 @@ def invert(a: Element) -> Element:
     return inv
 
 
-def invert_by_solve(a: Element, basis: Optional[Sequence[Word]] = None) -> Element:
-    """Inverse via an exact linear solve of a*x = 1 over a finite basis.
-
-    Defaults to the five-word n=2 basis, where the answer is exact and
-    two-sided.  On a supplied truncation basis for other n the result is
-    only a truncated right-inverse candidate and is re-verified.
-    """
-    sys = a.system
-    words = tuple(basis) if basis is not None else _default_basis(sys)
-    space = Subspace("span", words)
-    _, m = left_mul_matrix(a, space, space)
-    rhs = [ONE if w == EMPTY_WORD else ZERO_SCALAR for w in words]
+def invert_by_solve(a: Element) -> Element:
+    """n=2 inverse via an exact linear solve of a*x = 1 over the five-word
+    basis, where the answer is exact and two-sided (and re-verified)."""
+    space = _n2_span(a)
+    m = left_mul_matrix(a, space, space)
+    rhs = [ONE if w == EMPTY_WORD else ZERO_SCALAR for w in space.basis]
     try:
         x = m.solve(rhs)
     except ValueError:
         raise NotInvertible("singular") from None
-    out = Element(sys, dict(zip(words, x)))
-    one = Element.unit(sys)
+    out = Element(a.system, dict(zip(space.basis, x)))
+    one = Element.unit(a.system)
     if mul(a, out) != one or mul(out, a) != one:
         raise NotInvertible("singular")
     return out
 
 
-def _default_basis(sys: RewriteSystem) -> tuple:
-    if sys.n != 2:
-        raise ValueError("supply a truncation basis for n != 2")
-    return N2_BASIS
+def _n2_span(a: Element) -> Subspace:
+    """The span of the five n=2 basis words; other n raises ValueError."""
+    if a.system.n != 2:
+        raise ValueError("solving over the algebra requires n=2")
+    return Subspace("span", N2_BASIS)
 
 
 # -- subspaces and multiplication operators ---------------------------------
@@ -504,22 +499,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def basis_texts(self, symbol: str = "T") -> list:
-        return [b.to_text(symbol) if isinstance(b, Word) else str(b)
+    def basis_texts(self) -> list:
+        return [b.to_text() if isinstance(b, Word) else str(b)
                 for b in self.basis]
 
 
-def _mul_matrix(a: Element, domain: Subspace, codomain: Optional[Subspace],
-                left: bool):
+def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
+                left: bool) -> Matrix:
     images = [mul(a, e) if left else mul(e, a) for e in (
         Element.from_word(a.system, w) for w in domain.basis)]
-    if codomain is None:
-        seen = set().union(*(img._num for img in images))
-        if seen <= set(domain.basis):
-            codomain = domain
-        else:
-            codomain = Subspace(domain.label + "'",
-                                tuple(sorted(seen, key=Word.sort_key)))
     index = {w: i for i, w in enumerate(codomain.basis)}
     d = lcm(*(img._d for img in images))
     P, Q = ([[0] * domain.dim for _ in codomain.basis] for _ in "PQ")
@@ -528,22 +516,18 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Optional[Subspace],
             if u not in index:
                 raise SpanEscapeError(w, u)
             P[index[u]][j], Q[index[u]][j] = p, q
-    return codomain, _reduced(codomain.dim, domain.dim, P, Q, d)
+    return _reduced(codomain.dim, domain.dim, P, Q, d)
 
 
 def left_mul_matrix(a: Element, domain: Subspace,
-                    codomain: Optional[Subspace] = None):
-    """Matrix of x -> a*x on the domain basis.
-
-    With no codomain given, reuses the domain when images stay inside it
-    and otherwise collects the image words in canonical order.  Returns
-    (codomain, matrix).
-    """
+                    codomain: Subspace) -> Matrix:
+    """Matrix of x -> a*x from the domain basis to the codomain basis;
+    an image outside the codomain raises SpanEscapeError."""
     return _mul_matrix(a, domain, codomain, left=True)
 
 
 def right_mul_matrix(a: Element, domain: Subspace,
-                     codomain: Optional[Subspace] = None):
+                     codomain: Subspace) -> Matrix:
     """Matrix of x -> x*a on the domain basis; see left_mul_matrix."""
     return _mul_matrix(a, domain, codomain, left=False)
 
@@ -578,13 +562,13 @@ def check_representation(n: int, max_deg: int) -> RepresentationReport:
     sys = RewriteSystem(n)
     words = sys.enumerate_normal_forms(max_deg)
     gens = [Element.generator(sys, i) for i in range(1, n + 1)]
+    elements = [(w, Element.from_word(sys, w)) for w in words]
     failures = []
     for i, gi in enumerate(gens, start=1):
         for j, gj in enumerate(gens, start=1):
             gij = mul(gi, gj)
             gji = mul(gj, gi)
-            for w in words:
-                x = Element.from_word(sys, w)
+            for w, x in elements:
                 if mul(gi, mul(gj, x)) != mul(gij, x):
                     failures.append(("left", i, j, w))
                 if mul(mul(x, gj), gi) != mul(x, gji):
@@ -595,28 +579,23 @@ def check_representation(n: int, max_deg: int) -> RepresentationReport:
 # -- annihilators --------------------------------------------------------
 
 
-def annihilator(a: Element, side: str = "right",
-                basis: Optional[Sequence[Word]] = None) -> list:
-    """Exact basis of {b : a*b = 0} (side='right') or {b : b*a = 0}.
+def annihilator(a: Element, side: str = "right") -> list:
+    """Exact basis of {b : a*b = 0} (side='right') or {b : b*a = 0}, n=2.
 
     Computed as the nullspace of the left (resp. right) multiplication
-    matrix over the given basis; each returned element has its leading
+    matrix over the five-word basis; each returned element has its leading
     coefficient normalized to 1.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sys = a.system
-    words = tuple(basis) if basis is not None else _default_basis(sys)
-    space = Subspace("span", words)
-    if side == "right":
-        _, m = left_mul_matrix(a, space, space)
-    else:
-        _, m = right_mul_matrix(a, space, space)
+    space = _n2_span(a)
+    m = (left_mul_matrix if side == "right" else right_mul_matrix)(
+        a, space, space)
     out = []
     for vec in m.nullspace():
         lead = next(s for s in vec if not s.is_zero())
         vec = [s * lead.inverse() for s in vec]
-        out.append(Element(sys, dict(zip(words, vec))))
+        out.append(Element(a.system, dict(zip(space.basis, vec))))
     return out
 
 

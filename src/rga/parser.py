@@ -293,8 +293,8 @@ def parse_wick(text: str, pair: ConjugatedPair,
     def combine(left, right, tok):
         # a plain algebra element times a plain dagger element is their
         # Wick product, since psi fixes 1 (x) 1
-        if any(len(v) for _, v in left._num) \
-                or any(len(u) for u, _ in right._num):
+        if any(len(v) for (_, v), _ in left.terms()) \
+                or any(len(u) for (u, _), _ in right.terms()):
             raise ParseError(
                 "(x) needs a plain algebra element on the left and a plain "
                 "dagger element on the right", tok[2], text)

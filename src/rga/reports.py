@@ -69,12 +69,11 @@ def grading_report() -> str:
     for n in (2, 3):
         sys = RewriteSystem(n)
         words = [w for w in sys.enumerate_normal_forms(3) if len(w)]
+        elements = [(w, Element.from_word(sys, w)) for w in words]
         pair_bad = []
         triple_bad = []
-        for u in words:
-            for v in words:
-                a = Element.from_word(sys, u)
-                b = Element.from_word(sys, v)
+        for u, a in elements:
+            for v, b in elements:
                 laws = {w.law for w in grading_check(a, b).witnesses}
                 if "product grade" in laws:
                     pair_bad.append(
@@ -206,7 +205,7 @@ def dual_comultiplication_report() -> str:
     lines.append(f"coassociative: "
                  f"{str(check_coassociativity(table).ok).lower()}")
     for conv in ("straight", "flip"):
-        ok = check_dual_pairing_identity(table, theta, xi, 2, conv).ok
+        ok = check_dual_pairing_identity(table, theta, xi, conv).ok
         lines.append(f"pairing transport identity "
                      f"<Delta(w), u (x) v> = <w, uv> [{conv}]: "
                      f"{str(ok).lower()}")
@@ -240,10 +239,8 @@ def wick_regular_report() -> str:
     sys = pair.theta
     basis = N2_BASIS
     space = Subspace("A", basis)
-    action = {}
-    for w in basis:
-        _, m = left_mul_matrix(Element.from_word(sys, w), space, space)
-        action[w] = m
+    action = {w: left_mul_matrix(Element.from_word(sys, w), space, space)
+              for w in basis}
 
     def e_module(vec):
         return obstruction(Element(sys, zip(basis, vec))).coeffs_n2()

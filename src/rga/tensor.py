@@ -5,7 +5,8 @@ coalgebra / almost-bialgebra / module conditions.
 The tensor product sign rule is selectable: 'plain' multiplies legs
 independently, 'koszul' inserts (-1)**(|b|*|c|) when b crosses c in
 (a(x)b)(c(x)d).  Nothing in the source material pins the convention down,
-so every verdict here is reported for both.
+so the almost-bialgebra verdicts, which multiply tensors, are reported for
+both; the coalgebra laws only map legs, so they need no convention.
 """
 
 from __future__ import annotations
@@ -135,47 +136,47 @@ def _paired(xi: Combination, a: Combination, partner) -> Scalar:
     return _make(p, q, xi._d * a._d)
 
 
-def pairing_matrix(xi_sys: RewriteSystem, theta_sys: RewriteSystem,
-                   max_deg: int = 2) -> Matrix:
-    """Gram matrix of the pairing on the (length, lex) ordered bases."""
-    xis = xi_sys.enumerate_normal_forms(max_deg)
-    thetas = theta_sys.enumerate_normal_forms(max_deg)
+def pairing_matrix(xi_sys: RewriteSystem, theta_sys: RewriteSystem) -> Matrix:
+    """Gram matrix of the pairing on the (length, lex) ordered bases of
+    degree <= 2."""
+    xis = xi_sys.enumerate_normal_forms(2)
+    thetas = theta_sys.enumerate_normal_forms(2)
     return Matrix([[pair_words(x, t) for t in thetas] for x in xis])
 
 
 # -- dual comultiplication ----------------------------------------------------
 
 
-def dual_comultiplication(theta_sys: RewriteSystem, xi_sys: RewriteSystem,
-                          basis_deg: int = 2,
-                          signs: str = "plain") -> Dict[Word, TensorElement]:
+def dual_comultiplication(theta_sys: RewriteSystem,
+                          xi_sys: RewriteSystem) -> Dict[Word, TensorElement]:
     """Transport the product through the pairing to a comultiplication.
 
-    For each X-basis word w, Delta(w) sums <w, u*v> * (u-dual (x) v-dual)
-    over all T-basis pairs, with u-dual the reversed word on the X side.
+    For each X-basis word w of degree <= 2, Delta(w) sums <w, u*v> *
+    (u-dual (x) v-dual) over all T-basis pairs, with u-dual the reversed
+    word on the X side.
     """
-    thetas = theta_sys.enumerate_normal_forms(basis_deg)
-    return {w: TensorElement(xi_sys, signs, (
+    thetas = theta_sys.enumerate_normal_forms(2)
+    return {w: TensorElement(xi_sys, "plain", (
         ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
         if theta_sys.product(u, v) == w.reverse()))
-        for w in xi_sys.enumerate_normal_forms(basis_deg)}
+        for w in xi_sys.enumerate_normal_forms(2)}
 
 
-def apply_delta(table: Dict[Word, TensorElement], e: Element,
-                signs: str = "plain") -> TensorElement:
-    """Linear extension of a generator table to a full element."""
-    sys = next(iter(table.values())).system if table else e.system
+def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
+    """Linear extension of a generator table to a full element, a tensor
+    of the table's system and sign convention."""
+    like = next(iter(table.values())) if table else TensorElement(e.system)
     d = lcm(*(table[w]._d for w in e._num))
-    return TensorElement(sys, signs)._new((
+    return like._new((
         (k, _times(*s, *t)) for w, s in e._num.items()
         for k, t in _lifted(table[w], d)), e._d * d)
 
 
 def check_dual_pairing_identity(table, theta_sys, xi_sys,
-                                basis_deg: int = 2,
                                 convention: str = "straight") -> Verdict:
-    """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples."""
-    thetas = theta_sys.enumerate_normal_forms(basis_deg)
+    """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples of
+    degree <= 2."""
+    thetas = theta_sys.enumerate_normal_forms(2)
     for w, delta_w in table.items():
         for u in thetas:
             for v in thetas:
@@ -207,8 +208,7 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
 
 
 def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
-                                xi_sys: RewriteSystem,
-                                signs: str = "plain") -> Verdict:
+                                xi_sys: RewriteSystem) -> Verdict:
     """Does Delta . e = (e (x) e) . Delta hold for the obstruction map?
 
     There is one witness at each basis word where the two sides differ.  The
@@ -216,9 +216,8 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
     """
     witnesses = []
     for w in sorted(table, key=Word.sort_key):
-        lhs = apply_delta(table, obstruction(Element.from_word(xi_sys, w)),
-                          signs)
-        rhs = table[w].with_signs(signs).map_legs(obstruction, obstruction)
+        lhs = apply_delta(table, obstruction(Element.from_word(xi_sys, w)))
+        rhs = table[w].map_legs(obstruction, obstruction)
         if lhs != rhs:
             witnesses.append(Witness("coalgebra obstruction",
                                      w.to_text(xi_sys.symbol), lhs, rhs))

@@ -205,15 +205,15 @@ class CoherenceReport:
         return not any(reduces is False
                        for _, reduces, *_ in self.disagreements)
 
-    def render(self, limit: int = 8) -> str:
+    def render(self) -> str:
         lines = [f"base={self.label} max_deg={self.max_deg} "
                  f"instances={self.checked} "
                  f"order_coherent={str(self.order_coherent).lower()} "
                  f"full_law_coherent={str(self.coherent).lower()}"]
         if self.disagreements:
             lines.append(f"  disagreements: {len(self.disagreements)} "
-                         f"(showing up to {limit})")
-        return "\n".join(lines + self.disagreement_lines(limit))
+                         "(showing up to 8)")
+        return "\n".join(lines + self.disagreement_lines(8))
 
     def disagreement_lines(self, limit: int) -> list:
         """One line per disagreement, the first `limit` of them."""

@@ -236,3 +236,46 @@ def inverse_reference(rows):
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(r[n:] for r in red)
+
+
+# The truncation of `cocycle_from_algebra` as it was before it went through
+# `RewriteSystem.product`: each image is a full element product, read off
+# through its support.  It is the oracle of the word-by-word pruning.
+
+
+def cocycle_from_algebra_reference(system, max_deg):
+    """(cocycle, report) of `cocycle_from_algebra`, pruned by `mul`."""
+    from rga.algebra import Subspace, decompose, left_mul_matrix, mul
+    from rga.category import Cocycle, LinearMap, TruncationReport
+    n = system.n
+    bases = {i + 1: list(s.basis)
+             for i, s in enumerate(decompose(system, max_deg))}
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n + 1):
+            src = (i % n) + 1
+            gen = Element.generator(system, i)
+            keep = []
+            for w in bases[src]:
+                support = mul(gen, Element.from_word(system, w)).support()
+                if all(u in bases[i] for u in support):
+                    keep.append(w)
+                else:
+                    bad = next(u for u in support if u not in bases[i])
+                    removed.append((f"X{src}", w, bad))
+                    changed = True
+            bases[src] = keep
+    spaces = {i: Subspace(f"X{i}", tuple(bases[i])) for i in range(1, n + 1)}
+
+    def f_map(i):
+        src = (i % n) + 1
+        return LinearMap(spaces[src], spaces[i], left_mul_matrix(
+            Element.generator(system, i), spaces[src], spaces[i]))
+
+    order = [1] + list(range(n, 1, -1))
+    return (Cocycle([spaces[i] for i in order],
+                    [f_map(order[(k + 1) % n]) for k in range(n)]),
+            TruncationReport(tuple(removed),
+                             tuple(spaces[i].dim for i in range(1, n + 1))))

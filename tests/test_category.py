@@ -13,10 +13,10 @@ from rga.category import (ChainTypeError, Cocycle, DegeneratePairingError,
                           cocycle_from_json, cocycle_to_json, dual_cocycle,
                           obstruction_of, obstruction_order)
 from rga.linalg import Matrix
-from rga.rewrite import RewriteSystem
+from rga.rewrite import RewriteSystem, check_size
 from rga.scalar import Scalar
 
-from helpers import rand_scalar
+from helpers import cocycle_from_algebra_reference, rand_scalar
 
 SWAP = Matrix([[0, 1], [1, 0]])
 
@@ -328,6 +328,18 @@ def test_cocycle_from_algebra_n3():
     assert check_regular_cocycle(c).ok
     assert report.dims == (6, 6, 6)
     assert len(report.removed) > 0  # truncation is reported, not hidden
+
+
+@pytest.mark.parametrize("n,max_deg",
+                         [(n, d) for n in range(2, 6) for d in range(7)])
+def test_cocycle_pruning_matches_reference(n, max_deg):
+    check_size(n, max_deg)  # every case is within the enumeration ceiling
+    c, report = cocycle_from_algebra(RewriteSystem(n), max_deg)
+    want, want_report = cocycle_from_algebra_reference(RewriteSystem(n),
+                                                       max_deg)
+    assert report.removed == want_report.removed
+    assert report.dims == want_report.dims
+    assert c.spaces == want.spaces and c.maps == want.maps
 
 
 def test_cocycle_from_algebra_rejects_n1():

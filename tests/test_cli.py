@@ -192,7 +192,7 @@ def test_check_module_file(tmp_path, capsys):
     space = Subspace("A", N2_BASIS)
     action = {}
     for w in N2_BASIS:
-        _, m = left_mul_matrix(Element.from_word(sys2, w), space, space)
+        m = left_mul_matrix(Element.from_word(sys2, w), space, space)
         action[w.to_text()] = [[str(x) for x in row] for row in m.rows]
     doc = {"n": 2, "module_dim": 5, "action": action,
            "e_algebra": "identity", "e_module": "identity"}

@@ -6,8 +6,9 @@ and be in canonical form: denominator > 0, content 1, no zero numerator,
 and the public constructor rebuilds it with the same hash.  The hot
 products must build no `Scalar` at all, `wick_mul` must look the cross
 symmetry up once per routed block, and the Z[w] kernel must live in
-`rga.scalar` alone.  Rational scalars and zero combinations hash as the
-numbers they equal.
+`rga.scalar` alone.  The modules above the algebra (parser, categories,
+reports, CLI) must not read the integer layout or import a private name.
+Rational scalars and zero combinations hash as the numbers they equal.
 """
 
 import ast
@@ -314,3 +315,19 @@ def test_one_coefficient_path(path):
                    and node.module == "functools"
                    and any(alias.name == "reduce" for alias in node.names)
                    for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("name", ["parser.py", "category.py", "reports.py",
+                                  "cli.py"])
+def test_outer_modules_use_public_names(name):
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), name)
+    layout = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and node.attr in ("_num", "_d")]
+    assert not layout, (f"{name} reads `_num` or `_d` at lines {layout}; "
+                        f"use `terms()` or `coeff()`")
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("rga"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{name} imports private names {private}"

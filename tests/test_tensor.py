@@ -144,8 +144,8 @@ def test_delta_coassociative():
 
 def test_delta_pairing_identity_conventions():
     table = dual_comultiplication(THETA, XI)
-    assert check_dual_pairing_identity(table, THETA, XI, 2, "straight").ok
-    assert not check_dual_pairing_identity(table, THETA, XI, 2, "flip").ok
+    assert check_dual_pairing_identity(table, THETA, XI, "straight").ok
+    assert not check_dual_pairing_identity(table, THETA, XI, "flip").ok
 
 
 def test_delta_obstruction_law_verdict():
@@ -207,8 +207,8 @@ def module_action():
     space = Subspace("A", N2_BASIS)
     action = {}
     for w in N2_BASIS:
-        _, m = left_mul_matrix(Element.from_word(THETA, w), space, space)
-        action[w] = m
+        action[w] = left_mul_matrix(Element.from_word(THETA, w), space,
+                                    space)
     return action
 
 

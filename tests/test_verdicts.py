@@ -142,8 +142,8 @@ def test_coalgebra_obstruction():
 
 def test_regular_module():
     space = Subspace("A", N2_BASIS)
-    action = {w: left_mul_matrix(Element.from_word(THETA, w), space,
-                                 space)[1] for w in N2_BASIS}
+    action = {w: left_mul_matrix(Element.from_word(THETA, w), space, space)
+              for w in N2_BASIS}
 
     def zero_first(vec):
         return (Scalar(0),) + tuple(vec[1:])
