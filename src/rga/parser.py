@@ -61,9 +61,9 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             tokens.append((_PUNCT[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("NUM", int(text[i:j]), i))
             i = j
@@ -74,7 +74,7 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             continue
         if ch in ("T", "X"):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError(f"generator letter {ch!r} needs an index",
@@ -267,7 +267,7 @@ def parse_element(text: str, system: RewriteSystem) -> Element:
 def parse_word_letters(text: str, system: RewriteSystem) -> Word:
     """A raw word as whitespace- or comma-separated letters, e.g. "1 2 1"."""
     parts = text.replace(",", " ").split()
-    if not all(p.isdigit() for p in parts):
+    if not all(p.isdecimal() for p in parts):
         raise ParseError("word letters must be integers", 0, text)
     letters = tuple(int(p) for p in parts)
     for x in letters:
@@ -308,8 +308,7 @@ def parse_wick(text: str, pair: ConjugatedPair,
     return value
 
 
-def parse_tensor(text: str, system: RewriteSystem,
-                 signs: str = "plain") -> TensorElement:
+def parse_tensor(text: str, system: RewriteSystem) -> TensorElement:
     """A tensor expression over one algebra: zero, or summands with a (x).
 
     A product is either a plain element or a product of parenthesized
@@ -333,7 +332,7 @@ def parse_tensor(text: str, system: RewriteSystem,
         if not (isinstance(left, Element) and isinstance(right, Element)):
             raise ParseError("(x) needs plain elements on both sides",
                              tok[2], text)
-        return element_tensor(left, right, signs)
+        return element_tensor(left, right)
 
     ts = _Stream(text)
     value = _parse_sum(ts, _Context(
@@ -343,6 +342,6 @@ def parse_tensor(text: str, system: RewriteSystem,
         if not value.is_zero():
             raise ParseError("a tensor expression needs at least one (x)",
                              ts.tokens[-1][2], text)
-        value = TensorElement.zero(system, signs)  # "0", as zero prints
+        value = TensorElement.zero(system)  # "0", as zero prints
     ts.expect("END")
     return value

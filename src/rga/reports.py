@@ -45,11 +45,9 @@ def confluence_report() -> str:
         lines.append("")
     lines.append("normal-form counts by word length")
     for n in range(2, 5):
-        sys = RewriteSystem(n)
-        counts = []
-        for length in range(0, 7):
-            words = sys.enumerate_normal_forms(length)
-            counts.append(sum(1 for w in words if len(w) == length))
+        counts = [0] * 7
+        for w in RewriteSystem(n).enumerate_normal_forms(6):
+            counts[len(w)] += 1
         lines.append(f"  n={n}: " + " ".join(str(c) for c in counts))
     lines.append("")
     return "\n".join(lines) + "\n"

@@ -2,11 +2,13 @@
 pairing, the dual algebra on X-generators, and the checkers for the
 coalgebra / almost-bialgebra / module conditions.
 
-The tensor product sign rule is selectable: 'plain' multiplies legs
-independently, 'koszul' inserts (-1)**(|b|*|c|) when b crosses c in
-(a(x)b)(c(x)d).  Nothing in the source material pins the convention down,
-so the almost-bialgebra verdicts, which multiply tensors, are reported for
-both; the coalgebra laws only map legs, so they need no convention.
+A tensor is keyed by its algebra alone.  The sign rule belongs to the
+product: `tensor_mul(s, t, signs)` multiplies legs independently under
+'plain' and inserts (-1)**(|b|*|c|) when b crosses c in (a(x)b)(c(x)d)
+under 'koszul', as the flip of a braided tensor product would.  Nothing in
+the source material pins the convention down, so the almost-bialgebra
+verdicts, which multiply tensors, are reported for both; the coalgebra laws
+only map legs, so they need no convention.  `*` is the plain product.
 """
 
 from __future__ import annotations
@@ -38,49 +40,38 @@ def dual_system() -> RewriteSystem:
 class TensorElement(Combination):
     """A Q(w)-weighted sum of word pairs u (x) v over one algebra.
 
-    Built as `TensorElement(system, signs, terms)`; keys are (u, v).
+    Built as `TensorElement(system, terms)`; keys are (u, v).
     """
 
     __slots__ = ()
 
-    def __init__(self, system: RewriteSystem, signs: str = "plain",
-                 terms=None):
-        if signs not in SIGN_CONVENTIONS:
-            raise ValueError(f"unknown sign convention {signs!r}")
-        super().__init__((system, signs), terms)
-
     @property
     def system(self) -> RewriteSystem:
-        return self._context[0]
-
-    @property
-    def signs(self) -> str:
-        return self._context[1]
+        return self._context
 
     def _legs(self) -> tuple:
-        return (self._context[0], self._context[0])
+        return (self._context, self._context)
 
     def _product(self, other):
         return tensor_mul(self, other)
 
     @classmethod
-    def single(cls, system, u, v, coeff=ONE, signs="plain"):
-        return cls(system, signs, [((u, v), coeff)])
-
-    def with_signs(self, signs: str) -> "TensorElement":
-        return TensorElement(self.system, signs)._new(self._num.items(),
-                                                      self._d)
+    def single(cls, system, u, v, coeff=ONE):
+        return cls(system, [((u, v), coeff)])
 
 
-def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
+def tensor_mul(s: TensorElement, t: TensorElement,
+               signs: str = "plain") -> TensorElement:
     """(a(x)b)(c(x)d) = sign * (ac (x) bd), extended bilinearly.
 
     sign is 1 under 'plain' and (-1)**(parity(b)*parity(c)) under
     'koszul'; components are put back in normal form, annihilated terms
     drop out.
     """
+    if signs not in SIGN_CONVENTIONS:
+        raise ValueError(f"unknown sign convention {signs!r}")
     s._require_same(t)
-    koszul = s.signs == "koszul"
+    koszul = signs == "koszul"
     product = s.system.product
     return s._new((
         ((u, v), _times(x0 * k, x1 * k, *y))
@@ -90,10 +81,10 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
         for k in [-1 if koszul and b.parity * c.parity else 1]), s._d * t._d)
 
 
-def element_tensor(a: Element, b: Element, signs: str = "plain") -> TensorElement:
+def element_tensor(a: Element, b: Element) -> TensorElement:
     """Place two algebra elements side by side: a (x) b."""
     a._require_same(b)
-    return TensorElement(a.system, signs)._new((
+    return TensorElement(a.system)._new((
         ((u, v), _times(*x, *y))
         for u, x in a._num.items() for v, y in b._num.items()), a._d * b._d)
 
@@ -156,7 +147,7 @@ def dual_comultiplication(theta_sys: RewriteSystem,
     word on the X side.
     """
     thetas = theta_sys.enumerate_normal_forms(2)
-    return {w: TensorElement(xi_sys, "plain", (
+    return {w: TensorElement(xi_sys, (
         ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
         if theta_sys.product(u, v) == w.reverse()))
         for w in xi_sys.enumerate_normal_forms(2)}
@@ -164,10 +155,9 @@ def dual_comultiplication(theta_sys: RewriteSystem,
 
 def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
     """Linear extension of a generator table to a full element, a tensor
-    of the table's system and sign convention."""
-    like = next(iter(table.values())) if table else TensorElement(e.system)
+    over e's system."""
     d = lcm(*(table[w]._d for w in e._num))
-    return like._new((
+    return TensorElement(e.system)._new((
         (k, _times(*s, *t)) for w, s in e._num.items()
         for k, t in _lifted(table[w], d)), e._d * d)
 
@@ -232,7 +222,6 @@ class BialgebraReport:
     """Pass/fail of the defining relations for one comultiplication
     candidate under one sign convention."""
 
-    convention: str
     square_zero: Tuple[bool, bool]     # Delta(T1)**2 = 0, Delta(T2)**2 = 0
     cyclic: Tuple[bool, bool]          # D1 D2 D1 = D1, D2 D1 D2 = D2
 
@@ -245,13 +234,12 @@ def check_almost_bialgebra(delta_gens: Dict[int, TensorElement],
                            convention: str) -> BialgebraReport:
     """Test whether a candidate Delta on the generators extends
     multiplicatively: its values must satisfy the defining relations."""
-    d1 = delta_gens[1].with_signs(convention)
-    d2 = delta_gens[2].with_signs(convention)
-    sq1 = tensor_mul(d1, d1).is_zero()
-    sq2 = tensor_mul(d2, d2).is_zero()
-    c1 = tensor_mul(tensor_mul(d1, d2), d1) == d1
-    c2 = tensor_mul(tensor_mul(d2, d1), d2) == d2
-    return BialgebraReport(convention, (sq1, sq2), (c1, c2))
+    d1, d2 = delta_gens[1], delta_gens[2]
+    sq1 = tensor_mul(d1, d1, convention).is_zero()
+    sq2 = tensor_mul(d2, d2, convention).is_zero()
+    c1 = tensor_mul(tensor_mul(d1, d2, convention), d1, convention) == d1
+    c2 = tensor_mul(tensor_mul(d2, d1, convention), d2, convention) == d2
+    return BialgebraReport((sq1, sq2), (c1, c2))
 
 
 def bialgebra_candidates(system: RewriteSystem) -> Dict[str, Dict[int, TensorElement]]:

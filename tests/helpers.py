@@ -112,7 +112,7 @@ def cross_symmetry_sides_reference(psi, e_theta, e_xi, xi, theta):
             wick_reference(pair, rhs_terms(xi, theta)))
 
 
-def tensor_map_reference(delta_w, xi_sys, signs, e):
+def tensor_map_reference(delta_w, xi_sys, e):
     """(e (x) e)(delta_w), summed term by term; with e = obstruction this
     is the right side of the coalgebra obstruction law."""
     terms = []
@@ -121,8 +121,7 @@ def tensor_map_reference(delta_w, xi_sys, signs, e):
         ev = e(Element.from_word(xi_sys, v))
         terms += [((a, b), (s, x, y)) for a, x in eu.terms()
                   for b, y in ev.terms()]
-    return TensorElement(xi_sys, signs,
-                         summed_reference((xi_sys,) * 2, terms))
+    return TensorElement(xi_sys, summed_reference((xi_sys,) * 2, terms))
 
 
 # The products as they were before `RewriteSystem.product`: raw
@@ -137,10 +136,10 @@ def mul_reference(a, b):
         for u, su in a.terms() for v, sv in b.terms())))
 
 
-def tensor_mul_reference(s, t):
+def tensor_mul_reference(s, t, signs="plain"):
     """`tensor_mul`: both legs concatenated, then normalised."""
-    koszul = s.signs == "koszul"
-    return TensorElement(s.system, s.signs, summed_reference(
+    koszul = signs == "koszul"
+    return TensorElement(s.system, summed_reference(
         (s.system,) * 2,
         (((a.letters + c.letters, b.letters + d.letters),
           (-x if koszul and b.parity * c.parity else x, y))

@@ -531,3 +531,27 @@ def test_check_module_generator_ceiling(tmp_path, capsys, nothing_built):
     assert check_module(tmp_path, capsys, n=n) == (
         2, f"error: doc.json: $.n: must be in 1..{MAX_GENERATORS}, "
            f"got {n}\n")
+
+
+# -- digits that int() refuses are bad input, not a crash -------------------------
+
+SUPERSCRIPT_TWO_COCYCLE = {"spaces": TWO_SPACES, "maps": [
+    {"from": "X1", "to": "X2", "matrix": [["²"]]}, BACK]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["eval", "-n", "2", "T²"], None),
+    (["nf", "-n", "2", "1 ²"], None),
+    (["wick", "eval", "X² T1"], None),
+    (["check", "cocycle"], SUPERSCRIPT_TWO_COCYCLE),
+    (["check", "module"], {**MODULE, "action": {"T²": [["1"]]}}),
+], ids=["eval", "nf", "wick-eval", "check-cocycle", "check-module"])
+def test_non_decimal_digit_exit_2(tmp_path, capsys, argv, doc):
+    # str.isdigit accepts a superscript two, which int() refuses
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out.startswith("error: ") and out.count("\n") == 1

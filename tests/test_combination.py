@@ -1,10 +1,9 @@
 """Module laws of the three kinds of sparse combination, as properties.
 
-`Element`, `TensorElement` (both sign conventions) and `WickElement` are
-finite Q(w)-weighted sums; each must form a Q(w)-vector space whose
-equality, hash and printed form agree.  Keys are drawn from raw words
-(not only normal forms), so normalisation on construction is exercised
-too.
+`Element`, `TensorElement` and `WickElement` are finite Q(w)-weighted
+sums; each must form a Q(w)-vector space whose equality, hash and printed
+form agree.  Keys are drawn from raw words (not only normal forms), so
+normalisation on construction is exercised too.
 """
 
 from fractions import Fraction
@@ -40,10 +39,8 @@ def elements(system):
     return terms(words(system.n)).map(lambda ts: Element(system, ts))
 
 
-def tensors(signs):
-    return terms(st.tuples(words(2), words(2))).map(
-        lambda ts: TensorElement(S2, signs, ts))
-
+tensors = terms(st.tuples(words(2), words(2))).map(
+    lambda ts: TensorElement(S2, ts))
 
 wicks = terms(st.tuples(words(2), words(2))).map(
     lambda ts: WickElement(PAIR, ts))
@@ -52,10 +49,7 @@ wicks = terms(st.tuples(words(2), words(2))).map(
 KINDS = {
     "element-n2": (elements(S2), lambda text: parse_element(text, S2)),
     "element-n3": (elements(S3), lambda text: parse_element(text, S3)),
-    "tensor-plain": (tensors("plain"),
-                     lambda text: parse_tensor(text, S2, "plain")),
-    "tensor-koszul": (tensors("koszul"),
-                      lambda text: parse_tensor(text, S2, "koszul")),
+    "tensor": (tensors, lambda text: parse_tensor(text, S2)),
     "wick": (wicks, lambda text: parse_wick(text, PAIR, PSI)),
 }
 
@@ -102,7 +96,7 @@ def test_hash_agrees_with_equality(case):
 
 @PROPS
 @given(kind_triples)
-@example(("tensor-plain",) + (TensorElement(S2, "plain"),) * 3)
+@example(("tensor",) + (TensorElement(S2),) * 3)
 def test_print_parse_round_trip(case):
     kind, x, _, _ = case
     assert KINDS[kind][1](str(x)) == x

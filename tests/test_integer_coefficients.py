@@ -52,16 +52,12 @@ def elements(system):
     return terms(words).map(lambda ts: Element(system, ts))
 
 
-def tensors(signs):
-    return terms(st.tuples(raw_words, raw_words)).map(
-        lambda ts: TensorElement(S2, signs, ts))
-
-
+tensors = terms(st.tuples(raw_words, raw_words)).map(
+    lambda ts: TensorElement(S2, ts))
 wicks = terms(st.tuples(raw_words, raw_words)).map(
     lambda ts: WickElement(PAIR, ts))
 KINDS = {"element-n2": elements(S2), "element-n3": elements(S3),
-         "tensor-plain": tensors("plain"), "tensor-koszul": tensors("koszul"),
-         "wick": wicks}
+         "tensor": tensors, "wick": wicks}
 kind_pairs = st.sampled_from(sorted(KINDS)).flatmap(
     lambda k: st.tuples(KINDS[k], KINDS[k]))
 normal_pairs = st.tuples(st.sampled_from(PAIR.xi.enumerate_normal_forms(3)),
@@ -72,8 +68,6 @@ PROPS = settings(max_examples=40, deadline=None)
 
 def built(like, terms):
     """The public constructor of `like`'s kind and context on `terms`."""
-    if isinstance(like, TensorElement):
-        return TensorElement(like.system, like.signs, terms)
     return type(like)(like._context, terms)
 
 
@@ -123,12 +117,10 @@ def test_mul_is_canonical(case):
 
 
 @PROPS
-@given(st.sampled_from(["plain", "koszul"]).flatmap(
-    lambda signs: st.tuples(tensors(signs), tensors(signs))))
-def test_tensor_mul_is_canonical(case):
-    s, t = case
-    koszul = s.signs == "koszul"
-    got = tensor_mul(s, t)
+@given(st.sampled_from(["plain", "koszul"]), tensors, tensors)
+def test_tensor_mul_is_canonical(signs, s, t):
+    koszul = signs == "koszul"
+    got = tensor_mul(s, t, signs)
     assert got == reference(s, (
         ((a.letters + c.letters, b.letters + d.letters),
          (-x if koszul and b.parity * c.parity else x, y))
@@ -161,7 +153,7 @@ def test_peels_are_canonical(label, words, v, x):
 
 
 @PROPS
-@given(wicks, tensors("koszul"), elements(S2))
+@given(wicks, tensors, elements(S2))
 def test_map_legs_is_canonical(x, t, e):
     def shift(a):
         return a + Element.unit(a.system).scale(Scalar(Fraction(1, 3)))
@@ -201,7 +193,7 @@ def test_rational_scalar_hash_property(r):
 
 def test_zero_combinations_hash_as_zero():
     for zero in (Element(S2), Element(S2, {(1, 1): Scalar(5)}),
-                 TensorElement(S2, "koszul"), WickElement(PAIR),
+                 TensorElement(S2), WickElement(PAIR),
                  Element.generator(S2, 1) - Element.generator(S2, 1)):
         assert zero == 0 and hash(zero) == hash(0)
         assert len({zero, 0}) == 1
@@ -259,14 +251,13 @@ def test_products_and_linear_operations_build_no_scalar():
     b = Element(S2, [((), 3), ((2,), Scalar(Fraction(1, 4), 1)),
                      ((2, 1), 5)])
     s = Scalar(Fraction(2, 3), -1)
-    tensors = [TensorElement(S2, signs, [(((1,), (2,)), s), (((), ()), 2)])
-               for signs in ("plain", "koszul")]
+    t = TensorElement(S2, [(((1,), (2,)), s), (((), ()), 2)])
     for psi in PSIS.values():
         wick_mul(X, Y, psi)  # every psi value this test needs, cached
     with make_calls() as calls:
         mul(a, b)
-        for t in tensors:
-            tensor_mul(t, t), t + t, t - t, -t, t.scale(s)
+        tensor_mul(t, t), tensor_mul(t, t, "koszul")
+        t + t, t - t, -t, t.scale(s)
         for psi in PSIS.values():
             wick_mul(X, Y, psi)
             psi._peel_theta(Word((1,)), Word((2,)), Word((1,)))

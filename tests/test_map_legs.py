@@ -52,9 +52,8 @@ basis_pairs = st.tuples(st.sampled_from(PAIR.xi.enumerate_normal_forms(3)),
                         st.sampled_from(PAIR.theta.enumerate_normal_forms(3)))
 wicks = st.lists(st.tuples(pairs_of_words, scalars), max_size=5).map(
     lambda ts: WickElement(PAIR, ts))
-tensors = st.tuples(st.sampled_from(("plain", "koszul")), st.lists(
-    st.tuples(pairs_of_words, scalars), max_size=5)).map(
-        lambda args: TensorElement(S2, *args))
+tensors = st.lists(st.tuples(pairs_of_words, scalars), max_size=5).map(
+    lambda ts: TensorElement(S2, ts))
 elements = st.lists(st.tuples(raw_words, scalars), max_size=5).map(
     lambda ts: Element(S2, ts))
 maps = st.sampled_from(MAPS)
@@ -116,7 +115,7 @@ def test_cross_symmetry_verdict_matches_reference(psi, e_theta, e_xi):
 @PROPS
 @given(tensors, maps)
 def test_tensor_map_legs_matches_reference(t, e):
-    assert t.map_legs(e, e) == tensor_map_reference(t, t.system, t.signs, e)
+    assert t.map_legs(e, e) == tensor_map_reference(t, t.system, e)
 
 
 def test_coalgebra_obstruction_sides_match_reference():
@@ -124,13 +123,13 @@ def test_coalgebra_obstruction_sides_match_reference():
     table = dual_comultiplication(RewriteSystem(2), xi)
     for delta_w in table.values():
         assert delta_w.map_legs(obstruction, obstruction) \
-            == tensor_map_reference(delta_w, xi, "plain", obstruction)
+            == tensor_map_reference(delta_w, xi, obstruction)
     got = check_coalgebra_obstruction(table, xi)
     assert [w.at for w in got.witnesses] == ["X1", "X2", "X1 X2", "X2 X1"]
     by_text = {w.to_text("X"): w for w in table}
     for witness in got.witnesses:
         assert witness.rhs == tensor_map_reference(
-            table[by_text[witness.at]], xi, "plain", obstruction)
+            table[by_text[witness.at]], xi, obstruction)
 
 
 @PROPS

@@ -2,13 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rga.algebra import Element, mul
 from rga.parser import (ParseError, parse_element, parse_scalar,
                         parse_tensor, parse_wick, parse_word_letters)
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import ONE, Scalar
-from rga.tensor import TensorElement, dual_system
+from rga.tensor import TensorElement, dual_system, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
 from helpers import rand_element, rand_scalar
@@ -108,14 +109,12 @@ def test_word_letters():
 def test_tensor_round_trip():
     rng = Random(64)
     words = S2.enumerate_normal_forms(2)
-    for signs in ("plain", "koszul"):
-        for _ in range(300):
-            terms = {}
-            for _ in range(4):
-                terms[(rng.choice(words),
-                       rng.choice(words))] = rand_scalar(rng)
-            t = TensorElement(S2, signs, terms)
-            assert parse_tensor(str(t), S2, signs) == t
+    for _ in range(600):
+        terms = {}
+        for _ in range(4):
+            terms[(rng.choice(words), rng.choice(words))] = rand_scalar(rng)
+        t = TensorElement(S2, terms)
+        assert parse_tensor(str(t), S2) == t
 
 
 def test_tensor_requires_marker():
@@ -167,11 +166,11 @@ def test_print_parse_products_agree_with_mul():
 # position of the ParseError.  The three parse functions share one grammar,
 # so every context lists the same kinds of input: signs, scalar prefixes,
 # juxtaposition, parentheses, the (x) marker and the errors around them.
+# Juxtaposed tensors multiply under the plain sign rule ("plain").
 
 CONTEXTS = {
     "element": lambda text: parse_element(text, S2),
-    "plain": lambda text: parse_tensor(text, S2, "plain"),
-    "koszul": lambda text: parse_tensor(text, S2, "koszul"),
+    "plain": lambda text: parse_tensor(text, S2),
     "wick": lambda text: parse_wick(text, PAIR, PSI),
 }
 
@@ -235,17 +234,6 @@ TABLE = [
     ("plain", "(1 (x) T1) (T1 (x) 1)", "T1 (x) T1"),
     ("plain", "w (T1 (x) 1 + 1 (x) T2) (T2 (x) T1)",
      "w T2 (x) T2 T1 + w T1 T2 (x) T1"),
-    ("koszul", "T1 + ", 5),
-    ("koszul", "T1 (T2 (x) 1)", 3),
-    ("koszul", "(T1 (x) 1) T2", 13),
-    ("koszul", "T1 T2", 5),
-    ("koszul", "(T1 (x) 1) + T2", 15),
-    ("koszul", "(1 (x) T1) (T1 (x) 1)", "-T1 (x) T1"),
-    ("koszul", "(1 (x) T1 T2) (T1 (x) 1)", "T1 (x) T1 T2"),
-    ("koszul", "1/2 (1 (x) T1) (T2 (x) T2)", "-1/2 T2 (x) T1 T2"),
-    ("koszul", "w (T1 (x) 1 + 1 (x) T2) (T2 (x) T1)",
-     "-w T2 (x) T2 T1 + w T1 T2 (x) T1"),
-    ("koszul", "-w T1 (x) T2 T1 + 1 (x) 1", "1 (x) 1 - w T1 (x) T2 T1"),
     ("wick", "T1 + ", 5),
     ("wick", "", 0),
     ("wick", "-1", "-1 (x) 1"),
@@ -283,3 +271,42 @@ def test_characterisation_table(context, text, want):
         assert err.value.pos == want
     else:
         assert str(parse(text)) == want
+
+
+# The Koszul rule belongs to the product, not to the parsed tensors: each
+# row multiplies two plain parsed operands with `tensor_mul(x, y, "koszul")`.
+KOSZUL = [
+    ("1 (x) T1", "T1 (x) 1", "-T1 (x) T1"),
+    ("1 (x) T1 T2", "T1 (x) 1", "T1 (x) T1 T2"),
+    ("1/2 (1 (x) T1)", "T2 (x) T2", "-1/2 T2 (x) T1 T2"),
+    ("w (T1 (x) 1 + 1 (x) T2)", "T2 (x) T1",
+     "-w T2 (x) T2 T1 + w T1 T2 (x) T1"),
+    ("-w T1 (x) T2 T1 + 1 (x) 1", "1 (x) 1", "1 (x) 1 - w T1 (x) T2 T1"),
+]
+
+
+@pytest.mark.parametrize("x,y,want", KOSZUL,
+                         ids=[f"({x}) ({y})" for x, y, _ in KOSZUL])
+def test_koszul_product_table(x, y, want):
+    assert str(tensor_mul(parse_tensor(x, S2), parse_tensor(y, S2),
+                          "koszul")) == want
+
+
+# Every text over the grammar's characters, plus digits that `int()`
+# refuses (superscripts) or accepts (Arabic-Indic one) and a no-break
+# space, either parses or raises ParseError: nothing else escapes.
+GRAMMAR_TEXT = st.text(st.sampled_from(list("0123456789+-*/()wTXx, ")
+                                       + ["\u00b2", "\u00b3", "\u00b9",
+                                          "\u0661", "\u00a0"]),
+                       max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAMMAR_TEXT)
+def test_any_grammar_text_parses_or_raises_parse_error(text):
+    for parse in (lambda: parse_element(text, S2), lambda: parse_scalar(text),
+                  lambda: parse_word_letters(text, S2)):
+        try:
+            parse()
+        except ParseError:
+            pass

@@ -3,7 +3,7 @@ products they replaced (kept in `helpers` as oracles), and the guards
 that keep one path for products: no module but `rga.rewrite` concatenates
 two words' letters or reads `.letters` at all (a word is a tuple, so `u + v`
 needs no attribute and only the product memo should form it), and
-`+ - scale neg`, `with_signs` and `apply_delta` never call `normal_form`.
+`+ - scale neg` and `apply_delta` never call `normal_form`.
 """
 
 import ast
@@ -47,11 +47,8 @@ def elements(system):
     return terms(words(system.n)).map(lambda ts: Element(system, ts))
 
 
-def tensors(signs):
-    return terms(st.tuples(words(2), words(2))).map(
-        lambda ts: TensorElement(S2, signs, ts))
-
-
+tensors = terms(st.tuples(words(2), words(2))).map(
+    lambda ts: TensorElement(S2, ts))
 wicks = terms(st.tuples(words(2), words(2))).map(
     lambda ts: WickElement(PAIR, ts))
 
@@ -67,11 +64,9 @@ def test_mul_matches_concatenation(case):
 
 
 @PROPS
-@given(st.sampled_from(["plain", "koszul"]).flatmap(
-    lambda signs: st.tuples(tensors(signs), tensors(signs))))
-def test_tensor_mul_matches_concatenation(case):
-    s, t = case
-    assert tensor_mul(s, t) == tensor_mul_reference(s, t)
+@given(st.sampled_from(["plain", "koszul"]), tensors, tensors)
+def test_tensor_mul_matches_concatenation(signs, s, t):
+    assert tensor_mul(s, t, signs) == tensor_mul_reference(s, t, signs)
 
 
 @PROPS
@@ -146,7 +141,7 @@ def test_only_rewrite_reads_word_letters(path):
 @PROPS
 @given(st.sampled_from(["element", "tensor", "wick"]).flatmap(
     lambda kind: st.tuples(*[{"element": elements(S3),
-                              "tensor": tensors("koszul"),
+                              "tensor": tensors,
                               "wick": wicks}[kind]] * 2)), scalars)
 def test_linear_operations_skip_normal_form(case, s):
     x, y = case
@@ -156,18 +151,15 @@ def test_linear_operations_skip_normal_form(case, s):
 
 
 @PROPS
-@given(tensors("plain"), elements(S2), st.sampled_from(["plain", "koszul"]))
-def test_with_signs_and_apply_delta_skip_normal_form(t, e, signs):
+@given(tensors, elements(S2))
+def test_apply_delta_skips_normal_form(t, e):
     # a generator table over every normal word that `e` can hold
     table = {w: t.scale(k + 1)
              for k, w in enumerate(S2.enumerate_normal_forms(4))}
     with normal_form_calls() as calls:
-        resigned = t.with_signs(signs)
         applied = apply_delta(table, e)
     assert calls == []
-    assert resigned == TensorElement(S2, signs, t.terms())
-    assert resigned.signs == signs
-    assert applied == TensorElement(S2, "plain", summed_reference(
+    assert applied == TensorElement(S2, summed_reference(
         (S2, S2), ((k, (s, c)) for w, s in e.terms()
                    for k, c in table[w].terms())))
 

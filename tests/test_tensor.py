@@ -19,8 +19,8 @@ THETA = RewriteSystem(2)
 XI = dual_system()
 
 
-def tensor(u, v, signs="plain", coeff=ONE):
-    return TensorElement.single(THETA, u, v, coeff, signs)
+def tensor(u, v, coeff=ONE):
+    return TensorElement.single(THETA, u, v, coeff)
 
 
 def test_tensor_mul_componentwise():
@@ -28,39 +28,41 @@ def test_tensor_mul_componentwise():
 
 
 def test_koszul_sign():
-    a = tensor((), (1,), "koszul")
-    b = tensor((2,), (), "koszul")
-    assert tensor_mul(a, b) == tensor((2,), (1,), "koszul", Scalar(-1))
-    assert tensor_mul(a.with_signs("plain"), b.with_signs("plain")) \
-        == tensor((2,), (1,))
+    a = tensor((), (1,))
+    b = tensor((2,), ())
+    assert tensor_mul(a, b, "koszul") == tensor((2,), (1,), Scalar(-1))
+    assert tensor_mul(a, b) == a * b == tensor((2,), (1,))
 
 
 def test_nilpotent_square_both_conventions():
     for signs in SIGN_CONVENTIONS:
-        d = tensor((1,), (1, 2), signs) + tensor((1, 2), (1,), signs)
-        assert tensor_mul(d, d).is_zero()
+        d = tensor((1,), (1, 2)) + tensor((1, 2), (1,))
+        assert tensor_mul(d, d, signs).is_zero()
 
 
 def test_tensor_mul_associative():
     rng = Random(31)
     words = THETA.enumerate_normal_forms(2)
 
-    def rand_tensor(signs):
+    def rand_tensor():
         terms = {}
         for _ in range(4):
             terms[(rng.choice(words), rng.choice(words))] = rand_scalar(rng)
-        return TensorElement(THETA, signs, terms)
+        return TensorElement(THETA, terms)
 
     for signs in SIGN_CONVENTIONS:
         for _ in range(100):
-            x, y, z = (rand_tensor(signs) for _ in range(3))
-            assert tensor_mul(tensor_mul(x, y), z) \
-                == tensor_mul(x, tensor_mul(y, z))
+            x, y, z = (rand_tensor() for _ in range(3))
+            assert tensor_mul(tensor_mul(x, y, signs), z, signs) \
+                == tensor_mul(x, tensor_mul(y, z, signs), signs)
 
 
-def test_convention_mismatch_rejected():
-    with pytest.raises(ValueError):
-        tensor_mul(tensor((1,), ()), tensor((1,), (), "koszul"))
+def test_unknown_sign_convention_rejected():
+    with pytest.raises(ValueError, match="unknown sign convention 'other'"):
+        tensor_mul(tensor((1,), ()), tensor((1,), ()), "other")
+    with pytest.raises(ValueError, match="unknown sign convention 'other'"):
+        check_almost_bialgebra(bialgebra_candidates(THETA)["e1=unit,e2=unit"],
+                               "other")
 
 
 def test_element_tensor_bilinear():
