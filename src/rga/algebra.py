@@ -116,13 +116,14 @@ class Combination:
         combination is its tuple of legs."""
         return self._context
 
-    def _new(self, terms, d: int = 1) -> "Combination":
-        """A value of the same kind and context summing `terms`, pairs of
+    @classmethod
+    def _new(cls, context, terms, d: int = 1) -> "Combination":
+        """A value of this kind in `context` summing `terms`, pairs of
         (normal key or ZERO, integers (p, q)), over the denominator d > 0:
         the trusted path, which skips `normal_form` as `rewrite._word`
         skips the letter check."""
-        new = object.__new__(type(self))
-        object.__setattr__(new, "_context", self._context)
+        new = object.__new__(cls)
+        object.__setattr__(new, "_context", context)
         _fill(new, terms, d)
         return new
 
@@ -184,7 +185,7 @@ class Combination:
                     c = _times(*c, *x)
                 terms.append((parts[0][0] if one
                               else tuple(k for k, _ in parts), c))
-        return self._new(terms, self._d * e ** len(legs))
+        return self._new(self._context, terms, self._d * e ** len(legs))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -193,12 +194,13 @@ class Combination:
             legs = len(self._legs())
             unit = EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
             (p,), (q,), d = common_denominator([other])
-            other = self._new([(unit, (p, q))], d)
+            other = self._new(self._context, [(unit, (p, q))], d)
         elif type(other) is not type(self):
             return NotImplemented
         self._require_same(other)
         d = lcm(self._d, other._d)
-        return self._new(chain(_lifted(self, d), _lifted(other, d)), d)
+        return self._new(self._context,
+                         chain(_lifted(self, d), _lifted(other, d)), d)
 
     __radd__ = __add__
 
@@ -209,13 +211,15 @@ class Combination:
         return (-self) + other
 
     def __neg__(self):
-        return self._new(((k, (-p, -q)) for k, (p, q) in self._num.items()),
+        return self._new(self._context, ((k, (-p, -q))
+                                         for k, (p, q) in self._num.items()),
                          self._d)
 
     def scale(self, s):
         (sp,), (sq,), sd = common_denominator([s])
-        return self._new(((k, _times(p, q, sp, sq))
-                          for k, (p, q) in self._num.items()), self._d * sd)
+        return self._new(self._context, ((k, _times(p, q, sp, sq))
+                                         for k, (p, q) in self._num.items()),
+                         self._d * sd)
 
     def _product(self, other):
         """The kind's own bilinear product; none by default."""
@@ -348,7 +352,11 @@ class Element(Combination):
 
     @classmethod
     def from_word(cls, system: RewriteSystem, word, coeff=ONE) -> "Element":
-        return cls(system, [(word, coeff)])
+        """coeff * word, as `Element(system, [(word, coeff)])` with its
+        refusals, without collecting a sum."""
+        key = system.normal_form(word)
+        (p,), (q,), d = common_denominator([coeff])
+        return cls._new(system, [(key, (p, q))], d)
 
     @classmethod
     def from_coeffs(cls, system: RewriteSystem, coeffs: Sequence) -> "Element":
@@ -395,8 +403,9 @@ def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the product of normal words."""
     a._require_same(b)
     product = a.system.product
-    return a._new(((product(u, v), _times(*x, *y)) for u, x in a._num.items()
-                   for v, y in b._num.items()), a._d * b._d)
+    return a._new(a._context, ((product(u, v), _times(*x, *y))
+                               for u, x in a._num.items()
+                               for v, y in b._num.items()), a._d * b._d)
 
 
 def mul_closed_form(a: Element, b: Element) -> Element:
@@ -612,7 +621,7 @@ def obstruction(a: Element) -> Element:
     if a.system.n != 2:
         raise ValueError("obstruction map requires n=2")
     # the index swap is the letter swap i <-> 3 - i, which keeps words normal
-    return a._new([(EMPTY_WORD, (a._d, 0))] + [
+    return a._new(a._context, [(EMPTY_WORD, (a._d, 0))] + [
         (Word(3 - i for i in w), pq) for w, pq in a._num.items() if w], a._d)
 
 

@@ -629,7 +629,8 @@ def module_from_json(doc):
 
 def read_document(path: str) -> dict:
     """The JSON object in the UTF-8 file at `path`; raises DocumentError
-    when the file cannot be read or holds invalid JSON or another value."""
+    when the file cannot be read, holds invalid JSON, JSON nested deeper
+    than `json.load` can follow, or another value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -639,4 +640,6 @@ def read_document(path: str) -> dict:
         raise DocumentError("$", f"not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise DocumentError("$", "nested too deeply") from None
     return _expect(doc, dict, "$")

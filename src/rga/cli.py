@@ -5,11 +5,17 @@ checker answers false (including `invert` on a non-invertible element),
 and 2 on usage or parse errors.  Any other exception is a fault and
 propagates out of `main`.  Output is deterministic: identical
 invocations produce byte-identical stdout.
+
+The argparse tree is built once per process, on the first `main` call,
+and reused by every later call: it holds no per-call state, since
+`parse_args` makes a fresh namespace each time, no option has a mutable
+default and help text is formatted when it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (NotInvertible, annihilator, decompose,
@@ -27,6 +33,7 @@ from .tensor import (SIGN_CONVENTIONS, bialgebra_candidates,
 from .wick import ConjugatedPair, CrossSymmetry, check_coherence
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rga",

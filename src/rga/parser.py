@@ -19,6 +19,7 @@ elements multiplied by juxtaposition.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -36,6 +37,12 @@ class ParseError(ValueError):
         self.pos = pos
         self.text = text
         super().__init__(f"{message} at position {pos}")
+
+
+# The deepest parenthesis nesting an expression may have.  The descent
+# takes three frames per level, so this keeps every accepted input well
+# inside the interpreter's recursion limit.
+MAX_NESTING = 200
 
 
 # -- tokenizer ------------------------------------------------------------
@@ -92,6 +99,7 @@ class _Stream:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -226,8 +234,13 @@ def _parse_product(ts: _Stream, ctx: _Context):
         if tok[0] == "GEN":
             factor = ctx.generator(tok)
         else:
+            if ts.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", tok[2], ts.text)
+            ts.depth += 1
             factor = _parse_sum(ts, ctx)
             ts.expect("RPAREN")
+            ts.depth -= 1
         value = ctx.product(value, factor, tok)
     if coeff is None and not got_factor:
         ts.error("expected a term")
@@ -265,14 +278,18 @@ def parse_element(text: str, system: RewriteSystem) -> Element:
 
 
 def parse_word_letters(text: str, system: RewriteSystem) -> Word:
-    """A raw word as whitespace- or comma-separated letters, e.g. "1 2 1"."""
-    parts = text.replace(",", " ").split()
-    if not all(p.isdecimal() for p in parts):
-        raise ParseError("word letters must be integers", 0, text)
-    letters = tuple(int(p) for p in parts)
-    for x in letters:
+    """A raw word as whitespace- or comma-separated letters, e.g. "1 2 1".
+
+    The first bad letter is refused at its character offset."""
+    letters = []
+    for m in re.finditer(r"[^\s,]+", text):
+        if not m[0].isdecimal():
+            raise ParseError("word letters must be integers", m.start(), text)
+        x = int(m[0])
         if not 1 <= x <= system.n:
-            raise ParseError(f"letter {x} outside 1..{system.n}", 0, text)
+            raise ParseError(f"letter {x} outside 1..{system.n}", m.start(),
+                             text)
+        letters.append(x)
     return Word(letters)
 
 

@@ -73,7 +73,7 @@ def tensor_mul(s: TensorElement, t: TensorElement,
     s._require_same(t)
     koszul = signs == "koszul"
     product = s.system.product
-    return s._new((
+    return s._new(s._context, (
         ((u, v), _times(x0 * k, x1 * k, *y))
         for (a, b), (x0, x1) in s._num.items() for (c, d), y in t._num.items()
         if (u := product(a, c)) is not ZERO
@@ -84,7 +84,7 @@ def tensor_mul(s: TensorElement, t: TensorElement,
 def element_tensor(a: Element, b: Element) -> TensorElement:
     """Place two algebra elements side by side: a (x) b."""
     a._require_same(b)
-    return TensorElement(a.system)._new((
+    return TensorElement._new(a.system, (
         ((u, v), _times(*x, *y))
         for u, x in a._num.items() for v, y in b._num.items()), a._d * b._d)
 
@@ -157,7 +157,7 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
     """Linear extension of a generator table to a full element, a tensor
     over e's system."""
     d = lcm(*(table[w]._d for w in e._num))
-    return TensorElement(e.system)._new((
+    return TensorElement._new(e.system, (
         (k, _times(*s, *t)) for w, s in e._num.items()
         for k, t in _lifted(table[w], d)), e._d * d)
 
@@ -185,12 +185,14 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
     d = lcm(*(t._d for t in table.values()))
     lifted = {w: _lifted(t, d) for w, t in table.items()}
     for w, delta_w in table.items():
-        zero = Combination((delta_w.system,) * 3)
+        legs = (delta_w.system,) * 3
         terms = delta_w._num.items()
-        left = zero._new((((p, q, v), _times(*s, *t)) for (u, v), s in terms
-                          for (p, q), t in lifted[u]), delta_w._d * d)
-        right = zero._new((((u, p, q), _times(*s, *t)) for (u, v), s in terms
-                           for (p, q), t in lifted[v]), delta_w._d * d)
+        left = Combination._new(legs, (
+            ((p, q, v), _times(*s, *t)) for (u, v), s in terms
+            for (p, q), t in lifted[u]), delta_w._d * d)
+        right = Combination._new(legs, (
+            ((u, p, q), _times(*s, *t)) for (u, v), s in terms
+            for (p, q), t in lifted[v]), delta_w._d * d)
         if left != right:
             return Verdict((Witness("coassociativity", w.to_text(
                 delta_w.system.symbol), left, right),))

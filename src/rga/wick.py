@@ -49,8 +49,8 @@ class ConjugatedPair:
         else:
             raise ValueError("element does not belong to this pair")
         # reversed words stay normal; w -> w**2 maps p + qw to p - q - qw
-        return Element(target)._new(
-            ((w.reverse(), (p - q, -q)) for w, (p, q) in a._num.items()), a._d)
+        return Element._new(target, (
+            (w.reverse(), (p - q, -q)) for w, (p, q) in a._num.items()), a._d)
 
 
 class WickElement(Combination):
@@ -317,7 +317,7 @@ def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
                 if (u := theta(a, p)) is not ZERO:
                     s = _times(s0, s1, r0 * f, r1 * f)
                     terms += [((u, v), _times(*s, *t)) for v, t in right]
-    return like._new(terms, den * e)
+    return like._new(like._context, terms, den * e)
 
 
 def _grouped(x: WickElement, side: int) -> dict:

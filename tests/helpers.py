@@ -11,6 +11,11 @@ from rga.tensor import TensorElement
 from rga.wick import WickElement
 
 
+def nested(depth: int, inner: str) -> str:
+    """`inner` inside `depth` pairs of parentheses."""
+    return "(" * depth + inner + ")" * depth
+
+
 def rand_scalar(rng: Random, span: int = 6) -> Scalar:
     return Scalar(Fraction(rng.randint(-span, span), rng.randint(1, 4)),
                   Fraction(rng.randint(-span, span), rng.randint(1, 4)))

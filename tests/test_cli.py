@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,16 +9,17 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rga import cli
 from rga.algebra import Element
 from rga.category import cocycle_from_algebra, cocycle_to_json
 from rga.cli import main
 from rga.linalg import Matrix
-from rga.parser import parse_element
+from rga.parser import MAX_NESTING, parse_element
 from rga.rewrite import MAX_GENERATORS, MAX_WORDS, RewriteSystem
 
-from helpers import rand_element
+from helpers import nested, rand_element
 
 
 def run(capsys, argv):
@@ -555,3 +559,151 @@ def test_non_decimal_digit_exit_2(tmp_path, capsys, argv, doc):
     code, out = run(capsys, argv)
     assert code == 2
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+# -- input nested deeper than the parser or json.load follows -------------------
+
+
+@pytest.mark.parametrize("argv, inner, out", [
+    (["eval", "-n", "2"], "T1 T2 T1", "T1\n"),
+    (["wick", "eval"], "X1 T1", "1 (x) 1 - T1 (x) X1\n"),
+], ids=["eval", "wick-eval"])
+def test_deep_parentheses_exit_2(capsys, argv, inner, out):
+    # exactly the bound still parses, under pytest's deeper stack too
+    assert run(capsys, argv + [nested(MAX_NESTING, inner)]) == (0, out)
+    assert run(capsys, argv + [nested(2000, inner)]) == (
+        2, f"error: parentheses nested deeper than {MAX_NESTING} at "
+           f"position {MAX_NESTING}\n")
+
+
+def test_deep_parentheses_in_a_module_word_exit_2(tmp_path, capsys):
+    word = nested(2000, "1")
+    code, out = check_module(tmp_path, capsys, action={word: [["1"]]})
+    assert code == 2
+    assert out.startswith(f"error: doc.json: $.action.{word}: ") \
+        and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("checker", ["cocycle", "functor", "module"])
+@pytest.mark.parametrize("text", ["[" * 1000 + "]" * 1000,
+                                  '{"n": ' * 1000 + "1" + "}" * 1000,
+                                  "[" * 100_000],
+                         ids=["lists", "objects", "unclosed-100000"])
+def test_deeply_nested_document_exit_2(tmp_path, capsys, checker, text):
+    assert check_document(tmp_path, capsys, text, checker) == (
+        2, "error: doc.json: $: nested too deeply\n")
+
+
+# -- one parser tree per process ---------------------------------------------------
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    trees = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        if kwargs.get("prog") == "rga":
+            trees.append(self)
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv in (["eval", "-n", "2", "T1"], ["nf", "-n", "2", "1 2"],
+                 ["obstruction", "-n", "2", "T1"], ["wick", "eval", "X1"],
+                 ["confluence", "-n", "2"]):
+        assert main(argv) == 0
+    assert len(trees) == 1
+
+
+# Calls whose answers the tests above pin, and the calls a shared parser
+# could get wrong: a usage error that leaves mid-parse, help text, a parse
+# error, an option default after a call that set it, and an option left
+# out after a call that gave it.  "{tmp}" is the directory of the documents.
+SHARED_PARSER_POOL = [
+    ["eval", "-n", "2", "T1 T2 T1"],
+    ["eval", "-n", "2", "T1 +"],
+    ["eval", "-n", "2", "T5"],
+    ["eval", "-n", "0", "T1"],
+    ["eval", "-n", "1", "T1 T1"],
+    ["eval", "--help"],
+    ["frobnicate"],
+    ["nf", "-n", "3", "1 2 3 1 2"],
+    ["nf", "-n", "2", "1 1"],
+    ["nf", "-n", "1", "1 1 1"],
+    ["nf", "-n", "2", "1 \u00b2"],
+    ["invert", "-n", "2", "T1"],
+    ["invert", "-n", "2", "1 + T1"],
+    ["annihilate", "-n", "2", "--side", "right", "T1"],
+    ["annihilate", "-n", "2", "--side", "right", "1"],
+    ["obstruction", "-n", "2", "T1"],
+    ["idempotents", "-n", "2"],
+    ["confluence", "-n", "2"],
+    ["confluence", "-n", "1"],
+    ["decompose", "-n", "2", "--max-deg", "2"],
+    ["decompose", "-n", "2", "--max-deg", "-1"],
+    ["check", "cocycle", "{tmp}/cocycle.json"],
+    ["check", "cocycle", "{tmp}/missing.json"],
+    ["check", "functor", "{tmp}/functor.json"],
+    ["check", "module", "{tmp}/module.json"],
+    ["check", "bialgebra", "-n", "2", "--signs", "koszul", "--evacuum",
+     "idem"],
+    ["wick", "eval", "X1 T1", "--vacuum", "idem"],
+    ["wick", "eval", "X1 T1"],
+    ["wick", "eval", "(1 (x) X1) (T1 (x) 1)"],
+    ["wick", "eval", "X1 T1 T2"],
+    ["wick", "coherence", "--max-deg", "2"],
+    ["dual", "delta"],
+    ["report", "--all", "--out", "{tmp}/out"],
+    ["report", "--all"],
+]
+WICK_IDEM = SHARED_PARSER_POOL.index(["wick", "eval", "X1 T1", "--vacuum",
+                                      "idem"])
+
+
+def answer(argv, where):
+    """(exit code, stdout) of one in-process call run in `where`; the code of
+    a usage error is that of its SystemExit."""
+    out, here = io.StringIO(), os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def shared_parser_pool(tmp_path_factory):
+    """The pool with "{tmp}" filled in, and each call's answer from a
+    freshly built parser."""
+    tmp = tmp_path_factory.mktemp("pool")
+    c, _ = cocycle_from_algebra(RewriteSystem(2), 2)
+    (tmp / "cocycle.json").write_text(json.dumps(cocycle_to_json(c)))
+    (tmp / "functor.json").write_text(json.dumps({
+        "cocycle": cocycle_to_json(c),
+        "base_change": {"X1": [["1", "1"], ["0", "1"]],
+                        "X2": [["1", "0"], ["1", "1"]]}}))
+    (tmp / "module.json").write_text(json.dumps(MODULE))
+    pool = [[a.format(tmp=tmp) for a in argv] for argv in SHARED_PARSER_POOL]
+    fresh = []
+    for argv in pool:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv, tmp))
+    return tmp, pool, fresh
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, len(SHARED_PARSER_POOL) - 1), min_size=1,
+                max_size=6))
+@example([WICK_IDEM, WICK_IDEM + 1])  # --vacuum set, then its default
+def test_shared_parser_answers_as_a_fresh_one(shared_parser_pool, picks):
+    tmp, pool, fresh = shared_parser_pool
+    cli._build_parser.cache_clear()
+    for k in picks:
+        assert answer(pool[k], tmp) == fresh[k], pool[k]
+    assert cli._build_parser.cache_info().misses == 1

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rga.algebra import Element
 from rga.parser import parse_element, parse_tensor, parse_wick
-from rga.rewrite import RewriteSystem
+from rga.rewrite import LetterRangeError, RewriteSystem
 from rga.scalar import Scalar
 from rga.tensor import TensorElement, element_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
@@ -124,3 +124,37 @@ def test_coeff_needs_one_word_per_leg(case):
                 x.coeff(*[()] * count)
     for key, s in x.terms():
         assert x.coeff(*((key,) if legs == 1 else key)) == s
+
+
+# `from_word` is the constructor on one term: raw words (those with two
+# equal adjacent letters reduce to zero) and each coefficient type.
+coefficients = st.one_of(st.integers(-6, 6), rationals, scalars)
+
+
+@PROPS
+@given(st.sampled_from([S2, S3]).flatmap(
+    lambda system: st.tuples(st.just(system), words(system.n))),
+    coefficients)
+@example((S2, (1, 1)), 1)
+@example((S3, (1, 2, 3)), 0)
+def test_from_word_is_the_one_term_constructor(system_word, coeff):
+    system, word = system_word
+    got = Element.from_word(system, word, coeff)
+    assert type(got) is Element
+    assert got == Element(system, [(word, coeff)])
+
+
+@pytest.mark.parametrize("word, coeff, error", [
+    ((1, 3), 1, LetterRangeError),
+    ((0,), 1, LetterRangeError),
+    ((True,), 1, LetterRangeError),
+    ((0,), 1.5, LetterRangeError),  # the word is checked first
+    ((1,), 1.5, TypeError),
+    ((1,), "1", TypeError),
+])
+def test_from_word_refuses_as_the_constructor_does(word, coeff, error):
+    with pytest.raises(error) as want:
+        Element(S2, [(word, coeff)])
+    with pytest.raises(error) as got:
+        Element.from_word(S2, word, coeff)
+    assert str(got.value) == str(want.value)

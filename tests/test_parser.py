@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rga.algebra import Element, mul
-from rga.parser import (ParseError, parse_element, parse_scalar,
+from rga.parser import (MAX_NESTING, ParseError, parse_element, parse_scalar,
                         parse_tensor, parse_wick, parse_word_letters)
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import ONE, Scalar
 from rga.tensor import TensorElement, dual_system, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
-from helpers import rand_element, rand_scalar
+from helpers import nested, rand_element, rand_scalar
 
 S2 = RewriteSystem(2)
 PAIR = ConjugatedPair()
@@ -100,10 +100,60 @@ def test_syntax_errors_carry_position():
 def test_word_letters():
     assert parse_word_letters("1 2 1", S2) == Word([1, 2, 1])
     assert parse_word_letters("1,2", S2) == Word([1, 2])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^letter 3 outside 1\.\.2 at "
+                                         r"position 2$"):
         parse_word_letters("1 3", S2)
+    with pytest.raises(ParseError, match=r"^word letters must be integers at "
+                                         r"position 2$"):
+        parse_word_letters("1,\u00b2", S2)
     with pytest.raises(ParseError):
         parse_word_letters("x", S2)
+
+
+# Separators between letters, and letters that are an out-of-range integer
+# or not an integer (`int()` refuses the superscript two).
+SEPARATORS = st.sampled_from([" ", ",", ", ", " ,", "\t", "  ", "\u00a0"])
+ENDS = st.sampled_from(["", " ", ","])
+BAD_LETTERS = st.sampled_from(["0", "3", "10", "00", "\u00b2", "1\u00b2", "x",
+                               "T1", "-1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["1", "2"]), min_size=1, max_size=8),
+       BAD_LETTERS, st.data())
+def test_word_letter_refusals_carry_the_letter_position(letters, bad, data):
+    k = data.draw(st.integers(0, len(letters) - 1))
+    letters[k] = bad
+    text = data.draw(ENDS)
+    for i, letter in enumerate(letters):
+        if i:
+            text += data.draw(SEPARATORS)
+        if i == k:
+            pos = len(text)
+        text += letter
+    text += data.draw(ENDS)
+    with pytest.raises(ParseError) as err:
+        parse_word_letters(text, S2)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("parse, inner, want", [
+    (lambda text: parse_element(text, S2), "T1 T2 T1", "T1"),
+    (lambda text: parse_wick(text, PAIR, PSI), "X1 T1",
+     "1 (x) 1 - T1 (x) X1"),
+    (lambda text: parse_tensor(text, S2), "T1 (x) T2", "T1 (x) T2"),
+], ids=["element", "wick", "tensor"])
+def test_nesting_bound(parse, inner, want):
+    assert str(parse(nested(MAX_NESTING, inner))) == want
+    # the first parenthesis past the bound is refused where it stands
+    with pytest.raises(ParseError) as err:
+        parse(nested(MAX_NESTING + 1, inner))
+    assert err.value.pos == MAX_NESTING
+    assert str(err.value) == (f"parentheses nested deeper than {MAX_NESTING} "
+                              f"at position {MAX_NESTING}")
+    # the bound is on open parentheses, not on how many a text holds
+    assert parse(" ".join([nested(MAX_NESTING, inner)] * 3)) \
+        == parse(" ".join([f"({inner})"] * 3))
 
 
 def test_tensor_round_trip():
