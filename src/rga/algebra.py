@@ -19,7 +19,7 @@ from typing import Sequence
 from .linalg import Matrix, _reduced
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
 from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make, _times,
-                     common_denominator)
+                     common_denominator, integer_parts)
 
 
 class AlgebraMismatchError(ValueError):
@@ -135,7 +135,13 @@ class Combination:
     @classmethod
     def unit(cls, *context):
         """The unit key (empty word on every leg) with coefficient 1."""
-        return cls(*context) + 1
+        zero = cls(*context)
+        return zero._new(zero._context, [(zero._unit_key(), (1, 0))])
+
+    def _unit_key(self):
+        """The key with the empty word on every leg."""
+        legs = len(self._legs())
+        return EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
 
     def _require_same(self, other: "Combination"):
         if self._context != other._context:
@@ -191,10 +197,8 @@ class Combination:
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            legs = len(self._legs())
-            unit = EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
-            (p,), (q,), d = common_denominator([other])
-            other = self._new(self._context, [(unit, (p, q))], d)
+            p, q, d = integer_parts(other)
+            other = self._new(self._context, [(self._unit_key(), (p, q))], d)
         elif type(other) is not type(self):
             return NotImplemented
         self._require_same(other)
@@ -216,7 +220,7 @@ class Combination:
                          self._d)
 
     def scale(self, s):
-        (sp,), (sq,), sd = common_denominator([s])
+        sp, sq, sd = integer_parts(s)
         return self._new(self._context, ((k, _times(p, q, sp, sq))
                                          for k, (p, q) in self._num.items()),
                          self._d * sd)
@@ -306,6 +310,30 @@ def _lifted(c: Combination, d: int):
         (k, (p * f, q * f)) for k, (p, q) in c._num.items()]
 
 
+def linear_combination(terms) -> Combination:
+    """The sum of c * x over the pairs (c, x) in `terms`: c an int, Fraction
+    or Scalar, x a Combination or None for the unit.  The x share one kind
+    and context, and at least one is not None.  Built once, over the least
+    common denominator of all the products."""
+    terms = [(integer_parts(c), x) for c, x in terms]
+    first = next(x for _, x in terms if x is not None)
+    d = lcm(*(e if x is None else e * x._d for (_, _, e), x in terms))
+    unit = first._unit_key()
+    pairs = []
+    for (p, q, e), x in terms:
+        if x is None:
+            pairs.append((unit, (p * (d // e), q * (d // e))))
+            continue
+        if type(x) is not type(first):
+            raise TypeError(f"cannot add {type(x).__name__} to "
+                            f"{type(first).__name__}")
+        first._require_same(x)
+        f = d // (e * x._d)
+        pairs.extend((k, _times(p * f, q * f, *pq))
+                     for k, pq in x._num.items())
+    return first._new(first._context, pairs, d)
+
+
 def _normal_key(legs: tuple, raw):
     """The normal form of a raw key, or ZERO when any leg vanishes."""
     if len(legs) == 1:
@@ -348,14 +376,17 @@ class Element(Combination):
 
     @classmethod
     def generator(cls, system: RewriteSystem, i: int) -> "Element":
-        return cls(system, {Word((i,)): ONE})
+        """The generator T_i: one letter, so a normal word once in range."""
+        key = Word((i,))
+        system._check_letters(key)
+        return cls._new(system, [(key, (1, 0))])
 
     @classmethod
     def from_word(cls, system: RewriteSystem, word, coeff=ONE) -> "Element":
         """coeff * word, as `Element(system, [(word, coeff)])` with its
         refusals, without collecting a sum."""
         key = system.normal_form(word)
-        (p,), (q,), d = common_denominator([coeff])
+        p, q, d = integer_parts(coeff)
         return cls._new(system, [(key, (p, q))], d)
 
     @classmethod

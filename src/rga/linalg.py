@@ -30,7 +30,8 @@ from typing import Sequence
 
 from .rewrite import SelfCheckError
 from .scalar import (ONE, ZERO_SCALAR, _conjugate, _make, _products,
-                     _scaled_rows, _times, common_denominator)
+                     _scaled_rows, _times, common_denominator,
+                     integer_parts)
 
 
 class Matrix:
@@ -103,7 +104,7 @@ class Matrix:
                          for r, u in zip(self.Q, other.Q)], d)
 
     def scale(self, s) -> "Matrix":
-        (sp,), (sq,), sd = common_denominator([s])
+        sp, sq, sd = integer_parts(s)
         return _reduced(self.nrows, self.ncols,
                         *_scaled_rows(self.P, self.Q, sp, sq), self.d * sd)
 

@@ -4,17 +4,21 @@ Grammar (whitespace separates juxtaposed factors):
 
     element := ["+"|"-"] term (("+"|"-") term)*
     term    := scalar ["*"] factor* | factor+
-    factor  := GEN | "(" element ")"
+    factor  := GEN | group | "(" element ")"
+    group   := "(" ["+"|"-"] sterm (("+"|"-") sterm)* ")"
+    sterm   := scalar ["*"] group* | group+
     scalar  := rat ["*"] "w" | rat | "w"
     rat     := INT ["/" INT]
     GEN     := ("T"|"X") DIGIT+
 
-Plus and minus always separate terms; a two-part coefficient like 1+2*w
-therefore re-parses as two unit-word terms of equal total value, and the
-printers parenthesize it whenever a word follows.  In tensor and Wick
-contexts a term may carry one "(x)" splitting it into a left and a right
-component, and parenthesized subexpressions denote tensor (resp. Wick)
-elements multiplied by juxtaposition.
+A group holds scalars alone and is one scalar: with the term's sign and
+scalar prefix it multiplies into the term's coefficient, so the printers'
+`(1+2*w) T1` reads as one term.  Plus and minus always separate terms, so
+an unparenthesized 1+2*w T1 is the two terms 1 and 2*w T1.  In tensor and
+Wick contexts a term may carry one "(x)" splitting it into a left and a
+right component, and parenthesized subexpressions denote tensor (resp.
+Wick) elements multiplied by juxtaposition; in a tensor context a group
+is a plain element, and a plain factor before a tensor must be 1.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import re
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .algebra import Element, mul
-from .rewrite import RewriteSystem, Word
+from .algebra import Element, linear_combination, mul
+from .rewrite import EMPTY_WORD, RewriteSystem, Word
 from .scalar import OMEGA, Scalar
 from .tensor import TensorElement, element_tensor
 from .wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
@@ -47,50 +51,29 @@ MAX_NESTING = 200
 
 # -- tokenizer ------------------------------------------------------------
 
-_PUNCT = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH",
-          "(": "LPAREN", ")": "RPAREN"}
+# A token is "(x)", a run of digits, a generator letter with its digits or
+# one other visible character; whitespace matches none and is skipped.
+_TOKEN = re.compile(r"\(x\)|\d+|[TX]\d*|\S")
+_KINDS = {"(x)": "TENSOR", "+": "PLUS", "-": "MINUS", "*": "STAR",
+          "/": "SLASH", "(": "LPAREN", ")": "RPAREN", "w": "W"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(x)", i):
-            tokens.append(("TENSOR", "(x)", i))
-            i += 3
-            continue
-        if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("NUM", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "w":
-            tokens.append(("W", "w", i))
-            i += 1
-            continue
-        if ch in ("T", "X"):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"generator letter {ch!r} needs an index",
+    for m in _TOKEN.finditer(text):
+        value, i = m[0], m.start()
+        if value in _KINDS:
+            tokens.append((_KINDS[value], value, i))
+        elif value.isdecimal():
+            tokens.append(("NUM", int(value), i))
+        elif value[0] in "TX":
+            if len(value) == 1:
+                raise ParseError(f"generator letter {value!r} needs an index",
                                  i, text)
-            tokens.append(("GEN", (ch, int(text[i + 1:j])), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, text)
-    tokens.append(("END", None, n))
+            tokens.append(("GEN", (value[0], int(value[1:])), i))
+        else:
+            raise ParseError(f"unexpected character {value!r}", i, text)
+    tokens.append(("END", None, len(text)))
     return tokens
 
 
@@ -124,7 +107,8 @@ class _Stream:
 # -- scalar layer ---------------------------------------------------------
 
 
-def _parse_rat(ts: _Stream) -> Fraction:
+def _parse_rat(ts: _Stream):
+    """An int, or a Fraction when a denominator follows."""
     num = ts.expect("NUM")[1]
     if ts.peek() == "SLASH":
         ts.next()
@@ -132,25 +116,20 @@ def _parse_rat(ts: _Stream) -> Fraction:
         if den == 0:
             ts.error("zero denominator")
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 def _try_parse_scalar(ts: _Stream) -> Optional[Scalar]:
     """rat ["*"] "w" | rat | "w"; None when the stream starts elsewhere."""
-    if ts.peek() == "W":
+    kind = ts.peek()
+    if kind == "W":
         ts.next()
         return OMEGA
-    if ts.peek() != "NUM":
+    if kind != "NUM":
         return None
     r = _parse_rat(ts)
-    if ts.peek() == "STAR":
-        mark = ts.pos
-        ts.next()
-        if ts.peek() == "W":
-            ts.next()
-            return Scalar(0, r)
-        ts.pos = mark  # the star belonged to something else; back off
-        return Scalar(r)
+    if ts.peek() == "STAR" and ts.tokens[ts.pos + 1][0] == "W":
+        ts.next()  # the star belongs to the scalar only when w follows
     if ts.peek() == "W":
         ts.next()
         return Scalar(0, r)
@@ -187,49 +166,68 @@ def parse_scalar(text: str) -> Scalar:
 class _Context(NamedTuple):
     """What one kind of expression plugs into the shared grammar.
 
-    `unit()` is the empty product, `generator(tok)` the value of one GEN
-    token, `product(value, factor, tok)` multiplies a factor that starts at
-    token `tok` onto the running product, and `combine(left, right, tok)`
-    reads `left (x) right`; None where the kind has no (x).
+    `generator(tok)` is the value of one GEN token, `product(value, factor,
+    tok)` multiplies a factor that starts at token `tok` onto the running
+    product, and `combine(left, right, tok)` reads `left (x) right`; None
+    where the kind has no (x).  Every operand is a value of the kind or,
+    for `combine`, None.
+
+    A term is read as (coefficient, value): its sign, its scalar prefix and
+    its groups of scalars alone multiply into the coefficient, and a term
+    of scalars alone has the value `unit`.  Where `unit` is None, such a
+    term, and a sum of such terms, stays a Scalar.  A tensor expression
+    sets `unit` to the plain unit element: there a scalar is a plain
+    element, which `product` may refuse beside a tensor.
     """
 
-    unit: Callable[[], object]
     generator: Callable[[tuple], object]
     product: Callable[[object, object, tuple], object]
     combine: Optional[Callable[[object, object, tuple], object]]
+    unit: Optional[object]
 
 
 def _parse_sum(ts: _Stream, ctx: _Context):
-    sign = 1
+    """A Scalar when every term is one, else the kind's value, built once."""
+    sign = -1 if ts.peek() == "MINUS" else 1
     if ts.peek() in ("PLUS", "MINUS"):
+        ts.next()
+    terms, kind = [], None
+    while True:
+        term = _parse_term(ts, ctx, sign)
+        if term[1] is not None:
+            if kind is None:
+                kind = type(term[1])
+            elif type(term[1]) is not kind:
+                ts.error("cannot add a plain element to a tensor")
+        terms.append(term)
+        if ts.peek() not in ("PLUS", "MINUS"):
+            break
         sign = 1 if ts.next()[0] == "PLUS" else -1
-    value = _parse_term(ts, ctx).scale(sign)
-    while ts.peek() in ("PLUS", "MINUS"):
-        sign = 1 if ts.next()[0] == "PLUS" else -1
-        term = _parse_term(ts, ctx).scale(sign)
-        if type(term) is not type(value):
-            ts.error("cannot add a plain element to a tensor")
-        value = value + term
-    return value
+    if kind is None:
+        return sum((c for c, _ in terms[1:]), terms[0][0])
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return linear_combination(terms)
 
 
-def _parse_term(ts: _Stream, ctx: _Context):
-    left = _parse_product(ts, ctx)
+def _parse_term(ts: _Stream, ctx: _Context, sign: int):
+    coeff, left = _parse_product(ts, ctx, sign)
     if ctx.combine is None or ts.peek() != "TENSOR":
-        return left
+        return coeff, left
     tok = ts.next()
-    return ctx.combine(left, _parse_product(ts, ctx), tok)
+    scale, right = _parse_product(ts, ctx, 1)
+    return coeff * scale, ctx.combine(left, right, tok)
 
 
-def _parse_product(ts: _Stream, ctx: _Context):
-    """A scalar prefix, then juxtaposed generators and parenthesized sums."""
+def _parse_product(ts: _Stream, ctx: _Context, sign: int):
+    """(coefficient, value) of a scalar prefix, then juxtaposed generators
+    and parenthesized sums; the first factor that is not a scalar is the
+    value, and each later one multiplies onto it."""
     coeff = _try_parse_scalar(ts)
     if coeff is not None and ts.peek() == "STAR":
         ts.next()
-    value = ctx.unit()
-    got_factor = False
+    value = None
     while ts.peek() in ("GEN", "LPAREN"):
-        got_factor = True
         tok = ts.next()
         if tok[0] == "GEN":
             factor = ctx.generator(tok)
@@ -241,10 +239,21 @@ def _parse_product(ts: _Stream, ctx: _Context):
             factor = _parse_sum(ts, ctx)
             ts.expect("RPAREN")
             ts.depth -= 1
-        value = ctx.product(value, factor, tok)
-    if coeff is None and not got_factor:
-        ts.error("expected a term")
-    return value if coeff is None else value.scale(coeff)
+        if type(factor) is Scalar:
+            coeff = factor if coeff is None else coeff * factor
+        elif value is None:
+            value = factor
+        else:
+            value = ctx.product(value, factor, tok)
+    if coeff is None:
+        if value is None:
+            ts.error("expected a term")
+        return sign, value
+    if value is None:
+        value = ctx.unit
+    elif not coeff:
+        value = value.scale(coeff)  # a (x) beside it reads the zero
+    return (coeff if sign > 0 else -coeff), value
 
 
 def _gen_index(system: RewriteSystem, tok, text: str) -> int:
@@ -263,17 +272,24 @@ def _gen_index(system: RewriteSystem, tok, text: str) -> int:
 
 
 def _element_context(system: RewriteSystem, text: str) -> _Context:
-    return _Context(
-        lambda: Element.unit(system),
-        lambda tok: Element.generator(system, _gen_index(system, tok, text)),
-        lambda value, factor, tok: mul(value, factor),
-        None)
+    generators = {}  # each generator of the text is built once
+
+    def generator(tok):
+        if tok[1] not in generators:
+            generators[tok[1]] = Element.generator(
+                system, _gen_index(system, tok, text))
+        return generators[tok[1]]
+
+    return _Context(generator, lambda value, factor, tok: mul(value, factor),
+                    None, None)
 
 
 def parse_element(text: str, system: RewriteSystem) -> Element:
     ts = _Stream(text)
     value = _parse_sum(ts, _element_context(system, text))
     ts.expect("END")
+    if type(value) is Scalar:
+        return Element.from_word(system, EMPTY_WORD, value)
     return value
 
 
@@ -307,21 +323,29 @@ def parse_wick(text: str, pair: ConjugatedPair,
             return WickElement.single(pair, (i,), ())
         return WickElement.single(pair, (), (i,))
 
+    def plain(value, leg):
+        """No word on the other leg; None is the unit."""
+        return value is None or not any(
+            len(key[leg]) for key, _ in value.terms())
+
     def combine(left, right, tok):
         # a plain algebra element times a plain dagger element is their
         # Wick product, since psi fixes 1 (x) 1
-        if any(len(v) for (_, v), _ in left.terms()) \
-                or any(len(u) for (u, _), _ in right.terms()):
+        if not (plain(left, 1) and plain(right, 0)):
             raise ParseError(
                 "(x) needs a plain algebra element on the left and a plain "
                 "dagger element on the right", tok[2], text)
+        if left is None or right is None:
+            return right if left is None else left
         return wick_mul(left, right, psi)
 
     ts = _Stream(text)
     value = _parse_sum(ts, _Context(
-        lambda: WickElement.unit(pair), generator,
-        lambda value, factor, tok: wick_mul(value, factor, psi), combine))
+        generator, lambda value, factor, tok: wick_mul(value, factor, psi),
+        combine, None))
     ts.expect("END")
+    if type(value) is Scalar:
+        return WickElement.single(pair, (), (), value)
     return value
 
 
@@ -353,8 +377,7 @@ def parse_tensor(text: str, system: RewriteSystem) -> TensorElement:
 
     ts = _Stream(text)
     value = _parse_sum(ts, _Context(
-        lambda: unit, _element_context(system, text).generator, product,
-        combine))
+        _element_context(system, text).generator, product, combine, unit))
     if isinstance(value, Element):
         if not value.is_zero():
             raise ParseError("a tensor expression needs at least one (x)",

@@ -255,17 +255,26 @@ def _dots(rows, cols) -> list:
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
+def integer_parts(x) -> tuple:
+    """(p, q, d): the int, Fraction or Scalar x as integers in canonical
+    form, x == (p + q*w)/d."""
+    if type(x) is Scalar:
+        return x._p, x._q, x._d
+    p, d = _ratio(x)
+    return p, 0, d
+
+
 def common_denominator(xs) -> tuple:
     """(ps, qs, d): the ints, Fractions or Scalars `xs` over their least
     common denominator d, so that xs[k] == (ps[k] + qs[k]*w)/d for every
     k.  An empty `xs` has d = 1."""
-    xs = [x if type(x) is Scalar else Scalar(x) for x in xs]
-    d = lcm(*(x._d for x in xs))
+    xs = [integer_parts(x) for x in xs]
+    d = lcm(*(e for _, _, e in xs))
     ps, qs = [], []
-    for x in xs:
-        f = d // x._d
-        ps.append(x._p * f)
-        qs.append(x._q * f)
+    for p, q, e in xs:
+        f = d // e
+        ps.append(p * f)
+        qs.append(q * f)
     return ps, qs, d
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rga.algebra import Element
+from rga.algebra import AlgebraMismatchError, Element, linear_combination
 from rga.parser import parse_element, parse_tensor, parse_wick
 from rga.rewrite import LetterRangeError, RewriteSystem
 from rga.scalar import Scalar
@@ -158,3 +158,40 @@ def test_from_word_refuses_as_the_constructor_does(word, coeff, error):
     with pytest.raises(error) as got:
         Element.from_word(S2, word, coeff)
     assert str(got.value) == str(want.value)
+
+
+@PROPS
+@given(kind_triples, st.lists(st.tuples(coefficients, st.booleans()),
+                              min_size=3, max_size=3))
+def test_linear_combination_is_the_sum_of_scaled_terms(case, cs):
+    _, *values = case
+    # None stands for the unit; at least one term carries a value
+    pairs = [(c, x if keep or i == 0 else None)
+             for i, ((c, keep), x) in enumerate(zip(cs, values))]
+    want = values[0].scale(0)
+    for c, x in pairs:
+        want = want + (c if x is None else x.scale(c))
+    got = linear_combination(pairs)
+    assert type(got) is type(want) and got == want
+
+
+def test_linear_combination_refuses_mixed_operands():
+    t1 = Element.generator(S2, 1)
+    with pytest.raises(TypeError):
+        linear_combination([(1, t1), (1, TensorElement(S2))])
+    with pytest.raises(AlgebraMismatchError):
+        linear_combination([(1, t1), (1, Element.generator(S3, 1))])
+    with pytest.raises(TypeError):
+        linear_combination([(0.5, t1)])
+
+
+@pytest.mark.parametrize("system", [S2, S3])
+def test_unit_and_generators_are_the_one_term_elements(system):
+    assert Element.unit(system) == Element(system, [((), 1)])
+    for i in range(1, system.n + 1):
+        assert Element.generator(system, i) == Element(system, [((i,), 1)])
+    for bad in (0, system.n + 1):
+        with pytest.raises(LetterRangeError):
+            Element.generator(system, bad)
+    assert TensorElement.unit(S2) == TensorElement(S2, [(((), ()), 1)])
+    assert WickElement.unit(PAIR) == WickElement(PAIR, [(((), ()), 1)])

@@ -4,7 +4,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.algebra import Element, mul
+from rga import parser
+from rga.algebra import Combination, Element, mul
 from rga.parser import (MAX_NESTING, ParseError, parse_element, parse_scalar,
                         parse_tensor, parse_wick, parse_word_letters)
 from rga.rewrite import RewriteSystem, Word
@@ -139,10 +140,12 @@ def test_word_letter_refusals_carry_the_letter_position(letters, bad, data):
 
 @pytest.mark.parametrize("parse, inner, want", [
     (lambda text: parse_element(text, S2), "T1 T2 T1", "T1"),
+    (lambda text: parse_element(text, S2), "1/2+w", "1/2 + w"),
+    (lambda text: parse_element(text, S2), "w", "w"),
     (lambda text: parse_wick(text, PAIR, PSI), "X1 T1",
      "1 (x) 1 - T1 (x) X1"),
     (lambda text: parse_tensor(text, S2), "T1 (x) T2", "T1 (x) T2"),
-], ids=["element", "wick", "tensor"])
+], ids=["element", "element-scalars", "element-w", "wick", "tensor"])
 def test_nesting_bound(parse, inner, want):
     assert str(parse(nested(MAX_NESTING, inner))) == want
     # the first parenthesis past the bound is refused where it stands
@@ -201,6 +204,64 @@ def test_wick_tensor_marker_requires_pure_sides():
         parse_wick("(T1 (x) X1) (x) X2", PAIR, PSI)
 
 
+# Well-formed element texts: sums of terms, each a scalar prefix and/or
+# juxtaposed factors, a factor a generator or a parenthesized sum.  The
+# base factors lean towards groups of scalars alone, which nest.
+RATS = st.builds(lambda p, q: str(p) if q == 1 else f"{p}/{q}",
+                 st.integers(0, 6), st.integers(1, 3))
+SCALARS = st.one_of(RATS, st.just("w"), st.builds(
+    lambda r, star: f"{r}{star}w", RATS, st.sampled_from(["", " ", "*"])))
+SIGNS = st.sampled_from(["+", "-", " + ", " - ", "+ ", " -"])
+
+
+def _sums(factors):
+    terms = st.one_of(
+        SCALARS,
+        st.lists(factors, min_size=1, max_size=3).map(" ".join),
+        st.builds(lambda c, star, fs: c + star + " ".join(fs), SCALARS,
+                  st.sampled_from([" ", "*", " * "]),
+                  st.lists(factors, min_size=1, max_size=2)))
+    return st.builds(
+        lambda lead, first, rest: lead + first + "".join(map("".join, rest)),
+        st.sampled_from(["", "-", "+", "- "]), terms,
+        st.lists(st.tuples(SIGNS, terms), max_size=3))
+
+
+ELEMENT_TEXTS = _sums(st.recursive(
+    st.one_of(SCALARS.map("({})".format), st.sampled_from(["T1", "T2"])),
+    lambda inner: _sums(inner).map("({})".format), max_leaves=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENT_TEXTS)
+def test_scalar_groups_parse_as_the_general_path(text):
+    # a " + 0 T1" term in every group sends it down the element path
+    assert parse_element(text, S2) \
+        == parse_element(text.replace(")", " + 0 T1)"), S2)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("-3 + w + (5/4+1/2*w) T1 - (1-2*w) T2 + (1+6*w) T1 T2 "
+     "+ (5/3-3*w) T2 T1", 6),
+    ("1 + T1 - T2 + T1 T2 - T2 T1", 5),
+], ids=["two-part", "unit-coefficients"])
+def test_printed_element_scales_by_no_sign_and_sums_once(monkeypatch, text,
+                                                          terms):
+    scales, sums, adds = [], [], []
+    scale, add = Combination.scale, Combination.__add__
+    linear_combination = parser.linear_combination
+    monkeypatch.setattr(Combination, "scale",
+                        lambda self, s: scales.append(s) or scale(self, s))
+    monkeypatch.setattr(Combination, "__add__",
+                        lambda self, x: adds.append(x) or add(self, x))
+    monkeypatch.setattr(parser, "linear_combination",
+                        lambda terms: sums.append(terms)
+                        or linear_combination(terms))
+    assert str(parse_element(text, S2)) == text
+    assert not [s for s in scales if s in (1, -1)]
+    assert len(sums) == 1 and len(sums[0]) == terms and not adds
+
+
 def test_print_parse_products_agree_with_mul():
     rng = Random(66)
     for _ in range(100):
@@ -252,6 +313,16 @@ TABLE = [
     ("element", "2 3", 2),
     ("element", "1 - ", 4),
     ("element", "(1 + 2*w) T1 - w", "-w + (1+2*w) T1"),
+    ("element", "(1/2) (3) T1", "3/2 T1"),
+    ("element", "((1 + w)) T2", "(1+w) T2"),
+    ("element", "(w) (w)", "-1 - w"),
+    ("element", "T1 (w) T2", "w T1 T2"),
+    ("element", "(1+2*w) (1-w) T1", "(3+3*w) T1"),
+    ("element", "(- w + 1) T1 T2", "(1-w) T1 T2"),
+    ("element", "(1 + w T1)", "1 + w T1"),
+    ("element", "(2 3) T1", 3),
+    ("element", "(1/0) T1", 4),
+    ("element", "(1 +) T1", 4),
     ("plain", "T1 + ", 5),
     ("plain", "1", 1),
     ("plain", "T1 T2", 5),
@@ -276,6 +347,7 @@ TABLE = [
     ("plain", "T1 (x) T1 T1", "0"),
     ("plain", "(1) (T1 (x) 1)", "T1 (x) 1"),
     ("plain", "(2) (T1 (x) 1)", 4),
+    ("plain", "(1/2 + w) (T1 (x) 1)", 10),
     ("plain", "(T1 (x) 1) (1)", 14),
     ("plain", "(T1 (x) 1) 2", 11),
     ("plain", "(T1 (x) T2) (x) T1", 12),
@@ -308,6 +380,9 @@ TABLE = [
     ("wick", "(T1 (x) 1) 2", 11),
     ("wick", "T1 (x) T1 T1", "0"),
     ("wick", "(1 + 2*w) X1 T1", "(1+2*w) (x) 1 - (1+2*w) T1 (x) X1"),
+    ("wick", "(1/2 + w) (T1 (x) 1)", "(1/2+w) T1 (x) 1"),
+    ("wick", "(w) X1 T1", "w (x) 1 - w T1 (x) X1"),
+    ("wick", "(w) T1 X1", "w T1 (x) X1"),
     ("wick", "1 (x) T1 + T1", 2),
 ]
 

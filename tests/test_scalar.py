@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from rga.scalar import OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR
+from rga.scalar import (OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR,
+                        integer_parts)
 
 from helpers import rand_scalar
 
@@ -176,6 +177,15 @@ def test_mixed_operands_on_both_sides(x, r):
         assert agrees(s / r, ref_mul(x, ref_inverse(c)))
     if x != (0, 0):
         assert agrees(r / s, ref_mul(c, ref_inverse(x)))
+
+
+def test_integer_parts():
+    assert integer_parts(-3) == (-3, 0, 1)
+    assert integer_parts(Fraction(6, -4)) == (-3, 0, 2)
+    assert integer_parts(Scalar(Fraction(1, 2), Fraction(-1, 3))) == (3, -2, 6)
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            integer_parts(bad)
 
 
 def test_float_is_refused():
