@@ -63,9 +63,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """A law checker's answer: true exactly when it holds no witness."""
+    """A law checker's answer: true exactly when it holds no witness.
+
+    `checked` is how many places a checker that counts them examined, in
+    its own unit (splits, words); None where it does not count."""
 
     witnesses: tuple = ()
+    checked: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -572,32 +576,13 @@ def right_mul_matrix(a: Element, domain: Subspace,
     return _mul_matrix(a, domain, codomain, left=False)
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
-    n: int
-    max_deg: int
-    words_checked: int
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        head = (f"n={self.n} max_deg={self.max_deg} "
-                f"words={self.words_checked} "
-                f"left_right_operator_laws={'pass' if self.ok else 'FAIL'}")
-        lines = [head]
-        for kind, i, j, w in self.failures:
-            lines.append(f"  {kind} failure at i={i} j={j} word={w}")
-        return "\n".join(lines)
-
-
-def check_representation(n: int, max_deg: int) -> RepresentationReport:
+def check_representation(n: int, max_deg: int) -> Verdict:
     """Verify L_i L_j = L_{ij} and R_i R_j = R_{ji} on all normal forms.
 
     Both identities are instances of associativity of the rewriting
-    product, so a failure here flags a non-confluent presentation.
+    product, so a failure here flags a non-confluent presentation.  Each
+    failure is a `left` or `right` witness at (i, j, word); `checked`
+    counts the words.
     """
     sys = RewriteSystem(n)
     words = sys.enumerate_normal_forms(max_deg)
@@ -609,11 +594,12 @@ def check_representation(n: int, max_deg: int) -> RepresentationReport:
             gij = mul(gi, gj)
             gji = mul(gj, gi)
             for w, x in elements:
-                if mul(gi, mul(gj, x)) != mul(gij, x):
-                    failures.append(("left", i, j, w))
-                if mul(mul(x, gj), gi) != mul(x, gji):
-                    failures.append(("right", i, j, w))
-    return RepresentationReport(n, max_deg, len(words), tuple(failures))
+                for law, lhs, rhs in (
+                        ("left", mul(gi, mul(gj, x)), mul(gij, x)),
+                        ("right", mul(mul(x, gj), gi), mul(x, gji))):
+                    if lhs != rhs:
+                        failures.append(Witness(law, (i, j, w), lhs, rhs))
+    return Verdict(tuple(failures), len(words))
 
 
 # -- annihilators --------------------------------------------------------

@@ -358,16 +358,6 @@ def check_duality_identity(c: Cocycle, dual: Cocycle,
 # -- the cocycle carried by the algebra itself ------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    removed: tuple  # (space label, word, reason word) triples
-    dims: tuple
-
-    @property
-    def clean(self) -> bool:
-        return not self.removed
-
-
 def cocycle_from_algebra(system: RewriteSystem, max_deg: int):
     """Present the algebra's own decomposition as a cyclic cocycle.
 
@@ -375,7 +365,10 @@ def cocycle_from_algebra(system: RewriteSystem, max_deg: int):
     multiplication by generator i acting on X_{i+1 mod n}.  Bases are
     pruned to the largest sub-bases closed under all the maps at this
     truncation degree; everything pruned is reported, never silently
-    dropped.  Returns (cocycle, report).
+    dropped.  Returns (cocycle, pruned), where `pruned` holds one
+    (space label, word, image word) triple per word removed from a basis,
+    in pruning order: generator i maps the word, taken out of the basis of
+    X_{i+1 mod n}, to the image word, which is outside the basis of X_i.
     """
     n = system.n
     if n < 2:
@@ -413,9 +406,7 @@ def cocycle_from_algebra(system: RewriteSystem, max_deg: int):
     order = [1] + list(range(n, 1, -1))
     chain_spaces = [subspaces[i] for i in order]
     chain_maps = [f_map(order[(k + 1) % n]) for k in range(n)]
-    report = TruncationReport(tuple(removed),
-                              tuple(subspaces[i].dim for i in range(1, n + 1)))
-    return Cocycle(chain_spaces, chain_maps), report
+    return Cocycle(chain_spaces, chain_maps), tuple(removed)
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -25,12 +25,13 @@ from .category import (DocumentError, NotAFunctorError,
                        check_regular_cocycle, cocycle_from_json, dual_cocycle,
                        functor_from_json, module_from_json, read_document)
 from .parser import ParseError, parse_element, parse_wick, parse_word_letters
-from .rewrite import RewriteSystem, SizeLimitError, ZERO, check_size
+from .rewrite import RewriteSystem, SizeLimitError, ZERO, require_size
 from .reports import comultiplication_lines, write_all
-from .tensor import (SIGN_CONVENTIONS, bialgebra_candidates,
-                     check_almost_bialgebra, check_regular_module,
-                     dual_comultiplication, dual_system)
-from .wick import ConjugatedPair, CrossSymmetry, check_coherence
+from .tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS,
+                     bialgebra_candidates, check_almost_bialgebra,
+                     check_regular_module, dual_comultiplication, dual_system)
+from .wick import (ConjugatedPair, CrossSymmetry, check_coherence,
+                   order_coherent)
 
 
 @functools.cache
@@ -128,7 +129,7 @@ def _dispatch(args) -> int:
         print(f"error: --max-deg must be >= 0, got {max_deg}")
         return 2
     # before any rule or word is built; `wick` works at n = 2
-    check_size(getattr(args, "n", 2), max_deg)
+    require_size(getattr(args, "n", 2), max_deg)
     if cmd == "eval":
         sys_ = RewriteSystem(args.n)
         print(parse_element(args.expr, sys_))
@@ -234,12 +235,11 @@ def _dispatch_check(args) -> int:
         sys_ = RewriteSystem(2)
         name = f"e1={args.evacuum},e2={args.evacuum}"
         gens = bialgebra_candidates(sys_)[name]
-        rep = check_almost_bialgebra(gens, args.signs)
-        print(f"Delta(T1)^2 = 0: {str(rep.square_zero[0]).lower()}")
-        print(f"Delta(T2)^2 = 0: {str(rep.square_zero[1]).lower()}")
-        print(f"D1 D2 D1 = D1: {str(rep.cyclic[0]).lower()}")
-        print(f"D2 D1 D2 = D2: {str(rep.cyclic[1]).lower()}")
-        return 0 if rep.ok else 1
+        verdict = check_almost_bialgebra(gens, args.signs)
+        failed = {w.law for w in verdict.witnesses}
+        for law in BIALGEBRA_RELATIONS:
+            print(f"{law}: {str(law not in failed).lower()}")
+        return 0 if verdict.ok else 1
     if args.checker == "module":
         verdict = check_regular_module(
             *module_from_json(read_document(args.file)))
@@ -258,14 +258,15 @@ def _dispatch_wick(args) -> int:
         print(parse_wick(args.expr, pair, psi))
         return 0
     if args.wickop == "coherence":
-        rep = check_coherence(psi, args.max_deg)
-        if rep.coherent:
-            print(f"coherent: true (instances: {rep.checked})")
+        verdict = check_coherence(psi, args.max_deg)
+        if verdict.ok:
+            print(f"coherent: true (instances: {verdict.checked})")
             return 0
-        print(f"coherent: false (instances: {rep.checked}, "
-              f"order coherent: {str(rep.order_coherent).lower()}, "
-              f"disagreements: {len(rep.disagreements)})")
-        print("\n".join(rep.disagreement_lines(10)))
+        print(f"coherent: false (instances: {verdict.checked}, "
+              f"order coherent: {str(order_coherent(verdict)).lower()}, "
+              f"disagreements: {len(verdict.witnesses)})")
+        for w in verdict.witnesses[:10]:
+            print(f"  {w}")
         return 1
     raise AssertionError(f"unhandled wick op {args.wickop}")
 

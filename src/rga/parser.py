@@ -187,14 +187,17 @@ class _Context(NamedTuple):
 
 
 def _parse_sum(ts: _Stream, ctx: _Context):
-    """A Scalar when every term is one, else the kind's value, built once."""
+    """A Scalar when every term is one, else the kind's value, built once.
+
+    A term with a zero coefficient is zero of every kind: it takes no part
+    in the kind check, and is dropped when its value has another kind."""
     sign = -1 if ts.peek() == "MINUS" else 1
     if ts.peek() in ("PLUS", "MINUS"):
         ts.next()
     terms, kind = [], None
     while True:
         term = _parse_term(ts, ctx, sign)
-        if term[1] is not None:
+        if term[0] and term[1] is not None:
             if kind is None:
                 kind = type(term[1])
             elif type(term[1]) is not kind:
@@ -203,8 +206,11 @@ def _parse_sum(ts: _Stream, ctx: _Context):
         if ts.peek() not in ("PLUS", "MINUS"):
             break
         sign = 1 if ts.next()[0] == "PLUS" else -1
-    if kind is None:
-        return sum((c for c, _ in terms[1:]), terms[0][0])
+    if kind is None:  # every term is a scalar or zero
+        kind = next((type(v) for _, v in terms if v is not None), None)
+        if kind is None:
+            return sum((c for c, _ in terms[1:]), terms[0][0])
+    terms = [t for t in terms if t[1] is None or type(t[1]) is kind]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     return linear_combination(terms)

@@ -6,6 +6,8 @@ record of every documented discrepancy and of the verdicts the source
 material leaves open (n=1 degeneracy, odd-n grading, the zero-divisor
 claim, the almost-bialgebra relation table, cross-symmetry coherence).
 Their content is the deliverable: a fail row here is a finding, not a bug.
+The checkers return data; this module and `rga.cli` are the only ones
+that turn their answers into text.
 """
 
 from __future__ import annotations
@@ -16,14 +18,20 @@ from .algebra import (Element, N2_BASIS, check_representation, grading_check,
                       left_mul_matrix, mul, obstruction, annihilator,
                       Subspace)
 from .category import cocycle_from_algebra, check_regular_cocycle
-from .rewrite import RewriteSystem
-from .tensor import (bialgebra_candidates, check_almost_bialgebra,
-                     check_coalgebra_obstruction, check_coassociativity,
-                     check_dual_pairing_identity, check_regular_module,
-                     dual_comultiplication, dual_system, SIGN_CONVENTIONS)
+from .rewrite import ZERO, RewriteSystem
+from .tensor import (BIALGEBRA_RELATIONS, bialgebra_candidates,
+                     check_almost_bialgebra, check_coalgebra_obstruction,
+                     check_coassociativity, check_dual_pairing_identity,
+                     check_regular_module, dual_comultiplication,
+                     dual_system, SIGN_CONVENTIONS)
 from .wick import (ConjugatedPair, CrossSymmetry, WickElement,
                    check_coherence, check_regular_cross_symmetry,
-                   wick_mul_regular)
+                   order_coherent, wick_mul_regular)
+
+
+def _show(w) -> str:
+    """A critical-pair word as dotted letters, `e` when empty, `0` for ZERO."""
+    return "0" if w is ZERO else (".".join(map(str, w)) if w else "e")
 
 
 def confluence_report() -> str:
@@ -31,7 +39,14 @@ def confluence_report() -> str:
     for n in range(1, 5):
         sys = RewriteSystem(n)
         rep = sys.check_local_confluence()
-        lines.append(rep.render())
+        lines.append(f"n={rep.n} strategy=leftmost "
+                     f"critical_pairs={len(rep.critical_pairs)} "
+                     f"locally_confluent={str(rep.locally_confluent).lower()}")
+        for p in rep.critical_pairs:
+            lines.append(
+                f"  overlap={_show(p.overlap)} [{p.rule_left} | "
+                f"{p.rule_right}] -> {_show(p.left_reduct)} | "
+                f"{_show(p.right_reduct)} joinable={str(p.joinable).lower()}")
         if n == 1:
             lines.append(
                 "  note: for n=1 the square rule and the cyclic rule overlap "
@@ -57,7 +72,12 @@ def representation_report() -> str:
     lines = ["left/right multiplication operator laws "
              "(L_i L_j = L_ij, R_i R_j = R_ji)", ""]
     for n, deg in ((1, 3), (2, 3), (3, 4)):
-        lines.append(check_representation(n, deg).render())
+        verdict = check_representation(n, deg)
+        lines.append(f"n={n} max_deg={deg} words={verdict.checked} "
+                     f"left_right_operator_laws="
+                     f"{'pass' if verdict.ok else 'FAIL'}")
+        lines.extend(f"  {w.law} failure at i={w.at[0]} j={w.at[1]} "
+                     f"word={w.at[2]}" for w in verdict.witnesses)
     lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -148,15 +168,12 @@ def bialgebra_report() -> str:
     passing = 0
     for name, gens in bialgebra_candidates(sys).items():
         for signs in SIGN_CONVENTIONS:
-            rep = check_almost_bialgebra(gens, signs)
-            passing += rep.ok
-            row = (f"{name:<18} {signs:<7} "
-                   f"{str(rep.square_zero[0]).lower():<5} "
-                   f"{str(rep.square_zero[1]).lower():<5} "
-                   f"{str(rep.cyclic[0]).lower():<5} "
-                   f"{str(rep.cyclic[1]).lower():<5} "
-                   f"{str(rep.ok).lower()}")
-            lines.append(row)
+            verdict = check_almost_bialgebra(gens, signs)
+            passing += verdict.ok
+            failed = {w.law for w in verdict.witnesses}
+            lines.append(f"{name:<18} {signs:<7} " + "".join(
+                f"{str(law not in failed).lower():<5} "
+                for law in BIALGEBRA_RELATIONS) + str(verdict.ok).lower())
     lines.append("")
     if passing:
         lines.append(f"{passing} of 8 candidate/convention combinations "
@@ -176,15 +193,26 @@ def psi_coherence_report() -> str:
              ""]
     for vacuum in ("unit", "idem"):
         psi = CrossSymmetry.regular(pair, vacuum)
-        rep = check_coherence(psi, 2)
-        lines.append(rep.render())
+        lines.extend(_coherence_lines(psi, 2))
         value = psi.apply((1,), (1, 2))
         lines.append(f"  psi(X1 (x) T1 T2) = {value}")
         lines.append("")
-    flip = check_coherence(CrossSymmetry.flip(pair), 2)
-    lines.append(flip.render())
+    lines.extend(_coherence_lines(CrossSymmetry.flip(pair), 2))
     lines.append("")
     return "\n".join(lines) + "\n"
+
+
+def _coherence_lines(psi, max_deg: int) -> list:
+    """The verdict of `check_coherence` on psi and its first witnesses."""
+    verdict = check_coherence(psi, max_deg)
+    lines = [f"base={psi.label} max_deg={max_deg} "
+             f"instances={verdict.checked} "
+             f"order_coherent={str(order_coherent(verdict)).lower()} "
+             f"full_law_coherent={str(verdict.ok).lower()}"]
+    if verdict.witnesses:
+        lines.append(f"  disagreements: {len(verdict.witnesses)} "
+                     "(showing up to 8)")
+    return lines + [f"  {w}" for w in verdict.witnesses[:8]]
 
 
 def comultiplication_lines(table) -> list:
@@ -259,10 +287,11 @@ def wick_regular_report() -> str:
                  f"{str(identity.ok).lower()}")
     lines.append("")
 
-    cocycle, trunc = cocycle_from_algebra(RewriteSystem(3), 4)
+    cocycle, pruned = cocycle_from_algebra(RewriteSystem(3), 4)
     verdict = check_regular_cocycle(cocycle)
+    dims = [s.dim for s in sorted(cocycle.spaces, key=lambda s: s.label)]
     lines.append("n=3 truncated cocycle at degree 4: "
-                 f"dims={list(trunc.dims)} pruned={len(trunc.removed)} "
+                 f"dims={dims} pruned={len(pruned)} "
                  f"regular={str(verdict.ok).lower()}")
     lines.append("")
     return "\n".join(lines) + "\n"

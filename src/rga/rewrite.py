@@ -49,7 +49,7 @@ n = 64 (Python 3.11, shared 2-vCPU Xeon)."""
 
 MAX_WORDS = 200_000
 """The ceiling on the words one normal-form enumeration may have to list,
-which sets the largest degree for each n (see `check_size`).  At n = 4,
+which sets the largest degree for each n (see `require_size`).  At n = 4,
 degree 10 lists 112,273 words in about 0.3 s on the same machine, and each
 degree triples it."""
 
@@ -72,7 +72,7 @@ def _word_bound(n: int, max_len: int) -> int:
     return 1 + n * ((n - 1) ** k - 1) // (n - 2)
 
 
-def check_size(n: int, max_len: int = 0) -> None:
+def require_size(n: int, max_len: int = 0) -> None:
     """Refuse, before anything is built, a generator count below 1 or above
     MAX_GENERATORS or a degree whose enumeration may list more than
     MAX_WORDS words: degree 10 at n = 4, 16 at n = 3, 99,999 at n = 2 and
@@ -185,21 +185,6 @@ class ConfluenceReport:
     critical_pairs: tuple
     locally_confluent: bool
 
-    def render(self) -> str:
-        def show(w):
-            return "0" if w is ZERO else (
-                ".".join(map(str, w)) if w else "e")
-
-        lines = [f"n={self.n} strategy=leftmost "
-                 f"critical_pairs={len(self.critical_pairs)} "
-                 f"locally_confluent={str(self.locally_confluent).lower()}"]
-        for p in self.critical_pairs:
-            lines.append(
-                f"  overlap={show(p.overlap)} [{p.rule_left} | {p.rule_right}]"
-                f" -> {show(p.left_reduct)} | {show(p.right_reduct)}"
-                f" joinable={str(p.joinable).lower()}")
-        return "\n".join(lines)
-
 
 class RewriteSystem:
     """The rewrite presentation of the algebra on n regular generators.
@@ -212,7 +197,7 @@ class RewriteSystem:
     __slots__ = ("n", "symbol", "rules", "_products")
 
     def __init__(self, n: int, symbol: str = "T"):
-        check_size(n)
+        require_size(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbol", symbol)
         rules = []
@@ -306,7 +291,7 @@ class RewriteSystem:
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        check_size(self.n, max_len)
+        require_size(self.n, max_len)
         out = [EMPTY_WORD]
         # the words of one length, each built once, and the run ending each
         layer, runs = [EMPTY_WORD], [0]

@@ -13,8 +13,7 @@ only map legs, so they need no convention.  `*` is the plain product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 from math import lcm
 
@@ -219,29 +218,26 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
 # -- almost bialgebra ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BialgebraReport:
-    """Pass/fail of the defining relations for one comultiplication
-    candidate under one sign convention."""
-
-    square_zero: Tuple[bool, bool]     # Delta(T1)**2 = 0, Delta(T2)**2 = 0
-    cyclic: Tuple[bool, bool]          # D1 D2 D1 = D1, D2 D1 D2 = D2
-
-    @property
-    def ok(self) -> bool:
-        return all(self.square_zero) and all(self.cyclic)
+# The defining relations a multiplicative Delta must satisfy, each the law
+# of one `check_almost_bialgebra` witness.
+BIALGEBRA_RELATIONS = ("Delta(T1)^2 = 0", "Delta(T2)^2 = 0",
+                       "D1 D2 D1 = D1", "D2 D1 D2 = D2")
 
 
 def check_almost_bialgebra(delta_gens: Dict[int, TensorElement],
-                           convention: str) -> BialgebraReport:
+                           convention: str) -> Verdict:
     """Test whether a candidate Delta on the generators extends
-    multiplicatively: its values must satisfy the defining relations."""
+    multiplicatively: its values must satisfy the defining relations.
+    Each failing relation is one witness at the sign convention."""
     d1, d2 = delta_gens[1], delta_gens[2]
-    sq1 = tensor_mul(d1, d1, convention).is_zero()
-    sq2 = tensor_mul(d2, d2, convention).is_zero()
-    c1 = tensor_mul(tensor_mul(d1, d2, convention), d1, convention) == d1
-    c2 = tensor_mul(tensor_mul(d2, d1, convention), d2, convention) == d2
-    return BialgebraReport((sq1, sq2), (c1, c2))
+    zero = TensorElement.zero(d1.system)
+    sides = ((tensor_mul(d1, d1, convention), zero),
+             (tensor_mul(d2, d2, convention), zero),
+             (tensor_mul(tensor_mul(d1, d2, convention), d1, convention), d1),
+             (tensor_mul(tensor_mul(d2, d1, convention), d2, convention), d2))
+    return Verdict(tuple(Witness(law, convention, lhs, rhs)
+                         for law, (lhs, rhs) in zip(BIALGEBRA_RELATIONS, sides)
+                         if lhs != rhs))
 
 
 def bialgebra_candidates(system: RewriteSystem) -> Dict[str, Dict[int, TensorElement]]:

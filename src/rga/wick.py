@@ -180,56 +180,21 @@ class CrossSymmetry:
                        _grouped(first, 0), first._d)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Outcome of the exhaustive law check.
-
-    Instances split in two classes: *order* instances, where the split
-    parts concatenate to a word already in normal form (these are the
-    alternative peeling routes through normal forms), and *reduction*
-    instances, where the concatenation rewrites, so the law constrains
-    the extension against the algebra relations themselves.
-    """
-
-    label: str
-    max_deg: int
-    checked: int
-    disagreements: tuple  # (kind, reduces, parts, got, want)
-
-    @property
-    def coherent(self) -> bool:
-        return not self.disagreements
-
-    @property
-    def order_coherent(self) -> bool:
-        return not any(reduces is False
-                       for _, reduces, *_ in self.disagreements)
-
-    def render(self) -> str:
-        lines = [f"base={self.label} max_deg={self.max_deg} "
-                 f"instances={self.checked} "
-                 f"order_coherent={str(self.order_coherent).lower()} "
-                 f"full_law_coherent={str(self.coherent).lower()}"]
-        if self.disagreements:
-            lines.append(f"  disagreements: {len(self.disagreements)} "
-                         "(showing up to 8)")
-        return "\n".join(lines + self.disagreement_lines(8))
-
-    def disagreement_lines(self, limit: int) -> list:
-        """One line per disagreement, the first `limit` of them."""
-        return [f"  {kind}[{'reduction' if reduces else 'order'}] at "
-                f"{parts}: {got} != {want}"
-                for kind, reduces, parts, got, want
-                in self.disagreements[:limit]]
-
-
-def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
+def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
     """Exhaustively test both coherence laws up to a degree bound.
 
     For every normal-form split the law value must agree with the direct
     value on the reduced product, including splits whose concatenation
     rewrites (these are the critical instances a fixed peeling order never
-    exercises).  Unit laws are included.
+    exercises).  Instances split in two classes: *order* instances, where
+    the split parts concatenate to a word already in normal form (these are
+    the alternative peeling routes through normal forms), and *reduction*
+    instances, where the concatenation rewrites, so the law constrains the
+    extension against the algebra relations themselves.  A disagreement is
+    a witness with law `law1[order]`, `law1[reduction]`, `law2[...]` at the
+    split, and `checked` counts the instances.  The unit instances, one
+    per T-word and one per X-word (10 at degree 2), are counted there too,
+    but they cannot fail: `_compute` answers an empty word by construction.
     """
     pair = psi.pair
     xis = pair.xi.enumerate_normal_forms(max_deg)
@@ -241,14 +206,16 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
 
     for w in thetas:
         checked += 1
-        if psi.apply(EMPTY_WORD, w) != WickElement.single(pair, w, ()):
-            bad.append(("unit", False, f"1 (x) {w.to_text('T')}",
-                        str(psi.apply(EMPTY_WORD, w)), w.to_text("T")))
+        got, want = psi.apply(EMPTY_WORD, w), WickElement.single(pair, w, ())
+        if got != want:
+            bad.append(Witness("unit[order]", f"1 (x) {w.to_text('T')}",
+                               got, want))
     for w in xis:
         checked += 1
-        if psi.apply(w, EMPTY_WORD) != WickElement.single(pair, (), w):
-            bad.append(("unit", False, f"{w.to_text('X')} (x) 1",
-                        str(psi.apply(w, EMPTY_WORD)), w.to_text("X")))
+        got, want = psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w)
+        if got != want:
+            bad.append(Witness("unit[order]", f"{w.to_text('X')} (x) 1",
+                               got, want))
 
     for xi in xis:
         for u in nonunit_thetas:
@@ -260,11 +227,10 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
                 direct = (WickElement.zero(pair) if prod is ZERO
                           else psi.apply(xi, prod))
                 if law != direct:
-                    bad.append((
-                        "law1", reduces,
+                    bad.append(Witness(
+                        f"law1[{'reduction' if reduces else 'order'}]",
                         f"{xi.to_text('X')} (x) {u.to_text('T')}"
-                        f".{v.to_text('T')}",
-                        str(law), str(direct)))
+                        f".{v.to_text('T')}", law, direct))
     for x in nonunit_xis:
         for y in nonunit_xis:
             for theta in thetas:
@@ -275,12 +241,16 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> CoherenceReport:
                 direct = (WickElement.zero(pair) if prod is ZERO
                           else psi.apply(prod, theta))
                 if law != direct:
-                    bad.append((
-                        "law2", reduces,
+                    bad.append(Witness(
+                        f"law2[{'reduction' if reduces else 'order'}]",
                         f"{x.to_text('X')}.{y.to_text('X')} (x) "
-                        f"{theta.to_text('T')}",
-                        str(law), str(direct)))
-    return CoherenceReport(psi.label, max_deg, checked, tuple(bad))
+                        f"{theta.to_text('T')}", law, direct))
+    return Verdict(tuple(bad), checked)
+
+
+def order_coherent(verdict: Verdict) -> bool:
+    """True when `check_coherence` found no order instance failing."""
+    return not any(w.law.endswith("[order]") for w in verdict.witnesses)
 
 
 # -- Wick multiplication --------------------------------------------------------

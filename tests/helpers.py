@@ -248,9 +248,9 @@ def inverse_reference(rows):
 
 
 def cocycle_from_algebra_reference(system, max_deg):
-    """(cocycle, report) of `cocycle_from_algebra`, pruned by `mul`."""
+    """(cocycle, pruned) of `cocycle_from_algebra`, pruned by `mul`."""
     from rga.algebra import Subspace, decompose, left_mul_matrix, mul
-    from rga.category import Cocycle, LinearMap, TruncationReport
+    from rga.category import Cocycle, LinearMap
     n = system.n
     bases = {i + 1: list(s.basis)
              for i, s in enumerate(decompose(system, max_deg))}
@@ -281,5 +281,4 @@ def cocycle_from_algebra_reference(system, max_deg):
     order = [1] + list(range(n, 1, -1))
     return (Cocycle([spaces[i] for i in order],
                     [f_map(order[(k + 1) % n]) for k in range(n)]),
-            TruncationReport(tuple(removed),
-                             tuple(spaces[i].dim for i in range(1, n + 1))))
+            tuple(removed))

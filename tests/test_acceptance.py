@@ -116,8 +116,8 @@ def test_criterion_06_rewrite_engine_and_snapshots():
 
 
 def test_criterion_07_cocycle_suite():
-    c, trunc = cocycle_from_algebra(S2, 2)
-    assert trunc.clean
+    c, pruned = cocycle_from_algebra(S2, 2)
+    assert not pruned
     swap = Matrix([[0, 1], [1, 0]])
     assert [m.matrix for m in c.maps] == [swap, swap]
     assert check_regular_cocycle(c).ok
@@ -199,7 +199,7 @@ def test_criterion_09_wick_suite():
     words_x = pair.xi.enumerate_normal_forms(2)
     tested_any = False
     for base in bases:
-        if not check_coherence(base, 2).coherent:
+        if not check_coherence(base, 2).ok:
             continue
         tested_any = True
         for _ in range(200):

@@ -13,7 +13,7 @@ from rga.category import (ChainTypeError, Cocycle, DegeneratePairingError,
                           cocycle_from_json, cocycle_to_json, dual_cocycle,
                           obstruction_of, obstruction_order)
 from rga.linalg import Matrix
-from rga.rewrite import RewriteSystem, check_size
+from rga.rewrite import RewriteSystem, require_size
 from rga.scalar import Scalar
 
 from helpers import cocycle_from_algebra_reference, rand_scalar
@@ -22,8 +22,8 @@ SWAP = Matrix([[0, 1], [1, 0]])
 
 
 def algebra_cocycle():
-    c, report = cocycle_from_algebra(RewriteSystem(2), 2)
-    assert report.clean
+    c, pruned = cocycle_from_algebra(RewriteSystem(2), 2)
+    assert not pruned
     return c
 
 
@@ -324,21 +324,21 @@ def test_degenerate_pairing_rejected():
 
 
 def test_cocycle_from_algebra_n3():
-    c, report = cocycle_from_algebra(RewriteSystem(3), 4)
+    c, pruned = cocycle_from_algebra(RewriteSystem(3), 4)
     assert check_regular_cocycle(c).ok
-    assert report.dims == (6, 6, 6)
-    assert len(report.removed) > 0  # truncation is reported, not hidden
+    assert [s.dim for s in c.spaces] == [6, 6, 6]
+    assert len(pruned) > 0  # truncation is reported, not hidden
 
 
 @pytest.mark.parametrize("n,max_deg",
                          [(n, d) for n in range(2, 6) for d in range(7)])
 def test_cocycle_pruning_matches_reference(n, max_deg):
-    check_size(n, max_deg)  # every case is within the enumeration ceiling
-    c, report = cocycle_from_algebra(RewriteSystem(n), max_deg)
-    want, want_report = cocycle_from_algebra_reference(RewriteSystem(n),
+    require_size(n, max_deg)  # every case is within the enumeration ceiling
+    c, pruned = cocycle_from_algebra(RewriteSystem(n), max_deg)
+    want, want_pruned = cocycle_from_algebra_reference(RewriteSystem(n),
                                                        max_deg)
-    assert report.removed == want_report.removed
-    assert report.dims == want_report.dims
+    assert pruned == want_pruned
+    assert [s.dim for s in c.spaces] == [s.dim for s in want.spaces]
     assert c.spaces == want.spaces and c.maps == want.maps
 
 

@@ -26,7 +26,7 @@ OPTIONS = [
     ("rewrite", "RewriteSystem.__init__", "symbol"),
     ("rewrite", "Word.__new__", "letters"),
     ("rewrite", "Word.to_text", "symbol"),
-    ("rewrite", "check_size", "max_len"),
+    ("rewrite", "require_size", "max_len"),
     ("scalar", "Scalar.__init__", "a"),
     ("scalar", "Scalar.__init__", "b"),
     ("tensor", "TensorElement.single", "coeff"),

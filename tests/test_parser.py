@@ -339,6 +339,15 @@ TABLE = [
     ("plain", "(T1 (x) 1) + T2", 15),
     ("plain", "T2 + (T1 (x) 1)", 15),
     ("plain", "1 (x) T1 + T1", 13),
+    ("plain", "0", "0"),
+    ("plain", "0 T1", "0"),
+    ("plain", "0 + T1 (x) T2", "T1 (x) T2"),
+    ("plain", "T1 (x) T2 + 0", "T1 (x) T2"),
+    ("plain", "T1 (x) T2 - 0", "T1 (x) T2"),
+    ("plain", "0 T1 + T1 (x) T2", "T1 (x) T2"),
+    ("plain", "T1 + T1 (x) T2", 14),
+    ("plain", "T1 + 0 (T1 (x) T2)", 18),
+    ("plain", "0 (T1 (x) T2) + T1", 18),
     ("plain", "2 (T1 (x) T2)", "2 T1 (x) T2"),
     ("plain", "-(T1 (x) T2)", "-T1 (x) T2"),
     ("plain", "(T1 + 1) (x) (T2 - 1)",

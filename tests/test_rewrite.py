@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from rga import rewrite
 from rga.algebra import Element
 from rga.rewrite import (EMPTY_WORD, ZERO, LetterRangeError, RewriteSystem,
-                         SizeLimitError, Word, check_size)
+                         SizeLimitError, Word, require_size)
 from rga.wick import ConjugatedPair, CrossSymmetry
 
 
@@ -174,7 +174,7 @@ def test_termination_step_bound():
 def test_generator_count_below_one_refused(n):
     message = f"^generator count must be >= 1, got {n}$"
     with pytest.raises(SizeLimitError, match=message):
-        check_size(n)
+        require_size(n)
     with pytest.raises(SizeLimitError, match=message):
         RewriteSystem(n)
 

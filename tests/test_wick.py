@@ -7,8 +7,8 @@ from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
 from rga.wick import (ConjugatedPair, CrossSymmetry, IncompleteBaseError,
                       WickElement, check_coherence,
-                      check_regular_cross_symmetry, wick_mul,
-                      wick_mul_regular)
+                      check_regular_cross_symmetry, order_coherent,
+                      wick_mul, wick_mul_regular)
 
 from rga.tensor import dual_system
 
@@ -121,31 +121,32 @@ def test_incomplete_base_rejected():
 
 
 def test_coherence_flip_full():
-    rep = check_coherence(FLIP, 2)
-    assert rep.coherent and rep.order_coherent
+    verdict = check_coherence(FLIP, 2)
+    assert verdict.ok and order_coherent(verdict)
+    assert verdict.checked == 170
 
 
 def test_coherence_unit_vacuum_frozen():
     # frozen verdict: extension is order-coherent but the full law fails
     # exactly on splits whose product rewrites
-    rep = check_coherence(PSI, 2)
-    assert rep.order_coherent
-    assert not rep.coherent
-    assert len(rep.disagreements) == 48
-    assert all(reduces for _, reduces, *_ in rep.disagreements)
+    verdict = check_coherence(PSI, 2)
+    assert order_coherent(verdict)
+    assert not verdict.ok
+    assert len(verdict.witnesses) == 48
+    assert all(w.law.endswith("[reduction]") for w in verdict.witnesses)
 
 
 def test_coherence_idem_vacuum_frozen():
-    rep = check_coherence(CrossSymmetry.regular(PAIR, "idem"), 2)
-    assert not rep.order_coherent and not rep.coherent
+    verdict = check_coherence(CrossSymmetry.regular(PAIR, "idem"), 2)
+    assert not order_coherent(verdict) and not verdict.ok
 
 
 def test_coherence_perturbed_base():
     base = dict(FLIP.base)
     base[(1, 2)] = wick((2,), (1,), Scalar(2))
-    rep = check_coherence(CrossSymmetry(PAIR, base, "perturbed"), 2)
-    assert not rep.coherent
-    assert rep.disagreements[0][2]  # witness names the word pair
+    verdict = check_coherence(CrossSymmetry(PAIR, base, "perturbed"), 2)
+    assert not verdict.ok
+    assert verdict.witnesses[0].at  # witness names the word pair
 
 
 # -- wick multiplication -----------------------------------------------------------
@@ -180,7 +181,7 @@ def test_wick_mul_bilinear():
 def test_wick_associative_conditional_on_coherence():
     # the associativity guarantee applies to coherent cross symmetries;
     # flip passes the full law and must be associative
-    assert check_coherence(FLIP, 2).coherent
+    assert check_coherence(FLIP, 2).ok
     rng = Random(55)
     for _ in range(200):
         x, y, z = (rand_wick(rng) for _ in range(3))
@@ -191,7 +192,7 @@ def test_wick_associative_conditional_on_coherence():
 def test_wick_nonassociativity_witness_for_incoherent_base():
     # the regular base fails the full law, and associativity breaks on a
     # triple that exercises a rewriting product
-    assert not check_coherence(PSI, 2).coherent
+    assert not check_coherence(PSI, 2).ok
     x, y, z = wick((), (1,)), wick((1,), ()), wick((2, 1), ())
     assert wick_mul(wick_mul(x, y, PSI), z, PSI) \
         != wick_mul(x, wick_mul(y, z, PSI), PSI)
