@@ -92,9 +92,9 @@ class Combination:
     compare integers, `terms` and `coeff` build `Scalar`s.  The constructor
     takes a mapping or an iterable of (raw key, coefficient) pairs, puts
     each leg of each key in normal form, drops keys that rewrite to zero and
-    sums duplicates.  Products and `+ - scale map_legs`, whose keys are
-    normal already, multiply and add integers with `rga.scalar._times` and
-    go through the trusted `_new`, which takes one gcd per result.  Values
+    sums duplicates.  Products, `map_legs` and `linear_combination` (every
+    sum, `+ - scale` too) take normal keys, multiply and add integers with
+    `scalar._times` and go through the trusted `_new`, one gcd each.  Values
     are immutable; operands of one operation share a context (`_context`).
     Subclasses add their context, legs and constructors.
     """
@@ -130,11 +130,6 @@ class Combination:
         object.__setattr__(new, "_context", context)
         _fill(new, terms, d)
         return new
-
-    @classmethod
-    def zero(cls, *context):
-        """The empty sum; takes the subclass's constructor arguments."""
-        return cls(*context)
 
     @classmethod
     def unit(cls, *context):
@@ -200,34 +195,30 @@ class Combination:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            p, q, d = integer_parts(other)
-            other = self._new(self._context, [(self._unit_key(), (p, q))], d)
-        elif type(other) is not type(self):
-            return NotImplemented
-        self._require_same(other)
-        d = lcm(self._d, other._d)
-        return self._new(self._context,
-                         chain(_lifted(self, d), _lifted(other, d)), d)
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._sum(-1, other, 1)
 
     def __neg__(self):
-        return self._new(self._context, ((k, (-p, -q))
-                                         for k, (p, q) in self._num.items()),
-                         self._d)
+        return linear_combination([(-1, self)])
 
     def scale(self, s):
-        sp, sq, sd = integer_parts(s)
-        return self._new(self._context, ((k, _times(p, q, sp, sq))
-                                         for k, (p, q) in self._num.items()),
-                         self._d * sd)
+        return linear_combination([(s, self)])
+
+    def _sum(self, a: int, other, b: int):
+        """a * self + b * other for a combination `other` of this kind, or
+        a scalar, read as that multiple of the unit."""
+        if isinstance(other, _SCALARS):
+            other, b = None, b * other
+        elif type(other) is not type(self):
+            return NotImplemented
+        return linear_combination([(a, self), (b, other)])
 
     def _product(self, other):
         """The kind's own bilinear product; none by default."""
@@ -320,13 +311,14 @@ def linear_combination(terms) -> Combination:
     and context, and at least one is not None.  Built once, over the least
     common denominator of all the products."""
     terms = [(integer_parts(c), x) for c, x in terms]
-    first = next(x for _, x in terms if x is not None)
+    first = next((x for _, x in terms if x is not None), None)
+    if first is None:
+        raise ValueError("linear_combination needs a term with a Combination")
     d = lcm(*(e if x is None else e * x._d for (_, _, e), x in terms))
-    unit = first._unit_key()
     pairs = []
     for (p, q, e), x in terms:
         if x is None:
-            pairs.append((unit, (p * (d // e), q * (d // e))))
+            pairs.append((first._unit_key(), (p * (d // e), q * (d // e))))
             continue
         if type(x) is not type(first):
             raise TypeError(f"cannot add {type(x).__name__} to "

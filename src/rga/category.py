@@ -571,7 +571,7 @@ def functor_from_json(doc):
 
 
 def module_from_json(doc):
-    """The arguments (action, basis, dim, e_algebra, e_module, system) of
+    """The arguments (action, e_algebra, e_module, system) of
     `check_regular_module`, read from a module document and refused as
     `cocycle_from_json` refuses; nothing is built before `$.n` is checked."""
     _expect(doc, dict, "$")
@@ -605,8 +605,7 @@ def module_from_json(doc):
             raise DocumentError(f"$.action.{key}",
                                 f"names the word {word} a second time")
         action[word] = _square_matrix(doc["action"], key, dim, "$.action")
-    basis = list(action)
-    for w in basis:
+    for w in action:
         for u in e_algebra(Element.from_word(system, w)).support():
             if u not in action:
                 raise DocumentError(f"$.action.{u}", f"missing: the "
@@ -615,7 +614,7 @@ def module_from_json(doc):
         e_module = lambda v: v
     else:
         e_module = _square_matrix(doc, "e_module", dim, "$").apply
-    return action, basis, dim, e_algebra, e_module, system
+    return action, e_algebra, e_module, system
 
 
 def read_document(path: str) -> dict:

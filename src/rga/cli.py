@@ -252,10 +252,9 @@ def _dispatch_check(args) -> int:
 
 
 def _dispatch_wick(args) -> int:
-    pair = ConjugatedPair()
-    psi = CrossSymmetry.regular(pair, args.vacuum)
+    psi = CrossSymmetry.regular(ConjugatedPair(), args.vacuum)
     if args.wickop == "eval":
-        print(parse_wick(args.expr, pair, psi))
+        print(parse_wick(args.expr, psi))
         return 0
     if args.wickop == "coherence":
         verdict = check_coherence(psi, args.max_deg)

@@ -31,7 +31,7 @@ from .algebra import Element, linear_combination, mul
 from .rewrite import EMPTY_WORD, RewriteSystem, Word
 from .scalar import OMEGA, Scalar
 from .tensor import TensorElement, element_tensor
-from .wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
+from .wick import CrossSymmetry, WickElement, wick_mul
 
 
 class ParseError(ValueError):
@@ -318,9 +318,9 @@ def parse_word_letters(text: str, system: RewriteSystem) -> Word:
 # -- tensor / wick contexts -----------------------------------------------------
 
 
-def parse_wick(text: str, pair: ConjugatedPair,
-               psi: CrossSymmetry) -> WickElement:
-    """A Wick expression; juxtaposition is the Wick product through psi."""
+def parse_wick(text: str, psi: CrossSymmetry) -> WickElement:
+    """A Wick expression over psi.pair; juxtaposition is the Wick product."""
+    pair = psi.pair
 
     def generator(tok):
         side = pair.theta if tok[1][0] == "T" else pair.xi
@@ -388,6 +388,6 @@ def parse_tensor(text: str, system: RewriteSystem) -> TensorElement:
         if not value.is_zero():
             raise ParseError("a tensor expression needs at least one (x)",
                              ts.tokens[-1][2], text)
-        value = TensorElement.zero(system)  # "0", as zero prints
+        value = TensorElement(system)  # "0", as zero prints
     ts.expect("END")
     return value

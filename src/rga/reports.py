@@ -231,11 +231,11 @@ def dual_comultiplication_report() -> str:
     lines.append(f"coassociative: "
                  f"{str(check_coassociativity(table).ok).lower()}")
     for conv in ("straight", "flip"):
-        ok = check_dual_pairing_identity(table, theta, xi, conv).ok
+        ok = check_dual_pairing_identity(table, theta, conv).ok
         lines.append(f"pairing transport identity "
                      f"<Delta(w), u (x) v> = <w, uv> [{conv}]: "
                      f"{str(ok).lower()}")
-    verdict = check_coalgebra_obstruction(table, xi)
+    verdict = check_coalgebra_obstruction(table)
     lines.append(f"coalgebra obstruction law Delta.e = (e (x) e).Delta: "
                  f"{str(verdict.ok).lower()}")
     if verdict.witnesses:
@@ -271,8 +271,7 @@ def wick_regular_report() -> str:
     def e_module(vec):
         return obstruction(Element(sys, zip(basis, vec))).coeffs_n2()
 
-    verdict = check_regular_module(action, basis, 5,
-                                   obstruction, e_module, sys)
+    verdict = check_regular_module(action, obstruction, e_module, sys)
     lines.append("module law rho.(e_A (x) e_M) = e_M.rho with M = A, "
                  "rho = multiplication,")
     lines.append(f"e_A = e_M = obstruction map: {str(verdict.ok).lower()}")
@@ -281,8 +280,7 @@ def wick_regular_report() -> str:
                           for w in verdict.witnesses[:4])
         lines.append(f"  fails at {len(verdict.witnesses)} basis pairs, "
                      f"first: {shown}")
-    identity = check_regular_module(action, basis, 5,
-                                    lambda a: a, lambda v: v, sys)
+    identity = check_regular_module(action, lambda a: a, lambda v: v, sys)
     lines.append(f"same with identity obstruction maps: "
                  f"{str(identity.ok).lower()}")
     lines.append("")

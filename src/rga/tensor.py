@@ -13,12 +13,12 @@ only map legs, so they need no convention.  `*` is the plain product.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 from math import lcm
 
 from .algebra import (Combination, Element, Verdict, Witness, _lifted,
-                      obstruction)
+                      linear_combination, obstruction)
 from .linalg import Matrix
 from .rewrite import ZERO, RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar, _make, _times
@@ -153,15 +153,14 @@ def dual_comultiplication(theta_sys: RewriteSystem,
 
 
 def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
-    """Linear extension of a generator table to a full element, a tensor
-    over e's system."""
-    d = lcm(*(table[w]._d for w in e._num))
-    return TensorElement._new(e.system, (
-        (k, _times(*s, *t)) for w, s in e._num.items()
-        for k, t in _lifted(table[w], d)), e._d * d)
+    """Linear extension of a generator table, keyed by the words of e's
+    system, to the element e."""
+    if e.is_zero():
+        return TensorElement(e.system)
+    return linear_combination((s, table[w]) for w, s in e.terms())
 
 
-def check_dual_pairing_identity(table, theta_sys, xi_sys,
+def check_dual_pairing_identity(table, theta_sys,
                                 convention: str = "straight") -> Verdict:
     """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples of
     degree <= 2."""
@@ -173,7 +172,8 @@ def check_dual_pairing_identity(table, theta_sys, xi_sys,
                 lhs = pair_tensor(delta_w, target, convention)
                 rhs = pair_words(w, theta_sys.product(u, v))
                 if lhs != rhs:
-                    at = f"<Delta({w.to_text(xi_sys.symbol)}), {u} (x) {v}>"
+                    at = (f"<Delta({w.to_text(delta_w.system.symbol)}), "
+                          f"{u} (x) {v}>")
                     return Verdict((Witness("pairing transport", at, lhs,
                                             rhs),))
     return Verdict()
@@ -198,8 +198,7 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
     return Verdict()
 
 
-def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
-                                xi_sys: RewriteSystem) -> Verdict:
+def check_coalgebra_obstruction(table: Dict[Word, TensorElement]) -> Verdict:
     """Does Delta . e = (e (x) e) . Delta hold for the obstruction map?
 
     There is one witness at each basis word where the two sides differ.  The
@@ -207,11 +206,12 @@ def check_coalgebra_obstruction(table: Dict[Word, TensorElement],
     """
     witnesses = []
     for w in sorted(table, key=Word.sort_key):
-        lhs = apply_delta(table, obstruction(Element.from_word(xi_sys, w)))
+        system = table[w].system
+        lhs = apply_delta(table, obstruction(Element.from_word(system, w)))
         rhs = table[w].map_legs(obstruction, obstruction)
         if lhs != rhs:
             witnesses.append(Witness("coalgebra obstruction",
-                                     w.to_text(xi_sys.symbol), lhs, rhs))
+                                     w.to_text(system.symbol), lhs, rhs))
     return Verdict(tuple(witnesses))
 
 
@@ -230,7 +230,7 @@ def check_almost_bialgebra(delta_gens: Dict[int, TensorElement],
     multiplicatively: its values must satisfy the defining relations.
     Each failing relation is one witness at the sign convention."""
     d1, d2 = delta_gens[1], delta_gens[2]
-    zero = TensorElement.zero(d1.system)
+    zero = TensorElement(d1.system)
     sides = ((tensor_mul(d1, d1, convention), zero),
              (tensor_mul(d2, d2, convention), zero),
              (tensor_mul(tensor_mul(d1, d2, convention), d1, convention), d1),
@@ -265,31 +265,30 @@ def bialgebra_candidates(system: RewriteSystem) -> Dict[str, Dict[int, TensorEle
 
 
 def check_regular_module(action: Dict[Word, Matrix],
-                         basis: Sequence[Word],
-                         module_dim: int,
                          e_algebra: Callable[[Element], Element],
                          e_module: Callable[[tuple], tuple],
                          system: RewriteSystem) -> Verdict:
     """Check rho . (e_A (x) e_M) = e_M . rho on all basis pairs.
 
-    `action[w]` is the matrix of the basis word w acting on the module;
+    `action[w]` is the matrix of the basis word w acting on the module, in
+    the order the words are checked; its size is the module's dimension.
     `e_module` maps module coefficient vectors to vectors (it may be
     affine, like the element obstruction map).  There is one witness at
     each pair (word, module basis index) where the two sides differ.
     """
     def act(element: Element, vec: tuple) -> tuple:
-        out = [ZERO_SCALAR] * module_dim
+        out = [ZERO_SCALAR] * len(vec)
         for w, s in element.terms():
             col = action[w].apply(vec)
             out = [o + s * c for o, c in zip(out, col)]
         return tuple(out)
 
     witnesses = []
-    for w in basis:
+    for w, m in action.items():
         a = Element.from_word(system, w)
-        for j in range(module_dim):
+        for j in range(m.ncols):
             m_vec = tuple(ONE if k == j else ZERO_SCALAR
-                          for k in range(module_dim))
+                          for k in range(m.ncols))
             lhs = act(e_algebra(a), e_module(m_vec))
             rhs = e_module(act(a, m_vec))
             if lhs != rhs:

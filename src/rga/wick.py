@@ -96,7 +96,7 @@ class CrossSymmetry:
                 if (i, j) not in base:
                     raise IncompleteBaseError(
                         f"missing base value for X{i} (x) T{j}")
-                WickElement.zero(pair)._require_same(base[(i, j)])
+                WickElement(pair)._require_same(base[(i, j)])
         self.pair = pair
         self.base = dict(base)
         self.label = label
@@ -146,7 +146,7 @@ class CrossSymmetry:
             return hit
         xi = self.pair.xi.normal_form(xi)
         theta = self.pair.theta.normal_form(theta)
-        out = (WickElement.zero(self.pair) if xi is ZERO or theta is ZERO
+        out = (WickElement(self.pair) if xi is ZERO or theta is ZERO
                else self._compute(xi, theta))
         self._cache[key] = out
         return out
@@ -224,7 +224,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
                 law = psi._peel_theta(xi, u, v)
                 prod = pair.theta.product(u, v)
                 reduces = prod is ZERO or len(prod) != len(u) + len(v)
-                direct = (WickElement.zero(pair) if prod is ZERO
+                direct = (WickElement(pair) if prod is ZERO
                           else psi.apply(xi, prod))
                 if law != direct:
                     bad.append(Witness(
@@ -238,7 +238,7 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
                 law = psi._peel_xi(x, y, theta)
                 prod = pair.xi.product(x, y)
                 reduces = prod is ZERO or len(prod) != len(x) + len(y)
-                direct = (WickElement.zero(pair) if prod is ZERO
+                direct = (WickElement(pair) if prod is ZERO
                           else psi.apply(prod, theta))
                 if law != direct:
                     bad.append(Witness(

@@ -237,7 +237,7 @@ def test_claimed_zero_divisor_is_not_universal():
 
 def test_obstruction_examples():
     assert obstruction(T1) == UNIT + T2
-    assert obstruction(Element.zero(S2)) == UNIT
+    assert obstruction(Element(S2)) == UNIT
     a = Element.from_coeffs(S2, (0, 0, 0, 1, 0))
     assert obstruction(a) == UNIT + E21
 

@@ -225,6 +225,13 @@ def test_wick_coherence(capsys):
                           "order coherent: true")
 
 
+@pytest.mark.parametrize("max_deg, instances", [(0, 2), (1, 30)])
+def test_wick_coherence_low_degrees(capsys, max_deg, instances):
+    # the first disagreement, at X1 (x) T1.T2 T1, needs a word of degree 2
+    assert run(capsys, ["wick", "coherence", "--max-deg", str(max_deg)]) \
+        == (0, f"coherent: true (instances: {instances})\n")
+
+
 def test_dual_delta(capsys):
     code, out = run(capsys, ["dual", "delta"])
     assert code == 0
@@ -360,6 +367,18 @@ def test_check_cocycle_duplicate_map(tmp_path, capsys):
         2, "error: doc.json: $.maps[1].from: second map from 'X1'\n")
 
 
+@pytest.mark.parametrize("spaces, out", [
+    ([TWO_SPACES[0], {"name": "X1", "basis": ["v"]}],
+     "$.spaces[1].name: duplicate space 'X1'"),
+    ([{"name": "X1", "basis": ["u", "u"]}, TWO_SPACES[1]],
+     "$.spaces[0].basis: duplicate basis entries in X1"),
+], ids=["space", "basis-entry"])
+def test_check_cocycle_duplicate_name(tmp_path, capsys, spaces, out):
+    doc = {"spaces": spaces, "maps": []}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, f"error: doc.json: {out}\n")
+
+
 MODULE = {"n": 2, "module_dim": 1, "action": {"1": [["1"]]},
           "e_algebra": "identity", "e_module": "identity"}
 
@@ -417,6 +436,18 @@ def test_check_module_action_word_named_twice(tmp_path, capsys):
     assert check_module(tmp_path, capsys, action=action) == (
         2, "error: doc.json: $.action.1 T1: names the word T1 a second "
            "time\n")
+
+
+@pytest.mark.parametrize("changes, out", [
+    ({"module_dim": -1}, "$.module_dim: must be >= 0, got -1"),
+    # the default e_algebra is the obstruction map
+    ({"n": 3, "e_algebra": None},
+     "$.e_algebra: 'obstruction' needs n = 2, got n = 3"),
+    ({"action": {"2 T1": [["1"]]}}, "$.action.2 T1: not a basis word"),
+], ids=["negative-dimension", "obstruction-n3", "not-a-basis-word"])
+def test_check_module_refused(tmp_path, capsys, changes, out):
+    assert check_module(tmp_path, capsys, **changes) == (
+        2, f"error: doc.json: {out}\n")
 
 
 def test_check_functor_missing_base_change_label(tmp_path, capsys):

@@ -18,6 +18,8 @@ from rga.scalar import Scalar
 from rga.tensor import TensorElement, element_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
+from helpers import summed_reference
+
 S2 = RewriteSystem(2)
 S3 = RewriteSystem(3)
 PAIR = ConjugatedPair()
@@ -50,7 +52,7 @@ KINDS = {
     "element-n2": (elements(S2), lambda text: parse_element(text, S2)),
     "element-n3": (elements(S3), lambda text: parse_element(text, S3)),
     "tensor": (tensors, lambda text: parse_tensor(text, S2)),
-    "wick": (wicks, lambda text: parse_wick(text, PAIR, PSI)),
+    "wick": (wicks, lambda text: parse_wick(text, PSI)),
 }
 
 kind_triples = st.sampled_from(sorted(KINDS)).flatmap(
@@ -168,9 +170,13 @@ def test_linear_combination_is_the_sum_of_scaled_terms(case, cs):
     # None stands for the unit; at least one term carries a value
     pairs = [(c, x if keep or i == 0 else None)
              for i, ((c, keep), x) in enumerate(zip(cs, values))]
-    want = values[0].scale(0)
-    for c, x in pairs:
-        want = want + (c if x is None else x.scale(c))
+    # summed as Scalars, since `+` and `scale` are linear combinations too
+    like = values[0]
+    legs = like._legs()
+    unit = () if len(legs) == 1 else ((),) * len(legs)
+    want = type(like)(like._context, summed_reference(legs, (
+        (k, (c, s)) for c, x in pairs
+        for k, s in ([(unit, 1)] if x is None else x.terms()))))
     got = linear_combination(pairs)
     assert type(got) is type(want) and got == want
 
@@ -183,6 +189,13 @@ def test_linear_combination_refuses_mixed_operands():
         linear_combination([(1, t1), (1, Element.generator(S3, 1))])
     with pytest.raises(TypeError):
         linear_combination([(0.5, t1)])
+
+
+@pytest.mark.parametrize("terms", [[], [(1, None)], [(2, None), (3, None)]])
+def test_linear_combination_refuses_terms_without_a_combination(terms):
+    # a bare StopIteration would silently end a generator that called it
+    with pytest.raises(ValueError, match="needs a term with a Combination"):
+        linear_combination(terms)
 
 
 @pytest.mark.parametrize("system", [S2, S3])

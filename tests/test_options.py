@@ -2,7 +2,8 @@
 
 A default is a setting some caller may change, so each one is a concept a
 reader has to keep in mind.  The list below is every (module, function,
-parameter) with a default, found by AST.  Change the list only together
+parameter) with a default, found by AST; a dataclass field with a default
+is a parameter of the class's `__init__`.  Change the list only together
 with a CHANGES.md line that names the new option and the two non-test
 callers that need different values; an option that one caller sets, or
 none, is a constant.
@@ -17,6 +18,8 @@ OPTIONS = [
     ("algebra", "Combination.__init__", "terms"),
     ("algebra", "Combination._new", "d"),
     ("algebra", "Element.from_word", "coeff"),
+    ("algebra", "Verdict.__init__", "checked"),
+    ("algebra", "Verdict.__init__", "witnesses"),
     ("algebra", "annihilator", "side"),
     ("category", "_matrix_from_json", "where"),
     ("category", "cocycle_from_json", "where"),
@@ -33,6 +36,8 @@ OPTIONS = [
     ("tensor", "check_dual_pairing_identity", "convention"),
     ("tensor", "pair_tensor", "convention"),
     ("tensor", "tensor_mul", "signs"),
+    ("wick", "ConjugatedPair.__init__", "theta"),
+    ("wick", "ConjugatedPair.__init__", "xi"),
     ("wick", "CrossSymmetry.__init__", "label"),
     ("wick", "CrossSymmetry.regular", "vacuum"),
     ("wick", "WickElement.single", "coeff"),
@@ -40,7 +45,8 @@ OPTIONS = [
 
 
 def _defaulted(scope: str, node) -> list:
-    """(qualified function name, parameter) for each default under node."""
+    """(qualified function name, parameter) for each default under node; a
+    defaulted field of a dataclass is a parameter of its `__init__`."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -51,10 +57,33 @@ def _defaulted(scope: str, node) -> list:
                 k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             function = scope + getattr(child, "name", "<lambda>")
             found += [(function, p.arg) for p in params]
+        if isinstance(child, ast.ClassDef) and _is_dataclass(child):
+            found += [(f"{scope}{child.name}.__init__", f.target.id)
+                      for f in child.body if isinstance(f, ast.AnnAssign)
+                      and f.value is not None and _has_default(f.value)]
         named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                    ast.AsyncFunctionDef))
         found += _defaulted(f"{scope}{child.name}." if named else scope, child)
     return found
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_name(d) == "dataclass" for d in cls.decorator_list)
+
+
+def _has_default(value) -> bool:
+    """A field value other than `field(...)` without a default is one."""
+    if isinstance(value, ast.Call) and _name(value) == "field":
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return True
+
+
+def _name(expr) -> str:
+    """The name an expression calls or is: `f` for `f`, `m.f` or `f(...)`."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    return getattr(expr, "id", None) or getattr(expr, "attr", "")
 
 
 def test_defaulted_parameters_are_the_listed_ones():

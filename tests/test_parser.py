@@ -142,7 +142,7 @@ def test_word_letter_refusals_carry_the_letter_position(letters, bad, data):
     (lambda text: parse_element(text, S2), "T1 T2 T1", "T1"),
     (lambda text: parse_element(text, S2), "1/2+w", "1/2 + w"),
     (lambda text: parse_element(text, S2), "w", "w"),
-    (lambda text: parse_wick(text, PAIR, PSI), "X1 T1",
+    (lambda text: parse_wick(text, PSI), "X1 T1",
      "1 (x) 1 - T1 (x) X1"),
     (lambda text: parse_tensor(text, S2), "T1 (x) T2", "T1 (x) T2"),
 ], ids=["element", "element-scalars", "element-w", "wick", "tensor"])
@@ -189,19 +189,19 @@ def test_wick_round_trip():
         for _ in range(4):
             terms[(rng.choice(wt), rng.choice(wx))] = rand_scalar(rng)
         t = WickElement(PAIR, terms)
-        assert parse_wick(str(t), PAIR, PSI) == t
+        assert parse_wick(str(t), PSI) == t
 
 
 def test_wick_juxtaposition_is_wick_product():
-    got = parse_wick("X1 T1", PAIR, PSI)
+    got = parse_wick("X1 T1", PSI)
     assert got == WickElement.unit(PAIR) \
         - WickElement.single(PAIR, (1,), (1,))
-    assert parse_wick("(1 (x) X1) (T1 (x) 1)", PAIR, PSI) == got
+    assert parse_wick("(1 (x) X1) (T1 (x) 1)", PSI) == got
 
 
 def test_wick_tensor_marker_requires_pure_sides():
     with pytest.raises(ParseError):
-        parse_wick("(T1 (x) X1) (x) X2", PAIR, PSI)
+        parse_wick("(T1 (x) X1) (x) X2", PSI)
 
 
 # Well-formed element texts: sums of terms, each a scalar prefix and/or
@@ -282,7 +282,7 @@ def test_print_parse_products_agree_with_mul():
 CONTEXTS = {
     "element": lambda text: parse_element(text, S2),
     "plain": lambda text: parse_tensor(text, S2),
-    "wick": lambda text: parse_wick(text, PAIR, PSI),
+    "wick": lambda text: parse_wick(text, PSI),
 }
 
 TABLE = [

@@ -1,0 +1,96 @@
+"""Library refusals that no other test reaches, one row each: the call,
+the exception type and the message it carries."""
+
+import re
+
+import pytest
+
+from rga.algebra import (Element, Subspace, annihilator,
+                         find_idempotent_obstructions, invert, mul_closed_form,
+                         obstructed_product, obstruction)
+from rga.category import (ChainTypeError, Cocycle, LinearMap,
+                          check_cocycle_morphism, dual_cocycle)
+from rga.linalg import Matrix
+from rga.rewrite import RewriteSystem
+from rga.tensor import TensorElement, dual_system, pair_tensor
+from rga.wick import ConjugatedPair, CrossSymmetry
+
+S2, S3 = RewriteSystem(2), RewriteSystem(3)
+T3 = Element.generator(S3, 1)
+PAIR = ConjugatedPair()
+A, B = Subspace("A", ("a",)), Subspace("B", ("b",))
+AB, BA = LinearMap(A, B, Matrix([[1]])), LinearMap(B, A, Matrix([[1]]))
+AA = LinearMap(A, A, Matrix([[1]]))
+ROW = Matrix([[1, 2]])
+
+REFUSALS = {
+    # the n = 2 closed forms on an n = 3 input
+    "from_coeffs": (lambda: Element.from_coeffs(S3, (1, 0, 0, 0, 0)),
+                    ValueError, "coefficient form requires n=2"),
+    "coeffs_n2": (lambda: T3.coeffs_n2(),
+                  ValueError, "component form requires n=2"),
+    "mul_closed_form": (lambda: mul_closed_form(T3, T3),
+                        ValueError, "closed form requires n=2"),
+    "invert": (lambda: invert(T3),
+               ValueError, "closed-form inverse requires n=2"),
+    "obstruction": (lambda: obstruction(T3),
+                    ValueError, "obstruction map requires n=2"),
+    "obstructed_product": (lambda: obstructed_product(T3, T3),
+                           ValueError, "obstructed product requires n=2"),
+    "find_idempotent_obstructions": (
+        lambda: find_idempotent_obstructions(S3),
+        ValueError, "idempotent obstructions require n=2"),
+    # options outside their choices, off-system inputs, a negative degree
+    "annihilator-side": (
+        lambda: annihilator(Element.generator(S2, 1), side="up"),
+        ValueError, "side must be 'left' or 'right'"),
+    "regular-vacuum": (lambda: CrossSymmetry.regular(PAIR, "vac"),
+                       ValueError, "vacuum must be 'unit' or 'idem'"),
+    "pair-n3": (lambda: ConjugatedPair(S3, dual_system()), ValueError,
+                "the conjugated pair is built on two generators"),
+    "dagger-n3": (lambda: PAIR.dagger(T3),
+                  ValueError, "element does not belong to this pair"),
+    "pair_tensor-convention": (
+        lambda: pair_tensor(TensorElement(S2), TensorElement(S2), "sideways"),
+        ValueError, "unknown tensor pairing convention 'sideways'"),
+    "enumerate-negative": (lambda: S2.enumerate_normal_forms(-1),
+                           ValueError, "max_len must be >= 0"),
+    # chains whose maps do not meet
+    "cocycle-empty": (lambda: Cocycle([], []),
+                      ChainTypeError, "need one map per space"),
+    "cocycle-start": (lambda: Cocycle([A, B], [BA, AB]),
+                      ChainTypeError, "map 0 does not start at space 0"),
+    "compose": (lambda: AB.compose(AB),
+                ChainTypeError, "cannot compose A->B after A->B"),
+    "morphism-length": (
+        lambda: check_cocycle_morphism([AA], Cocycle([A, B], [AB, BA]),
+                                       Cocycle([A], [AA])),
+        ChainTypeError, "morphism length must match the cocycles"),
+    "dual-pairing-size": (
+        lambda: dual_cocycle(Cocycle([A], [AA]), {"A": Matrix.identity(2)}),
+        ValueError, "pairing at A has wrong size"),
+    # matrix shapes
+    "matrix-add": (lambda: Matrix([[1]]) + ROW, ValueError, "shape mismatch"),
+    "matrix-mul": (lambda: ROW * ROW,
+                   ValueError, "cannot compose 1x2 with 1x2"),
+    "matrix-apply": (lambda: ROW.apply([1]),
+                     ValueError, "vector length mismatch"),
+    "matrix-solve": (lambda: ROW.solve([1, 2]),
+                     ValueError, "rhs length mismatch"),
+    "matrix-inverse": (lambda: ROW.inverse(),
+                       ValueError, "only square matrices invert"),
+    # values are immutable
+    "element-immutable": (lambda: setattr(T3, "_d", 2),
+                          AttributeError, "Element is immutable"),
+    "matrix-immutable": (lambda: setattr(ROW, "d", 2),
+                         AttributeError, "Matrix is immutable"),
+    "system-immutable": (lambda: setattr(S2, "n", 3),
+                         AttributeError, "RewriteSystem is immutable"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_refusal(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -146,14 +146,14 @@ def test_delta_coassociative():
 
 def test_delta_pairing_identity_conventions():
     table = dual_comultiplication(THETA, XI)
-    assert check_dual_pairing_identity(table, THETA, XI, "straight").ok
-    assert not check_dual_pairing_identity(table, THETA, XI, "flip").ok
+    assert check_dual_pairing_identity(table, THETA, "straight").ok
+    assert not check_dual_pairing_identity(table, THETA, "flip").ok
 
 
 def test_delta_obstruction_law_verdict():
     # frozen verdict: the transported comultiplication does not intertwine
     # the obstruction map (documented discrepancy)
-    v = check_coalgebra_obstruction(dual_comultiplication(THETA, XI), XI)
+    v = check_coalgebra_obstruction(dual_comultiplication(THETA, XI))
     assert not v.ok
     assert len(v.witnesses) == 4
 
@@ -220,8 +220,7 @@ def module_action():
 
 def test_module_identity_maps_pass():
     action = module_action()
-    v = check_regular_module(action, N2_BASIS, 5,
-                             lambda a: a, lambda v: v, THETA)
+    v = check_regular_module(action, lambda a: a, lambda v: v, THETA)
     assert v.ok and not v.witnesses
 
 
@@ -232,8 +231,7 @@ def test_module_obstruction_verdict_frozen():
         e = obstruction(Element(THETA, dict(zip(N2_BASIS, vec))))
         return tuple(e.coeff(w) for w in N2_BASIS)
 
-    v = check_regular_module(action, N2_BASIS, 5,
-                             obstruction, e_module, THETA)
+    v = check_regular_module(action, obstruction, e_module, THETA)
     assert not v.ok and len(v.witnesses) == 16
 
 
@@ -244,6 +242,5 @@ def test_module_perturbed_map_fails():
     def perturbed(vec):
         return (Scalar(0),) + tuple(vec[1:])
 
-    v = check_regular_module(action, N2_BASIS, 5,
-                             lambda a: a, perturbed, THETA)
+    v = check_regular_module(action, lambda a: a, perturbed, THETA)
     assert not v.ok
