@@ -390,7 +390,10 @@ class Element(Combination):
         """Build an n=2 element from (a0, a1, a2, a12, a21)."""
         if system.n != 2:
             raise ValueError("coefficient form requires n=2")
-        return cls(system, zip(N2_BASIS, coeffs, strict=True))
+        if len(coeffs) != 5:
+            raise ValueError("coefficient form needs the five components "
+                             f"(a0, a1, a2, a12, a21), got {len(coeffs)}")
+        return cls(system, zip(N2_BASIS, coeffs))
 
     # -- accessors ---------------------------------------------------------
 

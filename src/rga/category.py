@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 # `mul` is not called here; perfbench/test_harness.py wraps and reads it
@@ -77,7 +78,8 @@ class LinearMap:
 class Cocycle:
     """A cyclic chain psi_i : X_i -> X_{i+1 mod n} of linear maps.
 
-    Immutable; each cycle composite and the regularity verdict is kept.
+    Immutable; the regularity verdict and all n cycle composites are kept,
+    the composites formed together from shared prefix/suffix products.
     """
 
     __slots__ = ("spaces", "maps", "_composites", "_regularity")
@@ -94,7 +96,7 @@ class Cocycle:
                 raise ChainTypeError(f"map {i} does not end at space {i + 1}")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "_composites", {})
+        object.__setattr__(self, "_composites", None)
         object.__setattr__(self, "_regularity", None)
 
     def __setattr__(self, name, value):
@@ -105,16 +107,22 @@ class Cocycle:
         return len(self.maps)
 
     def cycle_composite(self, start: int) -> LinearMap:
-        """The n-fold composite around the cycle beginning at `start`."""
-        n = self.order
-        start %= n
-        comp = self._composites.get(start)
-        if comp is None:
-            comp = self.maps[start]
-            for k in range(1, n):
-                comp = self.maps[(start + k) % n].compose(comp)
-            self._composites[start] = comp
-        return comp
+        """The n-fold composite around the cycle beginning at `start`.
+
+        The first call forms all n as e_0 = suffix_0 and e_i = prefix_i .
+        suffix_i, where suffix_i = psi_{n-1} ... psi_i and prefix_i =
+        psi_{i-1} ... psi_0: 3n - 4 products in all (none when n = 1).
+        """
+        if self._composites is None:
+            maps = self.maps
+            # prefix_1 .. prefix_{n-1}, then suffix_0 .. suffix_{n-1}
+            prefixes = accumulate(maps[1:-1], lambda p, m: m.compose(p),
+                                  initial=maps[0])
+            suffixes = list(accumulate(reversed(maps[:-1]), LinearMap.compose,
+                                       initial=maps[-1]))[::-1]
+            object.__setattr__(self, "_composites", (suffixes[0], *(
+                p.compose(s) for p, s in zip(prefixes, suffixes[1:]))))
+        return self._composites[start % self.order]
 
     def __repr__(self):
         return "Cocycle(" + " -> ".join(
@@ -209,11 +217,15 @@ def _conjugation(matrices: dict, labels, noun: str):
 class MatrixFunctor:
     """A functor that fixes every space, given by (and named after) its
     morphism map.  `base_change(change)` builds the standard example: every
-    morphism is conjugated by the per-space invertible matrix."""
+    morphism is conjugated by the per-space invertible matrix.
+
+    The morphism map must be a function of its argument: the functor maps
+    each distinct morphism once and keeps its image while it lives."""
 
     def __init__(self, morphism_map: Callable[[LinearMap], LinearMap]):
         self.morphism_map = morphism_map
         self.name = getattr(morphism_map, "__name__", "functor")
+        self._images = {}
 
     @classmethod
     def identity(cls) -> "MatrixFunctor":
@@ -230,7 +242,10 @@ class MatrixFunctor:
         return cls(base_change)
 
     def __call__(self, m: LinearMap) -> LinearMap:
-        return self.morphism_map(m)
+        image = self._images.get(m)
+        if image is None:
+            image = self._images[m] = self.morphism_map(m)
+        return image
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rga.algebra import Subspace
 from rga.category import (ChainTypeError, Cocycle, DegeneratePairingError,
@@ -57,26 +59,88 @@ def test_zero_one_cocycle_fails_at_two():
     assert not v.ok and v.witnesses[0].at == 2
 
 
+def chain(dims, entry):
+    """A cyclic chain between spaces of the given dims (0 allowed) whose
+    matrix entries are drawn by calling `entry()`."""
+    spaces = [Subspace(f"X{i + 1}", tuple(f"b{j}" for j in range(d)))
+              for i, d in enumerate(dims)]
+    maps = []
+    for s, t in zip(spaces, spaces[1:] + spaces[:1]):
+        rows = [[entry() for _ in s.basis] for _ in t.basis]
+        matrix = Matrix(rows) if rows else Matrix.from_columns([()] * s.dim)
+        maps.append(LinearMap(s, t, matrix))
+    return Cocycle(spaces, maps)
+
+
 def random_chain(rng, dims):
     """A cyclic chain of random maps between spaces of the given dims (not
     regular in general)."""
-    spaces = [Subspace(f"X{i + 1}", tuple(f"b{j}" for j in range(d)))
-              for i, d in enumerate(dims)]
-    maps = [LinearMap(s, t, Matrix([[rand_scalar(rng, 3) for _ in s.basis]
-                                    for _ in t.basis]))
-            for s, t in zip(spaces, spaces[1:] + spaces[:1])]
-    return Cocycle(spaces, maps)
+    return chain(dims, lambda: rand_scalar(rng, 3))
+
+
+def fold(c, start):
+    """The cycle composite at `start`, one left fold of n - 1 products."""
+    n = c.order
+    out = c.maps[start % n]
+    for k in range(1, n):
+        out = c.maps[(start + k) % n].compose(out)
+    return out
 
 
 def test_cycle_composite_is_the_fold_at_every_start():
     c = random_chain(Random(31), [2, 3, 1, 2])
     n = c.order
     for i in range(-n, 2 * n):
-        fold = c.maps[i % n]
-        for k in range(1, n):
-            fold = c.maps[(i + k) % n].compose(fold)
-        assert c.cycle_composite(i) == fold
+        assert c.cycle_composite(i) == fold(c, i)
         assert c.cycle_composite(i) == c.cycle_composite(i + n)
+
+
+coordinates = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+entries = st.builds(Scalar, coordinates, coordinates)
+
+
+@st.composite
+def chains(draw):
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    return chain(dims, lambda: draw(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chains(), st.data())
+def test_cycle_composite_is_the_fold_whichever_start_comes_first(c, data):
+    n = c.order
+    first = data.draw(st.integers(-n, 2 * n - 1), label="first start")
+    for i in [first, *range(-n, 2 * n)]:
+        assert c.cycle_composite(i) == fold(c, i)
+
+
+@pytest.fixture
+def composes(monkeypatch):
+    """Every (self, other) pair LinearMap.compose multiplies while the
+    test runs."""
+    calls = []
+    compose = LinearMap.compose
+
+    def spy(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(LinearMap, "compose", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_composites_share_prefix_and_suffix_products(composes, n):
+    # 3n - 4 products for all n composites (none at n = 1), not n(n - 1)
+    budget = 3 * n - 4 if n > 1 else 0
+    for first in range(n):
+        c = random_chain(Random(n), [1 + k % 3 for k in range(n)])
+        composes.clear()
+        c.cycle_composite(first)
+        assert len(composes) == budget
+        for i in range(n):
+            c.cycle_composite(i)
+        assert len(composes) == budget
 
 
 def test_cocycle_stays_immutable():
@@ -159,18 +223,19 @@ def test_identity_functor():
                                      obstructed_example()]).ok
 
 
+def rand_invertible(rng, dim):
+    while True:
+        m = Matrix([[rand_scalar(rng, 3) for _ in range(dim)]
+                    for _ in range(dim)])
+        if m.is_invertible():
+            return m
+
+
 def test_base_change_functor():
     rng = Random(21)
-
-    def rand_invertible(dim):
-        while True:
-            m = Matrix([[rand_scalar(rng, 3) for _ in range(dim)]
-                        for _ in range(dim)])
-            if m.is_invertible():
-                return m
-
     for source in (algebra_cocycle(), obstructed_example()):
-        change = {s.label: rand_invertible(s.dim) for s in source.spaces}
+        change = {s.label: rand_invertible(rng, s.dim)
+                  for s in source.spaces}
         f = MatrixFunctor.base_change(change)
         v = check_obstructed_functor(f, [source])
         assert v.ok and v.images_regular and v.obstruction_preserved
@@ -189,6 +254,25 @@ def test_functor_maps_each_generator_once():
     gens = list(source.maps) + [source.cycle_composite(i)
                                 for i in range(source.order)]
     assert [sum(m is g for m in seen) for g in gens] == [1] * len(gens)
+    # and every other distinct morphism once: psi . e_X is psi again
+    assert len(seen) == len(set(seen))
+
+
+def test_base_change_maps_each_distinct_morphism_once():
+    source, _ = cocycle_from_algebra(RewriteSystem(3), 3)
+    rng = Random(5)
+    base = MatrixFunctor.base_change(
+        {s.label: rand_invertible(rng, s.dim) for s in source.spaces})
+    seen = []
+
+    def counted(m: LinearMap) -> LinearMap:
+        seen.append(m)
+        return base.morphism_map(m)
+
+    assert check_obstructed_functor(MatrixFunctor(counted), [source]).ok
+    gens = list(source.maps) + [source.cycle_composite(i)
+                                for i in range(source.order)]
+    assert set(gens) <= set(seen) and len(seen) == len(set(seen))
 
 
 def test_functor_image_is_regular_cocycle():

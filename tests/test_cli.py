@@ -350,12 +350,22 @@ def test_check_cocycle_no_spaces(tmp_path, capsys):
         2, "error: doc.json: $.spaces: expected at least one space\n")
 
 
+# X1 -> X2 is 1x0 and X2 -> X1 is 0x1, whose document has no rows
+EMPTY_X1 = {"spaces": [{"name": "X1", "basis": []}, TWO_SPACES[1]],
+            "maps": [{"from": "X1", "to": "X2", "matrix": [[]]},
+                     {"from": "X2", "to": "X1", "matrix": []}]}
+# n = 1: the one map is its own cycle composite
+ONE_SPACE = {"spaces": TWO_SPACES[:1],
+             "maps": [{"from": "X1", "to": "X1", "matrix": [["1"]]}]}
+
+
 def test_check_cocycle_zero_dimensional_space(tmp_path, capsys):
-    # X1 -> X2 is 1x0 and X2 -> X1 is 0x1, whose document has no rows
-    doc = {"spaces": [{"name": "X1", "basis": []}, TWO_SPACES[1]],
-           "maps": [{"from": "X1", "to": "X2", "matrix": [[]]},
-                    {"from": "X2", "to": "X1", "matrix": []}]}
-    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+    assert check_document(tmp_path, capsys, json.dumps(EMPTY_X1)) == (
+        0, "regular cocycle: true\n")
+
+
+def test_check_cocycle_one_space(tmp_path, capsys):
+    assert check_document(tmp_path, capsys, json.dumps(ONE_SPACE)) == (
         0, "regular cocycle: true\n")
 
 
@@ -448,6 +458,16 @@ def test_check_module_action_word_named_twice(tmp_path, capsys):
 def test_check_module_refused(tmp_path, capsys, changes, out):
     assert check_module(tmp_path, capsys, **changes) == (
         2, f"error: doc.json: {out}\n")
+
+
+@pytest.mark.parametrize("cocycle, base_change", [
+    (ONE_SPACE, {"X1": [["w"]]}),
+    (EMPTY_X1, {"X1": [], "X2": [["1"]]}),
+], ids=["one-space", "empty-X1"])
+def test_check_functor_at_the_chain_edges(tmp_path, capsys, cocycle,
+                                          base_change):
+    assert check_functor(tmp_path, capsys, base_change, cocycle) == (
+        0, "obstructed functor: true\n")
 
 
 def test_check_functor_missing_base_change_label(tmp_path, capsys):

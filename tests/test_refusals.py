@@ -27,6 +27,15 @@ REFUSALS = {
     # the n = 2 closed forms on an n = 3 input
     "from_coeffs": (lambda: Element.from_coeffs(S3, (1, 0, 0, 0, 0)),
                     ValueError, "coefficient form requires n=2"),
+    # an n = 2 coefficient tuple of the wrong length
+    "from_coeffs-short": (
+        lambda: Element.from_coeffs(S2, (1, 2)), ValueError,
+        "coefficient form needs the five components (a0, a1, a2, a12, a21), "
+        "got 2"),
+    "from_coeffs-long": (
+        lambda: Element.from_coeffs(S2, (1, 2, 3, 4, 5, 6)), ValueError,
+        "coefficient form needs the five components (a0, a1, a2, a12, a21), "
+        "got 6"),
     "coeffs_n2": (lambda: T3.coeffs_n2(),
                   ValueError, "component form requires n=2"),
     "mul_closed_form": (lambda: mul_closed_form(T3, T3),
