@@ -8,16 +8,24 @@ Grassmann algebras divided by
     g_i g_{i+1} ... g_n g_1 ... g_{i-1} g_i = g_i (cyclic, one per i)
 
 Monomials are words over the alphabet 1..n.  Both rule families strictly
-shorten a word, so rewriting terminates.  Normal forms come from one O(L)
-left-to-right suffix reducer: its stack is irreducible, and beside each
-letter it keeps the run of cyclic successors (x == top % n + 1) ending
-there, so a pushed x completes square_zero (x == top) or, with a run of
-n + 1, cyclic(x).  It repeats the leftmost derivation (square_zero first at
-equal positions) step for step: the first redex to end is the first to
-start, as for n >= 2 the cyclic patterns share one length and none holds a
-square, and for n = 1 the one cyclic pattern 11 is square_zero's.  Whether
-every reduction order reaches the same normal form is exactly local
-confluence, which `check_local_confluence` decides from critical pairs.
+shorten a word, so rewriting terminates.  Normal forms have a closed form.
+nf(w) is ZERO exactly when w has two equal adjacent letters.  Otherwise
+split w into maximal runs in which each letter is the cyclic successor
+(x % n + 1) of the one before; a run of length L keeps its first
+(L - 1) % n + 1 letters, and nf(w) is what the runs keep, in order.
+
+Why: reduce w left to right on a stack that stays irreducible.  The top of
+the stack is always the last letter read: a push puts x on top, and a
+cyclic collapse of x, x+1, ..., x-1, x keeps the earlier copy of x.  So
+square_zero fires exactly at an equal adjacent pair of the input; a stack
+run goes on exactly while the input's next letter is a successor, so the
+stack's runs are the input's runs, and each collapse shortens a run by n.
+For n = 1 every word of two or more letters holds an equal pair, so it
+goes to ZERO.  This is where the leftmost derivation (square_zero first at
+equal positions) ends, and the tests check it against a reducer that
+rescans for the leftmost redex after every step.  Whether every reduction
+order reaches the same normal form is exactly local confluence, which
+`check_local_confluence` decides from critical pairs.
 
 Only the stated orientation of the cyclic relation rewrites; the reversed
 cycle (e.g. 1,3,2,1 for n=3) is in normal form.
@@ -25,7 +33,9 @@ cycle (e.g. 1,3,2,1 for n=3) is in normal form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 
@@ -45,7 +55,8 @@ class SizeLimitError(ValueError):
 MAX_GENERATORS = 64
 """The largest generator count n a RewriteSystem accepts.  Its rules hold
 n(n + 3) letters and the critical-pair check is cubic in n: about 0.5 s at
-n = 64 (Python 3.11, shared 2-vCPU Xeon)."""
+n = 64 (Python 3.11, shared 2-vCPU Xeon).  `normal_form` encodes a word
+as bytes, one letter a byte, so the ceiling must stay at most 255."""
 
 MAX_WORDS = 200_000
 """The ceiling on the words one normal-form enumeration may have to list,
@@ -151,6 +162,32 @@ class Word(tuple):
         return self.to_text()
 
 
+_EQUAL_PAIR = re.compile(rb"(.)\1", re.S)
+"""Matches two equal adjacent letters in a byte-encoded word."""
+
+
+@cache
+def _extra_rounds(n: int) -> re.Pattern:
+    """The pattern that, in a byte-encoded word without two equal adjacent
+    letters, matches the first (L - 1) // n rounds of n letters of each
+    maximal run of cyclic successors of length L.  Deleting them leaves
+    the run's last (L - 1) % n + 1 letters, which are also its first ones,
+    as a run has period n.  Built once per n.
+
+    A lookahead first requires the letter n places on to be the same one,
+    as it is in any run longer than n.  The rounds starting at that letter
+    then match as many times as leave that letter next.  A scan that fails
+    at the start of a short run fails at all its later letters, so every
+    match starts a maximal run."""
+    def letter(i):  # the cycle 1, 2, ..., n counted from 0, modulo n
+        return re.escape(bytes((i % n + 1,)))
+
+    rounds = b"|".join(
+        b"(?:%s)+" % b"".join(letter(x + k) for k in range(n))
+        for x in range(n))
+    return re.compile(b"(?=(.).{%d}\\1)(?:%s)(?=\\1)" % (n - 1, rounds), re.S)
+
+
 def _word(letters) -> Word:
     """The Word over `letters`, ints already checked by the caller; skips
     the public constructor's check."""
@@ -230,14 +267,6 @@ class RewriteSystem:
                 raise LetterRangeError(
                     f"letter {x} outside generator range 1..{self.n}")
 
-    def _run(self, top: int, top_run: int, x: int) -> int:
-        """The cyclic-successor run ending at x placed after `top`, whose run
-        is `top_run` (both 0 on an empty stack): 0 is the square_zero redex,
-        n + 1 is cyclic(x), and 1..n is no redex."""
-        if x == top:
-            return 0
-        return top_run + 1 if x == top % self.n + 1 else 1
-
     @staticmethod
     def _apply(letters, p, rule):
         if rule.replacement is ZERO:
@@ -247,23 +276,24 @@ class RewriteSystem:
     # -- public operations ----------------------------------------------
 
     def normal_form(self, word) -> WordOrZero:
-        """The leftmost-derivation normal form of `word` (or ZERO)."""
-        letters = tuple(word)
-        self._check_letters(letters)
-        n, run_of = self.n, self._run
-        stack, runs = [0], [0]  # a sentinel below the irreducible prefix
-        for x in letters:
-            run = run_of(stack[-1], runs[-1], x)
-            if run == 0:
-                return ZERO
-            if run > n:
-                # the top n letters are x, x+1, ..., x-1: keep the first x
-                k = len(stack) - n + 1
-                del stack[k:], runs[k:]
-            else:
-                stack.append(x)
-                runs.append(run)
-        return _word(tuple(stack[1:]))
+        """The leftmost-derivation normal form of `word` (or ZERO), by the
+        closed form of the module docstring: ZERO at an equal adjacent
+        pair, else each maximal run of cyclic successors of length L cut
+        to its first (L - 1) % n + 1 letters.  The word is encoded as
+        bytes, one letter a byte (see MAX_GENERATORS), for one regex
+        search and one regex substitution."""
+        n = self.n
+        if type(word) is Word:
+            letters = word  # exact ints already: only the range is checked
+            if letters and (min(letters) < 1 or max(letters) > n):
+                self._check_letters(letters)
+        else:
+            letters = tuple(word)
+            self._check_letters(letters)
+        data = bytes(letters)
+        if _EQUAL_PAIR.search(data):
+            return ZERO
+        return _word(_extra_rounds(n).sub(b"", data))
 
     def product(self, u: Word, v: Word) -> WordOrZero:
         """nf(u v): one normal word or ZERO, since every rule's right-hand
@@ -277,7 +307,7 @@ class RewriteSystem:
         key = (u, v)
         uv = self._products.get(key)
         if uv is None:
-            uv = self.normal_form(u + v)
+            uv = self.normal_form(_word(u + v))
             if len(self._products) < MAX_PRODUCTS:
                 self._products[key] = uv
         return uv
@@ -285,25 +315,32 @@ class RewriteSystem:
     def enumerate_normal_forms(self, max_len: int) -> list:
         """All normal-form words of length <= max_len in (length, lex) order.
 
-        Extends irreducible words letter by letter; a fresh redex can only
-        be a suffix ending at the new letter, which the run length carried
-        with each word decides.
+        Extends normal words letter by letter.  A letter may follow any
+        letter but itself, and the successor of the last letter only while
+        the run of cyclic successors ending there is shorter than n.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        require_size(self.n, max_len)
+        n = self.n
+        require_size(n, max_len)
+        # steps[full][top]: each (letter, whether it extends the run) that
+        # may follow `top` (0 on the empty word) when its run is full or not
+        steps = ([], [])
+        for top in range(n + 1):
+            succ = top % n + 1
+            free = tuple(((x,), x == succ) for x in range(1, n + 1)
+                         if x != top)
+            steps[False].append(free)
+            steps[True].append(tuple(s for s in free if not s[1]))
         out = [EMPTY_WORD]
         # the words of one length, each built once, and the run ending each
         layer, runs = [EMPTY_WORD], [0]
         for _ in range(max_len):
             nxt, nxt_runs = [], []
             for word, top_run in zip(layer, runs):
-                top = word[-1] if word else 0
-                for x in range(1, self.n + 1):
-                    run = self._run(top, top_run, x)
-                    if 0 < run <= self.n:
-                        nxt.append(_word(word + (x,)))
-                        nxt_runs.append(run)
+                for last, more in steps[top_run == n][word[-1] if word else 0]:
+                    nxt.append(_word(word + last))
+                    nxt_runs.append(top_run * more + 1)
             if not nxt:
                 break
             out.extend(nxt)

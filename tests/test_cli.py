@@ -55,6 +55,15 @@ def test_nf(capsys):
     assert run(capsys, ["nf", "-n", "2", "1 1"]) == (0, "0\n")
 
 
+def test_nf_letters_that_are_special_bytes(capsys):
+    # 10 is a newline and 40..46 and 63 regex metacharacters as bytes
+    cycle = " ".join(map(str, [*range(40, 65), *range(1, 41)]))
+    assert run(capsys, ["nf", "-n", "64", cycle]) == (0, "T40\n")
+    assert run(capsys, ["nf", "-n", "64", "9 10 11 10 42"]) == (
+        0, "T9 T10 T11 T10 T42\n")
+    assert run(capsys, ["nf", "-n", "64", "10 10"]) == (0, "0\n")
+
+
 def test_invert_success(capsys):
     code, out = run(capsys, ["invert", "-n", "2", "1 + T1"])
     assert (code, out) == (0, "1 - T1\n")

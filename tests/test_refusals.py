@@ -11,7 +11,7 @@ from rga.algebra import (Element, Subspace, annihilator,
 from rga.category import (ChainTypeError, Cocycle, LinearMap,
                           check_cocycle_morphism, dual_cocycle)
 from rga.linalg import Matrix
-from rga.rewrite import RewriteSystem
+from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.tensor import TensorElement, dual_system, pair_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry
 
@@ -78,6 +78,24 @@ REFUSALS = {
     "dual-pairing-size": (
         lambda: dual_cocycle(Cocycle([A], [AA]), {"A": Matrix.identity(2)}),
         ValueError, "pairing at A has wrong size"),
+    # letters outside 1..n, refused before a word is encoded as bytes
+    "nf-word-300": (lambda: S2.normal_form(Word((300,))), LetterRangeError,
+                    "letter 300 outside generator range 1..2"),
+    "nf-word-negative": (lambda: S2.normal_form(Word((-1,))),
+                         LetterRangeError,
+                         "letter -1 outside generator range 1..2"),
+    "nf-word-256": (lambda: S2.normal_form(Word((1, 2, 256))),
+                    LetterRangeError,
+                    "letter 256 outside generator range 1..2"),
+    "nf-raw-256": (lambda: S2.normal_form([256]), LetterRangeError,
+                   "letter 256 outside generator range 1..2"),
+    "nf-raw-bool": (lambda: S2.normal_form((True, 2)), LetterRangeError,
+                    "letter True outside generator range 1..2"),
+    "nf-raw-str": (lambda: S2.normal_form("12"), LetterRangeError,
+                   "letter 1 outside generator range 1..2"),
+    "product-300": (lambda: S2.product(Word((1,)), Word((300,))),
+                    LetterRangeError,
+                    "letter 300 outside generator range 1..2"),
     # matrix shapes
     "matrix-add": (lambda: Matrix([[1]]) + ROW, ValueError, "shape mismatch"),
     "matrix-mul": (lambda: ROW * ROW,

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rga import rewrite
 from rga.algebra import Element
-from rga.rewrite import (EMPTY_WORD, ZERO, LetterRangeError, RewriteSystem,
-                         SizeLimitError, Word, require_size)
+from rga.rewrite import (EMPTY_WORD, MAX_GENERATORS, ZERO, LetterRangeError,
+                         RewriteSystem, SizeLimitError, Word, require_size)
 from rga.wick import ConjugatedPair, CrossSymmetry
 
 
@@ -82,7 +82,7 @@ def test_enumerate_ordering_and_exhaustiveness():
             out.extend(w for w in layer if irreducible(w, n))
         return out
 
-    for n, max_len in ((1, 4), (2, 7), (3, 4), (4, 5)):
+    for n, max_len in ((1, 4), (2, 7), (3, 4), (4, 5), (5, 5), (64, 2)):
         got = RewriteSystem(n).enumerate_normal_forms(max_len)
         expected = sorted(brute(n, max_len), key=lambda w: (len(w), w))
         assert [w.letters for w in got] == expected, n
@@ -132,11 +132,11 @@ def leftmost_rescan(n, letters):
             return Word(letters)
 
 
-def reducer_inputs(n):
+def reducer_inputs(n, max_len=60):
     # uniform words; walks where 0 stands for the cyclic successor of the
     # letter before, so cyclic patterns are common; (1..n)^k 1 cycle words
     walk_steps = st.lists(st.one_of(st.just(0), st.integers(1, n)),
-                          max_size=60)
+                          max_size=max_len)
 
     def walk(steps):
         out = []
@@ -145,19 +145,34 @@ def reducer_inputs(n):
         return out
 
     return st.tuples(st.just(n), st.one_of(
-        st.lists(st.integers(1, n), max_size=60),
+        st.lists(st.integers(1, n), max_size=max_len),
         walk_steps.map(walk),
-        st.integers(0, 59 // n).map(
+        st.integers(0, (max_len - 1) // n).map(
             lambda k: list(range(1, n + 1)) * k + [1])))
 
 
+# letters are bytes to the normal-form kernel: 10 is a newline, and 40..46
+# and 63 are regex metacharacters; 200 letters is the longest benchmark word
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6).flatmap(reducer_inputs))
+@given(st.one_of(
+    st.integers(1, 6).flatmap(reducer_inputs),
+    st.sampled_from([10, 11, 47, 63, 64]).flatmap(
+        lambda n: reducer_inputs(n, 200))))
+@example((64, list(range(40, 65)) + list(range(1, 41))))
+@example((64, [9, 10, 11, 10, 42]))
+@example((47, [*range(40, 48), *range(1, 48), *range(1, 41)]))
 def test_normal_form_matches_leftmost_rescan(case):
     n, letters = case
-    got = RewriteSystem(n).normal_form(letters)
+    system = RewriteSystem(n)
     expected = leftmost_rescan(n, letters)
-    assert got is expected if expected is ZERO else got == expected
+    for word in (letters, Word(letters)):
+        got = system.normal_form(word)
+        assert got is expected if expected is ZERO else got == expected
+
+
+def test_generator_ceiling_fits_a_byte():
+    # normal_form encodes each letter as one byte
+    assert MAX_GENERATORS <= 255
 
 
 def test_termination_step_bound():
