@@ -8,7 +8,8 @@ from .algebra import (AlgebraMismatchError, Element, NotInvertible,
                       check_representation, decompose,
                       find_idempotent_obstructions, grading_check, invert,
                       invert_by_solve, left_mul_matrix, mul, mul_closed_form,
-                      obstructed_product, obstruction, right_mul_matrix)
+                      obstructed_product, obstruction, right_mul_matrix,
+                      verdict_of)
 from .category import (Cocycle, LinearMap, MatrixFunctor,
                        Obstruction, check_cocycle_morphism,
                        check_duality_identity, check_natural_transformation,

@@ -58,18 +58,23 @@ class Witness:
     rhs: object
 
     def __str__(self):
-        return f"{self.law} at {self.at}: {self.lhs} != {self.rhs}"
+        return (f"{self.law} at {_text(self.at)}: {_text(self.lhs)} != "
+                f"{_text(self.rhs)}")
+
+
+def _text(x) -> str:
+    """x as it prints; a tuple item by item, so its words and scalars too."""
+    return f"({', '.join(map(_text, x))})" if type(x) is tuple else str(x)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """A law checker's answer: true exactly when it holds no witness.
+    """A law checker's answer, made by `verdict_of` alone: true exactly
+    when it holds no witness; `checked` is how many law instances the
+    checker examined."""
 
-    `checked` is how many places a checker that counts them examined, in
-    its own unit (splits, words); None where it does not count."""
-
-    witnesses: tuple = ()
-    checked: int | None = None
+    witnesses: tuple
+    checked: int
 
     @property
     def ok(self) -> bool:
@@ -77,6 +82,17 @@ class Verdict:
 
     def __bool__(self):
         return self.ok
+
+
+def verdict_of(instances) -> Verdict:
+    """The verdict on a stream of law instances (law, at, lhs, rhs): a
+    witness for each instance whose sides differ, in stream order, and the
+    number of instances."""
+    witnesses, checked = [], 0
+    for checked, instance in enumerate(instances, start=1):
+        if instance[2] != instance[3]:
+            witnesses.append(Witness(*instance))
+    return Verdict(tuple(witnesses), checked)
 
 
 _SCALARS = (int, Fraction, Scalar)
@@ -576,25 +592,23 @@ def check_representation(n: int, max_deg: int) -> Verdict:
 
     Both identities are instances of associativity of the rewriting
     product, so a failure here flags a non-confluent presentation.  Each
-    failure is a `left` or `right` witness at (i, j, word); `checked`
-    counts the words.
+    (i, j, word) is a `left` and a `right` instance.
     """
     sys = RewriteSystem(n)
-    words = sys.enumerate_normal_forms(max_deg)
     gens = [Element.generator(sys, i) for i in range(1, n + 1)]
-    elements = [(w, Element.from_word(sys, w)) for w in words]
-    failures = []
+    elements = [(w, Element.from_word(sys, w))
+                for w in sys.enumerate_normal_forms(max_deg)]
+    return verdict_of(_representation_laws(gens, elements))
+
+
+def _representation_laws(gens: list, elements: list):
     for i, gi in enumerate(gens, start=1):
         for j, gj in enumerate(gens, start=1):
             gij = mul(gi, gj)
             gji = mul(gj, gi)
             for w, x in elements:
-                for law, lhs, rhs in (
-                        ("left", mul(gi, mul(gj, x)), mul(gij, x)),
-                        ("right", mul(mul(x, gj), gi), mul(x, gji))):
-                    if lhs != rhs:
-                        failures.append(Witness(law, (i, j, w), lhs, rhs))
-    return Verdict(tuple(failures), len(words))
+                yield "left", (i, j, w), mul(gi, mul(gj, x)), mul(gij, x)
+                yield "right", (i, j, w), mul(mul(x, gj), gi), mul(x, gji)
 
 
 # -- annihilators --------------------------------------------------------
@@ -703,8 +717,8 @@ def decompose(system: RewriteSystem, max_deg: int) -> list:
 def grading_check(a: Element, b: Element) -> Verdict:
     """Check parity additivity of a*b, and odd*odd*odd closure via a*b*a.
 
-    Inputs must be parity-homogeneous.  Each witness is an offending product
-    word with its actual and its expected grade, under the law it breaks.
+    Inputs must be parity-homogeneous.  Each product word is an instance of
+    the law it must keep, with its actual and its expected grade.
     """
     a._require_same(b)
     pa, pb = a.parity(), b.parity()
@@ -712,9 +726,8 @@ def grading_check(a: Element, b: Element) -> Verdict:
     laws = [("product grade", prod, (pa + pb) % 2)]
     if pa == 1 and pb == 1:
         laws.append(("odd triple", mul(prod, a), 1))
-    return Verdict(tuple(Witness(law, w, w.parity, grade)
-                         for law, product, grade in laws
-                         for w in product.support() if w.parity != grade))
+    return verdict_of((law, w, w.parity, grade) for law, product, grade in laws
+                      for w in product.support())
 
 
 def regularity_chain(system: RewriteSystem, i: int) -> bool:

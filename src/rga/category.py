@@ -18,8 +18,9 @@ from typing import Callable, Optional, Sequence
 
 # `mul` is not called here; perfbench/test_harness.py wraps and reads it
 # as `rga.category.mul`
-from .algebra import (Element, Subspace, Verdict, Witness, decompose,
-                      left_mul_matrix, mul, obstruction)  # noqa: F401
+from .algebra import (Element, Subspace, Verdict, decompose,
+                      left_mul_matrix, mul, obstruction,  # noqa: F401
+                      verdict_of)
 from .linalg import Matrix
 from .parser import ParseError, parse_element, parse_scalar
 from .rewrite import (MAX_GENERATORS, ZERO, RewriteSystem, SelfCheckError,
@@ -141,13 +142,9 @@ class Obstruction:
 def check_regular_cocycle(c: Cocycle) -> Verdict:
     """Verify psi_i . (cycle at i) = psi_i at every start i (1-based)."""
     if c._regularity is None:
-        verdict = Verdict()
-        for i, psi in enumerate(c.maps):
-            lhs = psi.compose(c.cycle_composite(i))
-            if lhs != psi:
-                verdict = Verdict((Witness("regularity", i + 1, lhs, psi),))
-                break
-        object.__setattr__(c, "_regularity", verdict)
+        object.__setattr__(c, "_regularity", verdict_of(
+            ("regularity", i + 1, psi.compose(c.cycle_composite(i)), psi)
+            for i, psi in enumerate(c.maps)))
     return c._regularity
 
 
@@ -182,19 +179,20 @@ def check_cocycle_morphism(alpha: Sequence[LinearMap], c: Cocycle,
                            d: Cocycle) -> Verdict:
     """Check alpha_{i+1} . psi_i = phi_i . alpha_i for all i (cyclically),
     plus the derived relation alpha_1 . e_X1 = e_Y1 . alpha_1."""
-    n = c.order
-    if d.order != n or len(alpha) != n:
+    if d.order != c.order or len(alpha) != c.order:
         raise ChainTypeError("morphism length must match the cocycles")
+    return verdict_of(_cocycle_morphism_laws(alpha, c, d))
+
+
+def _cocycle_morphism_laws(alpha: Sequence[LinearMap], c: Cocycle,
+                           d: Cocycle):
+    n = c.order
     for i in range(n):
-        lhs = alpha[(i + 1) % n].compose(c.maps[i])
-        rhs = d.maps[i].compose(alpha[i])
-        if lhs != rhs:
-            return Verdict((Witness("square", i + 1, lhs, rhs),))
-    lhs = alpha[0].compose(c.cycle_composite(0))
-    rhs = d.cycle_composite(0).compose(alpha[0])
-    if lhs != rhs:
-        return Verdict((Witness("obstruction intertwining", 1, lhs, rhs),))
-    return Verdict()
+        yield ("square", i + 1, alpha[(i + 1) % n].compose(c.maps[i]),
+               d.maps[i].compose(alpha[i]))
+    yield ("obstruction intertwining", 1,
+           alpha[0].compose(c.cycle_composite(0)),
+           d.cycle_composite(0).compose(alpha[0]))
 
 
 # -- functors ---------------------------------------------------------------
@@ -304,12 +302,10 @@ def check_natural_transformation(
 
     `components` maps a space label to the LinearMap s_X : F(X) -> G(X).
     """
-    for psi in test_morphisms:
-        lhs = components[psi.codomain.label].compose(f(psi))
-        rhs = g(psi).compose(components[psi.domain.label])
-        if lhs != rhs:
-            return Verdict((Witness("naturality", psi, lhs, rhs),))
-    return Verdict()
+    return verdict_of(
+        ("naturality", psi, components[psi.codomain.label].compose(f(psi)),
+         g(psi).compose(components[psi.domain.label]))
+        for psi in test_morphisms)
 
 
 def check_tensor_obstruction(e_x: Matrix, e_y: Matrix,
@@ -318,11 +314,8 @@ def check_tensor_obstruction(e_x: Matrix, e_y: Matrix,
     if e_xy.nrows != e_x.nrows * e_y.nrows \
             or e_xy.ncols != e_x.ncols * e_y.ncols:
         raise ValueError("tensor obstruction has the wrong dimensions")
-    kron = e_x.kron(e_y)
-    for i, (row, want) in enumerate(zip(e_xy.rows, kron.rows)):
-        if row != want:
-            return Verdict((Witness("tensor obstruction", i, row, want),))
-    return Verdict()
+    return verdict_of(("tensor obstruction", i, row, want) for i, (row, want)
+                      in enumerate(zip(e_xy.rows, e_x.kron(e_y).rows)))
 
 
 # -- duality ----------------------------------------------------------------
@@ -360,14 +353,11 @@ def check_duality_identity(c: Cocycle, dual: Cocycle,
                            pairings: dict) -> Verdict:
     """<e_dual(x*), x> = <x*, e(x)> on all basis pairs, every object."""
     dual_pos = {s.label: i for i, s in enumerate(dual.spaces)}
-    for i, s in enumerate(c.spaces):
-        g = pairings[s.label]
-        e = c.cycle_composite(i).matrix
-        e_dual = dual.cycle_composite(dual_pos[s.label + "^"]).matrix
-        lhs, rhs = e_dual.transpose() * g, g * e
-        if lhs != rhs:
-            return Verdict((Witness("duality", s.label, lhs, rhs),))
-    return Verdict()
+    return verdict_of(
+        ("duality", s.label, dual.cycle_composite(
+            dual_pos[s.label + "^"]).matrix.transpose() * g,
+         g * c.cycle_composite(i).matrix)
+        for i, s in enumerate(c.spaces) for g in [pairings[s.label]])
 
 
 # -- the cocycle carried by the algebra itself ------------------------------

@@ -2,9 +2,13 @@
 
 Every subcommand prints canonical text and exits 0 on success, 1 when a
 checker answers false (including `invert` on a non-invertible element),
-and 2 on usage or parse errors.  Any other exception is a fault and
+and 2 on usage or parse errors.  A `check` that answers false also writes
+its first witness on stderr, as `witness: <law> at <where>: <lhs> !=
+<rhs>` (`check functor` excepted).  Any other exception is a fault and
 propagates out of `main`.  Output is deterministic: identical
-invocations produce byte-identical stdout.
+invocations produce byte-identical stdout.  When the reader of stdout
+closes it early (`rga decompose ... | head`), the console script `entry`
+stops writing and exits with EXIT_BROKEN_PIPE, without a traceback.
 
 The argparse tree is built once per process, on the first `main` call,
 and reused by every later call: it holds no per-call state, since
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .algebra import (NotInvertible, annihilator, decompose,
@@ -32,6 +37,9 @@ from .tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS,
                      check_regular_module, dual_comultiplication, dual_system)
 from .wick import (ConjugatedPair, CrossSymmetry, check_coherence,
                    order_coherent)
+
+# the status a shell reports for a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 
 @functools.cache
@@ -117,9 +125,6 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {args.file}: {exc}")
         return 2
-    except OSError as exc:  # `report --out` cannot be written
-        print(f"error: {exc.filename}: cannot write ({exc.strerror})")
-        return 2
 
 
 def _dispatch(args) -> int:
@@ -191,11 +196,14 @@ def _dispatch(args) -> int:
         for line in comultiplication_lines(table):
             print(line)
         return 0
-    if cmd == "report":
-        for path in write_all(args.out):
-            print(f"wrote {path}")
-        return 0
-    raise AssertionError(f"unhandled command {cmd}")
+    try:  # report
+        written = write_all(args.out)
+    except OSError as exc:  # `--out` cannot be made or written
+        print(f"error: {exc.filename}: cannot write ({exc.strerror})")
+        return 2
+    for path in written:
+        print(f"wrote {path}")
+    return 0
 
 
 def _note_leftmost(n: int) -> None:
@@ -206,6 +214,15 @@ def _note_leftmost(n: int) -> None:
 
 
 def _dispatch_check(args) -> int:
+    if args.checker == "functor":
+        cocycle, functor = functor_from_json(read_document(args.file))
+        try:
+            verdict = check_obstructed_functor(functor, [cocycle])
+        except NotAFunctorError as exc:
+            print(f"obstructed functor: false ({exc})")
+            return 1
+        print(f"obstructed functor: {str(verdict.ok).lower()}")
+        return 0 if verdict.ok else 1
     if args.checker == "cocycle":
         cocycle, pairings = cocycle_from_json(read_document(args.file))
         verdict = check_regular_cocycle(cocycle)
@@ -219,19 +236,7 @@ def _dispatch_check(args) -> int:
             verdict = (check_regular_cocycle(dual)
                        and check_duality_identity(cocycle, dual, pairings))
             print(f"duality identity: {str(verdict.ok).lower()}")
-        if not verdict.ok:
-            print(f"witness: {verdict.witnesses[0]}", file=sys.stderr)
-        return 0 if verdict.ok else 1
-    if args.checker == "functor":
-        cocycle, functor = functor_from_json(read_document(args.file))
-        try:
-            verdict = check_obstructed_functor(functor, [cocycle])
-        except NotAFunctorError as exc:
-            print(f"obstructed functor: false ({exc})")
-            return 1
-        print(f"obstructed functor: {str(verdict.ok).lower()}")
-        return 0 if verdict.ok else 1
-    if args.checker == "bialgebra":
+    elif args.checker == "bialgebra":
         sys_ = RewriteSystem(2)
         name = f"e1={args.evacuum},e2={args.evacuum}"
         gens = bialgebra_candidates(sys_)[name]
@@ -239,16 +244,16 @@ def _dispatch_check(args) -> int:
         failed = {w.law for w in verdict.witnesses}
         for law in BIALGEBRA_RELATIONS:
             print(f"{law}: {str(law not in failed).lower()}")
-        return 0 if verdict.ok else 1
-    if args.checker == "module":
+    else:  # module
         verdict = check_regular_module(
             *module_from_json(read_document(args.file)))
         print(f"regular module law: {str(verdict.ok).lower()}")
         if verdict.witnesses:
             w, j = verdict.witnesses[0].at
             print(f"  first failure at word {w.to_text()} basis index {j}")
-        return 0 if verdict.ok else 1
-    raise AssertionError(f"unhandled checker {args.checker}")
+    if not verdict.ok:
+        print(f"witness: {verdict.witnesses[0]}", file=sys.stderr)
+    return 0 if verdict.ok else 1
 
 
 def _dispatch_wick(args) -> int:
@@ -256,22 +261,30 @@ def _dispatch_wick(args) -> int:
     if args.wickop == "eval":
         print(parse_wick(args.expr, psi))
         return 0
-    if args.wickop == "coherence":
-        verdict = check_coherence(psi, args.max_deg)
-        if verdict.ok:
-            print(f"coherent: true (instances: {verdict.checked})")
-            return 0
-        print(f"coherent: false (instances: {verdict.checked}, "
-              f"order coherent: {str(order_coherent(verdict)).lower()}, "
-              f"disagreements: {len(verdict.witnesses)})")
-        for w in verdict.witnesses[:10]:
-            print(f"  {w}")
-        return 1
-    raise AssertionError(f"unhandled wick op {args.wickop}")
+    verdict = check_coherence(psi, args.max_deg)  # coherence
+    if verdict.ok:
+        print(f"coherent: true (instances: {verdict.checked})")
+        return 0
+    print(f"coherent: false (instances: {verdict.checked}, "
+          f"order coherent: {str(order_coherent(verdict)).lower()}, "
+          f"disagreements: {len(verdict.witnesses)})")
+    for w in verdict.witnesses[:10]:
+        print(f"  {w}")
+    return 1
 
 
 def entry():  # console script hook
-    sys.exit(main())
+    """Run `main` on the command line.  A stdout that its reader closed is
+    not a fault: as the `signal` module's note on SIGPIPE advises, the
+    rest of the output goes to os.devnull, so the flush at exit cannot
+    fail again, and the exit code is EXIT_BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, inside the guard
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,8 @@ def representation_report() -> str:
              "(L_i L_j = L_ij, R_i R_j = R_ji)", ""]
     for n, deg in ((1, 3), (2, 3), (3, 4)):
         verdict = check_representation(n, deg)
-        lines.append(f"n={n} max_deg={deg} words={verdict.checked} "
+        words = len(RewriteSystem(n).enumerate_normal_forms(deg))
+        lines.append(f"n={n} max_deg={deg} words={words} "
                      f"left_right_operator_laws="
                      f"{'pass' if verdict.ok else 'FAIL'}")
         lines.extend(f"  {w.law} failure at i={w.at[0]} j={w.at[1]} "

@@ -264,6 +264,7 @@ class RewriteSystem:
     def _check_letters(self, letters):
         for x in letters:
             if type(x) is not int or not 1 <= x <= self.n:
+                Word((x,))  # refuses a letter that is not an int
                 raise LetterRangeError(
                     f"letter {x} outside generator range 1..{self.n}")
 

@@ -17,8 +17,8 @@ from typing import Callable, Dict
 
 from math import lcm
 
-from .algebra import (Combination, Element, Verdict, Witness, _lifted,
-                      linear_combination, obstruction)
+from .algebra import (Combination, Element, Verdict, _lifted,
+                      linear_combination, obstruction, verdict_of)
 from .linalg import Matrix
 from .rewrite import ZERO, RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar, _make, _times
@@ -161,26 +161,32 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
 
 
 def check_dual_pairing_identity(table, theta_sys,
-                                convention: str = "straight") -> Verdict:
+                                convention: str) -> Verdict:
     """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples of
-    degree <= 2."""
+    degree <= 2, pairing the tensor legs by `convention` (see
+    `pair_tensor`)."""
+    return verdict_of(_pairing_laws(table, theta_sys, convention))
+
+
+def _pairing_laws(table, theta_sys: RewriteSystem, convention: str):
     thetas = theta_sys.enumerate_normal_forms(2)
+    # each pair u (x) v as text, as a tensor and multiplied out
+    targets = [(f"{u} (x) {v}", TensorElement.single(theta_sys, u, v),
+                theta_sys.product(u, v)) for u in thetas for v in thetas]
     for w, delta_w in table.items():
-        for u in thetas:
-            for v in thetas:
-                target = TensorElement.single(theta_sys, u, v)
-                lhs = pair_tensor(delta_w, target, convention)
-                rhs = pair_words(w, theta_sys.product(u, v))
-                if lhs != rhs:
-                    at = (f"<Delta({w.to_text(delta_w.system.symbol)}), "
-                          f"{u} (x) {v}>")
-                    return Verdict((Witness("pairing transport", at, lhs,
-                                            rhs),))
-    return Verdict()
+        name = w.to_text(delta_w.system.symbol)
+        for text, target, uv in targets:
+            yield ("pairing transport", f"<Delta({name}), {text}>",
+                   pair_tensor(delta_w, target, convention),
+                   pair_words(w, uv))
 
 
 def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on the basis words."""
+    return verdict_of(_coassociativity_laws(table))
+
+
+def _coassociativity_laws(table: Dict[Word, TensorElement]):
     d = lcm(*(t._d for t in table.values()))
     lifted = {w: _lifted(t, d) for w, t in table.items()}
     for w, delta_w in table.items():
@@ -192,27 +198,21 @@ def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
         right = Combination._new(legs, (
             ((u, p, q), _times(*s, *t)) for (u, v), s in terms
             for (p, q), t in lifted[v]), delta_w._d * d)
-        if left != right:
-            return Verdict((Witness("coassociativity", w.to_text(
-                delta_w.system.symbol), left, right),))
-    return Verdict()
+        yield ("coassociativity", w.to_text(delta_w.system.symbol), left,
+               right)
 
 
 def check_coalgebra_obstruction(table: Dict[Word, TensorElement]) -> Verdict:
     """Does Delta . e = (e (x) e) . Delta hold for the obstruction map?
 
-    There is one witness at each basis word where the two sides differ.  The
-    obstruction map is affine, so e (x) e is applied term by term.
+    Each basis word is an instance.  The obstruction map is affine, so
+    e (x) e is applied term by term.
     """
-    witnesses = []
-    for w in sorted(table, key=Word.sort_key):
-        system = table[w].system
-        lhs = apply_delta(table, obstruction(Element.from_word(system, w)))
-        rhs = table[w].map_legs(obstruction, obstruction)
-        if lhs != rhs:
-            witnesses.append(Witness("coalgebra obstruction",
-                                     w.to_text(system.symbol), lhs, rhs))
-    return Verdict(tuple(witnesses))
+    return verdict_of(
+        ("coalgebra obstruction", w.to_text(delta_w.system.symbol),
+         apply_delta(table, obstruction(Element.from_word(delta_w.system, w))),
+         delta_w.map_legs(obstruction, obstruction))
+        for w in sorted(table, key=Word.sort_key) for delta_w in [table[w]])
 
 
 # -- almost bialgebra ----------------------------------------------------------
@@ -228,16 +228,15 @@ def check_almost_bialgebra(delta_gens: Dict[int, TensorElement],
                            convention: str) -> Verdict:
     """Test whether a candidate Delta on the generators extends
     multiplicatively: its values must satisfy the defining relations.
-    Each failing relation is one witness at the sign convention."""
+    Each relation is one instance, at the sign convention."""
     d1, d2 = delta_gens[1], delta_gens[2]
     zero = TensorElement(d1.system)
     sides = ((tensor_mul(d1, d1, convention), zero),
              (tensor_mul(d2, d2, convention), zero),
              (tensor_mul(tensor_mul(d1, d2, convention), d1, convention), d1),
              (tensor_mul(tensor_mul(d2, d1, convention), d2, convention), d2))
-    return Verdict(tuple(Witness(law, convention, lhs, rhs)
-                         for law, (lhs, rhs) in zip(BIALGEBRA_RELATIONS, sides)
-                         if lhs != rhs))
+    return verdict_of((law, convention, lhs, rhs)
+                      for law, (lhs, rhs) in zip(BIALGEBRA_RELATIONS, sides))
 
 
 def bialgebra_candidates(system: RewriteSystem) -> Dict[str, Dict[int, TensorElement]]:
@@ -273,8 +272,8 @@ def check_regular_module(action: Dict[Word, Matrix],
     `action[w]` is the matrix of the basis word w acting on the module, in
     the order the words are checked; its size is the module's dimension.
     `e_module` maps module coefficient vectors to vectors (it may be
-    affine, like the element obstruction map).  There is one witness at
-    each pair (word, module basis index) where the two sides differ.
+    affine, like the element obstruction map).  Each pair (word, module
+    basis index) is an instance.
     """
     def act(element: Element, vec: tuple) -> tuple:
         out = [ZERO_SCALAR] * len(vec)
@@ -283,14 +282,9 @@ def check_regular_module(action: Dict[Word, Matrix],
             out = [o + s * c for o, c in zip(out, col)]
         return tuple(out)
 
-    witnesses = []
-    for w, m in action.items():
-        a = Element.from_word(system, w)
-        for j in range(m.ncols):
-            m_vec = tuple(ONE if k == j else ZERO_SCALAR
-                          for k in range(m.ncols))
-            lhs = act(e_algebra(a), e_module(m_vec))
-            rhs = e_module(act(a, m_vec))
-            if lhs != rhs:
-                witnesses.append(Witness("regular module", (w, j), lhs, rhs))
-    return Verdict(tuple(witnesses))
+    return verdict_of(
+        ("regular module", (w, j), act(e_algebra(a), e_module(m_vec)),
+         e_module(act(a, m_vec)))
+        for w, m in action.items() for a in [Element.from_word(system, w)]
+        for j in range(m.ncols) for m_vec in [tuple(
+            ONE if k == j else ZERO_SCALAR for k in range(m.ncols))])

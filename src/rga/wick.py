@@ -18,7 +18,7 @@ from math import lcm
 from typing import Callable, Dict, Tuple
 
 from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
-                      Witness)
+                      verdict_of)
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
 from .scalar import ONE, _times
 from .tensor import dual_system
@@ -190,62 +190,52 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
     the split parts concatenate to a word already in normal form (these are
     the alternative peeling routes through normal forms), and *reduction*
     instances, where the concatenation rewrites, so the law constrains the
-    extension against the algebra relations themselves.  A disagreement is
-    a witness with law `law1[order]`, `law1[reduction]`, `law2[...]` at the
-    split, and `checked` counts the instances.  The unit instances, one
-    per T-word and one per X-word (10 at degree 2), are counted there too,
-    but they cannot fail: `_compute` answers an empty word by construction.
+    extension against the algebra relations themselves.  Each split is an
+    instance of the law `law1[order]`, `law1[reduction]` or `law2[...]` at
+    the split.  The unit instances, one per T-word and one per X-word (10
+    at degree 2), are instances too, but they cannot fail: `_compute`
+    answers an empty word by construction.
     """
+    return verdict_of(_coherence_laws(psi, max_deg))
+
+
+def _coherence_laws(psi: CrossSymmetry, max_deg: int):
     pair = psi.pair
     xis = pair.xi.enumerate_normal_forms(max_deg)
     thetas = pair.theta.enumerate_normal_forms(max_deg)
     nonunit_thetas = [w for w in thetas if len(w)]
     nonunit_xis = [w for w in xis if len(w)]
-    checked = 0
-    bad = []
+    # every split is named, so each word is written out once
+    t_text = {w: w.to_text("T") for w in thetas}
+    x_text = {w: w.to_text("X") for w in xis}
 
     for w in thetas:
-        checked += 1
-        got, want = psi.apply(EMPTY_WORD, w), WickElement.single(pair, w, ())
-        if got != want:
-            bad.append(Witness("unit[order]", f"1 (x) {w.to_text('T')}",
-                               got, want))
+        yield ("unit[order]", f"1 (x) {t_text[w]}",
+               psi.apply(EMPTY_WORD, w), WickElement.single(pair, w, ()))
     for w in xis:
-        checked += 1
-        got, want = psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w)
-        if got != want:
-            bad.append(Witness("unit[order]", f"{w.to_text('X')} (x) 1",
-                               got, want))
+        yield ("unit[order]", f"{x_text[w]} (x) 1",
+               psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w))
 
     for xi in xis:
         for u in nonunit_thetas:
             for v in nonunit_thetas:
-                checked += 1
-                law = psi._peel_theta(xi, u, v)
                 prod = pair.theta.product(u, v)
                 reduces = prod is ZERO or len(prod) != len(u) + len(v)
-                direct = (WickElement(pair) if prod is ZERO
-                          else psi.apply(xi, prod))
-                if law != direct:
-                    bad.append(Witness(
-                        f"law1[{'reduction' if reduces else 'order'}]",
-                        f"{xi.to_text('X')} (x) {u.to_text('T')}"
-                        f".{v.to_text('T')}", law, direct))
+                yield (f"law1[{'reduction' if reduces else 'order'}]",
+                       f"{x_text[xi]} (x) {t_text[u]}.{t_text[v]}",
+                       psi._peel_theta(xi, u, v),
+                       WickElement(pair) if prod is ZERO
+                       else psi.apply(xi, prod))
     for x in nonunit_xis:
         for y in nonunit_xis:
             for theta in thetas:
-                checked += 1
-                law = psi._peel_xi(x, y, theta)
                 prod = pair.xi.product(x, y)
                 reduces = prod is ZERO or len(prod) != len(x) + len(y)
-                direct = (WickElement(pair) if prod is ZERO
-                          else psi.apply(prod, theta))
-                if law != direct:
-                    bad.append(Witness(
-                        f"law2[{'reduction' if reduces else 'order'}]",
-                        f"{x.to_text('X')}.{y.to_text('X')} (x) "
-                        f"{theta.to_text('T')}", law, direct))
-    return Verdict(tuple(bad), checked)
+                yield (f"law2[{'reduction' if reduces else 'order'}]",
+                       f"{x_text[x]}.{x_text[y]} (x) {t_text[theta]}",
+                       psi._peel_xi(x, y, theta),
+                       WickElement(pair) if prod is ZERO
+                       else psi.apply(prod, theta))
 
 
 def order_coherent(verdict: Verdict) -> bool:
@@ -317,19 +307,14 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
     """(e_A (x) e_Ad) . psi = psi . (e_Ad (x) e_A) on word pairs.
 
     Both sides are evaluated termwise (the obstruction maps are affine)
-    and compared exactly.  Each differing (xi, theta) is a witness.
+    and compared exactly.  Each (xi, theta) is an instance.
     """
     pair = psi.pair
-    witnesses = []
-    for xi in pair.xi.enumerate_normal_forms(max_deg):
-        for theta in pair.theta.enumerate_normal_forms(max_deg):
-            lhs = psi.apply(xi, theta).map_legs(e_theta, e_xi)
-            rhs = wick_mul(
-                WickElement.single(pair, (), xi).map_legs(None, e_xi),
-                WickElement.single(pair, theta, ()).map_legs(e_theta, None),
-                psi)
-            if lhs != rhs:
-                at = f"{xi.to_text(pair.xi.symbol)} (x) {theta}"
-                witnesses.append(Witness("regular cross symmetry", at, lhs,
-                                         rhs))
-    return Verdict(tuple(witnesses))
+    return verdict_of(
+        ("regular cross symmetry", f"{xi.to_text(pair.xi.symbol)} (x) {theta}",
+         psi.apply(xi, theta).map_legs(e_theta, e_xi),
+         wick_mul(WickElement.single(pair, (), xi).map_legs(None, e_xi),
+                  WickElement.single(pair, theta, ()).map_legs(e_theta, None),
+                  psi))
+        for xi in pair.xi.enumerate_normal_forms(max_deg)
+        for theta in pair.theta.enumerate_normal_forms(max_deg))

@@ -282,3 +282,22 @@ def cocycle_from_algebra_reference(system, max_deg):
     return (Cocycle([spaces[i] for i in order],
                     [f_map(order[(k + 1) % n]) for k in range(n)]),
             tuple(removed))
+
+
+def regularity_failures_reference(mats):
+    """The 1-based indices i at which psi_i . e_i != psi_i, for a cyclic
+    chain given by the integer matrices psi_1 .. psi_n (rows = codomain),
+    where e_i = psi_{i-1} ... psi_{i+1} psi_i is the round trip from the
+    domain of psi_i, multiplied out as plain integer lists."""
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+    n = len(mats)
+    failures = []
+    for i, psi in enumerate(mats):
+        e = psi
+        for k in range(1, n):
+            e = matmul(mats[(i + k) % n], e)
+        if matmul(psi, e) != psi:
+            failures.append(i + 1)
+    return failures

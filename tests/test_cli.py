@@ -97,6 +97,21 @@ def test_cli_runs_without_asserts(capsys, argv):
     assert (done.returncode, done.stdout) == (code, out)
 
 
+def test_closed_stdout_is_not_a_fault():
+    # the reader takes the first of four lines of about 0.8 MB each, then
+    # closes the pipe while `decompose` still has megabytes to write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rga.cli", "decompose", "-n", "4",
+         "--max-deg", "10"], cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"X1: T1, T1 T2, ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
 def test_annihilate(capsys):
     code, out = run(capsys, ["annihilate", "-n", "2", "--side", "right",
                              "T1"])
@@ -197,6 +212,26 @@ def test_check_bialgebra(capsys):
     assert code == 1
     assert out == ("Delta(T1)^2 = 0: true\nDelta(T2)^2 = 0: true\n"
                    "D1 D2 D1 = D1: false\nD2 D1 D2 = D2: false\n")
+
+
+def test_check_bialgebra_witness_on_stderr(capsys):
+    assert main(["check", "bialgebra", "-n", "2", "--signs", "koszul",
+                 "--evacuum", "idem"]) == 1
+    assert capsys.readouterr().err == (
+        "witness: D1 D2 D1 = D1 at koszul: 0 != T1 (x) T1 T2 + T1 T2 (x) T1\n")
+
+
+def test_check_module_failure(tmp_path, capsys):
+    # the obstruction of T1 is 1 + T2, which acts as 1, but T1 acts as 0
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({
+        "n": 2, "module_dim": 1, "e_algebra": "obstruction",
+        "action": {"1": [["1"]], "T1": [["0"]], "T2": [["0"]]}}))
+    assert main(["check", "module", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("regular module law: false\n"
+                            "  first failure at word T1 basis index 0\n")
+    assert captured.err == "witness: regular module at (T1, 0): (1) != (0)\n"
 
 
 def test_check_module_file(tmp_path, capsys):

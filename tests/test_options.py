@@ -18,8 +18,6 @@ OPTIONS = [
     ("algebra", "Combination.__init__", "terms"),
     ("algebra", "Combination._new", "d"),
     ("algebra", "Element.from_word", "coeff"),
-    ("algebra", "Verdict.__init__", "checked"),
-    ("algebra", "Verdict.__init__", "witnesses"),
     ("algebra", "annihilator", "side"),
     ("category", "_matrix_from_json", "where"),
     ("category", "cocycle_from_json", "where"),
@@ -33,7 +31,6 @@ OPTIONS = [
     ("scalar", "Scalar.__init__", "a"),
     ("scalar", "Scalar.__init__", "b"),
     ("tensor", "TensorElement.single", "coeff"),
-    ("tensor", "check_dual_pairing_identity", "convention"),
     ("tensor", "pair_tensor", "convention"),
     ("tensor", "tensor_mul", "signs"),
     ("wick", "ConjugatedPair.__init__", "theta"),

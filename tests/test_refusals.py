@@ -90,9 +90,9 @@ REFUSALS = {
     "nf-raw-256": (lambda: S2.normal_form([256]), LetterRangeError,
                    "letter 256 outside generator range 1..2"),
     "nf-raw-bool": (lambda: S2.normal_form((True, 2)), LetterRangeError,
-                    "letter True outside generator range 1..2"),
+                    "letter True is not an int"),
     "nf-raw-str": (lambda: S2.normal_form("12"), LetterRangeError,
-                   "letter 1 outside generator range 1..2"),
+                   "letter '1' is not an int"),
     "product-300": (lambda: S2.product(Word((1,)), Word((300,))),
                     LetterRangeError,
                     "letter 300 outside generator range 1..2"),

@@ -1,17 +1,19 @@
-"""Every law checker answers with one `Verdict`, and a false verdict names
-where its law fails: each checker below is made to fail once on a
-hand-broken input, and its first witness must carry the right law and
-place and two unequal sides."""
+"""Every law checker answers with one `Verdict`, folded by `verdict_of`
+from its stream of law instances, and a false verdict names where its law
+fails: each checker below is made to fail once on a hand-broken input,
+and its first witness must carry the right law and place and two unequal
+sides."""
 
 import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rga.algebra
-from rga.algebra import (Element, N2_BASIS, Subspace, Verdict, Witness,
+from rga.algebra import (Element, N2_BASIS, Subspace, Verdict,
                          check_representation, grading_check,
-                         left_mul_matrix)
+                         left_mul_matrix, verdict_of)
 from rga.category import (Cocycle, LinearMap, MatrixFunctor,
                           check_cocycle_morphism, check_duality_identity,
                           check_natural_transformation, check_regular_cocycle,
@@ -26,6 +28,8 @@ from rga.tensor import (TensorElement, bialgebra_candidates,
                         dual_system, tensor_mul)
 from rga.wick import (ConjugatedPair, CrossSymmetry, check_coherence,
                       check_regular_cross_symmetry)
+
+from helpers import regularity_failures_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 THETA = RewriteSystem(2)
@@ -50,16 +54,49 @@ def first_witness(verdict, law, at):
 
 
 def test_verdict_is_true_exactly_without_witnesses():
-    assert Verdict().ok and Verdict()
-    bad = Verdict((Witness("law", 3, 1, 2),))
-    assert not bad.ok and not bad
-    assert str(bad.witnesses[0]) == "law at 3: 1 != 2"
+    good = verdict_of([("law", 1, 2, 2)])
+    assert good.ok and good and good.checked == 1
+    bad = verdict_of([("law", 1, 2, 2), ("law", 3, 1, 2), ("law", 4, 1, 3)])
+    assert not bad.ok and not bad and bad.checked == 3
+    assert [str(w) for w in bad.witnesses] == ["law at 3: 1 != 2",
+                                               "law at 4: 1 != 3"]
+    assert verdict_of(iter(())) == Verdict((), 0)
+
+
+def test_witness_prints_tuples_item_by_item():
+    w = verdict_of([("law", (T1, 0), (Scalar(1),), (Scalar(0),))]).witnesses
+    assert str(w[0]) == "law at (T1, 0): (1) != (0)"
 
 
 def test_regular_cocycle():
     w = first_witness(check_regular_cocycle(one_dim_cocycle(0, 1)),
                       "regularity", 2)
     assert (w.lhs.matrix, w.rhs.matrix) == (Matrix([[0]]), Matrix([[1]]))
+
+
+@st.composite
+def square_cocycles(draw):
+    """A cyclic chain of 1 to 4 maps between spaces of one dimension, 1 or
+    2, with small integer entries: its integer matrices and the chain."""
+    dim = draw(st.sampled_from([1, 2]))
+    row = st.lists(st.integers(-1, 2), min_size=dim, max_size=dim)
+    mats = draw(st.lists(st.lists(row, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    spaces = [Subspace(f"X{i}", tuple(range(dim)))
+              for i in range(1, len(mats) + 1)]
+    return mats, Cocycle(spaces, [
+        LinearMap(s, spaces[(i + 1) % len(spaces)], Matrix(m))
+        for i, (s, m) in enumerate(zip(spaces, mats))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_cocycles())
+def test_regular_cocycle_lists_every_failure(case):
+    mats, cocycle = case
+    verdict = check_regular_cocycle(cocycle)
+    assert [w.at for w in verdict.witnesses] \
+        == regularity_failures_reference(mats)
+    assert verdict.checked == len(mats)
 
 
 def test_regular_cocycle_verdict_is_kept():
@@ -121,7 +158,7 @@ def test_duality_identity():
 def test_dual_pairing_identity():
     table = dict(dual_comultiplication(THETA, XI))
     table[T1] = TensorElement(XI)
-    w = first_witness(check_dual_pairing_identity(table, THETA),
+    w = first_witness(check_dual_pairing_identity(table, THETA, "straight"),
                       "pairing transport", "<Delta(X1), 1 (x) T1>")
     assert (w.lhs, w.rhs) == (Scalar(0), Scalar(1))
 
@@ -197,7 +234,8 @@ def test_representation(monkeypatch):
     verdict = check_representation(2, 2)
     w = first_witness(verdict, "left", (1, 1, Word(())))
     assert (str(w.lhs), str(w.rhs)) == ("T1", "2 T1")
-    assert verdict.checked == 5
+    # two laws at each of the 2 * 2 generator pairs and 5 words
+    assert verdict.checked == 40
 
 
 # -- every checker answers with a Verdict -------------------------------------
@@ -228,6 +266,21 @@ def test_checkers_return_no_bool_or_tuple(path):
            and ast.unparse(node.returns or ast.Constant(None))
            != OWN_ANSWER.get(node.name, "Verdict")]
     assert not bad, f"{path.name}: checkers not answering a Verdict: {bad}"
+
+
+def test_only_the_fold_builds_a_verdict():
+    # every checker answers through `verdict_of`, which alone calls Verdict
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        fold = [range(node.lineno, node.end_lineno + 1)
+                for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "verdict_of"]
+        built += [(path.name, bool(fold) and node.lineno in fold[0])
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                  == "Verdict"]
+    assert built == [("algebra.py", True)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
