@@ -34,8 +34,11 @@ cycle (e.g. 1,3,2,1 for n=3) is in normal form.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
+from operator import add
 from typing import Sequence, Union
 
 
@@ -61,7 +64,7 @@ as bytes, one letter a byte, so the ceiling must stay at most 255."""
 MAX_WORDS = 200_000
 """The ceiling on the words one normal-form enumeration may have to list,
 which sets the largest degree for each n (see `require_size`).  At n = 4,
-degree 10 lists 112,273 words in about 0.3 s on the same machine, and each
+degree 10 lists 112,273 words in about 0.1 s on the same machine, and each
 degree triples it."""
 
 MAX_PRODUCTS = 1 << 15
@@ -194,6 +197,11 @@ def _word(letters) -> Word:
     return tuple.__new__(Word, letters)
 
 
+def _prepended(head: tuple, words: list):
+    """`head + w` as a Word for each w of `words`, all built in C."""
+    return map(tuple.__new__, repeat(Word), map(add, repeat(head), words))
+
+
 EMPTY_WORD = Word(())
 
 WordOrZero = Union[Word, _ZeroWord]
@@ -231,7 +239,7 @@ class RewriteSystem:
     memoises the normal-word products it has formed.
     """
 
-    __slots__ = ("n", "symbol", "rules", "_products")
+    __slots__ = ("n", "symbol", "rules", "_products", "_alphabet")
 
     def __init__(self, n: int, symbol: str = "T"):
         require_size(n)
@@ -245,6 +253,7 @@ class RewriteSystem:
             rules.append(Rule(f"cyclic({i})", pat, (i,)))
         object.__setattr__(self, "rules", tuple(rules))
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_alphabet", bytes(range(1, n + 1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -282,19 +291,28 @@ class RewriteSystem:
         pair, else each maximal run of cyclic successors of length L cut
         to its first (L - 1) % n + 1 letters.  The word is encoded as
         bytes, one letter a byte (see MAX_GENERATORS), for one regex
-        search and one regex substitution."""
-        n = self.n
+        search and one regex substitution.
+
+        A Word holds exact ints already, so only its range is checked, on
+        those bytes: `bytes` refuses a letter outside 0..255, and deleting
+        the bytes 1..n leaves nothing exactly when every letter is in
+        range.  Either failure reports the first bad letter.  A word that
+        is already normal comes back as the object given."""
         if type(word) is Word:
-            letters = word  # exact ints already: only the range is checked
-            if letters and (min(letters) < 1 or max(letters) > n):
-                self._check_letters(letters)
+            try:
+                data = bytes(word)
+            except ValueError:
+                data = b"\0"  # a letter outside 0..255, found below
+            if data.translate(None, self._alphabet):
+                self._check_letters(word)
         else:
-            letters = tuple(word)
-            self._check_letters(letters)
-        data = bytes(letters)
+            word = _word(word)
+            self._check_letters(word)
+            data = bytes(word)
         if _EQUAL_PAIR.search(data):
             return ZERO
-        return _word(_extra_rounds(n).sub(b"", data))
+        out = _extra_rounds(self.n).sub(b"", data)
+        return word if out is data else _word(out)
 
     def product(self, u: Word, v: Word) -> WordOrZero:
         """nf(u v): one normal word or ZERO, since every rule's right-hand
@@ -316,36 +334,40 @@ class RewriteSystem:
     def enumerate_normal_forms(self, max_len: int) -> list:
         """All normal-form words of length <= max_len in (length, lex) order.
 
-        Extends normal words letter by letter.  A letter may follow any
-        letter but itself, and the successor of the last letter only while
-        the run of cyclic successors ending there is shorter than n.
+        Builds each length from the one before by prepending letters.  A
+        letter x may stand before a normal word w unless w starts with x,
+        or with the full run of n successors x % n + 1, ..., x, which would
+        complete a cyclic pattern.  In a lex-ordered layer the words with a
+        given prefix form one contiguous block, found by bisection, so the
+        next layer is, for x = 1..n in order, x prepended to the whole
+        slices around those two blocks: already in lex order.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
         n = self.n
         require_size(n, max_len)
-        # steps[full][top]: each (letter, whether it extends the run) that
-        # may follow `top` (0 on the empty word) when its run is full or not
-        steps = ([], [])
-        for top in range(n + 1):
-            succ = top % n + 1
-            free = tuple(((x,), x == succ) for x in range(1, n + 1)
-                         if x != top)
-            steps[False].append(free)
-            steps[True].append(tuple(s for s in free if not s[1]))
+        # each letter x, with the prefixes it may not precede in lex order
+        # (one when n = 1), and past each the least tuple above its block
+        heads = []
+        for x in range(1, n + 1):
+            run = tuple((x + k) % n + 1 for k in range(n))
+            heads.append(((x,), [(p, p[:-1] + (p[-1] + 1,))
+                                 for p in sorted({(x,), run})]))
         out = [EMPTY_WORD]
-        # the words of one length, each built once, and the run ending each
-        layer, runs = [EMPTY_WORD], [0]
+        layer = [EMPTY_WORD]
         for _ in range(max_len):
-            nxt, nxt_runs = [], []
-            for word, top_run in zip(layer, runs):
-                for last, more in steps[top_run == n][word[-1] if word else 0]:
-                    nxt.append(_word(word + last))
-                    nxt_runs.append(top_run * more + 1)
+            nxt = []
+            for head, cuts in heads:
+                start = 0
+                for prefix, past in cuts:
+                    stop = bisect_left(layer, prefix)
+                    nxt.extend(_prepended(head, layer[start:stop]))
+                    start = bisect_left(layer, past)
+                nxt.extend(_prepended(head, layer[start:]))
             if not nxt:
                 break
             out.extend(nxt)
-            layer, runs = nxt, nxt_runs
+            layer = nxt
         return out
 
     def check_local_confluence(self) -> ConfluenceReport:

@@ -15,7 +15,7 @@ from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.tensor import TensorElement, dual_system, pair_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry
 
-S2, S3 = RewriteSystem(2), RewriteSystem(3)
+S2, S3, S64 = RewriteSystem(2), RewriteSystem(3), RewriteSystem(64)
 T3 = Element.generator(S3, 1)
 PAIR = ConjugatedPair()
 A, B = Subspace("A", ("a",)), Subspace("B", ("b",))
@@ -87,6 +87,12 @@ REFUSALS = {
     "nf-word-256": (lambda: S2.normal_form(Word((1, 2, 256))),
                     LetterRangeError,
                     "letter 256 outside generator range 1..2"),
+    "nf-word-0": (lambda: S2.normal_form(Word((0,))), LetterRangeError,
+                  "letter 0 outside generator range 1..2"),
+    "nf-word-3": (lambda: S2.normal_form(Word((1, 3))), LetterRangeError,
+                  "letter 3 outside generator range 1..2"),
+    "nf-word-65": (lambda: S64.normal_form(Word((65,))), LetterRangeError,
+                   "letter 65 outside generator range 1..64"),
     "nf-raw-256": (lambda: S2.normal_form([256]), LetterRangeError,
                    "letter 256 outside generator range 1..2"),
     "nf-raw-bool": (lambda: S2.normal_form((True, 2)), LetterRangeError,

@@ -48,6 +48,22 @@ def test_letter_range_error():
     assert "3" in str(err.value) and "1..2" in str(err.value)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 6), st.just(64)),
+       st.lists(st.integers(0, 255), max_size=12))
+@example(2, [1, 2, 0])
+@example(64, [64, 65, 1])
+def test_word_refused_exactly_at_its_first_letter_out_of_range(n, letters):
+    bad = [x for x in letters if not 1 <= x <= n]
+    if not bad:
+        out = RewriteSystem(n).normal_form(Word(letters))
+        assert out is ZERO or all(1 <= x <= n for x in out)
+        return
+    message = f"^letter {bad[0]} outside generator range 1..{n}$"
+    with pytest.raises(LetterRangeError, match=message):
+        RewriteSystem(n).normal_form(Word(letters))
+
+
 def test_enumerate_n2():
     sys = RewriteSystem(2)
     expected = words([(), (1,), (2,), (1, 2), (2, 1)])
@@ -75,14 +91,19 @@ def test_enumerate_ordering_and_exhaustiveness():
         return True
 
     def brute(n, max_len):
+        # every walk (no two equal adjacent letters), since a word with an
+        # equal pair is reducible, filtered by the scan above
         out = [()]
         layer = [()]
         for _ in range(max_len):
-            layer = [w + (a,) for w in layer for a in range(1, n + 1)]
+            layer = [w + (a,) for w in layer for a in range(1, n + 1)
+                     if w[-1:] != (a,)]
             out.extend(w for w in layer if irreducible(w, n))
         return out
 
-    for n, max_len in ((1, 4), (2, 7), (3, 4), (4, 5), (5, 5), (64, 2)):
+    # (5, 7) and (6, 7) reach past degree n, where the cyclic cut applies
+    for n, max_len in ((1, 4), (2, 7), (3, 4), (4, 5), (5, 5), (5, 7), (6, 7),
+                       (64, 2)):
         got = RewriteSystem(n).enumerate_normal_forms(max_len)
         expected = sorted(brute(n, max_len), key=lambda w: (len(w), w))
         assert [w.letters for w in got] == expected, n

@@ -7,7 +7,8 @@ import pytest
 import rga.algebra
 import rga.category
 from rga.algebra import (Element, Subspace, find_idempotent_obstructions,
-                         invert, obstructed_product, verdict_of)
+                         invert, invert_by_solve, obstructed_product,
+                         verdict_of)
 from rga.category import Cocycle, LinearMap, obstruction_of
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, SelfCheckError
@@ -28,6 +29,14 @@ def test_inverse_self_check(skewed_mul):
     with pytest.raises(SelfCheckError, match="^closed-form inverse failed "
                                              "self-check$"):
         invert(Element.from_coeffs(S2, (1, 1, 0, 0, 0)))
+
+
+def test_solved_inverse_self_check(monkeypatch):
+    # a solve that answers its right-hand side, the unit, as the inverse
+    monkeypatch.setattr(Matrix, "solve", lambda m, rhs: tuple(rhs))
+    with pytest.raises(SelfCheckError, match="^solved inverse failed "
+                                             "self-check$"):
+        invert_by_solve(Element.from_coeffs(S2, (1, 1, 0, 0, 0)))
 
 
 def test_obstruction_intertwining_self_check(skewed_mul):
