@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .linalg import Matrix, _reduced
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
-from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make, _times,
+from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make,
                      common_denominator, integer_parts)
 
 
@@ -109,16 +109,19 @@ class Combination:
     takes a mapping or an iterable of (raw key, coefficient) pairs, puts
     each leg of each key in normal form, drops keys that rewrite to zero and
     sums duplicates.  Products, `map_legs` and `linear_combination` (every
-    sum, `+ - scale` too) take normal keys, multiply and add integers with
-    `scalar._times` and go through the trusted `_new`, one gcd each.  Values
-    are immutable; operands of one operation share a context (`_context`).
-    Subclasses add their context, legs and constructors.
+    sum, `+ - scale` too) take normal keys and add each term into one dict
+    of integer pairs as they loop, with the Z[w] product of `scalar._times`
+    written inline, one multiply-add per term; the trusted `_new` then
+    drops zero sums and divides out one gcd (`_finish`, which the
+    constructor shares).  Values are immutable; operands of one operation
+    share a context (`_context`).  Subclasses add their context, legs and
+    constructors.
     """
 
     __slots__ = ("_context", "_num", "_d")
 
     def __init__(self, context, terms=None):
-        object.__setattr__(self, "_context", context)
+        _set_context(self, context)
         legs = self._legs()
         keys, coeffs = [], []
         for raw, s in (terms.items() if isinstance(terms, dict)
@@ -126,7 +129,12 @@ class Combination:
             keys.append(_normal_key(legs, raw))
             coeffs.append(s)
         ps, qs, d = common_denominator(coeffs)
-        _fill(self, zip(keys, zip(ps, qs)), d)
+        sums: dict = {}
+        get = sums.get
+        for k, p, q in zip(keys, ps, qs):
+            p0, q0 = get(k, (0, 0))
+            sums[k] = (p0 + p, q0 + q)
+        _finish(self, sums, d)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -137,21 +145,21 @@ class Combination:
         return self._context
 
     @classmethod
-    def _new(cls, context, terms, d: int = 1) -> "Combination":
-        """A value of this kind in `context` summing `terms`, pairs of
-        (normal key or ZERO, integers (p, q)), over the denominator d > 0:
-        the trusted path, which skips `normal_form` as `rewrite._word`
-        skips the letter check."""
+    def _new(cls, context, sums: dict, d: int) -> "Combination":
+        """A value of this kind in `context` from `sums`, a fresh dict from
+        normal key (or ZERO) to its summed integers (p, q), over the
+        denominator d > 0: the trusted path, which skips `normal_form` as
+        `rewrite._word` skips the letter check."""
         new = object.__new__(cls)
-        object.__setattr__(new, "_context", context)
-        _fill(new, terms, d)
+        _set_context(new, context)
+        _finish(new, sums, d)
         return new
 
     @classmethod
     def unit(cls, *context):
         """The unit key (empty word on every leg) with coefficient 1."""
         zero = cls(*context)
-        return zero._new(zero._context, [(zero._unit_key(), (1, 0))])
+        return zero._new(zero._context, {zero._unit_key(): (1, 0)}, 1)
 
     def _unit_key(self):
         """The key with the empty word on every leg."""
@@ -197,16 +205,18 @@ class Combination:
                     e._require_same(images[i, w])
         e = lcm(*(fe._d for fe in images.values()))  # each leg's over e
         images = {iw: _lifted(fe, e) for iw, fe in images.items()}
-        terms = []
-        for key, s in self._num.items():
+        sums: dict = {}
+        get = sums.get
+        for key, (p, q) in self._num.items():
             for parts in product(*(images[iw] for iw in enumerate(
                     (key,) if one else key))):
-                c = s
-                for _, x in parts:
-                    c = _times(*c, *x)
-                terms.append((parts[0][0] if one
-                              else tuple(k for k, _ in parts), c))
-        return self._new(self._context, terms, self._d * e ** len(legs))
+                x0, x1 = p, q
+                for _, (y0, y1) in parts:
+                    x0, x1 = x0 * y0 - x1 * y1, x0 * y1 + x1 * (y0 - y1)
+                k = parts[0][0] if one else tuple(k for k, _ in parts)
+                p0, q0 = get(k, (0, 0))
+                sums[k] = (p0 + x0, q0 + x1)
+        return self._new(self._context, sums, self._d * e ** len(legs))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -291,26 +301,23 @@ class Combination:
         return f"<{self} over {self._context!r}>"
 
 
+_set_context = Combination._context.__set__
 _set_num, _set_d = Combination._num.__set__, Combination._d.__set__
 
 
-def _fill(c: Combination, terms, d: int):
-    """Set c's `_num` and `_d` to the nonzero sums per key of (key or ZERO,
-    (p, q)) pairs over d > 0, divided by the gcd of all their integers."""
-    acc: dict = {}
-    sums = acc.setdefault
-    for key, (p, q) in terms:
-        if key is not ZERO:
-            pq = sums(key, [0, 0])
-            pq[0] += p
-            pq[1] += q
-    num = {k: (p, q) for k, (p, q) in acc.items() if p or q}
+def _finish(c: Combination, sums: dict, d: int):
+    """Set c's `_num` and `_d` from `sums`, a dict from key or ZERO to its
+    summed integers (p, q) over d > 0, which it may change: ZERO and the
+    zero sums dropped, and the gcd of all the integers divided out."""
+    sums.pop(ZERO, None)
+    if (0, 0) in sums.values():
+        sums = {k: pq for k, pq in sums.items() if pq != (0, 0)}
     if d != 1:
-        g = gcd(d, *chain.from_iterable(num.values()))
+        g = gcd(d, *chain.from_iterable(sums.values()))
         if g != 1:
-            num = {k: (p // g, q // g) for k, (p, q) in num.items()}
+            sums = {k: (p // g, q // g) for k, (p, q) in sums.items()}
             d //= g
-    _set_num(c, num)
+    _set_num(c, sums)
     _set_d(c, d)
 
 
@@ -331,19 +338,25 @@ def linear_combination(terms) -> Combination:
     if first is None:
         raise ValueError("linear_combination needs a term with a Combination")
     d = lcm(*(e if x is None else e * x._d for (_, _, e), x in terms))
-    pairs = []
+    sums: dict = {}
+    get = sums.get
     for (p, q, e), x in terms:
         if x is None:
-            pairs.append((first._unit_key(), (p * (d // e), q * (d // e))))
+            k = first._unit_key()
+            p0, q0 = get(k, (0, 0))
+            sums[k] = (p0 + p * (d // e), q0 + q * (d // e))
             continue
         if type(x) is not type(first):
             raise TypeError(f"cannot add {type(x).__name__} to "
                             f"{type(first).__name__}")
         first._require_same(x)
         f = d // (e * x._d)
-        pairs.extend((k, _times(p * f, q * f, *pq))
-                     for k, pq in x._num.items())
-    return first._new(first._context, pairs, d)
+        x0, x1 = p * f, q * f
+        for k, (y0, y1) in x._num.items():
+            p0, q0 = get(k, (0, 0))
+            sums[k] = (p0 + x0 * y0 - x1 * y1,
+                       q0 + x0 * y1 + x1 * (y0 - y1))
+    return first._new(first._context, sums, d)
 
 
 def _normal_key(legs: tuple, raw):
@@ -391,7 +404,7 @@ class Element(Combination):
         """The generator T_i: one letter, so a normal word once in range."""
         key = Word((i,))
         system._check_letters(key)
-        return cls._new(system, [(key, (1, 0))])
+        return cls._new(system, {key: (1, 0)}, 1)
 
     @classmethod
     def from_word(cls, system: RewriteSystem, word, coeff=ONE) -> "Element":
@@ -399,7 +412,7 @@ class Element(Combination):
         refusals, without collecting a sum."""
         key = system.normal_form(word)
         p, q, d = integer_parts(coeff)
-        return cls._new(system, [(key, (p, q))], d)
+        return cls._new(system, {key: (p, q)}, d)
 
     @classmethod
     def from_coeffs(cls, system: RewriteSystem, coeffs: Sequence) -> "Element":
@@ -446,12 +459,20 @@ def term_body(mag: Scalar, two_part: bool, w: Word, symbol: str) -> str:
 
 
 def mul(a: Element, b: Element) -> Element:
-    """Bilinear extension of the product of normal words."""
+    """Bilinear extension of the product of normal words: each term
+    product is added into one dict of integer pairs as it is formed, over
+    the denominator a._d * b._d."""
     a._require_same(b)
     product = a.system.product
-    return a._new(a._context, ((product(u, v), _times(*x, *y))
-                               for u, x in a._num.items()
-                               for v, y in b._num.items()), a._d * b._d)
+    sums: dict = {}
+    get = sums.get
+    right = b._num.items()
+    for u, (x0, x1) in a._num.items():
+        for v, (y0, y1) in right:
+            k = product(u, v)
+            p0, q0 = get(k, (0, 0))
+            sums[k] = (p0 + x0 * y0 - x1 * y1, q0 + x0 * y1 + x1 * (y0 - y1))
+    return a._new(a._context, sums, a._d * b._d)
 
 
 def mul_closed_form(a: Element, b: Element) -> Element:
@@ -562,23 +583,39 @@ class Subspace:
 
 def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
                 left: bool) -> Matrix:
-    images = [mul(a, e) if left else mul(e, a) for e in (
-        Element.from_word(a.system, w) for w in domain.basis)]
+    """The matrix of x -> a*x (or x*a) over a._d: each of a's terms, times
+    the normal form of a domain word, is added straight into that word's
+    column.  The summed image must vanish outside the codomain; a term
+    that cancels there is no escape."""
+    system = a.system
+    product = system.product
+    words = [system.normal_form(w) for w in domain.basis]
     index = {w: i for i, w in enumerate(codomain.basis)}
-    d = lcm(*(img._d for img in images))
     P, Q = ([[0] * domain.dim for _ in codomain.basis] for _ in "PQ")
-    for j, (w, img) in enumerate(zip(domain.basis, images)):
-        for u, (p, q) in _lifted(img, d):
-            if u not in index:
-                raise SpanEscapeError(w, u)
-            P[index[u]][j], Q[index[u]][j] = p, q
-    return _reduced(codomain.dim, domain.dim, P, Q, d)
+    for j, (w, v) in enumerate(zip(domain.basis, words)):
+        if v is ZERO:
+            continue
+        escaped: dict = {}
+        for u, (p, q) in a._num.items():
+            k = product(u, v) if left else product(v, u)
+            i = index.get(k)
+            if i is not None:
+                P[i][j] += p
+                Q[i][j] += q
+            elif k is not ZERO:
+                p0, q0 = escaped.get(k, (0, 0))
+                escaped[k] = (p0 + p, q0 + q)
+        for k, pq in escaped.items():
+            if pq != (0, 0):
+                raise SpanEscapeError(w, k)
+    return _reduced(codomain.dim, domain.dim, P, Q, a._d)
 
 
 def left_mul_matrix(a: Element, domain: Subspace,
                     codomain: Subspace) -> Matrix:
-    """Matrix of x -> a*x from the domain basis to the codomain basis;
-    an image outside the codomain raises SpanEscapeError."""
+    """Matrix of x -> a*x from the domain basis to the codomain basis; a
+    summed image with a nonzero coefficient outside the codomain raises
+    SpanEscapeError."""
     return _mul_matrix(a, domain, codomain, left=True)
 
 
@@ -648,8 +685,9 @@ def obstruction(a: Element) -> Element:
     if a.system.n != 2:
         raise ValueError("obstruction map requires n=2")
     # the index swap is the letter swap i <-> 3 - i, which keeps words normal
-    return a._new(a._context, [(EMPTY_WORD, (a._d, 0))] + [
-        (Word(3 - i for i in w), pq) for w, pq in a._num.items() if w], a._d)
+    sums = {EMPTY_WORD: (a._d, 0)}
+    sums.update((Word(3 - i for i in w), pq) for w, pq in a._num.items() if w)
+    return a._new(a._context, sums, a._d)
 
 
 def obstructed_product(a: Element, b: Element) -> Element:

@@ -176,21 +176,27 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r})"
 
     def __str__(self):
-        """Canonical form: `p/q`, `p/q*w`, or `p/q+r/s*w` (signs folded)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        w = "w" if abs(b) == 1 else f"{abs(b)}*w"
-        if a == 0:
-            return w if b > 0 else "-" + w
-        sign = "+" if b > 0 else "-"
-        return f"{a}{sign}{w}"
+        """Canonical form: `p/q`, `p/q*w`, or `p/q+r/s*w` (signs folded),
+        each rational part as its `Fraction` prints."""
+        p, q, d = self._p, self._q, self._d
+        if q == 0:
+            return _quotient_text(p, d)
+        w = "w" if abs(q) == d else f"{_quotient_text(abs(q), d)}*w"
+        if p == 0:
+            return w if q > 0 else "-" + w
+        return f"{_quotient_text(p, d)}{'+' if q > 0 else '-'}{w}"
 
 
 _new = object.__new__
 _set_p = Scalar._p.__set__
 _set_q = Scalar._q.__set__
 _set_d = Scalar._d.__set__
+
+
+def _quotient_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as `Fraction` prints it: `n` or `n/d`."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _make(p: int, q: int, d: int) -> Scalar:
@@ -208,7 +214,9 @@ def _make(p: int, q: int, d: int) -> Scalar:
 
 
 # -- the Z[w] kernel ---------------------------------------------------------
-# Every product of scalars, matrices and combinations goes through these.
+# Every product of scalars, matrices and combinations is one of these.  The
+# loops of the combination products and of the elimination write `_times`
+# inline, one multiply-add per term, rather than call it.
 
 
 def _times(x0: int, x1: int, y0: int, y1: int) -> tuple:

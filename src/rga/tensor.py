@@ -72,20 +72,31 @@ def tensor_mul(s: TensorElement, t: TensorElement,
     s._require_same(t)
     koszul = signs == "koszul"
     product = s.system.product
-    return s._new(s._context, (
-        ((u, v), _times(x0 * k, x1 * k, *y))
-        for (a, b), (x0, x1) in s._num.items() for (c, d), y in t._num.items()
-        if (u := product(a, c)) is not ZERO
-        and (v := product(b, d)) is not ZERO
-        for k in [-1 if koszul and b.parity * c.parity else 1]), s._d * t._d)
+    sums: dict = {}
+    get = sums.get
+    right = t._num.items()
+    for (a, b), (x0, x1) in s._num.items():
+        for (c, d), (y0, y1) in right:
+            if (u := product(a, c)) is ZERO or (v := product(b, d)) is ZERO:
+                continue
+            if koszul and b.parity * c.parity:
+                y0, y1 = -y0, -y1
+            k = (u, v)
+            p0, q0 = get(k, (0, 0))
+            sums[k] = (p0 + x0 * y0 - x1 * y1,
+                       q0 + x0 * y1 + x1 * (y0 - y1))
+    return s._new(s._context, sums, s._d * t._d)
 
 
 def element_tensor(a: Element, b: Element) -> TensorElement:
     """Place two algebra elements side by side: a (x) b."""
     a._require_same(b)
-    return TensorElement._new(a.system, (
-        ((u, v), _times(*x, *y))
-        for u, x in a._num.items() for v, y in b._num.items()), a._d * b._d)
+    right = b._num.items()
+    # the keys (u, v) are distinct, so each product is its own sum
+    return TensorElement._new(a.system, {
+        (u, v): (x0 * y0 - x1 * y1, x0 * y1 + x1 * (y0 - y1))
+        for u, (x0, x1) in a._num.items() for v, (y0, y1) in right},
+        a._d * b._d)
 
 
 # -- duality pairing ---------------------------------------------------------
@@ -191,15 +202,18 @@ def _coassociativity_laws(table: Dict[Word, TensorElement]):
     lifted = {w: _lifted(t, d) for w, t in table.items()}
     for w, delta_w in table.items():
         legs = (delta_w.system,) * 3
-        terms = delta_w._num.items()
-        left = Combination._new(legs, (
-            ((p, q, v), _times(*s, *t)) for (u, v), s in terms
-            for (p, q), t in lifted[u]), delta_w._d * d)
-        right = Combination._new(legs, (
-            ((u, p, q), _times(*s, *t)) for (u, v), s in terms
-            for (p, q), t in lifted[v]), delta_w._d * d)
-        yield ("coassociativity", w.to_text(delta_w.system.symbol), left,
-               right)
+        left, right = {}, {}
+        for (u, v), (x0, x1) in delta_w._num.items():
+            # Delta applied to u on the left side, to v on the right one
+            for sums, expanded, kept in ((left, u, v), (right, v, u)):
+                for (p, q), (y0, y1) in lifted[expanded]:
+                    k = (p, q, kept) if sums is left else (kept, p, q)
+                    p0, q0 = sums.get(k, (0, 0))
+                    sums[k] = (p0 + x0 * y0 - x1 * y1,
+                               q0 + x0 * y1 + x1 * (y0 - y1))
+        yield ("coassociativity", w.to_text(delta_w.system.symbol),
+               Combination._new(legs, left, delta_w._d * d),
+               Combination._new(legs, right, delta_w._d * d))
 
 
 def check_coalgebra_obstruction(table: Dict[Word, TensorElement]) -> Verdict:

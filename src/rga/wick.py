@@ -20,7 +20,7 @@ from typing import Callable, Dict, Tuple
 from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
                       verdict_of)
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
-from .scalar import ONE, _times
+from .scalar import ONE
 from .tensor import dual_system
 
 
@@ -49,8 +49,8 @@ class ConjugatedPair:
         else:
             raise ValueError("element does not belong to this pair")
         # reversed words stay normal; w -> w**2 maps p + qw to p - q - qw
-        return Element._new(target, (
-            (w.reverse(), (p - q, -q)) for w, (p, q) in a._num.items()), a._d)
+        return Element._new(target, {
+            w.reverse(): (p - q, -q) for w, (p, q) in a._num.items()}, a._d)
 
 
 class WickElement(Combination):
@@ -263,21 +263,29 @@ def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
             rights: dict, den: int) -> WickElement:
     """The Wick product, like `like`, of lefts[b] = [(a, (p, q))] for a (x) b
     with rights[c] = [(d, (p, q))] for c (x) d, all over the denominator den;
-    each leg product a.p and q.d is formed once per term p (x) q of psi."""
+    each leg product a.p and q.d is formed once per term p (x) q of psi, and
+    each term's coefficient is added into one dict as it is formed."""
     theta, xi = psi.pair.theta.product, psi.pair.xi.product
     blocks = [(lefts[b], rights[c], psi.apply(b, c))
               for b in lefts for c in rights]
     e = lcm(*[value._d for _, _, value in blocks])
-    terms = []
+    sums: dict = {}
+    get = sums.get
     for ls, rs, value in blocks:
         f = e // value._d
         for (p, q), (r0, r1) in value._num.items():
             right = [(v, t) for d, t in rs if (v := xi(q, d)) is not ZERO]
+            r0, r1 = r0 * f, r1 * f
             for a, (s0, s1) in ls:
-                if (u := theta(a, p)) is not ZERO:
-                    s = _times(s0, s1, r0 * f, r1 * f)
-                    terms += [((u, v), _times(*s, *t)) for v, t in right]
-    return like._new(like._context, terms, den * e)
+                if (u := theta(a, p)) is ZERO:
+                    continue
+                x0, x1 = s0 * r0 - s1 * r1, s0 * r1 + s1 * (r0 - r1)
+                for v, (y0, y1) in right:
+                    k = (u, v)
+                    p0, q0 = get(k, (0, 0))
+                    sums[k] = (p0 + x0 * y0 - x1 * y1,
+                               q0 + x0 * y1 + x1 * (y0 - y1))
+    return like._new(like._context, sums, den * e)
 
 
 def _grouped(x: WickElement, side: int) -> dict:

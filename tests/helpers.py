@@ -129,6 +129,17 @@ def tensor_map_reference(delta_w, xi_sys, e):
     return TensorElement(xi_sys, summed_reference((xi_sys,) * 2, terms))
 
 
+def scalar_text_reference(s):
+    """`str(s)` as it was built from the two `Fraction` coordinates."""
+    a, b = s.a, s.b
+    if b == 0:
+        return str(a)
+    w = "w" if abs(b) == 1 else f"{abs(b)}*w"
+    if a == 0:
+        return w if b > 0 else "-" + w
+    return f"{a}{'+' if b > 0 else '-'}{w}"
+
+
 # The products as they were before `RewriteSystem.product`: raw
 # concatenations of the operands' words handed to the public, normalising
 # constructor.  They are the oracles of the memoised products.

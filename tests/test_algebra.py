@@ -3,6 +3,7 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rga.algebra import (AlgebraMismatchError, Element, N2_BASIS,
                          NotInvertible, SpanEscapeError, Subspace, annihilator,
@@ -184,6 +185,60 @@ def test_span_escape_error():
     with pytest.raises(SpanEscapeError) as err:
         left_mul_matrix(T2, x1, x1)
     assert err.value.escaped in (Word([2]), Word([2, 1]))
+
+
+def test_terms_cancelling_outside_the_codomain_are_no_escape():
+    # (1 - T1T2) T1 = T1 - T1 and T1 (1 - T2T1) = T1 - T1: both terms
+    # leave C = span(T2), and their sum vanishes there
+    d, c = Subspace("D", (Word([1]),)), Subspace("C", (Word([2]),))
+    assert left_mul_matrix(UNIT - E12, d, c) == Matrix([[0]])
+    assert right_mul_matrix(UNIT - E21, d, c) == Matrix([[0]])
+
+
+S3 = RewriteSystem(3)
+OPERATOR_SPACES = {
+    system.n: [Subspace(f"E{k}", tuple(system.enumerate_normal_forms(k)))
+               for k in (1, 2)] + decompose(system, 2)
+    for system in (S2, S3)}
+
+
+def operator_elements(system):
+    """Elements of words up to 3 letters: a few terms, and pairs c u - c v,
+    whose products with one word may meet, as T1 T2 T1 meets T1, and
+    cancel."""
+    words = st.lists(st.integers(1, system.n), max_size=3).map(tuple)
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 2), OMEGA])
+    return st.tuples(st.lists(st.tuples(words, coeffs), max_size=2),
+                     st.lists(st.tuples(words, words, coeffs), max_size=3)
+                     ).map(lambda parts: Element(system, parts[0] + [
+                         t for u, v, c in parts[1] for t in ((u, c), (v, -c))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S2, S3]).flatmap(lambda system: st.tuples(
+    operator_elements(system),
+    st.sampled_from(OPERATOR_SPACES[system.n]),
+    st.sampled_from(OPERATOR_SPACES[system.n]))), st.booleans())
+def test_operator_columns_are_the_summed_products(case, left):
+    a, domain, codomain = case
+    images = [mul(a, e) if left else mul(e, a)
+              for e in (Element.from_word(a.system, w) for w in domain.basis)]
+    operator = left_mul_matrix if left else right_mul_matrix
+    escapes = [(w, u) for w, image in zip(domain.basis, images)
+               for u in image.support() if u not in codomain.basis]
+    if escapes:
+        with pytest.raises(SpanEscapeError) as err:
+            operator(a, domain, codomain)
+        # the first domain word whose summed image leaves the codomain
+        source = escapes[0][0]
+        assert err.value.source == source
+        assert (source, err.value.escaped) in escapes
+        return
+    m = operator(a, domain, codomain)
+    assert (m.nrows, m.ncols) == (codomain.dim, domain.dim)
+    for j, image in enumerate(images):
+        assert [row[j] for row in m.rows] == [image.coeff(w)
+                                              for w in codomain.basis]
 
 
 def test_check_representation():

@@ -1,9 +1,12 @@
 """Combinations store integer Z[w] numerators over one denominator.
 
-Every result of `+ - neg scale`, `mul`, `tensor_mul`, `wick_mul`, the two
-peels and `map_legs` must equal the `Scalar` summation kept in `helpers`
-and be in canonical form: denominator > 0, content 1, no zero numerator,
-and the public constructor rebuilds it with the same hash.  The hot
+Every result of the constructor, `+ - neg scale`, `linear_combination`,
+`mul`, `tensor_mul`, `element_tensor`, `wick_mul`, the two peels,
+`map_legs`, the dagger and the obstruction map must equal the `Scalar`
+summation kept in `helpers` and be in canonical form: denominator > 0,
+content 1, no zero numerator, and the public constructor rebuilds it with
+the same hash; a result whose terms all cancel is the zero value, with no
+numerator over the denominator 1.  The hot
 products must build no `Scalar` at all, `wick_mul` must look the cross
 symmetry up once per routed block, and the Z[w] kernel must live in
 `rga.scalar` alone.  The modules above the algebra (parser, categories,
@@ -22,10 +25,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.algebra import Element, mul, obstruction
-from rga.rewrite import RewriteSystem, Word
+from rga.algebra import Element, linear_combination, mul, obstruction
+from rga.rewrite import EMPTY_WORD, RewriteSystem, Word
 from rga.scalar import Scalar
-from rga.tensor import TensorElement, tensor_mul
+from rga.tensor import TensorElement, element_tensor, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
 
 from helpers import (peel_theta_reference, peel_xi_reference,
@@ -173,6 +176,88 @@ def test_map_legs_is_canonical(x, t, e):
         got = c.map_legs(*maps)
         assert got == reference(c, want)
         assert_canonical(got)
+
+
+@PROPS
+@given(terms(st.lists(st.integers(1, 3), max_size=4).map(tuple)),
+       terms(st.tuples(raw_words, raw_words)))
+def test_constructor_is_canonical(word_terms, pair_terms):
+    for like, ts in ((Element(S3), word_terms), (TensorElement(S2), pair_terms),
+                     (WickElement(PAIR), pair_terms)):
+        got = built(like, ts)
+        assert dict(got.terms()) == summed_reference(like._legs(), ts)
+        assert_canonical(got)
+
+
+@PROPS
+@given(kind_pairs, st.lists(st.tuples(scalars, st.booleans()), min_size=3,
+                            max_size=3))
+def test_linear_combination_is_canonical(case, cs):
+    x, y = case
+    legs = len(x._legs())
+    unit = () if legs == 1 else ((),) * legs
+    # None stands for the unit; the first term always carries x
+    pairs = [(c, v if keep or i == 0 else None)
+             for i, ((c, keep), v) in enumerate(zip(cs, (x, y, y)))]
+    got = linear_combination(pairs)
+    assert got == reference(x, ((k, (c, s)) for c, v in pairs for k, s in (
+        [(unit, 1)] if v is None else v.terms())))
+    assert_canonical(got)
+
+
+@PROPS
+@given(elements(S2), elements(S2))
+def test_element_tensor_is_canonical(a, b):
+    got = element_tensor(a, b)
+    assert got == reference(got, (((u, v), (x, y)) for u, x in a.terms()
+                                  for v, y in b.terms()))
+    assert_canonical(got)
+
+
+@PROPS
+@given(elements(S2))
+def test_dagger_and_obstruction_are_canonical(a):
+    got = PAIR.dagger(a)
+    assert got == reference(got, ((w.reverse(), s.conjugate())
+                                  for w, s in a.terms()))
+    assert_canonical(got)
+    assert PAIR.dagger(got) == a
+    got = obstruction(a)
+    assert got == reference(got, [((), 1)] + [
+        (tuple(3 - i for i in w), s) for w, s in a.terms() if w])
+    assert_canonical(got)
+
+
+def test_all_cancelling_results_are_the_zero_value():
+    half, third = Fraction(1, 2), Scalar(Fraction(1, 3), 1)
+    t1, t2 = Element.generator(S2, 1), Element.generator(S2, 2)
+    # (1 - T1 T2) T1 = T1 - T1 T2 T1 = T1 (1 - T2 T1) = 0
+    a = (Element.unit(S2) - mul(t1, t2)).scale(third)
+    b = (Element.unit(S2) - mul(t2, t1)).scale(half)
+    tensor = TensorElement(S2, [(((), ()), half), (((1, 2), ()), -half)])
+    wick = WickElement(PAIR, [(((), ()), third), (((1, 2), ()), -third)])
+    psi = PSIS["regular[unit]"]
+    zeros = {
+        "constructor": Element(S2, [((1,), half), ((1, 2, 1), -half)]),
+        "constructor-tensor": TensorElement(
+            S2, [(((1,), (2,)), third), (((1, 2, 1), (2,)), -third)]),
+        "mul": mul(a, t1),
+        "mul-right": mul(t1, b),
+        "tensor_mul": tensor_mul(tensor, TensorElement.single(S2, (1,), ())),
+        "element_tensor": element_tensor(a, mul(a, t1)),
+        "linear_combination": linear_combination([(half, a), (-half, a)]),
+        "sum": a - a,
+        "wick_mul": wick_mul(wick, WickElement.single(PAIR, (1,), ()), psi),
+        "peel_theta": psi._peel_theta(EMPTY_WORD, Word((1,)), Word((1,))),
+        "peel_xi": psi._peel_xi(Word((2,)), Word((2,)), Word((1,))),
+        "map_legs": (t1 - t2).scale(third).map_legs(
+            lambda e: Element.unit(S2)),
+        "dagger": PAIR.dagger(mul(a, t1)),
+    }
+    # the obstruction map pins the constant term to 1: it is never zero
+    for name, zero in zeros.items():
+        assert zero == 0, name
+        assert (zero._num, zero._d) == ({}, 1), name
 
 
 # -- hash agrees with equality across kinds -------------------------------------

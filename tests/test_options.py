@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 
 OPTIONS = [
     ("algebra", "Combination.__init__", "terms"),
-    ("algebra", "Combination._new", "d"),
     ("algebra", "Element.from_word", "coeff"),
     ("algebra", "annihilator", "side"),
     ("category", "_matrix_from_json", "where"),

@@ -1,7 +1,10 @@
 """Library refusals that no other test reaches, one row each: the call,
-the exception type and the message it carries."""
+the exception type and the message it carries.  The mixed-type rows are
+the `NotImplemented` returns of `Combination` arithmetic, as Python
+reports them once the other operand declines too."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +15,9 @@ from rga.category import (ChainTypeError, Cocycle, LinearMap,
                           check_cocycle_morphism, dual_cocycle)
 from rga.linalg import Matrix
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
+from rga.scalar import Scalar
 from rga.tensor import TensorElement, dual_system, pair_tensor
-from rga.wick import ConjugatedPair, CrossSymmetry
+from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
 S2, S3, S64 = RewriteSystem(2), RewriteSystem(3), RewriteSystem(64)
 T3 = Element.generator(S3, 1)
@@ -22,6 +26,9 @@ A, B = Subspace("A", ("a",)), Subspace("B", ("b",))
 AB, BA = LinearMap(A, B, Matrix([[1]])), LinearMap(B, A, Matrix([[1]]))
 AA = LinearMap(A, A, Matrix([[1]]))
 ROW = Matrix([[1, 2]])
+T1 = Element.generator(S2, 1)
+TENSOR = TensorElement.single(S2, (1,), ())
+WICK = WickElement.unit(PAIR)
 
 REFUSALS = {
     # the n = 2 closed forms on an n = 3 input
@@ -112,6 +119,48 @@ REFUSALS = {
                      ValueError, "rhs length mismatch"),
     "matrix-inverse": (lambda: ROW.inverse(),
                        ValueError, "only square matrices invert"),
+    # arithmetic with an operand of another kind, or no number
+    "element-times-str": (lambda: T1 * "x", TypeError,
+                          "can't multiply sequence by non-int of type "
+                          "'Element'"),
+    "str-times-element": (lambda: "x" * T1, TypeError,
+                          "can't multiply sequence by non-int of type "
+                          "'Element'"),
+    "element-times-float": (
+        lambda: T1 * 1.5, TypeError,
+        "unsupported operand type(s) for *: 'Element' and 'float'"),
+    "float-times-element": (
+        lambda: 1.5 * T1, TypeError,
+        "unsupported operand type(s) for *: 'float' and 'Element'"),
+    "element-times-tensor": (
+        lambda: T1 * TENSOR, TypeError,
+        "unsupported operand type(s) for *: 'Element' and 'TensorElement'"),
+    "tensor-times-element": (
+        lambda: TENSOR * T1, TypeError,
+        "unsupported operand type(s) for *: 'TensorElement' and 'Element'"),
+    # a Wick product needs its cross symmetry: `wick_mul`, not `*`
+    "wick-times-wick": (
+        lambda: WICK * WICK, TypeError,
+        "unsupported operand type(s) for *: 'WickElement' and "
+        "'WickElement'"),
+    "element-plus-tensor": (
+        lambda: T1 + TENSOR, TypeError,
+        "unsupported operand type(s) for +: 'Element' and 'TensorElement'"),
+    "tensor-plus-wick": (
+        lambda: TENSOR + WICK, TypeError,
+        "unsupported operand type(s) for +: 'TensorElement' and "
+        "'WickElement'"),
+    "element-plus-str": (
+        lambda: T1 + "x", TypeError,
+        "unsupported operand type(s) for +: 'Element' and 'str'"),
+    "str-plus-element": (lambda: "x" + T1, TypeError,
+                         'can only concatenate str (not "Element") to str'),
+    "element-minus-float": (
+        lambda: T1 - 1.5, TypeError,
+        "unsupported operand type(s) for -: 'Element' and 'float'"),
+    "float-minus-element": (
+        lambda: 1.5 - T1, TypeError,
+        "unsupported operand type(s) for -: 'float' and 'Element'"),
     # values are immutable
     "element-immutable": (lambda: setattr(T3, "_d", 2),
                           AttributeError, "Element is immutable"),
@@ -127,3 +176,11 @@ REFUSALS = {
 def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_scalar_times_combination_is_the_scaled_combination():
+    # Scalar declines a Combination, whose __rmul__ then scales it
+    s = Scalar(Fraction(1, 2), -1)
+    for x in (T1 + 2, TENSOR, WICK):
+        assert s * x == x * s == x.scale(s)
+        assert type(s * x) is type(x)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from rga.scalar import (OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR,
                         integer_parts)
 
-from helpers import rand_scalar
+from helpers import rand_scalar, scalar_text_reference
 
 
 def test_omega_cubes_to_one():
@@ -116,16 +116,6 @@ def ref_inverse(x):
     return (c[0] / n, c[1] / n)
 
 
-def ref_str(x):
-    a, b = Fraction(x[0]), Fraction(x[1])
-    if b == 0:
-        return str(a)
-    w = "w" if abs(b) == 1 else f"{abs(b)}*w"
-    if a == 0:
-        return w if b > 0 else "-" + w
-    return f"{a}{'+' if b > 0 else '-'}{w}"
-
-
 def agrees(s, x):
     """s is the reference pair x, in canonical form."""
     p, q, d = s._p, s._q, s._d
@@ -144,7 +134,16 @@ def test_ring_operations_match_reference(x, y):
     assert agrees(-s, ref_sub((0, 0), x))
     assert agrees(s.conjugate(), ref_conjugate(x))
     assert s.norm() == ref_norm(x) and type(s.norm()) is Fraction
-    assert str(s) == ref_str(x)
+
+
+@given(pairs, pairs)
+def test_text_is_the_fraction_text(x, y):
+    # sums, products and quotients reach denominators and parts the
+    # drawn coordinates do not, and w-parts of +-1 over any denominator
+    s, t = Scalar(*x), Scalar(*y)
+    for u in (s, t, s + t, s * t, -s, s.conjugate(), s * OMEGA,
+              s / t if t else s, Scalar(0, x[0]), Scalar(x[1], 1)):
+        assert str(u) == scalar_text_reference(u)
 
 
 @given(pairs, nonzero_pairs)
