@@ -10,9 +10,12 @@ build `Scalar`s on demand.  The shape is stored, so k x 0 and 0 x k
 matrices keep it.
 
 Every operation runs on the integers through the Z[w] kernel of
-`rga.scalar`, and a product takes one gcd.  RREF, rank, nullspace, solve
-and inverse share one fraction-free Gauss-Jordan elimination over Z[w],
-the Eisenstein integers (Bareiss, "Sylvester's identity and multistep
+`rga.scalar`.  A product with an identity factor is the other factor, by
+the unit law id . f = f = f . id (Mac Lane, Categories for the Working
+Mathematician, I.1), and costs no arithmetic; any other product takes one
+pass of the kernel and one gcd.  RREF, rank, nullspace, solve and inverse
+share one fraction-free Gauss-Jordan elimination over Z[w], the
+Eisenstein integers (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968; Cohen, A
 Course in Computational Algebraic Number Theory, 2.2): each step divides
 exactly by the previous pivot, as a product with its conjugate and an
@@ -23,6 +26,7 @@ next step.  Only the finished rows are normalised.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mod
@@ -57,9 +61,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        zeros = (0,) * n
-        return _matrix(n, n, tuple(zeros[:i] + (1,) + zeros[i + 1:]
-                                   for i in range(n)), (zeros,) * n, 1)
+        """The n x n identity, over the integer rows `_unit` keeps for n."""
+        return _matrix(n, n, *_unit(n), 1)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
@@ -109,12 +112,19 @@ class Matrix:
                         *_scaled_rows(self.P, self.Q, sp, sq), self.d * sd)
 
     def __mul__(self, other):
+        """The matrix product.  Past the type and shape checks, an identity
+        factor returns the other factor (the unit law); any other product
+        runs the kernel's `_products` and one gcd."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} "
                 f"with {other.nrows}x{other.ncols}")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         P, Q = _products(self.P, self.Q, _columns(other.P, other.ncols),
                          _columns(other.Q, other.ncols))
         return _reduced(self.nrows, other.ncols, P, Q, self.d * other.d)
@@ -145,10 +155,8 @@ class Matrix:
                         P, Q, self.d * other.d)
 
     def is_identity(self) -> bool:
-        return (self.nrows == self.ncols and self.d == 1
-                and not any(map(any, self.Q)) and all(
-                    r[i] == 1 and not any(r[:i]) and not any(r[i + 1:])
-                    for i, r in enumerate(self.P)))
+        """Square, d == 1, P the unit rows and Q zero (`_is_identity`)."""
+        return _is_identity(self)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.P)) and not any(map(any, self.Q))
@@ -203,9 +211,9 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
         n = self.nrows
-        unit = Matrix.identity(n)
-        P, Q, pivots, c, f = _eliminated(map(add, self.P, unit.P),
-                                         map(add, self.Q, unit.Q))
+        unit_p, unit_q = _unit(n)
+        P, Q, pivots, c, f = _eliminated(map(add, self.P, unit_p),
+                                         map(add, self.Q, unit_q))
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
         # (A/d)^-1 = d * A^-1, and A^-1 is the right half over the pivot
@@ -241,6 +249,22 @@ def _matrix(nrows: int, ncols: int, P: tuple, Q: tuple, d: int) -> Matrix:
     m = object.__new__(Matrix)
     _init(m, nrows, ncols, P, Q, d)
     return m
+
+
+@cache
+def _unit(n: int) -> tuple:
+    """(P, Q) of the n x n identity: the unit rows and n zero rows, built
+    once for each n and shared by every identity of that size."""
+    zeros = (0,) * n
+    return (tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)),
+            (zeros,) * n)
+
+
+def _is_identity(m: Matrix) -> bool:
+    """m is an identity matrix.  Its canonical form is unique, so this is
+    d == 1, a square shape and (P, Q) equal to `_unit`'s rows: integer
+    comparisons only, and no public method that a caller may wrap."""
+    return m.d == 1 and m.nrows == m.ncols and (m.P, m.Q) == _unit(m.nrows)
 
 
 def _reduced(nrows: int, ncols: int, P: list, Q: list, d: int) -> Matrix:

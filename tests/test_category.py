@@ -51,7 +51,9 @@ def test_algebra_cocycle_is_swap_pair():
 
 
 def test_identity_cocycle_regular():
-    assert check_regular_cocycle(one_dim_cocycle(1, 1)).ok
+    c = one_dim_cocycle(1, 1)
+    assert check_regular_cocycle(c).ok
+    assert repr(c) == "Cocycle(X1 -> X2 -> X1)"
 
 
 def test_zero_one_cocycle_fails_at_two():

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rga.linalg
 from rga.linalg import Matrix, _quotients
 from rga.rewrite import SelfCheckError
 from rga.scalar import Scalar, _conjugate, _times
@@ -129,7 +130,14 @@ def matrix_of(rows, ncols):
 @given(st.data())
 def test_product_matches_scalar_arithmetic(data):
     m, k, n = (data.draw(st.integers(1, 6)) for _ in range(3))
+    # the unit law returns the other factor: an identity on the left, the
+    # right or both sides must still agree with the dot products
+    unit = data.draw(st.sampled_from([(), ("left",), ("right",),
+                                      ("left", "right")]))
+    m, n = (k if "left" in unit else m), (k if "right" in unit else n)
     a, b = data.draw(matrices(m, k)), data.draw(matrices(k, n))
+    a = Matrix.identity(k) if "left" in unit else a
+    b = Matrix.identity(k) if "right" in unit else b
     # a factor without w parts takes fewer dot products
     a, b = (Matrix([[Scalar(x.a) for x in r] for r in f.rows])
             if data.draw(st.booleans()) else f for f in (a, b))
@@ -140,6 +148,29 @@ def test_product_matches_scalar_arithmetic(data):
     assert (ab.nrows, ab.ncols) == (m, n)
     assert ab == Matrix(ab.rows) and hash(ab) == hash(Matrix(ab.rows))
     assert a.apply(vec) == tuple(scalar_dot(row, vec) for row in a.rows)
+
+
+def test_identity_factor_runs_no_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel product with an identity factor")
+
+    rng = Random(9)
+    a = rand_matrix(rng, 3, 4)
+    monkeypatch.setattr(rga.linalg, "_products", refuse)
+    assert Matrix.identity(3) * a is a and a * Matrix.identity(4) is a
+    assert Matrix.identity(2) * Matrix.identity(2) == Matrix.identity(2)
+    with pytest.raises(AssertionError, match="kernel product"):
+        a * a.transpose()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_entry_is_the_row_entry(data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a = data.draw(matrices(m, n))
+    rows = a.rows
+    assert all(a[i, j] == rows[i][j] and type(a[i, j]) is Scalar
+               for i in range(m) for j in range(n))
 
 
 # -- the fraction-free elimination against Scalar elimination ---------------
@@ -254,6 +285,14 @@ def test_empty_shapes_survive():
                                 (Scalar(0), Scalar(1), Scalar(0)),
                                 (Scalar(0), Scalar(0), Scalar(1))]
     assert Matrix.identity(0).inverse() == Matrix.identity(0)
+    # identities are units on both sides of k x 0 and 0 x k; `==` compares
+    # the shape too
+    tall, empty = wide.transpose(), Matrix.identity(0)
+    for x, want in ((empty * wide, wide), (tall * empty, tall),
+                    (wide * Matrix.identity(3), wide),
+                    (Matrix.identity(3) * tall, tall)):
+        assert x == want
+    assert (empty * empty).is_identity()
 
 
 def test_inexact_division_is_refused():

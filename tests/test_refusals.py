@@ -1,7 +1,7 @@
 """Library refusals that no other test reaches, one row each: the call,
 the exception type and the message it carries.  The mixed-type rows are
-the `NotImplemented` returns of `Combination` arithmetic, as Python
-reports them once the other operand declines too."""
+the `NotImplemented` returns of `Combination`, `Matrix` and `Scalar`
+arithmetic, as Python reports them once the other operand declines too."""
 
 import re
 from fractions import Fraction
@@ -15,7 +15,7 @@ from rga.category import (ChainTypeError, Cocycle, LinearMap,
                           check_cocycle_morphism, dual_cocycle)
 from rga.linalg import Matrix
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
-from rga.scalar import Scalar
+from rga.scalar import ONE, Scalar
 from rga.tensor import TensorElement, dual_system, pair_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
@@ -119,6 +119,15 @@ REFUSALS = {
                      ValueError, "rhs length mismatch"),
     "matrix-inverse": (lambda: ROW.inverse(),
                        ValueError, "only square matrices invert"),
+    # the unit law returns a factor only past the type and shape checks
+    "identity-mul": (lambda: Matrix.identity(2) * Matrix.identity(3),
+                     ValueError, "cannot compose 2x2 with 3x3"),
+    "identity-times-int": (
+        lambda: Matrix.identity(2) * 2, TypeError,
+        "unsupported operand type(s) for *: 'Matrix' and 'int'"),
+    "int-times-identity": (
+        lambda: 2 * Matrix.identity(2), TypeError,
+        "unsupported operand type(s) for *: 'int' and 'Matrix'"),
     # arithmetic with an operand of another kind, or no number
     "element-times-str": (lambda: T1 * "x", TypeError,
                           "can't multiply sequence by non-int of type "
@@ -138,6 +147,15 @@ REFUSALS = {
     "tensor-times-element": (
         lambda: TENSOR * T1, TypeError,
         "unsupported operand type(s) for *: 'TensorElement' and 'Element'"),
+    "float-over-scalar": (
+        lambda: 0.5 / ONE, TypeError,
+        "unsupported operand type(s) for /: 'float' and 'Scalar'"),
+    "scalar-power-negative": (
+        lambda: ONE ** -1, TypeError,
+        "unsupported operand type(s) for ** or pow(): 'Scalar' and 'int'"),
+    "scalar-power-float": (
+        lambda: ONE ** 0.5, TypeError,
+        "unsupported operand type(s) for ** or pow(): 'Scalar' and 'float'"),
     # a Wick product needs its cross symmetry: `wick_mul`, not `*`
     "wick-times-wick": (
         lambda: WICK * WICK, TypeError,
@@ -176,6 +194,13 @@ REFUSALS = {
 def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_scalar_equals_no_other_kind():
+    # Scalar declines a str or a float, and so does the other side
+    assert ONE.__eq__("x") is NotImplemented and (ONE == "x") is False
+    assert ONE.__eq__(0.5) is NotImplemented and (ONE == 0.5) is False
+    assert ONE != "x" and ONE != 0.5
 
 
 def test_scalar_times_combination_is_the_scaled_combination():

@@ -20,6 +20,7 @@ def test_square_zero_and_cyclic_n2():
     assert sys.normal_form([2, 1, 2]) == Word([2])
     assert sys.normal_form([1, 1]) is ZERO
     assert sys.normal_form([2, 2]) is ZERO
+    assert repr(ZERO) == str(ZERO) == "ZERO"
 
 
 def test_cyclic_n3():

@@ -70,6 +70,8 @@ def test_canonical_strings():
     assert str(Scalar(1, -1)) == "1-w"
     assert str(OMEGA2) == "-1-w"
     assert str(ZERO_SCALAR) == "0"
+    assert repr(Scalar(Fraction(1, 2), -3)) \
+        == "Scalar(Fraction(1, 2), Fraction(-3, 1))"
 
 
 def test_immutable():

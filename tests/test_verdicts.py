@@ -111,6 +111,21 @@ def test_cocycle_morphism():
     first_witness(check_cocycle_morphism(alpha, c, c), "square", 1)
 
 
+def test_cocycle_morphism_obstruction_intertwining():
+    # identity components from the identity chain to the zero chain: both
+    # squares fail, and so does alpha_1 . e_X1 = e_Y1 . alpha_1, whose two
+    # sides are products with an identity factor
+    c, d = one_dim_cocycle(1, 1), one_dim_cocycle(0, 0)
+    verdict = check_cocycle_morphism(
+        [LinearMap.identity(s) for s in c.spaces], c, d)
+    assert verdict.checked == 3
+    assert [(w.law, w.at) for w in verdict.witnesses] == [
+        ("square", 1), ("square", 2), ("obstruction intertwining", 1)]
+    first_witness(verdict, "square", 1)
+    assert all((w.lhs.matrix, w.rhs.matrix) == (Matrix([[1]]), Matrix([[0]]))
+               for w in verdict.witnesses)
+
+
 def test_grading_product_grade():
     s3 = RewriteSystem(3)
     a = Element.from_word(s3, Word([1, 2, 3]))
