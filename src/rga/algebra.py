@@ -652,7 +652,7 @@ def _representation_laws(gens: list, elements: list):
 # -- annihilators --------------------------------------------------------
 
 
-def annihilator(a: Element, side: str = "right") -> list:
+def annihilator(a: Element, side: str) -> list:
     """Exact basis of {b : a*b = 0} (side='right') or {b : b*a = 0}, n=2.
 
     Computed as the nullspace of the left (resp. right) multiplication

@@ -114,7 +114,7 @@ def pair(xi: Element, a: Element) -> Scalar:
 
 
 def pair_tensor(xi: TensorElement, a: TensorElement,
-                convention: str = "straight") -> Scalar:
+                convention: str) -> Scalar:
     """Pair X-side and T-side tensors leg by leg.
 
     'straight' pairs first with first; 'flip' pairs first with second,

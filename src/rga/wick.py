@@ -110,8 +110,7 @@ class CrossSymmetry:
         return cls(pair, base, "flip")
 
     @classmethod
-    def regular(cls, pair: ConjugatedPair,
-                vacuum: str = "unit") -> "CrossSymmetry":
+    def regular(cls, pair: ConjugatedPair, vacuum: str) -> "CrossSymmetry":
         """The regular cross symmetry on generator pairs.
 
         Off-diagonal pairs flip; the diagonal value is vac_i - T_i (x) X_i

@@ -142,7 +142,7 @@ def test_solve_rejects_singular():
 
 def test_solve_and_annihilator_refuse_n3():
     a = Element.generator(RewriteSystem(3), 1) + 1
-    for solve in (invert_by_solve, annihilator):
+    for solve in (invert_by_solve, lambda x: annihilator(x, "right")):
         with pytest.raises(ValueError, match="requires n=2") as err:
             solve(a)
         assert "basis" not in str(err.value)

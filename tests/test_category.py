@@ -319,6 +319,25 @@ def test_functor_breaking_obstruction_detected():
         check_obstructed_functor(f, [c])
 
 
+def test_functor_that_composes_but_moves_an_obstruction():
+    # X1 -> X2 -> X3 -> X1 by [0], [1], [0]: every cycle composite is zero.
+    # Sending the zero loop at X1 to [1] still respects every composable
+    # pair of generators (the only pair landing on that loop is the loop
+    # with itself, and [1].[1] = [1]), but it moves the obstruction at X1.
+    x1, x2, x3 = (Subspace(f"X{i}", ("u",)) for i in (1, 2, 3))
+    c = Cocycle([x1, x2, x3], [LinearMap(x1, x2, Matrix([[0]])),
+                               LinearMap(x2, x3, Matrix([[1]])),
+                               LinearMap(x3, x1, Matrix([[0]]))])
+    loop = c.cycle_composite(0)
+
+    def lift_loop(m: LinearMap) -> LinearMap:
+        return LinearMap(x1, x1, Matrix([[1]])) if m == loop else m
+
+    verdict = check_obstructed_functor(MatrixFunctor(lift_loop), [c])
+    assert verdict.composition_ok and not verdict.obstruction_preserved
+    assert not verdict.ok and bool(verdict) is False
+
+
 def test_natural_transformation_identity_components():
     c = algebra_cocycle()
     f = MatrixFunctor.identity()

@@ -269,6 +269,13 @@ def test_wick_coherence(capsys):
                           "order coherent: true")
 
 
+def test_wick_coherence_witness_on_stderr(capsys):
+    assert main(["wick", "coherence", "--max-deg", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "witness: law1[reduction] at X1 (x) T1.T2 T1: T1 (x) X1 - T1 T2 (x) 1 "
+        "+ T2 T1 (x) 1 != 1 (x) 1 - T1 (x) X1\n")
+
+
 @pytest.mark.parametrize("max_deg, instances", [(0, 2), (1, 30)])
 def test_wick_coherence_low_degrees(capsys, max_deg, instances):
     # the first disagreement, at X1 (x) T1.T2 T1, needs a word of degree 2

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 OPTIONS = [
     ("algebra", "Combination.__init__", "terms"),
     ("algebra", "Element.from_word", "coeff"),
-    ("algebra", "annihilator", "side"),
     ("category", "_matrix_from_json", "where"),
     ("category", "cocycle_from_json", "where"),
     ("category", "cocycle_to_json", "pairings"),
@@ -30,12 +29,10 @@ OPTIONS = [
     ("scalar", "Scalar.__init__", "a"),
     ("scalar", "Scalar.__init__", "b"),
     ("tensor", "TensorElement.single", "coeff"),
-    ("tensor", "pair_tensor", "convention"),
     ("tensor", "tensor_mul", "signs"),
     ("wick", "ConjugatedPair.__init__", "theta"),
     ("wick", "ConjugatedPair.__init__", "xi"),
     ("wick", "CrossSymmetry.__init__", "label"),
-    ("wick", "CrossSymmetry.regular", "vacuum"),
     ("wick", "WickElement.single", "coeff"),
 ]
 

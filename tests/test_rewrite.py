@@ -358,8 +358,10 @@ def test_product_memo_stops_at_its_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: CrossSymmetry.regular(ConjugatedPair()).apply((1.7,), (1,)),
-    lambda: CrossSymmetry.regular(ConjugatedPair()).apply(("2",), (1,)),
+    lambda: CrossSymmetry.regular(ConjugatedPair(), "unit").apply(
+        (1.7,), (1,)),
+    lambda: CrossSymmetry.regular(ConjugatedPair(), "unit").apply(
+        ("2",), (1,)),
     lambda: Element.generator(RewriteSystem(2), 1.5),
     lambda: Word((True, 2)),
 ], ids=["float-apply", "str-apply", "float-generator", "bool-word"])
@@ -385,7 +387,7 @@ def test_product_refuses_non_words_against_a_warm_memo(raw):
 
 @pytest.mark.parametrize("raw", NOT_INT_ONE, ids=["bool", "float", "str"])
 def test_apply_refuses_non_int_letters_against_a_warm_memo(raw):
-    psi = CrossSymmetry.regular(ConjugatedPair())
+    psi = CrossSymmetry.regular(ConjugatedPair(), "unit")
     psi.apply((1,), (1,))
     assert ((1,), (1,)) in psi._cache
     for xi, theta in [(raw, (1,)), ((1,), raw)]:

@@ -104,7 +104,7 @@ def test_apply_puts_words_in_normal_form():
                                    ((1, 2), (2, 3))])
 def test_apply_refuses_letters_out_of_range(words):
     with pytest.raises(LetterRangeError):
-        CrossSymmetry.regular(PAIR).apply(*words)
+        CrossSymmetry.regular(PAIR, "unit").apply(*words)
 
 
 def test_base_over_another_pair_rejected():
