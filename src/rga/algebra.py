@@ -10,11 +10,10 @@ cross-checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, _reduced
 from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
@@ -47,8 +46,7 @@ class NotInvertible(ValueError):
                          else f"not invertible ({reason})")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Where a law fails: at `at` (an index, a word, a place as text or a
     tuple of them) the two sides `lhs` and `rhs` of the law `law` differ."""
 
@@ -67,8 +65,7 @@ def _text(x) -> str:
     return f"({', '.join(map(_text, x))})" if type(x) is tuple else str(x)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A law checker's answer, made by `verdict_of` alone: true exactly
     when it holds no witness; `checked` is how many law instances the
     checker examined."""
@@ -91,7 +88,7 @@ def verdict_of(instances) -> Verdict:
     witnesses, checked = [], 0
     for checked, instance in enumerate(instances, start=1):
         if instance[2] != instance[3]:
-            witnesses.append(Witness(*instance))
+            witnesses.append(Witness._make(instance))
     return Verdict(tuple(witnesses), checked)
 
 
@@ -557,20 +554,19 @@ def _n2_span(a: Element) -> Subspace:
 # -- subspaces and multiplication operators ---------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple("Subspace", [("label", str), ("basis", tuple)])):
     """An ordered basis of a finite-dimensional subspace.
 
     Basis entries are normal-form words for algebra-built spaces, or plain
-    labels for spaces loaded from files.
+    labels for spaces loaded from files; no entry may repeat.
     """
 
-    label: str
-    basis: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.basis)) != len(self.basis):
-            raise ValueError(f"duplicate basis entries in {self.label}")
+    def __new__(cls, label: str, basis: tuple):
+        if len(set(basis)) != len(basis):
+            raise ValueError(f"duplicate basis entries in {label}")
+        return super().__new__(cls, label, basis)
 
     @property
     def dim(self) -> int:

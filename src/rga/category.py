@@ -12,9 +12,8 @@ psi . psi_(n) . ... . psi = psi at every start point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # `mul` is not called here; perfbench/test_harness.py wraps and reads it
 # as `rga.category.mul`
@@ -40,21 +39,20 @@ class NotAFunctorError(ValueError):
     """The supplied morphism map fails to respect composition."""
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(NamedTuple("LinearMap", [("domain", Subspace),
+                                          ("codomain", Subspace),
+                                          ("matrix", Matrix)])):
     """An exact matrix between based spaces (rows = codomain dim)."""
 
-    domain: Subspace
-    codomain: Subspace
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.nrows != self.codomain.dim \
-                or self.matrix.ncols != self.domain.dim:
+    def __new__(cls, domain: Subspace, codomain: Subspace, matrix: Matrix):
+        if matrix.nrows != codomain.dim or matrix.ncols != domain.dim:
             raise ValueError(
-                f"matrix is {self.matrix.nrows}x{self.matrix.ncols} but "
-                f"{self.codomain.label}<-{self.domain.label} needs "
-                f"{self.codomain.dim}x{self.domain.dim}")
+                f"matrix is {matrix.nrows}x{matrix.ncols} but "
+                f"{codomain.label}<-{domain.label} needs "
+                f"{codomain.dim}x{domain.dim}")
+        return super().__new__(cls, domain, codomain, matrix)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self . other (apply `other` first)."""
@@ -130,8 +128,7 @@ class Cocycle:
             s.label for s in self.spaces + (self.spaces[0],)) + ")"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     at: Subspace
     map: LinearMap
 
@@ -246,8 +243,7 @@ class MatrixFunctor:
         return image
 
 
-@dataclass(frozen=True)
-class FunctorVerdict:
+class FunctorVerdict(NamedTuple):
     composition_ok: bool
     obstruction_preserved: bool
     images_regular: bool  # F(psi_i) . e_{F(X_i)} = F(psi_i) at every i
@@ -450,7 +446,7 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return _expect(obj[key], kind, f"{where}.{key}")
 
 
-def _matrix_from_json(rows, width: int, where: str = "$") -> Matrix:
+def _matrix_from_json(rows, width: int, where: str) -> Matrix:
     """A matrix given as a list of rows of scalar strings; no rows is the
     0 x `width` matrix, the number of columns the document needs."""
     if rows == []:

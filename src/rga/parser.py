@@ -37,7 +37,7 @@ from .wick import CrossSymmetry, WickElement, wick_mul
 class ParseError(ValueError):
     """Syntax error with a character position."""
 
-    def __init__(self, message: str, pos: int, text: str = ""):
+    def __init__(self, message: str, pos: int, text: str):
         self.pos = pos
         self.text = text
         super().__init__(f"{message} at position {pos}")

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import add
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class LetterRangeError(ValueError):
@@ -131,7 +130,7 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Sequence[int] = ()):
+    def __new__(cls, letters: Sequence[int]):
         letters = tuple(letters)
         for x in letters:
             if type(x) is not int:
@@ -207,15 +206,13 @@ EMPTY_WORD = Word(())
 WordOrZero = Union[Word, _ZeroWord]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     pattern: tuple
     replacement: object  # tuple of letters, or ZERO
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     rule_left: str
     rule_right: str
     overlap: Word
@@ -224,8 +221,7 @@ class CriticalPair:
     joinable: bool
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
+class ConfluenceReport(NamedTuple):
     n: int
     critical_pairs: tuple
     locally_confluent: bool

@@ -38,7 +38,7 @@ class Scalar:
 
     __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a=0, b=0):
+    def __init__(self, a, b=0):
         pa, da = _ratio(a)
         pb, db = _ratio(b)
         d = lcm(da, db)

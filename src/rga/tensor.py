@@ -55,8 +55,8 @@ class TensorElement(Combination):
         return tensor_mul(self, other)
 
     @classmethod
-    def single(cls, system, u, v, coeff=ONE):
-        return cls(system, [((u, v), coeff)])
+    def single(cls, system, u, v):
+        return cls(system, [((u, v), ONE)])
 
 
 def tensor_mul(s: TensorElement, t: TensorElement,

@@ -13,9 +13,8 @@ is well-defined only if all peeling routes agree, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
                       verdict_of)
@@ -24,16 +23,21 @@ from .scalar import ONE
 from .tensor import dual_system
 
 
-@dataclass(frozen=True)
-class ConjugatedPair:
-    """The algebra on T1, T2 together with its dagger copy on X1, X2."""
+class ConjugatedPair(NamedTuple("ConjugatedPair",
+                                 [("theta", RewriteSystem),
+                                  ("xi", RewriteSystem)])):
+    """The algebra on T1, T2 together with its dagger copy on X1, X2.
 
-    theta: RewriteSystem = field(default_factory=lambda: RewriteSystem(2))
-    xi: RewriteSystem = field(default_factory=dual_system)
+    The default systems are built once and shared: a RewriteSystem is
+    immutable apart from its product memo."""
 
-    def __post_init__(self):
-        if self.theta.n != 2 or self.xi.n != 2:
+    __slots__ = ()
+
+    def __new__(cls, theta: RewriteSystem = RewriteSystem(2),
+                xi: RewriteSystem = dual_system()):
+        if theta.n != 2 or xi.n != 2:
             raise ValueError("the conjugated pair is built on two generators")
+        return super().__new__(cls, theta, xi)
 
     def dagger(self, a: Element) -> Element:
         """Antilinear anti-isomorphism: reverse words, conjugate scalars.
@@ -57,7 +61,8 @@ class WickElement(Combination):
     """A weighted sum of pairs (T-word, X-word): an element of the
     cross-product carrier A (x) A-dagger.
 
-    Built as `WickElement(pair, terms)`; keys are (theta word, xi word).
+    Built as `WickElement(pair, terms)`; keys are (theta word, xi word),
+    and the pair, the tuple (theta, xi), is its tuple of legs.
     """
 
     __slots__ = ()
@@ -65,9 +70,6 @@ class WickElement(Combination):
     @property
     def pair(self) -> ConjugatedPair:
         return self._context
-
-    def _legs(self) -> tuple:
-        return (self._context.theta, self._context.xi)
 
     @classmethod
     def single(cls, pair, theta_word, xi_word, coeff=ONE):
@@ -89,8 +91,7 @@ class CrossSymmetry:
     """
 
     def __init__(self, pair: ConjugatedPair,
-                 base: Dict[Tuple[int, int], WickElement],
-                 label: str = "custom"):
+                 base: Dict[Tuple[int, int], WickElement], label: str):
         for i in (1, 2):
             for j in (1, 2):
                 if (i, j) not in base:

@@ -195,6 +195,13 @@ def test_terms_cancelling_outside_the_codomain_are_no_escape():
     assert right_mul_matrix(UNIT - E21, d, c) == Matrix([[0]])
 
 
+def test_domain_word_that_rewrites_to_zero_has_a_zero_column():
+    # T1 T1 = 0, so its column is skipped; T1 * T2 = T1T2
+    d = Subspace("d", (Word((1, 1)), Word((2,))))
+    c = Subspace("c", (Word((1, 2)),))
+    assert left_mul_matrix(T1, d, c) == Matrix([[0, 1]])
+
+
 S3 = RewriteSystem(3)
 OPERATOR_SPACES = {
     system.n: [Subspace(f"E{k}", tuple(system.enumerate_normal_forms(k)))

@@ -13,7 +13,7 @@ from rga.category import (ChainTypeError, Cocycle, DegeneratePairingError,
                           check_obstructed_functor, check_regular_cocycle,
                           check_tensor_obstruction, cocycle_from_algebra,
                           cocycle_from_json, cocycle_to_json, dual_cocycle,
-                          obstruction_of, obstruction_order)
+                          module_from_json, obstruction_of, obstruction_order)
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, require_size
 from rga.scalar import Scalar
@@ -168,7 +168,8 @@ def test_doubled_chain_fails_after_composites_of_the_original_were_used():
 def test_chain_type_error():
     x1 = Subspace("X1", ("u",))
     x2 = Subspace("X2", ("v", "w"))
-    with pytest.raises(ChainTypeError):
+    with pytest.raises(ChainTypeError,
+                       match="^map 0 does not end at space 1$"):
         Cocycle([x1, x2], [LinearMap(x1, x1, Matrix([[1]])),
                            LinearMap(x2, x1, Matrix([[1, 0]]))])
 
@@ -210,6 +211,18 @@ def test_cocycle_morphism_violation():
     v = check_cocycle_morphism(bad, c, c)
     assert not v.ok and v.witnesses[0].law == "square"
     assert v.witnesses[0].at in (1, 2)
+
+
+def test_cocycle_morphism_with_distinct_components_on_three_spaces():
+    # each square alpha_{i+1} . psi_i = phi_i . alpha_i holds only with the
+    # component at the codomain of psi_i: 2 = 2 . 1, 4 = 2 . 2, 1 = 4 / 4
+    c = chain([1, 1, 1], lambda: 1)
+    d = Cocycle(c.spaces, [LinearMap(m.domain, m.codomain, Matrix([[x]]))
+                           for m, x in zip(c.maps, (2, 2, Fraction(1, 4)))])
+    alpha = [LinearMap(s, s, Matrix([[x]]))
+             for s, x in zip(c.spaces, (1, 2, 4))]
+    v = check_cocycle_morphism(alpha, c, d)
+    assert v.ok and v.checked == 4
 
 
 def test_swap_conjugation_is_cocycle_morphism():
@@ -473,3 +486,20 @@ def test_json_scalar_entries_exact():
     c2, _ = cocycle_from_json(doc)
     assert c2.maps[0].matrix == m.matrix
     assert doc["maps"][0]["matrix"] == [["1-2*w"]]
+
+
+def test_json_cycle_through_three_spaces():
+    # each map runs from a space to the next one listed
+    doc = {"spaces": [{"name": f"X{i}", "basis": ["u"]} for i in (1, 2, 3)],
+           "maps": [{"from": f"X{i}", "to": f"X{i % 3 + 1}",
+                     "matrix": [["1"]]} for i in (1, 2, 3)]}
+    c, pairings = cocycle_from_json(doc)
+    assert repr(c) == "Cocycle(X1 -> X2 -> X3 -> X1)"
+    assert pairings is None
+
+
+def test_module_document_without_n_is_over_two_generators():
+    action, _, _, system = module_from_json(
+        {"module_dim": 1, "action": {"1": [["1"]]}})
+    assert system.n == 2
+    assert list(action.values()) == [Matrix([[1]])]

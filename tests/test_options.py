@@ -2,11 +2,11 @@
 
 A default is a setting some caller may change, so each one is a concept a
 reader has to keep in mind.  The list below is every (module, function,
-parameter) with a default, found by AST; a dataclass field with a default
-is a parameter of the class's `__init__`.  Change the list only together
-with a CHANGES.md line that names the new option and the two non-test
-callers that need different values; an option that one caller sets, or
-none, is a constant.
+parameter) with a default, found by AST; a field with a default in the
+body of a `NamedTuple` class is a parameter of the class's `__new__`.
+Change the list only together with a CHANGES.md line that names the new
+option and the two non-test callers that need different values; an option
+that one caller sets, or none, is a constant.
 """
 
 import ast
@@ -17,29 +17,23 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 OPTIONS = [
     ("algebra", "Combination.__init__", "terms"),
     ("algebra", "Element.from_word", "coeff"),
-    ("category", "_matrix_from_json", "where"),
     ("category", "cocycle_from_json", "where"),
     ("category", "cocycle_to_json", "pairings"),
     ("cli", "main", "argv"),
-    ("parser", "ParseError.__init__", "text"),
     ("rewrite", "RewriteSystem.__init__", "symbol"),
-    ("rewrite", "Word.__new__", "letters"),
     ("rewrite", "Word.to_text", "symbol"),
     ("rewrite", "require_size", "max_len"),
-    ("scalar", "Scalar.__init__", "a"),
     ("scalar", "Scalar.__init__", "b"),
-    ("tensor", "TensorElement.single", "coeff"),
     ("tensor", "tensor_mul", "signs"),
-    ("wick", "ConjugatedPair.__init__", "theta"),
-    ("wick", "ConjugatedPair.__init__", "xi"),
-    ("wick", "CrossSymmetry.__init__", "label"),
+    ("wick", "ConjugatedPair.__new__", "theta"),
+    ("wick", "ConjugatedPair.__new__", "xi"),
     ("wick", "WickElement.single", "coeff"),
 ]
 
 
 def _defaulted(scope: str, node) -> list:
     """(qualified function name, parameter) for each default under node; a
-    defaulted field of a dataclass is a parameter of its `__init__`."""
+    defaulted field of a `NamedTuple` body is a parameter of its `__new__`."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -50,26 +44,21 @@ def _defaulted(scope: str, node) -> list:
                 k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             function = scope + getattr(child, "name", "<lambda>")
             found += [(function, p.arg) for p in params]
-        if isinstance(child, ast.ClassDef) and _is_dataclass(child):
-            found += [(f"{scope}{child.name}.__init__", f.target.id)
+        if isinstance(child, ast.ClassDef) and _is_named_tuple(child):
+            found += [(f"{scope}{child.name}.__new__", f.target.id)
                       for f in child.body if isinstance(f, ast.AnnAssign)
-                      and f.value is not None and _has_default(f.value)]
+                      and f.value is not None]
         named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                    ast.AsyncFunctionDef))
         found += _defaulted(f"{scope}{child.name}." if named else scope, child)
     return found
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(_name(d) == "dataclass" for d in cls.decorator_list)
-
-
-def _has_default(value) -> bool:
-    """A field value other than `field(...)` without a default is one."""
-    if isinstance(value, ast.Call) and _name(value) == "field":
-        return any(k.arg in ("default", "default_factory")
-                   for k in value.keywords)
-    return True
+def _is_named_tuple(cls: ast.ClassDef) -> bool:
+    """A `class C(NamedTuple)` body declares fields; the functional base
+    `NamedTuple("C", fields)` declares none there."""
+    return any(_name(b) == "NamedTuple" and not isinstance(b, ast.Call)
+               for b in cls.bases)
 
 
 def _name(expr) -> str:

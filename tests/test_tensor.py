@@ -20,7 +20,7 @@ XI = dual_system()
 
 
 def tensor(u, v, coeff=ONE):
-    return TensorElement.single(THETA, u, v, coeff)
+    return TensorElement.single(THETA, u, v).scale(coeff)
 
 
 def test_tensor_mul_componentwise():

@@ -180,7 +180,7 @@ def test_dual_pairing_identity():
 
 def test_coassociativity():
     table = dict(dual_comultiplication(THETA, XI))
-    table[T1] = TensorElement.single(XI, (1,), (), Scalar(2))
+    table[T1] = TensorElement.single(XI, (1,), ()).scale(Scalar(2))
     first_witness(check_coassociativity(table), "coassociativity", "X1")
 
 

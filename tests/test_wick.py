@@ -111,13 +111,13 @@ def test_base_over_another_pair_rejected():
     base = dict(PSI.base)
     base[(1, 2)] = WickElement.single(OTHER, (2,), (1,))
     with pytest.raises(AlgebraMismatchError):
-        CrossSymmetry(PAIR, base)
+        CrossSymmetry(PAIR, base, "custom")
 
 
 def test_incomplete_base_rejected():
     base = {(1, 1): wick((), ())}
     with pytest.raises(IncompleteBaseError):
-        CrossSymmetry(PAIR, base)
+        CrossSymmetry(PAIR, base, "custom")
 
 
 def test_coherence_flip_full():
