@@ -164,9 +164,10 @@ class Combination:
         return EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
 
     def _require_same(self, other: "Combination"):
-        if self._context != other._context:
+        if type(other) is not type(self) or self._context != other._context:
             raise AlgebraMismatchError(
-                f"{self._context!r} vs {other._context!r}")
+                f"{type(self).__name__} over {self._context!r} vs "
+                f"{type(other).__name__} over {other._context!r}")
 
     # -- accessors -----------------------------------------------------------
 
@@ -562,6 +563,8 @@ class Subspace(NamedTuple("Subspace", [("label", str), ("basis", tuple)])):
     """
 
     __slots__ = ()
+    # `_make` and `_replace` build through `__new__`, so they check too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, label: str, basis: tuple):
         if len(set(basis)) != len(basis):

@@ -45,6 +45,8 @@ class LinearMap(NamedTuple("LinearMap", [("domain", Subspace),
     """An exact matrix between based spaces (rows = codomain dim)."""
 
     __slots__ = ()
+    # `_make` and `_replace` build through `__new__`, so they check too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, domain: Subspace, codomain: Subspace, matrix: Matrix):
         if matrix.nrows != codomain.dim or matrix.ncols != domain.dim:

@@ -32,6 +32,8 @@ class ConjugatedPair(NamedTuple("ConjugatedPair",
     immutable apart from its product memo."""
 
     __slots__ = ()
+    # `_make` and `_replace` build through `__new__`, so they check too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, theta: RewriteSystem = RewriteSystem(2),
                 xi: RewriteSystem = dual_system()):
@@ -61,8 +63,7 @@ class WickElement(Combination):
     """A weighted sum of pairs (T-word, X-word): an element of the
     cross-product carrier A (x) A-dagger.
 
-    Built as `WickElement(pair, terms)`; keys are (theta word, xi word),
-    and the pair, the tuple (theta, xi), is its tuple of legs.
+    Built as `WickElement(pair, terms)`; keys are (theta word, xi word).
     """
 
     __slots__ = ()
@@ -70,6 +71,9 @@ class WickElement(Combination):
     @property
     def pair(self) -> ConjugatedPair:
         return self._context
+
+    def _legs(self) -> tuple:
+        return (self._context.theta, self._context.xi)
 
     @classmethod
     def single(cls, pair, theta_word, xi_word, coeff=ONE):

@@ -1,12 +1,9 @@
-"""Hypothesis profiles.  `HYPOTHESIS_PROFILE=derandomized` draws the same
-examples on every run and reads no example database, so a test that fails
-on a deliberately broken copy of the code fails there every time; unset,
-each run draws fresh examples as hypothesis does by default."""
-
-import os
+"""Hypothesis profiles.  `pytest --hypothesis-profile=derandomized` draws
+the same examples on every run and reads no example database, so a test
+that fails on a deliberately broken copy of the code fails there every
+time; without the option each run draws fresh examples as hypothesis does
+by default."""
 
 from hypothesis import settings
 
 settings.register_profile("derandomized", derandomize=True, database=None)
-if "HYPOTHESIS_PROFILE" in os.environ:
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])

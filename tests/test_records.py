@@ -94,7 +94,13 @@ def test_record_repr_names_its_fields(record, text):
      "matrix is 1x1 but Y<-X needs 2x1"),
     (lambda: ConjugatedPair(RewriteSystem(3)),
      "the conjugated pair is built on two generators"),
-], ids=["Subspace", "LinearMap", "ConjugatedPair"])
+    (lambda: Subspace._make(("X", ("u", "u"))), "duplicate basis entries in X"),
+    (lambda: M._replace(matrix=Matrix([[1, 2]])),
+     "matrix is 1x2 but X<-X needs 1x1"),
+    (lambda: ConjugatedPair()._replace(xi=RewriteSystem(3)),
+     "the conjugated pair is built on two generators"),
+], ids=["Subspace", "LinearMap", "ConjugatedPair", "Subspace._make",
+        "LinearMap._replace", "ConjugatedPair._replace"])
 def test_validating_records_refuse_with_their_message(build, message):
     with pytest.raises(ValueError) as err:
         build()

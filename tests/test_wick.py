@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from rga.algebra import AlgebraMismatchError, Element, mul, obstruction
+from rga.algebra import (AlgebraMismatchError, Combination, Element, mul,
+                         obstruction)
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
 from rga.wick import (ConjugatedPair, CrossSymmetry, IncompleteBaseError,
@@ -112,6 +113,18 @@ def test_base_over_another_pair_rejected():
     base[(1, 2)] = WickElement.single(OTHER, (2,), (1,))
     with pytest.raises(AlgebraMismatchError):
         CrossSymmetry(PAIR, base, "custom")
+
+
+def test_bare_combination_over_the_pair_rejected():
+    # a bare Combination over (theta, xi) has the pair's fields as its
+    # context, but it is not a WickElement
+    base = dict(PSI.base)
+    base[(1, 2)] = Combination((PAIR.theta, PAIR.xi), [((Word((2,)),
+                                                          Word((1,))), ONE)])
+    with pytest.raises(AlgebraMismatchError):
+        CrossSymmetry(PAIR, base, "custom")
+    with pytest.raises(AlgebraMismatchError):
+        wick_mul(wick((1,), ()), base[(1, 2)], PSI)
 
 
 def test_incomplete_base_rejected():
