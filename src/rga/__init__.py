@@ -3,7 +3,7 @@ forms, closed-form two-generator operations, obstructed categories with
 duality, the transported coalgebra structure, and Wick cross products,
 all over the exact field Q(w)."""
 
-from .algebra import (AlgebraMismatchError, Element, NotInvertible,
+from .algebra import (THETA, AlgebraMismatchError, Element, NotInvertible,
                       SpanEscapeError, Subspace, Verdict, Witness, annihilator,
                       check_representation, decompose,
                       find_idempotent_obstructions, grading_check, invert,
@@ -24,10 +24,10 @@ from .parser import (ParseError, parse_element, parse_scalar, parse_tensor,
 from .rewrite import (EMPTY_WORD, ZERO, ConfluenceReport, RewriteSystem,
                       Word)
 from .scalar import OMEGA, OMEGA2, ONE, Scalar
-from .tensor import (TensorElement, check_almost_bialgebra,
+from .tensor import (XI, TensorElement, check_almost_bialgebra,
                      check_coassociativity, check_regular_module,
-                     dual_comultiplication, dual_system, element_tensor,
-                     pair, pair_tensor, pairing_matrix, tensor_mul)
+                     dual_comultiplication, element_tensor, pair,
+                     pair_tensor, pairing_matrix, tensor_mul)
 from .wick import (ConjugatedPair, CrossSymmetry, WickElement,
                    check_coherence, check_regular_cross_symmetry, wick_mul,
                    wick_mul_regular)

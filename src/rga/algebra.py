@@ -1,9 +1,9 @@
 """Exact elements of the regular graded algebra RGA(n).
 
-An element is a finite Q(w)-weighted sum of normal-form words.  For n=2
-the whole algebra is five-dimensional with basis 1, T1, T2, T1T2, T2T1
-and the closed-form operations (componentwise product, inverse with
-denominator D, obstruction map, obstruction product, idempotent
+An element is a finite Q(w)-weighted sum of normal-form words.  For n=2,
+the system THETA, the algebra is five-dimensional with basis 1, T1, T2,
+T1T2, T2T1 and the closed-form operations (componentwise product, inverse
+with denominator D, obstruction map, obstruction product, idempotent
 obstructions) live here alongside the generic rewriting product they are
 cross-checked against.
 """
@@ -177,12 +177,13 @@ class Combination:
                        for k, (p, q) in self._num.items()), key=_term_order)
 
     def coeff(self, *words) -> Scalar:
-        """The coefficient of the key made of `words`, one per leg."""
-        if len(words) != len(self._legs()):
+        """The coefficient of the key made of `words`, one per leg, put in
+        normal form as the constructor does (0 when a leg rewrites to 0)."""
+        legs = self._legs()
+        if len(words) != len(legs):
             raise ValueError(f"expected one word per leg, got {len(words)}")
-        key = tuple(w if isinstance(w, Word) else Word(w) for w in words)
-        return _make(*self._num.get(key[0] if len(key) == 1 else key, (0, 0)),
-                     self._d)
+        key = _normal_key(legs, words[0] if len(legs) == 1 else words)
+        return _make(*self._num.get(key, (0, 0)), self._d)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -444,6 +445,8 @@ class Element(Combination):
 
 N2_BASIS = (EMPTY_WORD, Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)))
 
+THETA = RewriteSystem(2)  # the algebra on T1, T2; callers share its memo
+
 
 def term_body(mag: Scalar, two_part: bool, w: Word, symbol: str) -> str:
     """Canonical unsigned rendering of mag * w, mag with two parts or not."""
@@ -584,12 +587,16 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
                 left: bool) -> Matrix:
     """The matrix of x -> a*x (or x*a) over a._d: each of a's terms, times
     the normal form of a domain word, is added straight into that word's
-    column.  The summed image must vanish outside the codomain; a term
-    that cancels there is no escape."""
+    column, at the row of the codomain word with the same normal form.
+    The summed image must vanish outside the codomain; a term that
+    cancels there is no escape."""
     system = a.system
     product = system.product
     words = [system.normal_form(w) for w in domain.basis]
-    index = {w: i for i, w in enumerate(codomain.basis)}
+    index = {system.normal_form(w): i for i, w in enumerate(codomain.basis)}
+    if ZERO in index or len(index) < codomain.dim:
+        raise ValueError(f"codomain {codomain.label} has a word that "
+                         "rewrites to 0 or to another one's normal form")
     P, Q = ([[0] * domain.dim for _ in codomain.basis] for _ in "PQ")
     for j, (w, v) in enumerate(zip(domain.basis, words)):
         if v is ZERO:
@@ -612,9 +619,9 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
 
 def left_mul_matrix(a: Element, domain: Subspace,
                     codomain: Subspace) -> Matrix:
-    """Matrix of x -> a*x from the domain basis to the codomain basis; a
-    summed image with a nonzero coefficient outside the codomain raises
-    SpanEscapeError."""
+    """Matrix of x -> a*x from the domain basis to the codomain basis, both
+    read in normal form; a summed image with a nonzero coefficient outside
+    the codomain raises SpanEscapeError."""
     return _mul_matrix(a, domain, codomain, left=True)
 
 
@@ -713,8 +720,8 @@ def obstructed_product(a: Element, b: Element) -> Element:
     return c
 
 
-def find_idempotent_obstructions(system: RewriteSystem) -> list:
-    """All idempotents of the form 1 + T1 + T2 + g T1T2 + d T2T1.
+def find_idempotent_obstructions() -> list:
+    """All idempotents of THETA of the form 1 + T1 + T2 + g T1T2 + d T2T1.
 
     Exact elimination on e*e = e over the affine family
     1 + x T1 + y T2 + g T1T2 + d T2T1 gives, for x = y = 1,
@@ -722,14 +729,12 @@ def find_idempotent_obstructions(system: RewriteSystem) -> list:
     w**2 (monic quadratics over a field have no further roots).  Each
     candidate is verified by multiplication before being returned.
     """
-    if system.n != 2:
-        raise ValueError("idempotent obstructions require n=2")
     out = []
     for g in (OMEGA, OMEGA2):
         if not (g * g + g + ONE).is_zero():
             raise SelfCheckError(f"{g} is not a root of g**2 + g + 1")
         d = -(ONE + g)
-        e = Element.from_coeffs(system, (ONE, ONE, ONE, g, d))
+        e = Element.from_coeffs(THETA, (ONE, ONE, ONE, g, d))
         if mul(e, e) != e:
             raise SelfCheckError("candidate failed the idempotency check")
         out.append(e)

@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 
-from .algebra import (NotInvertible, annihilator, decompose,
+from .algebra import (THETA, NotInvertible, annihilator, decompose,
                       find_idempotent_obstructions, invert, obstruction)
 from .category import (DocumentError, check_duality_identity,
                        check_obstructed_functor, check_regular_cocycle,
@@ -34,7 +34,7 @@ from .rewrite import RewriteSystem, SizeLimitError, ZERO, require_size
 from .reports import comultiplication_lines, write_all
 from .tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS,
                      bialgebra_candidates, check_almost_bialgebra,
-                     check_regular_module, dual_comultiplication, dual_system)
+                     check_regular_module, dual_comultiplication)
 from .wick import (ConjugatedPair, CrossSymmetry, check_coherence,
                    order_coherent)
 
@@ -111,7 +111,7 @@ def _nf(args) -> int:
 
 def _invert(args) -> int:
     try:
-        print(invert(parse_element(args.expr, RewriteSystem(2))))
+        print(invert(parse_element(args.expr, THETA)))
         return 0
     except NotInvertible as exc:
         print(f"error: {exc}")
@@ -119,18 +119,18 @@ def _invert(args) -> int:
 
 
 def _annihilate(args) -> int:
-    basis = annihilator(parse_element(args.expr, RewriteSystem(2)), args.side)
+    basis = annihilator(parse_element(args.expr, THETA), args.side)
     print("\n".join(map(str, basis)) or "0")
     return 0
 
 
 def _obstruction(args) -> int:
-    print(obstruction(parse_element(args.expr, RewriteSystem(2))))
+    print(obstruction(parse_element(args.expr, THETA)))
     return 0
 
 
 def _idempotents(args) -> int:
-    print(*find_idempotent_obstructions(RewriteSystem(2)), sep="\n")
+    print(*find_idempotent_obstructions(), sep="\n")
     return 0
 
 
@@ -173,8 +173,7 @@ def _check_functor(args) -> int:
 
 
 def _check_bialgebra(args) -> int:
-    gens = bialgebra_candidates(RewriteSystem(2))[
-        f"e1={args.evacuum},e2={args.evacuum}"]
+    gens = bialgebra_candidates()[f"e1={args.evacuum},e2={args.evacuum}"]
     verdict = check_almost_bialgebra(gens, args.signs)
     failed = {w.law for w in verdict.witnesses}
     for law in BIALGEBRA_RELATIONS:
@@ -212,7 +211,7 @@ def _wick_coherence(args) -> int:
 
 
 def _dual_delta(args) -> int:
-    table = dual_comultiplication(RewriteSystem(2), dual_system())
+    table = dual_comultiplication()
     print(*comultiplication_lines(table), sep="\n")
     return 0
 

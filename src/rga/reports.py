@@ -14,16 +14,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .algebra import (Element, N2_BASIS, check_representation, grading_check,
-                      left_mul_matrix, mul, obstruction, annihilator,
-                      Subspace)
+from .algebra import (THETA, Element, N2_BASIS, check_representation,
+                      grading_check, left_mul_matrix, mul, obstruction,
+                      annihilator, Subspace)
 from .category import cocycle_from_algebra, check_regular_cocycle
 from .rewrite import ZERO, RewriteSystem
 from .tensor import (BIALGEBRA_RELATIONS, bialgebra_candidates,
                      check_almost_bialgebra, check_coalgebra_obstruction,
                      check_coassociativity, check_dual_pairing_identity,
                      check_regular_module, dual_comultiplication,
-                     dual_system, SIGN_CONVENTIONS)
+                     SIGN_CONVENTIONS)
 from .wick import (ConjugatedPair, CrossSymmetry, WickElement,
                    check_coherence, check_regular_cross_symmetry,
                    order_coherent, wick_mul_regular)
@@ -122,13 +122,12 @@ def grading_report() -> str:
 
 
 def zero_divisor_report() -> str:
-    sys = RewriteSystem(2)
-    b = Element.from_coeffs(sys, (1, -1, -1, 0, 0))
+    b = Element.from_coeffs(THETA, (1, -1, -1, 0, 0))
     samples = [
-        ("1", Element.unit(sys)),
-        ("generic", Element.from_coeffs(sys, (1, 2, 3, 5, 7))),
-        ("T1", Element.generator(sys, 1)),
-        ("a0=0 family", Element.from_coeffs(sys, (0, 1, 1, 1, 1))),
+        ("1", Element.unit(THETA)),
+        ("generic", Element.from_coeffs(THETA, (1, 2, 3, 5, 7))),
+        ("T1", Element.generator(THETA, 1)),
+        ("a0=0 family", Element.from_coeffs(THETA, (0, 1, 1, 1, 1))),
     ]
     lines = ["claimed universal zero divisor b = 1 - T1 - T2", "",
              f"b = {b}", ""]
@@ -148,7 +147,7 @@ def zero_divisor_report() -> str:
     lines.append(f"right annihilator of the generic sample "
                  f"(a0, D nonzero): dimension "
                  f"{len(annihilator(generic, 'right'))}")
-    t1 = Element.generator(sys, 1)
+    t1 = Element.generator(THETA, 1)
     ann = annihilator(t1, "right")
     lines.append("right annihilator of T1:")
     for e in ann:
@@ -158,7 +157,6 @@ def zero_divisor_report() -> str:
 
 
 def bialgebra_report() -> str:
-    sys = RewriteSystem(2)
     lines = ["multiplicative consistency of Delta(T_i) = "
              "T_i (x) e_i + e_i (x) T_i", "",
              "relations checked: Delta(T1)^2 = 0, Delta(T2)^2 = 0,",
@@ -166,7 +164,7 @@ def bialgebra_report() -> str:
     header = (f"{'candidate':<18} {'signs':<7} {'sq1':<5} {'sq2':<5} "
               f"{'121':<5} {'212':<5} ok")
     lines.append(header)
-    for name, gens in bialgebra_candidates(sys).items():
+    for name, gens in bialgebra_candidates().items():
         for signs in SIGN_CONVENTIONS:
             verdict = check_almost_bialgebra(gens, signs)
             failed = {w.law for w in verdict.witnesses}
@@ -217,16 +215,14 @@ def comultiplication_lines(table) -> list:
 
 
 def dual_comultiplication_report() -> str:
-    theta = RewriteSystem(2)
-    xi = dual_system()
-    table = dual_comultiplication(theta, xi)
+    table = dual_comultiplication()
     lines = ["comultiplication transported through the reversal pairing", "",
              *comultiplication_lines(table)]
     lines.append("")
     lines.append(f"coassociative: "
                  f"{str(check_coassociativity(table).ok).lower()}")
     for conv in ("straight", "flip"):
-        ok = check_dual_pairing_identity(table, theta, conv).ok
+        ok = check_dual_pairing_identity(table, conv).ok
         lines.append(f"pairing transport identity "
                      f"<Delta(w), u (x) v> = <w, uv> [{conv}]: "
                      f"{str(ok).lower()}")

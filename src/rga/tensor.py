@@ -1,6 +1,7 @@
-"""Tensor squares of the two-generator algebra, the word-reversal duality
-pairing, the dual algebra on X-generators, and the checkers for the
-coalgebra / almost-bialgebra / module conditions.
+"""Tensor squares of the two-generator algebra THETA, its dual algebra XI
+on X-generators, the word-reversal duality pairing between them, the
+comultiplication it transports to XI, and the checkers for the coalgebra /
+almost-bialgebra / module conditions.
 
 A tensor is keyed by its algebra alone.  The sign rule belongs to the
 product: `tensor_mul(s, t, signs)` multiplies legs independently under
@@ -17,7 +18,7 @@ from typing import Callable, Dict
 
 from math import lcm
 
-from .algebra import (Combination, Element, Verdict, _lifted,
+from .algebra import (THETA, Combination, Element, Verdict, _lifted,
                       linear_combination, obstruction, verdict_of)
 from .linalg import Matrix
 from .rewrite import ZERO, RewriteSystem, Word
@@ -26,14 +27,13 @@ from .scalar import ONE, ZERO_SCALAR, Scalar, _make, _times
 SIGN_CONVENTIONS = ("plain", "koszul")
 
 
-def dual_system() -> RewriteSystem:
-    """The dual two-generator algebra on X1, X2.
+XI = RewriteSystem(2, symbol="X")
+"""The dual two-generator algebra on X1, X2, built once.
 
-    It satisfies the same square-zero and cyclic relations as the base
-    algebra (the symmetric form X1 X2 X1 = X1; the variant X1 X2 X2 = X1
-    would contradict X2**2 = 0 and is rejected as a typo).
-    """
-    return RewriteSystem(2, symbol="X")
+It satisfies the same square-zero and cyclic relations as THETA (the
+symmetric form X1 X2 X1 = X1; the variant X1 X2 X2 = X1 would contradict
+X2**2 = 0 and is rejected as a typo).
+"""
 
 
 class TensorElement(Combination):
@@ -137,30 +137,30 @@ def _paired(xi: Combination, a: Combination, partner) -> Scalar:
     return _make(p, q, xi._d * a._d)
 
 
-def pairing_matrix(xi_sys: RewriteSystem, theta_sys: RewriteSystem) -> Matrix:
-    """Gram matrix of the pairing on the (length, lex) ordered bases of
-    degree <= 2."""
-    xis = xi_sys.enumerate_normal_forms(2)
-    thetas = theta_sys.enumerate_normal_forms(2)
+def pairing_matrix() -> Matrix:
+    """Gram matrix of the pairing of XI with THETA on the (length, lex)
+    ordered bases of degree <= 2."""
+    xis = XI.enumerate_normal_forms(2)
+    thetas = THETA.enumerate_normal_forms(2)
     return Matrix([[pair_words(x, t) for t in thetas] for x in xis])
 
 
 # -- dual comultiplication ----------------------------------------------------
 
 
-def dual_comultiplication(theta_sys: RewriteSystem,
-                          xi_sys: RewriteSystem) -> Dict[Word, TensorElement]:
-    """Transport the product through the pairing to a comultiplication.
+def dual_comultiplication() -> Dict[Word, TensorElement]:
+    """Transport THETA's product through the pairing to a comultiplication
+    on XI.
 
     For each X-basis word w of degree <= 2, Delta(w) sums <w, u*v> *
     (u-dual (x) v-dual) over all T-basis pairs, with u-dual the reversed
     word on the X side.
     """
-    thetas = theta_sys.enumerate_normal_forms(2)
-    return {w: TensorElement(xi_sys, (
+    thetas = THETA.enumerate_normal_forms(2)
+    return {w: TensorElement(XI, (
         ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
-        if theta_sys.product(u, v) == w.reverse()))
-        for w in xi_sys.enumerate_normal_forms(2)}
+        if THETA.product(u, v) == w.reverse()))
+        for w in XI.enumerate_normal_forms(2)}
 
 
 def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
@@ -171,19 +171,18 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
     return linear_combination((s, table[w]) for w, s in e.terms())
 
 
-def check_dual_pairing_identity(table, theta_sys,
-                                convention: str) -> Verdict:
-    """Re-verify <Delta(w), u (x) v> = <w, u*v> on all basis triples of
-    degree <= 2, pairing the tensor legs by `convention` (see
+def check_dual_pairing_identity(table, convention: str) -> Verdict:
+    """Re-verify <Delta(w), u (x) v> = <w, u*v> on all THETA basis triples
+    of degree <= 2, pairing the tensor legs by `convention` (see
     `pair_tensor`)."""
-    return verdict_of(_pairing_laws(table, theta_sys, convention))
+    return verdict_of(_pairing_laws(table, convention))
 
 
-def _pairing_laws(table, theta_sys: RewriteSystem, convention: str):
-    thetas = theta_sys.enumerate_normal_forms(2)
+def _pairing_laws(table, convention: str):
+    thetas = THETA.enumerate_normal_forms(2)
     # each pair u (x) v as text, as a tensor and multiplied out
-    targets = [(f"{u} (x) {v}", TensorElement.single(theta_sys, u, v),
-                theta_sys.product(u, v)) for u in thetas for v in thetas]
+    targets = [(f"{u} (x) {v}", TensorElement.single(THETA, u, v),
+                THETA.product(u, v)) for u in thetas for v in thetas]
     for w, delta_w in table.items():
         name = w.to_text(delta_w.system.symbol)
         for text, target, uv in targets:
@@ -253,20 +252,20 @@ def check_almost_bialgebra(delta_gens: Dict[int, TensorElement],
                       for law, (lhs, rhs) in zip(BIALGEBRA_RELATIONS, sides))
 
 
-def bialgebra_candidates(system: RewriteSystem) -> Dict[str, Dict[int, TensorElement]]:
-    """The four readings of Delta(T_i) = T_i (x) e_i + e_i (x) T_i.
+def bialgebra_candidates() -> Dict[str, Dict[int, TensorElement]]:
+    """The four readings of Delta(T_i) = T_i (x) e_i + e_i (x) T_i on THETA.
 
     e_1 is either the unit or T1T2, e_2 either the unit or T2T1; the
     candidate name records the choice as unit/idem per generator.
     """
-    unit = Element.unit(system)
-    e12 = Element.from_word(system, Word((1, 2)))
-    e21 = Element.from_word(system, Word((2, 1)))
+    unit = Element.unit(THETA)
+    e12 = Element.from_word(THETA, Word((1, 2)))
+    e21 = Element.from_word(THETA, Word((2, 1)))
     out = {}
     for name1, e1 in (("unit", unit), ("idem", e12)):
         for name2, e2 in (("unit", unit), ("idem", e21)):
-            t1 = Element.generator(system, 1)
-            t2 = Element.generator(system, 2)
+            t1 = Element.generator(THETA, 1)
+            t2 = Element.generator(THETA, 2)
             out[f"e1={name1},e2={name2}"] = {
                 1: element_tensor(t1, e1) + element_tensor(e1, t1),
                 2: element_tensor(t2, e2) + element_tensor(e2, t2),

@@ -1,45 +1,39 @@
-"""Conjugated algebra pairs, cross symmetries and the Hermitian Wick
+"""The conjugated algebra pair, cross symmetries and the Hermitian Wick
 cross product.
 
-The base algebra on T-generators and its dagger copy on X-generators are
-exchanged by an antilinear anti-isomorphism (word reversal plus w -> w**2
-on scalars).  A cross symmetry maps X-side (x) T-side to T-side (x) X-side
-and extends from its values on generator pairs through two coherence laws:
-peeling the last T-letter routes the remaining X-part further right,
-peeling the last X-letter routes the T-part further left.  The extension
-is well-defined only if all peeling routes agree, which
+There is one pair: the base algebra THETA on T1, T2 and its dagger copy
+XI on X1, X2, exchanged by an antilinear anti-isomorphism (word reversal
+plus w -> w**2 on scalars).  A cross symmetry maps X-side (x) T-side to
+T-side (x) X-side and extends from its values on generator pairs through
+two coherence laws: peeling the last T-letter routes the remaining X-part
+further right, peeling the last X-letter routes the T-part further left.
+The extension is well-defined only if all peeling routes agree, which
 `check_coherence` decides exhaustively up to a degree bound.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, Tuple
 
-from .algebra import (AlgebraMismatchError, Combination, Element, Verdict,
-                      verdict_of)
-from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, Word
+from .algebra import THETA, Combination, Element, Verdict, verdict_of
+from .rewrite import EMPTY_WORD, ZERO, Word
 from .scalar import ONE
-from .tensor import dual_system
+from .tensor import XI
 
 
-class ConjugatedPair(NamedTuple("ConjugatedPair",
-                                 [("theta", RewriteSystem),
-                                  ("xi", RewriteSystem)])):
-    """The algebra on T1, T2 together with its dagger copy on X1, X2.
-
-    The default systems are built once and shared: a RewriteSystem is
-    immutable apart from its product memo."""
+class ConjugatedPair:
+    """The algebra THETA on T1, T2 together with its dagger copy XI on X1,
+    X2.  There is one pair: every call returns the same immutable object."""
 
     __slots__ = ()
-    # `_make` and `_replace` build through `__new__`, so they check too
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    theta, xi = THETA, XI
 
-    def __new__(cls, theta: RewriteSystem = RewriteSystem(2),
-                xi: RewriteSystem = dual_system()):
-        if theta.n != 2 or xi.n != 2:
-            raise ValueError("the conjugated pair is built on two generators")
-        return super().__new__(cls, theta, xi)
+    def __new__(cls):
+        return _PAIR
+
+    def __repr__(self):
+        return "ConjugatedPair()"
 
     def dagger(self, a: Element) -> Element:
         """Antilinear anti-isomorphism: reverse words, conjugate scalars.
@@ -57,6 +51,9 @@ class ConjugatedPair(NamedTuple("ConjugatedPair",
         # reversed words stay normal; w -> w**2 maps p + qw to p - q - qw
         return Element._new(target, {
             w.reverse(): (p - q, -q) for w, (p, q) in a._num.items()}, a._d)
+
+
+_PAIR = object.__new__(ConjugatedPair)
 
 
 class WickElement(Combination):
@@ -258,8 +255,6 @@ def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     run `check_coherence` first when in doubt.
     """
     x._require_same(y)
-    if psi.pair != x.pair:
-        raise AlgebraMismatchError(f"psi over {psi.pair!r} vs {x.pair!r}")
     return _routed(psi, x, _grouped(x, 1), _grouped(y, 0), x._d * y._d)
 
 

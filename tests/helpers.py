@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from rga.algebra import Element
+from rga.algebra import Combination, Element
 from rga.scalar import Scalar
 from rga.tensor import TensorElement
 from rga.wick import WickElement
@@ -127,6 +127,19 @@ def tensor_map_reference(delta_w, xi_sys, e):
         terms += [((a, b), (s, x, y)) for a, x in eu.terms()
                   for b, y in ev.terms()]
     return TensorElement(xi_sys, summed_reference((xi_sys,) * 2, terms))
+
+
+def coassociativity_sides_reference(table, w):
+    """(Delta (x) id) Delta(w) and (id (x) Delta) Delta(w), summed term by
+    term: the two sides of the coassociativity law at w."""
+    delta_w = table[w]
+    legs = (delta_w.system,) * 3
+    left = [((p, q, v), (s, t)) for (u, v), s in delta_w.terms()
+            for (p, q), t in table[u].terms()]
+    right = [((u, p, q), (s, t)) for (u, v), s in delta_w.terms()
+             for (p, q), t in table[v].terms()]
+    return (Combination(legs, summed_reference(legs, left)),
+            Combination(legs, summed_reference(legs, right)))
 
 
 def scalar_text_reference(s):

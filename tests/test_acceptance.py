@@ -78,7 +78,7 @@ def test_criterion_03_inverse():
 
 
 def test_criterion_04_idempotent_obstructions():
-    got = find_idempotent_obstructions(S2)
+    got = find_idempotent_obstructions()
     want = {Element.from_coeffs(S2, (ONE, ONE, ONE, OMEGA, OMEGA2)),
             Element.from_coeffs(S2, (ONE, ONE, ONE, OMEGA2, OMEGA))}
     assert set(got) == want and len(got) == 2

@@ -202,6 +202,15 @@ def test_domain_word_that_rewrites_to_zero_has_a_zero_column():
     assert left_mul_matrix(T1, d, c) == Matrix([[0, 1]])
 
 
+def test_codomain_words_are_read_in_normal_form():
+    # T1 T2 T1 T2 = T1 T2, which is T1 * T2 and also T1 T2 T1 * T2
+    c = Subspace("c", (Word((1, 2, 1, 2)),))
+    assert left_mul_matrix(T1, Subspace("d", (Word((2,)),)), c) == \
+        Matrix([[1]])
+    assert right_mul_matrix(T2, Subspace("d", (Word((1, 2, 1)),)), c) == \
+        Matrix([[1]])
+
+
 S3 = RewriteSystem(3)
 OPERATOR_SPACES = {
     system.n: [Subspace(f"E{k}", tuple(system.enumerate_normal_forms(k)))
@@ -328,7 +337,7 @@ def test_obstructed_product_intertwines():
 
 
 def test_idempotent_obstructions():
-    got = find_idempotent_obstructions(S2)
+    got = find_idempotent_obstructions()
     assert len(got) == 2
     first = Element.from_coeffs(S2, (ONE, ONE, ONE, OMEGA, OMEGA2))
     second = Element.from_coeffs(S2, (ONE, ONE, ONE, OMEGA2, OMEGA))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rga.algebra import AlgebraMismatchError, Element, linear_combination
 from rga.parser import parse_element, parse_tensor, parse_wick
-from rga.rewrite import LetterRangeError, RewriteSystem
+from rga.rewrite import ZERO, LetterRangeError, RewriteSystem
 from rga.scalar import Scalar
 from rga.tensor import TensorElement, element_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
@@ -126,6 +126,24 @@ def test_coeff_needs_one_word_per_leg(case):
                 x.coeff(*[()] * count)
     for key, s in x.terms():
         assert x.coeff(*((key,) if legs == 1 else key)) == s
+
+
+# raw words for `coeff`, one per leg of each kind
+RAW_KEYS = {"element-n2": st.tuples(words(2)),
+            "element-n3": st.tuples(words(3)),
+            "tensor": st.tuples(words(2), words(2)),
+            "wick": st.tuples(words(2), words(2))}
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINDS)).flatmap(
+    lambda kind: st.tuples(KINDS[kind][0], RAW_KEYS[kind])))
+@example((Element(S2, {(1,): 5}), ((1, 2, 1),)))  # T1 T2 T1 = T1
+@example((WickElement(PAIR, {((1,), (2,)): 3}), ((1, 2, 1), (2, 1, 2))))
+def test_coeff_reads_a_raw_key_at_its_normal_form(case):
+    x, raw = case
+    normal = [leg.normal_form(w) for leg, w in zip(x._legs(), raw)]
+    assert x.coeff(*raw) == (0 if ZERO in normal else x.coeff(*normal))
 
 
 # `from_word` is the constructor on one term: raw words (those with two

@@ -25,8 +25,6 @@ OPTIONS = [
     ("rewrite", "require_size", "max_len"),
     ("scalar", "Scalar.__init__", "b"),
     ("tensor", "tensor_mul", "signs"),
-    ("wick", "ConjugatedPair.__new__", "theta"),
-    ("wick", "ConjugatedPair.__new__", "xi"),
     ("wick", "WickElement.single", "coeff"),
 ]
 

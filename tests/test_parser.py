@@ -10,7 +10,7 @@ from rga.parser import (MAX_NESTING, ParseError, parse_element, parse_scalar,
                         parse_tensor, parse_wick, parse_word_letters)
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import ONE, Scalar
-from rga.tensor import TensorElement, dual_system, tensor_mul
+from rga.tensor import XI, TensorElement, tensor_mul
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
 from helpers import nested, rand_element, rand_scalar
@@ -73,7 +73,7 @@ def test_element_round_trip_1000():
 
 def test_element_round_trip_other_systems():
     rng = Random(63)
-    for system in (dual_system(), RewriteSystem(3)):
+    for system in (XI, RewriteSystem(3)):
         for _ in range(300):
             e = rand_element(rng, system)
             assert parse_element(str(e), system) == e

@@ -3,7 +3,8 @@ products they replaced (kept in `helpers` as oracles), and the guards
 that keep one path for products: no module but `rga.rewrite` concatenates
 two words' letters or reads `.letters` at all (a word is a tuple, so `u + v`
 needs no attribute and only the product memo should form it), and
-`+ - scale neg` and `apply_delta` never call `normal_form`.
+`+ - scale neg` and `apply_delta` never call `normal_form`; an operator
+matrix calls it once per basis word and once per product the memo misses.
 """
 
 import ast
@@ -14,13 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.algebra import Element, mul
+from rga.algebra import Element, Subspace, left_mul_matrix, mul
 from rga.rewrite import RewriteSystem
 from rga.scalar import Scalar
-from rga.tensor import TensorElement, apply_delta, tensor_mul
+from rga.tensor import (XI, TensorElement, _coassociativity_laws, apply_delta,
+                        tensor_mul)
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement, wick_mul
 
-from helpers import (mul_reference, peel_theta_reference, peel_xi_reference,
+from helpers import (coassociativity_sides_reference, mul_reference,
+                     peel_theta_reference, peel_xi_reference,
                      summed_reference, tensor_mul_reference,
                      wick_mul_reference)
 
@@ -94,6 +97,23 @@ def test_peeling_matches_concatenation(label):
                     peel_xi_reference(psi, a, b, c)
 
 
+XI_BASIS = XI.enumerate_normal_forms(2)
+# a table over every XI word of degree <= 2, each value with Q(w) terms
+tables = st.lists(terms(st.tuples(st.sampled_from(XI_BASIS),
+                                  st.sampled_from(XI_BASIS))),
+                  min_size=len(XI_BASIS), max_size=len(XI_BASIS)).map(
+    lambda values: {w: TensorElement(XI, ts)
+                    for w, ts in zip(XI_BASIS, values)})
+
+
+@PROPS
+@given(tables)
+def test_coassociativity_sides_match_concatenation(table):
+    for law, at, lhs, rhs in _coassociativity_laws(table):
+        w = next(w for w in table if w.to_text("X") == at)
+        assert (lhs, rhs) == coassociativity_sides_reference(table, w)
+
+
 def _concatenations(tree):
     """Lines of `<expr>.letters + <expr>.letters` in `tree`."""
     return [node.lineno for node in ast.walk(tree)
@@ -162,6 +182,17 @@ def test_apply_delta_skips_normal_form(t, e):
     assert applied == TensorElement(S2, summed_reference(
         (S2, S2), ((k, (s, c)) for w, s in e.terms()
                    for k, c in table[w].terms())))
+
+
+def test_operator_reads_each_basis_word_once_in_normal_form():
+    # a fresh system: its product memo is cold, so every product misses once
+    system = RewriteSystem(2)
+    a = Element.generator(system, 1)
+    space = Subspace("A", tuple(system.enumerate_normal_forms(2)))
+    for misses in (space.dim, 0):
+        with normal_form_calls() as calls:
+            left_mul_matrix(a, space, space)
+        assert len(calls) == 2 * space.dim + misses
 
 
 @contextmanager

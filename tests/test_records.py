@@ -1,5 +1,5 @@
 """The package's value records are `typing.NamedTuple`s: immutable, slotted,
-printed as `Name(field=value, ...)`, and the three that validate refuse bad
+printed as `Name(field=value, ...)`, and the two that validate refuse bad
 fields with their own messages.  No module imports `dataclasses`, so a
 fresh `rga` process loads neither it nor `inspect`."""
 
@@ -14,9 +14,7 @@ import pytest
 from rga.algebra import Subspace, Verdict, Witness
 from rga.category import FunctorVerdict, LinearMap, Obstruction
 from rga.linalg import Matrix
-from rga.rewrite import (ZERO, ConfluenceReport, CriticalPair, RewriteSystem,
-                         Rule, Word)
-from rga.wick import ConjugatedPair
+from rga.rewrite import ZERO, ConfluenceReport, CriticalPair, Rule, Word
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rga"
@@ -42,9 +40,6 @@ RECORDS = [
      "left_reduct=ZERO, right_reduct=Word([1]), joinable=False)"),
     (ConfluenceReport(2, (), True),
      "ConfluenceReport(n=2, critical_pairs=(), locally_confluent=True)"),
-    (ConjugatedPair(),
-     "ConjugatedPair(theta=RewriteSystem(n=2, symbol='T'), "
-     "xi=RewriteSystem(n=2, symbol='X'))"),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
 
@@ -92,15 +87,10 @@ def test_record_repr_names_its_fields(record, text):
     (lambda: Subspace("X", ("u", "u")), "duplicate basis entries in X"),
     (lambda: LinearMap(X, Subspace("Y", ("p", "q")), Matrix([[1]])),
      "matrix is 1x1 but Y<-X needs 2x1"),
-    (lambda: ConjugatedPair(RewriteSystem(3)),
-     "the conjugated pair is built on two generators"),
     (lambda: Subspace._make(("X", ("u", "u"))), "duplicate basis entries in X"),
     (lambda: M._replace(matrix=Matrix([[1, 2]])),
      "matrix is 1x2 but X<-X needs 1x1"),
-    (lambda: ConjugatedPair()._replace(xi=RewriteSystem(3)),
-     "the conjugated pair is built on two generators"),
-], ids=["Subspace", "LinearMap", "ConjugatedPair", "Subspace._make",
-        "LinearMap._replace", "ConjugatedPair._replace"])
+], ids=["Subspace", "LinearMap", "Subspace._make", "LinearMap._replace"])
 def test_validating_records_refuse_with_their_message(build, message):
     with pytest.raises(ValueError) as err:
         build()

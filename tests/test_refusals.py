@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 from rga.algebra import (Element, Subspace, annihilator,
-                         find_idempotent_obstructions, invert, mul_closed_form,
-                         obstructed_product, obstruction)
+                         find_idempotent_obstructions, invert,
+                         left_mul_matrix, mul_closed_form, obstructed_product,
+                         obstruction)
 from rga.category import (ChainTypeError, Cocycle, LinearMap,
                           check_cocycle_morphism, dual_cocycle)
 from rga.linalg import Matrix
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import ONE, Scalar
-from rga.tensor import TensorElement, dual_system, pair_tensor
+from rga.tensor import XI, TensorElement, pair_tensor
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
 
 S2, S3, S64 = RewriteSystem(2), RewriteSystem(3), RewriteSystem(64)
@@ -27,6 +28,7 @@ AB, BA = LinearMap(A, B, Matrix([[1]])), LinearMap(B, A, Matrix([[1]]))
 AA = LinearMap(A, A, Matrix([[1]]))
 ROW = Matrix([[1, 2]])
 T1 = Element.generator(S2, 1)
+E = Subspace("E", (Word(()),))
 TENSOR = TensorElement.single(S2, (1,), ())
 WICK = WickElement.unit(PAIR)
 
@@ -53,22 +55,39 @@ REFUSALS = {
                     ValueError, "obstruction map requires n=2"),
     "obstructed_product": (lambda: obstructed_product(T3, T3),
                            ValueError, "obstructed product requires n=2"),
+    # the two-generator constants take no system, so none of another n
     "find_idempotent_obstructions": (
-        lambda: find_idempotent_obstructions(S3),
-        ValueError, "idempotent obstructions require n=2"),
+        lambda: find_idempotent_obstructions(S3), TypeError,
+        "find_idempotent_obstructions() takes 0 positional arguments but 1 "
+        "was given"),
     # options outside their choices, off-system inputs, a negative degree
     "annihilator-side": (
         lambda: annihilator(Element.generator(S2, 1), side="up"),
         ValueError, "side must be 'left' or 'right'"),
     "regular-vacuum": (lambda: CrossSymmetry.regular(PAIR, "vac"),
                        ValueError, "vacuum must be 'unit' or 'idem'"),
-    "pair-n3": (lambda: ConjugatedPair(S3, dual_system()), ValueError,
-                "the conjugated pair is built on two generators"),
+    "pair-n3": (lambda: ConjugatedPair(S3, XI), TypeError,
+                "ConjugatedPair.__new__() takes 1 positional argument but 3 "
+                "were given"),
     "dagger-n3": (lambda: PAIR.dagger(T3),
                   ValueError, "element does not belong to this pair"),
     "pair_tensor-convention": (
         lambda: pair_tensor(TensorElement(S2), TensorElement(S2), "sideways"),
         ValueError, "unknown tensor pairing convention 'sideways'"),
+    # an operator codomain whose words are no basis in normal form
+    "codomain-zero-word": (
+        lambda: left_mul_matrix(T1, E, Subspace("C", (Word((2, 2)),))),
+        ValueError, "codomain C has a word that rewrites to 0 or to another "
+        "one's normal form"),
+    "codomain-shared-normal-form": (
+        lambda: left_mul_matrix(T1, E, Subspace("C", (Word((1,)),
+                                                      Word((1, 2, 1))))),
+        ValueError, "codomain C has a word that rewrites to 0 or to another "
+        "one's normal form"),
+    "coeff-letter-7": (lambda: T1.coeff((7,)), LetterRangeError,
+                       "letter 7 outside generator range 1..2"),
+    "coeff-wick-letter-3": (lambda: WICK.coeff((1,), (3,)), LetterRangeError,
+                            "letter 3 outside generator range 1..2"),
     "enumerate-negative": (lambda: S2.enumerate_normal_forms(-1),
                            ValueError, "max_len must be >= 0"),
     # chains whose maps do not meet

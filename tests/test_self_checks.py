@@ -50,13 +50,13 @@ def test_idempotent_root_self_check(monkeypatch):
     monkeypatch.setattr(rga.algebra, "OMEGA", ONE)
     with pytest.raises(SelfCheckError,
                        match=r"^1 is not a root of g\*\*2 \+ g \+ 1$"):
-        find_idempotent_obstructions(S2)
+        find_idempotent_obstructions()
 
 
 def test_idempotency_self_check(skewed_mul):
     with pytest.raises(SelfCheckError,
                        match="^candidate failed the idempotency check$"):
-        find_idempotent_obstructions(S2)
+        find_idempotent_obstructions()
 
 
 def test_obstruction_idempotency_self_check(monkeypatch):

@@ -2,21 +2,20 @@ from random import Random
 
 import pytest
 
-from rga.algebra import Element, N2_BASIS, Subspace, left_mul_matrix, mul, \
-    obstruction
-from rga.rewrite import RewriteSystem, Word
+from rga.algebra import THETA, Element, N2_BASIS, Subspace, left_mul_matrix, \
+    mul, obstruction
+from rga.rewrite import Word
 from rga.scalar import ONE, Scalar
-from rga.tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS, TensorElement,
-                        bialgebra_candidates, check_almost_bialgebra,
-                        check_coalgebra_obstruction, check_coassociativity,
-                        check_dual_pairing_identity, check_regular_module,
-                        dual_comultiplication, dual_system, element_tensor,
-                        pair, pair_tensor, pairing_matrix, tensor_mul)
+from rga.tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS, XI,
+                        TensorElement, bialgebra_candidates,
+                        check_almost_bialgebra, check_coalgebra_obstruction,
+                        check_coassociativity, check_dual_pairing_identity,
+                        check_regular_module, dual_comultiplication,
+                        element_tensor, pair, pair_tensor, pairing_matrix,
+                        tensor_mul)
 
 from helpers import rand_element, rand_scalar
 
-THETA = RewriteSystem(2)
-XI = dual_system()
 
 
 def tensor(u, v, coeff=ONE):
@@ -61,7 +60,7 @@ def test_unknown_sign_convention_rejected():
     with pytest.raises(ValueError, match="unknown sign convention 'other'"):
         tensor_mul(tensor((1,), ()), tensor((1,), ()), "other")
     with pytest.raises(ValueError, match="unknown sign convention 'other'"):
-        check_almost_bialgebra(bialgebra_candidates(THETA)["e1=unit,e2=unit"],
+        check_almost_bialgebra(bialgebra_candidates()["e1=unit,e2=unit"],
                                "other")
 
 
@@ -88,7 +87,7 @@ def test_pairing_displayed_values():
 
 
 def test_pairing_matrix_is_permutation():
-    m = pairing_matrix(XI, THETA)
+    m = pairing_matrix()
     assert m.nrows == m.ncols == 5
     assert m.is_invertible()
     for row in m.rows:
@@ -109,12 +108,12 @@ def test_pair_bilinear():
 
 
 def test_delta_unit():
-    table = dual_comultiplication(THETA, XI)
+    table = dual_comultiplication()
     assert table[Word(())] == TensorElement.unit(XI)
 
 
 def test_delta_generator_value():
-    table = dual_comultiplication(THETA, XI)
+    table = dual_comultiplication()
     d1 = table[Word([1])]
     # <X1, T1 * T2T1> = <X1, T1> = 1 lands on X1 (x) X1X2
     assert d1.coeff(Word([1]), Word([1, 2])) == ONE
@@ -128,7 +127,7 @@ def test_delta_generator_value():
 def test_delta_brute_force_table():
     # independent oracle: coefficient of u^ (x) v^ in Delta(w) must equal
     # <w, u v> for every one of the 125 triples
-    table = dual_comultiplication(THETA, XI)
+    table = dual_comultiplication()
     words = THETA.enumerate_normal_forms(2)
     for w in XI.enumerate_normal_forms(2):
         for u in words:
@@ -141,19 +140,19 @@ def test_delta_brute_force_table():
 
 
 def test_delta_coassociative():
-    assert check_coassociativity(dual_comultiplication(THETA, XI)).ok
+    assert check_coassociativity(dual_comultiplication()).ok
 
 
 def test_delta_pairing_identity_conventions():
-    table = dual_comultiplication(THETA, XI)
-    assert check_dual_pairing_identity(table, THETA, "straight").ok
-    assert not check_dual_pairing_identity(table, THETA, "flip").ok
+    table = dual_comultiplication()
+    assert check_dual_pairing_identity(table, "straight").ok
+    assert not check_dual_pairing_identity(table, "flip").ok
 
 
 def test_delta_obstruction_law_verdict():
     # frozen verdict: the transported comultiplication does not intertwine
     # the obstruction map (documented discrepancy)
-    v = check_coalgebra_obstruction(dual_comultiplication(THETA, XI))
+    v = check_coalgebra_obstruction(dual_comultiplication())
     assert not v.ok
     assert len(v.witnesses) == 4
 
@@ -170,7 +169,7 @@ def test_pair_tensor_conventions():
 
 
 def test_bialgebra_candidates_shape():
-    cands = bialgebra_candidates(THETA)
+    cands = bialgebra_candidates()
     assert set(cands) == {"e1=unit,e2=unit", "e1=unit,e2=idem",
                           "e1=idem,e2=unit", "e1=idem,e2=idem"}
     prim = cands["e1=unit,e2=unit"][1]
@@ -188,7 +187,7 @@ def test_almost_bialgebra_table_frozen():
         assert all(w.at == signs for w in verdict.witnesses)
         return {w.law for w in verdict.witnesses}
 
-    cands = bialgebra_candidates(THETA)
+    cands = bialgebra_candidates()
     for name, gens in cands.items():
         plain = failed(gens, "plain")
         koszul = failed(gens, "koszul")
@@ -202,7 +201,7 @@ def test_almost_bialgebra_table_frozen():
 def test_idem_interpretation_kills_cross_product():
     # Delta(T1) Delta(T2) = 0 under the idempotent reading, which is why
     # the cyclic relation cannot hold there
-    gens = bialgebra_candidates(THETA)["e1=idem,e2=idem"]
+    gens = bialgebra_candidates()["e1=idem,e2=idem"]
     assert tensor_mul(gens[1], gens[2]).is_zero()
 
 

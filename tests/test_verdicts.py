@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rga.algebra
-from rga.algebra import (Element, N2_BASIS, Subspace, Verdict,
+from rga.algebra import (THETA, Element, N2_BASIS, Subspace, Verdict,
                          check_representation, grading_check,
                          left_mul_matrix, verdict_of)
 from rga.category import (Cocycle, LinearMap, MatrixFunctor,
@@ -21,19 +21,17 @@ from rga.category import (Cocycle, LinearMap, MatrixFunctor,
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import Scalar
-from rga.tensor import (TensorElement, bialgebra_candidates,
+from rga.tensor import (XI, TensorElement, bialgebra_candidates,
                         check_almost_bialgebra, check_coalgebra_obstruction,
                         check_coassociativity, check_dual_pairing_identity,
                         check_regular_module, dual_comultiplication,
-                        dual_system, tensor_mul)
+                        tensor_mul)
 from rga.wick import (ConjugatedPair, CrossSymmetry, check_coherence,
                       check_regular_cross_symmetry)
 
 from helpers import regularity_failures_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
-THETA = RewriteSystem(2)
-XI = dual_system()
 T1 = Word([1])
 
 
@@ -171,15 +169,15 @@ def test_duality_identity():
 
 
 def test_dual_pairing_identity():
-    table = dict(dual_comultiplication(THETA, XI))
+    table = dict(dual_comultiplication())
     table[T1] = TensorElement(XI)
-    w = first_witness(check_dual_pairing_identity(table, THETA, "straight"),
+    w = first_witness(check_dual_pairing_identity(table, "straight"),
                       "pairing transport", "<Delta(X1), 1 (x) T1>")
     assert (w.lhs, w.rhs) == (Scalar(0), Scalar(1))
 
 
 def test_coassociativity():
-    table = dict(dual_comultiplication(THETA, XI))
+    table = dict(dual_comultiplication())
     table[T1] = TensorElement.single(XI, (1,), ()).scale(Scalar(2))
     first_witness(check_coassociativity(table), "coassociativity", "X1")
 
@@ -188,7 +186,7 @@ def test_coalgebra_obstruction():
     # the transported comultiplication does not intertwine the obstruction
     # map; the first of its four failures is at X1, named with its own symbol
     w = first_witness(check_coalgebra_obstruction(
-        dual_comultiplication(THETA, XI)), "coalgebra obstruction", "X1")
+        dual_comultiplication()), "coalgebra obstruction", "X1")
     assert str(w) == (
         "coalgebra obstruction at X1: 1 (x) 1 + 1 (x) X2 + X2 (x) 1 "
         "+ X2 (x) X2 X1 + X1 X2 (x) X2 != 4 (x) 1 + 2 (x) X2 + 1 (x) X2 X1 "
@@ -234,7 +232,7 @@ def test_coherence():
 
 
 def test_almost_bialgebra():
-    gens = bialgebra_candidates(THETA)["e1=unit,e2=unit"]
+    gens = bialgebra_candidates()["e1=unit,e2=unit"]
     w = first_witness(check_almost_bialgebra(gens, "plain"),
                       "Delta(T1)^2 = 0", "plain")
     assert w.lhs == tensor_mul(gens[1], gens[1], "plain")

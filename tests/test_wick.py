@@ -2,16 +2,15 @@ from random import Random
 
 import pytest
 
-from rga.algebra import (AlgebraMismatchError, Combination, Element, mul,
-                         obstruction)
+from rga.algebra import (THETA, AlgebraMismatchError, Combination, Element,
+                         mul, obstruction)
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
 from rga.wick import (ConjugatedPair, CrossSymmetry, IncompleteBaseError,
                       WickElement, check_coherence,
                       check_regular_cross_symmetry, order_coherent,
                       wick_mul, wick_mul_regular)
-
-from rga.tensor import dual_system
+from rga.tensor import XI, TensorElement
 
 from helpers import rand_element, rand_scalar
 
@@ -108,9 +107,22 @@ def test_apply_refuses_letters_out_of_range(words):
         CrossSymmetry.regular(PAIR, "unit").apply(*words)
 
 
+def test_the_pair_is_one_immutable_object():
+    assert ConjugatedPair() is PAIR
+    assert PAIR.theta is THETA and PAIR.xi is XI
+    assert repr(PAIR) == "ConjugatedPair()"
+    for name in ("theta", "xi", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(PAIR, name, XI)
+    assert not hasattr(PAIR, "__dict__")
+    with pytest.raises(TypeError):  # no other pair can be built
+        ConjugatedPair(RewriteSystem(3))
+
+
 def test_base_over_another_pair_rejected():
+    # the same keys over the pair of algebras (THETA, THETA), not (THETA, XI)
     base = dict(PSI.base)
-    base[(1, 2)] = WickElement.single(OTHER, (2,), (1,))
+    base[(1, 2)] = TensorElement.single(THETA, (2,), (1,))
     with pytest.raises(AlgebraMismatchError):
         CrossSymmetry(PAIR, base, "custom")
 
@@ -211,24 +223,16 @@ def test_wick_nonassociativity_witness_for_incoherent_base():
         != wick_mul(x, wick_mul(y, z, PSI), PSI)
 
 
-# the same shape as PAIR, but its T-side is another algebra (printed S)
-OTHER = ConjugatedPair(RewriteSystem(2, symbol="S"), dual_system())
 PRODUCTS = [wick_mul, lambda x, y, psi: wick_mul_regular(
     x, y, psi, obstruction, obstruction)]
 
 
 @pytest.mark.parametrize("product", PRODUCTS, ids=["plain", "regular"])
 def test_wick_products_refuse_operands_of_two_pairs(product):
+    # a tensor over the pair of algebras (THETA, THETA), not (THETA, XI)
+    x = TensorElement.single(THETA, (1,), ())
     with pytest.raises(AlgebraMismatchError):
-        product(WickElement.single(OTHER, (1,), ()), wick((), (1,)), PSI)
-
-
-@pytest.mark.parametrize("product", PRODUCTS, ids=["plain", "regular"])
-def test_wick_products_refuse_psi_of_another_pair(product):
-    x = WickElement.single(OTHER, (1,), ())
-    y = WickElement.single(OTHER, (), (1,))
-    with pytest.raises(AlgebraMismatchError):
-        product(x, y, PSI)
+        product(x, wick((), (1,)), PSI)
 
 
 # -- regular wick machinery --------------------------------------------------------
