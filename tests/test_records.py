@@ -1,6 +1,8 @@
 """The package's value records are `typing.NamedTuple`s: immutable, slotted,
 printed as `Name(field=value, ...)`, and the two that validate refuse bad
-fields with their own messages.  No module imports `dataclasses`, so a
+fields with their own messages.  The conjugated pair is no record but a
+fieldless singleton, as immutable and slotted as one, and refuses to be
+built over other systems.  No module imports `dataclasses`, so a
 fresh `rga` process loads neither it nor `inspect`."""
 
 import ast
@@ -14,7 +16,9 @@ import pytest
 from rga.algebra import Subspace, Verdict, Witness
 from rga.category import FunctorVerdict, LinearMap, Obstruction
 from rga.linalg import Matrix
-from rga.rewrite import ZERO, ConfluenceReport, CriticalPair, Rule, Word
+from rga.rewrite import (ZERO, ConfluenceReport, CriticalPair, RewriteSystem,
+                         Rule, Word)
+from rga.wick import ConjugatedPair
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rga"
@@ -42,6 +46,15 @@ RECORDS = [
      "ConfluenceReport(n=2, critical_pairs=(), locally_confluent=True)"),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
+PAIR = ConjugatedPair()
+VALUES = RECORDS + [(PAIR, "ConjugatedPair()")]
+VALUE_IDS = IDS + ["ConjugatedPair"]
+
+
+def _fields(value) -> tuple:
+    """The read-only attributes of `value`: a record's fields, or the
+    pair's two systems."""
+    return ("theta", "xi") if value is PAIR else value._fields
 
 
 def _imported(path: Path) -> set:
@@ -69,29 +82,38 @@ def test_fresh_process_loads_neither_dataclasses_nor_inspect():
     assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
-@pytest.mark.parametrize("record,text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record,text", VALUES, ids=VALUE_IDS)
 def test_record_is_immutable_and_slotted(record, text):
-    for name in record._fields + ("extra",):
+    for name in _fields(record) + ("extra",):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert not hasattr(record, "__dict__")
 
 
-@pytest.mark.parametrize("record,text", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record,text", VALUES, ids=VALUE_IDS)
 def test_record_repr_names_its_fields(record, text):
     assert repr(record) == text
-    assert type(record)(*record) == record
+    # the pair is rebuilt from no fields, and is then the same object
+    assert type(record)(*(() if record is PAIR else record)) == record
 
 
-@pytest.mark.parametrize("build,message", [
-    (lambda: Subspace("X", ("u", "u")), "duplicate basis entries in X"),
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Subspace("X", ("u", "u")), ValueError,
+     "duplicate basis entries in X"),
     (lambda: LinearMap(X, Subspace("Y", ("p", "q")), Matrix([[1]])),
-     "matrix is 1x1 but Y<-X needs 2x1"),
-    (lambda: Subspace._make(("X", ("u", "u"))), "duplicate basis entries in X"),
-    (lambda: M._replace(matrix=Matrix([[1, 2]])),
+     ValueError, "matrix is 1x1 but Y<-X needs 2x1"),
+    # there is one pair: it takes no systems, and has no field to replace
+    (lambda: ConjugatedPair(RewriteSystem(3)), TypeError,
+     "ConjugatedPair.__new__() takes 1 positional argument but 2 were given"),
+    (lambda: Subspace._make(("X", ("u", "u"))), ValueError,
+     "duplicate basis entries in X"),
+    (lambda: M._replace(matrix=Matrix([[1, 2]])), ValueError,
      "matrix is 1x2 but X<-X needs 1x1"),
-], ids=["Subspace", "LinearMap", "Subspace._make", "LinearMap._replace"])
-def test_validating_records_refuse_with_their_message(build, message):
-    with pytest.raises(ValueError) as err:
+    (lambda: ConjugatedPair()._replace(xi=RewriteSystem(3)), AttributeError,
+     "'ConjugatedPair' object has no attribute '_replace'"),
+], ids=["Subspace", "LinearMap", "ConjugatedPair", "Subspace._make",
+        "LinearMap._replace", "ConjugatedPair._replace"])
+def test_validating_records_refuse_with_their_message(build, error, message):
+    with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
