@@ -16,7 +16,8 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, _reduced
-from .rewrite import EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word
+from .rewrite import (EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word,
+                      _word)
 from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make,
                      common_denominator, integer_parts)
 
@@ -164,7 +165,9 @@ class Combination:
         return EMPTY_WORD if legs == 1 else (EMPTY_WORD,) * legs
 
     def _require_same(self, other: "Combination"):
-        if type(other) is not type(self) or self._context != other._context:
+        if type(other) is not type(self) or (
+                self._context is not other._context
+                and self._context != other._context):
             raise AlgebraMismatchError(
                 f"{type(self).__name__} over {self._context!r} vs "
                 f"{type(other).__name__} over {other._context!r}")
@@ -461,16 +464,16 @@ def term_body(mag: Scalar, two_part: bool, w: Word, symbol: str) -> str:
 
 def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of the product of normal words: each term
-    product is added into one dict of integer pairs as it is formed, over
-    the denominator a._d * b._d."""
+    product, read from the system's product memo, is added into one dict
+    of integer pairs as it is formed, over the denominator a._d * b._d."""
     a._require_same(b)
-    product = a.system.product
+    products = a.system._products
     sums: dict = {}
     get = sums.get
     right = b._num.items()
     for u, (x0, x1) in a._num.items():
         for v, (y0, y1) in right:
-            k = product(u, v)
+            k = products[u, v]
             p0, q0 = get(k, (0, 0))
             sums[k] = (p0 + x0 * y0 - x1 * y1, q0 + x0 * y1 + x1 * (y0 - y1))
     return a._new(a._context, sums, a._d * b._d)
@@ -552,7 +555,7 @@ def _n2_span(a: Element) -> Subspace:
     """The span of the five n=2 basis words; other n raises ValueError."""
     if a.system.n != 2:
         raise ValueError("solving over the algebra requires n=2")
-    return Subspace("span", N2_BASIS)
+    return _N2_SPAN
 
 
 # -- subspaces and multiplication operators ---------------------------------
@@ -583,6 +586,9 @@ class Subspace(NamedTuple("Subspace", [("label", str), ("basis", tuple)])):
                 for b in self.basis]
 
 
+_N2_SPAN = Subspace("span", N2_BASIS)
+
+
 def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
                 left: bool) -> Matrix:
     """The matrix of x -> a*x (or x*a) over a._d: each of a's terms, times
@@ -591,7 +597,7 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
     The summed image must vanish outside the codomain; a term that
     cancels there is no escape."""
     system = a.system
-    product = system.product
+    products = system._products
     words = [system.normal_form(w) for w in domain.basis]
     index = {system.normal_form(w): i for i, w in enumerate(codomain.basis)}
     if ZERO in index or len(index) < codomain.dim:
@@ -603,7 +609,7 @@ def _mul_matrix(a: Element, domain: Subspace, codomain: Subspace,
             continue
         escaped: dict = {}
         for u, (p, q) in a._num.items():
-            k = product(u, v) if left else product(v, u)
+            k = products[u, v] if left else products[v, u]
             i = index.get(k)
             if i is not None:
                 P[i][j] += p
@@ -692,7 +698,8 @@ def obstruction(a: Element) -> Element:
         raise ValueError("obstruction map requires n=2")
     # the index swap is the letter swap i <-> 3 - i, which keeps words normal
     sums = {EMPTY_WORD: (a._d, 0)}
-    sums.update((Word(3 - i for i in w), pq) for w, pq in a._num.items() if w)
+    sums.update((_word([3 - i for i in w]), pq)
+                for w, pq in a._num.items() if w)
     return a._new(a._context, sums, a._d)
 
 

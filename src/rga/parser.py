@@ -112,9 +112,9 @@ def _parse_rat(ts: _Stream):
     num = ts.expect("NUM")[1]
     if ts.peek() == "SLASH":
         ts.next()
-        den = ts.expect("NUM")[1]
+        _, den, pos = ts.expect("NUM")
         if den == 0:
-            ts.error("zero denominator")
+            raise ParseError("zero denominator", pos, ts.text)
         return Fraction(num, den)
     return num
 
@@ -149,13 +149,14 @@ def parse_scalar(text: str) -> Scalar:
     value = first if sign > 0 else -first
     if ts.peek() in ("PLUS", "MINUS"):
         sign = 1 if ts.next()[0] == "PLUS" else -1
+        pos = ts.tokens[ts.pos][2]
         second = _try_parse_scalar(ts)
         if second is None:
             ts.error("expected the w-part of a scalar")
-        if not second.is_rational():
-            value = value + (second if sign > 0 else -second)
-        else:
-            ts.error("second scalar part must involve w")
+        if second.is_rational():
+            raise ParseError("second scalar part must involve w", pos,
+                             ts.text)
+        value = value + (second if sign > 0 else -second)
     ts.expect("END")
     return value
 

@@ -39,6 +39,7 @@ from functools import cache
 from itertools import repeat
 from operator import add
 from typing import NamedTuple, Sequence, Union
+from weakref import ref
 
 
 class LetterRangeError(ValueError):
@@ -67,8 +68,8 @@ degree 10 lists 112,273 words in about 0.1 s on the same machine, and each
 degree triples it."""
 
 MAX_PRODUCTS = 1 << 15
-"""The most normal-word products one RewriteSystem memoises; past it,
-`product` still answers but stores nothing more.  A full memo of n = 4
+"""The most normal-word products one RewriteSystem memoises; past it, a
+memo miss still answers but stores nothing more.  A full memo of n = 4
 words of up to 8 letters holds about 8 MB (Python 3.11), plus the operand
 words it keeps alive."""
 
@@ -201,6 +202,30 @@ def _prepended(head: tuple, words: list):
     return map(tuple.__new__, repeat(Word), map(add, repeat(head), words))
 
 
+class _Products(dict):
+    """A system's memo of normal-word products, keyed by the operand pair
+    (u, v): subscripting it gives nf(u v), so a hit costs one C-level
+    lookup.  A miss forms nf(u v) through the system's `normal_form`, found
+    on the system when it runs, and stores it while the memo holds fewer
+    than MAX_PRODUCTS entries.  The memo reaches its system by a weak
+    reference, so the two form no cycle and a system, memo and all, is
+    freed as soon as its last user drops it.  Both operands must be
+    Words: a plain tuple equal to one would read its entry (see
+    `product`)."""
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: "RewriteSystem"):
+        self._system = ref(system)
+
+    def __missing__(self, key):
+        u, v = key
+        uv = self._system().normal_form(_word(u + v))
+        if len(self) < MAX_PRODUCTS:
+            self[key] = uv
+        return uv
+
+
 EMPTY_WORD = Word(())
 
 WordOrZero = Union[Word, _ZeroWord]
@@ -231,11 +256,12 @@ class RewriteSystem:
     """The rewrite presentation of the algebra on n regular generators.
 
     `symbol` only affects printing ("T" for the base algebra, "X" for the
-    dual copy).  Instances are immutable and safe to share; `product`
-    memoises the normal-word products it has formed.
+    dual copy).  Instances are immutable and safe to share; `_products`
+    memoises the normal-word products formed through it.
     """
 
-    __slots__ = ("n", "symbol", "rules", "_products", "_alphabet")
+    __slots__ = ("n", "symbol", "rules", "_products", "_alphabet",
+                 "__weakref__")
 
     def __init__(self, n: int, symbol: str = "T"):
         require_size(n)
@@ -248,7 +274,7 @@ class RewriteSystem:
             pat = tuple(range(i, n + 1)) + tuple(range(1, i)) + (i,)
             rules.append(Rule(f"cyclic({i})", pat, (i,)))
         object.__setattr__(self, "rules", tuple(rules))
-        object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_products", _Products(self))
         object.__setattr__(self, "_alphabet", bytes(range(1, n + 1)))
 
     def __setattr__(self, name, value):
@@ -287,13 +313,17 @@ class RewriteSystem:
         pair, else each maximal run of cyclic successors of length L cut
         to its first (L - 1) % n + 1 letters.  The word is encoded as
         bytes, one letter a byte (see MAX_GENERATORS), for one regex
-        search and one regex substitution.
+        search and, on words of more than n letters, one regex
+        substitution.
 
         A Word holds exact ints already, so only its range is checked, on
         those bytes: `bytes` refuses a letter outside 0..255, and deleting
         the bytes 1..n leaves nothing exactly when every letter is in
-        range.  Either failure reports the first bad letter.  A word that
-        is already normal comes back as the object given."""
+        range.  Either failure reports the first bad letter.  Past the
+        range check a word of 0 or 1 letters is normal; past the search
+        for an equal pair, so is one of at most n letters, since every
+        cyclic pattern has n + 1.  A word that is already normal comes
+        back as the object given."""
         if type(word) is Word:
             try:
                 data = bytes(word)
@@ -305,6 +335,10 @@ class RewriteSystem:
             word = _word(word)
             self._check_letters(word)
             data = bytes(word)
+        if len(data) <= self.n:  # too short for a cyclic pattern
+            if len(data) > 1 and _EQUAL_PAIR.search(data):
+                return ZERO
+            return word
         if _EQUAL_PAIR.search(data):
             return ZERO
         out = _extra_rounds(self.n).sub(b"", data)
@@ -312,20 +346,17 @@ class RewriteSystem:
 
     def product(self, u: Word, v: Word) -> WordOrZero:
         """nf(u v): one normal word or ZERO, since every rule's right-hand
-        side is one word or 0.  Memoised by (u, v), up to MAX_PRODUCTS
-        entries; `normal_form` itself is not.  An operand that is not a
-        Word raises TypeError before the memo is read, since a tuple such
-        as (True,) equals, so would find, the entry made for (1,)."""
+        side is one word or 0.  Read from the memo `_products`, which forms
+        and stores a missing entry (see `_Products`), up to MAX_PRODUCTS
+        entries; `normal_form` itself is not memoised.  An operand that is
+        not a Word raises TypeError before the memo is read, since a tuple
+        such as (True,) equals, so would find, the entry made for (1,).
+        The combination products, whose keys are normal Words already,
+        subscript the memo directly."""
         if type(u) is not Word or type(v) is not Word:
             raise TypeError(f"product takes two Words, got "
                             f"{type(u).__name__} and {type(v).__name__}")
-        key = (u, v)
-        uv = self._products.get(key)
-        if uv is None:
-            uv = self.normal_form(_word(u + v))
-            if len(self._products) < MAX_PRODUCTS:
-                self._products[key] = uv
-        return uv
+        return self._products[u, v]
 
     def enumerate_normal_forms(self, max_len: int) -> list:
         """All normal-form words of length <= max_len in (length, lex) order.

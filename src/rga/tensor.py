@@ -71,13 +71,13 @@ def tensor_mul(s: TensorElement, t: TensorElement,
         raise ValueError(f"unknown sign convention {signs!r}")
     s._require_same(t)
     koszul = signs == "koszul"
-    product = s.system.product
+    products = s.system._products
     sums: dict = {}
     get = sums.get
     right = t._num.items()
     for (a, b), (x0, x1) in s._num.items():
         for (c, d), (y0, y1) in right:
-            if (u := product(a, c)) is ZERO or (v := product(b, d)) is ZERO:
+            if (u := products[a, c]) is ZERO or (v := products[b, d]) is ZERO:
                 continue
             if koszul and b.parity * c.parity:
                 y0, y1 = -y0, -y1

@@ -264,7 +264,7 @@ def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
     with rights[c] = [(d, (p, q))] for c (x) d, all over the denominator den;
     each leg product a.p and q.d is formed once per term p (x) q of psi, and
     each term's coefficient is added into one dict as it is formed."""
-    theta, xi = psi.pair.theta.product, psi.pair.xi.product
+    theta, xi = psi.pair.theta._products, psi.pair.xi._products
     blocks = [(lefts[b], rights[c], psi.apply(b, c))
               for b in lefts for c in rights]
     e = lcm(*[value._d for _, _, value in blocks])
@@ -273,10 +273,10 @@ def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
     for ls, rs, value in blocks:
         f = e // value._d
         for (p, q), (r0, r1) in value._num.items():
-            right = [(v, t) for d, t in rs if (v := xi(q, d)) is not ZERO]
+            right = [(v, t) for d, t in rs if (v := xi[q, d]) is not ZERO]
             r0, r1 = r0 * f, r1 * f
             for a, (s0, s1) in ls:
-                if (u := theta(a, p)) is ZERO:
+                if (u := theta[a, p]) is ZERO:
                     continue
                 x0, x1 = s0 * r0 - s1 * r1, s0 * r1 + s1 * (r0 - r1)
                 for v, (y0, y1) in right:

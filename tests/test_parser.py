@@ -89,13 +89,17 @@ def test_generator_errors():
 
 
 def test_syntax_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse_element("T1 + ", S2)
-    assert err.value.pos == 5
-    with pytest.raises(ParseError):
-        parse_element("(T1", S2)
-    with pytest.raises(ParseError):
-        parse_element("T1 ^ T2", S2)
+    # (parser, text, position of the offending token)
+    rows = [(parse_element, "T1 + ", 5),
+            (parse_element, "(T1", 3),
+            (parse_element, "T1 ^ T2", 3),
+            (parse_element, "1/0 T1", 2),  # the 0, not the T1 after it
+            (parse_scalar, "w+1", 2)]      # the 1, not the end of the text
+    for parse, text, pos in rows:
+        args = (text,) if parse is parse_scalar else (text, S2)
+        with pytest.raises(ParseError) as err:
+            parse(*args)
+        assert err.value.pos == pos, text
 
 
 def test_word_letters():
@@ -298,7 +302,7 @@ TABLE = [
     ("element", "2 * (T1)", "2 T1"),
     ("element", "* T1", 0),
     ("element", "T1 *", 3),
-    ("element", "1/0", 3),
+    ("element", "1/0", 2),
     ("element", "(T1", 3),
     ("element", "T1)", 2),
     ("element", "()", 1),
@@ -321,7 +325,7 @@ TABLE = [
     ("element", "(- w + 1) T1 T2", "(1-w) T1 T2"),
     ("element", "(1 + w T1)", "1 + w T1"),
     ("element", "(2 3) T1", 3),
-    ("element", "(1/0) T1", 4),
+    ("element", "(1/0) T1", 3),
     ("element", "(1 +) T1", 4),
     ("plain", "T1 + ", 5),
     ("plain", "1", 1),

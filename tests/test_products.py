@@ -10,6 +10,7 @@ matrix calls it once per basis word and once per product the memo misses.
 import ast
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,38 @@ def test_operator_reads_each_basis_word_once_in_normal_form():
         with normal_form_calls() as calls:
             left_mul_matrix(a, space, space)
         assert len(calls) == 2 * space.dim + misses
+
+
+def _weighted(keys):
+    """Terms with distinct weights 1, 2, ... on `keys`."""
+    return [(key, k + 1) for k, key in enumerate(keys)]
+
+
+THETA_WORDS = PAIR.theta.enumerate_normal_forms(2)
+MEMO_READERS = {
+    "mul": (Element(PAIR.theta, _weighted(THETA_WORDS)), mul),
+    "tensor_mul": (TensorElement(PAIR.theta, _weighted(
+        product(THETA_WORDS, repeat=2))), tensor_mul),
+    "wick_mul": (WickElement(PAIR, _weighted(product(THETA_WORDS, XI_BASIS))),
+                 lambda x, y: wick_mul(x, y, PSIS["regular[unit]"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_READERS))
+def test_memo_misses_call_normal_form_and_hits_do_not(name):
+    # `mul`, `tensor_mul` and `_routed` subscript the product memos; each
+    # miss forms its product through the patched class method, once
+    x, op = MEMO_READERS[name]
+    expected = op(x, x)  # also fills the cross symmetry's own cache
+    memos = (PAIR.theta._products, PAIR.xi._products)
+    for memo in memos:
+        memo.clear()  # a memo only caches: no answer changes
+    with normal_form_calls() as calls:
+        assert op(x, x) == expected
+    assert len(calls) == sum(map(len, memos)) > 0
+    with normal_form_calls() as calls:
+        assert op(x, x) == expected
+    assert calls == []
 
 
 @contextmanager

@@ -1,10 +1,12 @@
+import weakref
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rga import rewrite
-from rga.algebra import Element
+from rga.algebra import Element, mul
 from rga.rewrite import (EMPTY_WORD, MAX_GENERATORS, ZERO, LetterRangeError,
                          RewriteSystem, SizeLimitError, Word, require_size)
 from rga.wick import ConjugatedPair, CrossSymmetry
@@ -192,6 +194,37 @@ def test_normal_form_matches_leftmost_rescan(case):
         assert got is expected if expected is ZERO else got == expected
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_short_words_match_leftmost_rescan(n):
+    # every word of up to n + 1 letters over 0..n+1: the words the
+    # short-word exit answers, the shortest that reach the substitution,
+    # and letters just outside the range on either side
+    system = RewriteSystem(n)
+    for length in range(n + 2):
+        for letters in product(range(n + 2), repeat=length):
+            word = Word(letters)
+            bad = next((x for x in letters if not 1 <= x <= n), None)
+            try:
+                got = system.normal_form(word)
+            except LetterRangeError as err:
+                assert str(err).startswith(f"letter {bad} outside"), letters
+                continue
+            assert bad is None, letters
+            expected = leftmost_rescan(n, letters)
+            if expected is ZERO or expected == word:
+                assert got is (ZERO if expected is ZERO else word), letters
+            else:
+                assert got == expected, letters
+
+
+def test_short_word_exit_at_the_generator_ceiling():
+    system = RewriteSystem(MAX_GENERATORS)
+    run = Word(range(1, MAX_GENERATORS + 1))  # n letters hold no pattern
+    assert system.normal_form(run) is run
+    cycle = Word([*range(1, MAX_GENERATORS + 1), 1])
+    assert system.normal_form(cycle) == Word([1])
+
+
 def test_generator_ceiling_fits_a_byte():
     # normal_form encodes each letter as one byte
     assert MAX_GENERATORS <= 255
@@ -341,17 +374,35 @@ def test_product_is_associative(n, max_len):
 
 
 def test_product_memo_stops_at_its_bound(monkeypatch):
+    # filled through `product`, then through `mul`, which subscripts the
+    # memo without it
     monkeypatch.setattr(rewrite, "MAX_PRODUCTS", 3)
+    for through_mul in (False, True):
+        system = RewriteSystem(3)
+        words = system.enumerate_normal_forms(2)
+        for _ in range(2):
+            for u in words:
+                a = Element.from_word(system, u)
+                for v in words:
+                    if through_mul:
+                        got = mul(a, Element.from_word(system, v))
+                        assert got == Element(system, [(u + v, 1)])
+                    else:
+                        got = system.product(u, v)
+                        expected = system.normal_form(u + v)
+                        assert got is expected if expected is ZERO \
+                            else got == expected
+                    assert len(system._products) <= 3
+        assert len(system._products) == 3
+
+
+def test_a_dropped_system_is_freed_with_its_memo():
+    # the memo reaches its system weakly, so no cycle waits for the collector
     system = RewriteSystem(3)
-    words = system.enumerate_normal_forms(2)
-    for _ in range(2):
-        for u in words:
-            for v in words:
-                got = system.product(u, v)
-                expected = system.normal_form(u + v)
-                assert got is expected if expected is ZERO else got == expected
-                assert len(system._products) <= 3
-    assert len(system._products) == 3
+    system.product(Word([1]), Word([2]))
+    dropped = weakref.ref(system)
+    del system
+    assert dropped() is None
 
 
 # -- letters that are not ints ------------------------------------------------
