@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 from .linalg import Matrix, _reduced
 from .rewrite import (EMPTY_WORD, ZERO, RewriteSystem, SelfCheckError, Word,
                       _word)
-from .scalar import (ONE, OMEGA, OMEGA2, ZERO_SCALAR, Scalar, _make,
+from .scalar import (ONE, OMEGA, OMEGA2, Scalar, _make,
                      common_denominator, integer_parts)
 
 
@@ -403,10 +403,8 @@ class Element(Combination):
 
     @classmethod
     def generator(cls, system: RewriteSystem, i: int) -> "Element":
-        """The generator T_i: one letter, so a normal word once in range."""
-        key = Word((i,))
-        system._check_letters(key)
-        return cls._new(system, {key: (1, 0)}, 1)
+        """The generator T_i, checked by `normal_form` as the word (i,)."""
+        return cls.from_word(system, (i,))
 
     @classmethod
     def from_word(cls, system: RewriteSystem, word, coeff=ONE) -> "Element":
@@ -418,13 +416,16 @@ class Element(Combination):
 
     @classmethod
     def from_coeffs(cls, system: RewriteSystem, coeffs: Sequence) -> "Element":
-        """Build an n=2 element from (a0, a1, a2, a12, a21)."""
+        """Build an n=2 element from (a0, a1, a2, a12, a21): the one place
+        where five components meet `N2_BASIS`, whose words are normal in
+        every n=2 system, so it takes the trusted path."""
         if system.n != 2:
             raise ValueError("coefficient form requires n=2")
         if len(coeffs) != 5:
             raise ValueError("coefficient form needs the five components "
                              f"(a0, a1, a2, a12, a21), got {len(coeffs)}")
-        return cls(system, zip(N2_BASIS, coeffs))
+        ps, qs, d = common_denominator(coeffs)
+        return cls._new(system, dict(zip(N2_BASIS, zip(ps, qs))), d)
 
     # -- accessors ---------------------------------------------------------
 
@@ -537,14 +538,12 @@ def invert_by_solve(a: Element) -> Element:
     """n=2 inverse via an exact linear solve of a*x = 1 over the five-word
     basis, where the answer is exact and two-sided (and re-verified)."""
     space = _n2_span(a)
-    m = left_mul_matrix(a, space, space)
-    rhs = [ONE if w == EMPTY_WORD else ZERO_SCALAR for w in space.basis]
+    one = Element.unit(a.system)
     try:
-        x = m.solve(rhs)
+        x = left_mul_matrix(a, space, space).solve(one.coeffs_n2())
     except ValueError:
         raise NotInvertible("singular") from None
-    out = Element(a.system, dict(zip(space.basis, x)))
-    one = Element.unit(a.system)
+    out = Element.from_coeffs(a.system, x)
     if mul(a, out) != one or mul(out, a) != one:
         # a*x = 1 forces x*a = 1 in a finite-dimensional unital algebra
         raise SelfCheckError("solved inverse failed self-check")
@@ -680,7 +679,7 @@ def annihilator(a: Element, side: str) -> list:
     for vec in m.nullspace():
         lead = next(s for s in vec if not s.is_zero())
         vec = [s * lead.inverse() for s in vec]
-        out.append(Element(a.system, dict(zip(space.basis, vec))))
+        out.append(Element.from_coeffs(a.system, vec))
     return out
 
 

@@ -12,6 +12,7 @@ psi . psi_(n) . ... . psi = psi at every start point.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -432,8 +433,21 @@ class DocumentError(ValueError):
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
+_LONG_INTEGER = object()  # a JSON integer past the int/str digit limit
+
+
+def _json_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:  # `_expect` refuses it at its JSON path
+        return _LONG_INTEGER
+
+
 def _expect(value, kind: type, where: str):
     """`value`, checked to be of JSON type `kind`; `where` is its path."""
+    if value is _LONG_INTEGER:
+        raise DocumentError(where, f"number longer than "
+                            f"{sys.get_int_max_str_digits()} digits")
     if not isinstance(value, kind) or isinstance(value, bool):
         want = "an integer" if kind is int else _JSON_NAMES[kind]
         got = _JSON_NAMES.get(type(value)) or json.dumps(value)
@@ -626,7 +640,7 @@ def read_document(path: str) -> dict:
     than `json.load` can follow, or another value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise DocumentError("$", f"cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:

@@ -24,6 +24,7 @@ is a plain element, and a plain factor before a tensor must be 1.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -65,16 +66,28 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
         if value in _KINDS:
             tokens.append((_KINDS[value], value, i))
         elif value.isdecimal():
-            tokens.append(("NUM", int(value), i))
+            tokens.append(("NUM", _integer(value, i, text), i))
         elif value[0] in "TX":
             if len(value) == 1:
                 raise ParseError(f"generator letter {value!r} needs an index",
                                  i, text)
-            tokens.append(("GEN", (value[0], int(value[1:])), i))
+            tokens.append(
+                ("GEN", (value[0], _integer(value[1:], i + 1, text)), i))
         else:
             raise ParseError(f"unexpected character {value!r}", i, text)
     tokens.append(("END", None, len(text)))
     return tokens
+
+
+def _integer(digits: str, pos: int, text: str) -> int:
+    """The int of a run of decimal digits at `pos`; a run longer than the
+    interpreter converts (`sys.get_int_max_str_digits()`) is refused."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number longer than "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         pos, text) from None
 
 
 class _Stream:
@@ -308,7 +321,7 @@ def parse_word_letters(text: str, system: RewriteSystem) -> Word:
     for m in re.finditer(r"[^\s,]+", text):
         if not m[0].isdecimal():
             raise ParseError("word letters must be integers", m.start(), text)
-        x = int(m[0])
+        x = _integer(m[0], m.start(), text)
         if not 1 <= x <= system.n:
             raise ParseError(f"letter {x} outside 1..{system.n}", m.start(),
                              text)

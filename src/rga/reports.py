@@ -254,13 +254,12 @@ def wick_regular_report() -> str:
     lines.append("")
 
     sys = pair.theta
-    basis = N2_BASIS
-    space = Subspace("A", basis)
+    space = Subspace("A", N2_BASIS)
     action = {w: left_mul_matrix(Element.from_word(sys, w), space, space)
-              for w in basis}
+              for w in N2_BASIS}
 
     def e_module(vec):
-        return obstruction(Element(sys, zip(basis, vec))).coeffs_n2()
+        return obstruction(Element.from_coeffs(sys, vec)).coeffs_n2()
 
     verdict = check_regular_module(action, obstruction, e_module, sys)
     lines.append("module law rho.(e_A (x) e_M) = e_M.rho with M = A, "

@@ -74,13 +74,11 @@ class Scalar:
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, int):
-            return _make(int(x), 0, 1)
-        if isinstance(x, Fraction):
-            return _make(x.numerator, 0, x.denominator)
-        return None
+        """x as a Scalar, or None when it is not an int, Fraction or Scalar."""
+        try:
+            return _make(*integer_parts(x))
+        except TypeError:
+            return None
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -196,7 +194,19 @@ _set_d = Scalar._d.__set__
 def _quotient_text(n: int, d: int) -> str:
     """n/d, d > 0, in lowest terms as `Fraction` prints it: `n` or `n/d`."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    num, den = _decimal(n // g), _decimal(d // g)
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _decimal(n: int) -> str:
+    """str(n), also past the interpreter's int/str digit limit
+    (`sys.get_int_max_str_digits()`): n as its halves around 10**k."""
+    try:
+        return str(n)
+    except ValueError:
+        k = abs(n).bit_length() * 3 // 20  # half the digits: log10(2) > 0.3
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(k)
 
 
 def _make(p: int, q: int, d: int) -> Scalar:

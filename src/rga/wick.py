@@ -113,25 +113,18 @@ class CrossSymmetry:
 
     @classmethod
     def regular(cls, pair: ConjugatedPair, vacuum: str) -> "CrossSymmetry":
-        """The regular cross symmetry on generator pairs.
-
-        Off-diagonal pairs flip; the diagonal value is vac_i - T_i (x) X_i
+        """The regular cross symmetry on generator pairs: the flip, with
+        its diagonal value T_i (x) X_i replaced by vac_i - T_i (x) X_i,
         where vac_i is the Wick unit 1 (x) 1 for vacuum='unit' or the
         embedded idempotent T_i T_{3-i} (x) 1 for vacuum='idem'.
         """
         if vacuum not in ("unit", "idem"):
             raise ValueError("vacuum must be 'unit' or 'idem'")
-        base = {}
+        base = cls.flip(pair).base
         for i in (1, 2):
-            for j in (1, 2):
-                if i != j:
-                    base[(i, j)] = WickElement.single(pair, (j,), (i,))
-                else:
-                    if vacuum == "unit":
-                        vac = WickElement.unit(pair)
-                    else:
-                        vac = WickElement.single(pair, (i, 3 - i), ())
-                    base[(i, j)] = vac - WickElement.single(pair, (i,), (i,))
+            vac = (WickElement.unit(pair) if vacuum == "unit"
+                   else WickElement.single(pair, (i, 3 - i), ()))
+            base[i, i] = vac - base[i, i]
         return cls(pair, base, f"regular[{vacuum}]")
 
     # -- extension -------------------------------------------------------

@@ -143,14 +143,33 @@ def coassociativity_sides_reference(table, w):
 
 
 def scalar_text_reference(s):
-    """`str(s)` as it was built from the two `Fraction` coordinates."""
+    """`str(s)` as it was built from the two `Fraction` coordinates, each
+    printed as `str` prints a Fraction, at any length."""
     a, b = s.a, s.b
     if b == 0:
-        return str(a)
-    w = "w" if abs(b) == 1 else f"{abs(b)}*w"
+        return fraction_text_reference(a)
+    w = "w" if abs(b) == 1 else f"{fraction_text_reference(abs(b))}*w"
     if a == 0:
         return w if b > 0 else "-" + w
-    return f"{a}{'+' if b > 0 else '-'}{w}"
+    return f"{fraction_text_reference(a)}{'+' if b > 0 else '-'}{w}"
+
+
+def fraction_text_reference(a: Fraction) -> str:
+    """`str(a)`, also past the interpreter's int/str digit limit."""
+    num = decimal_reference(a.numerator)
+    if a.denominator == 1:
+        return num
+    return f"{num}/{decimal_reference(a.denominator)}"
+
+
+def decimal_reference(n: int) -> str:
+    """`str(n)` at any length: 500-digit blocks, each within the smallest
+    int/str digit limit the interpreter allows (640)."""
+    m, blocks = abs(n), []
+    while m >= 10 ** 500:
+        m, block = divmod(m, 10 ** 500)
+        blocks.append(f"{block:0500d}")
+    return "-" * (n < 0) + str(m) + "".join(reversed(blocks))
 
 
 # The products as they were before `RewriteSystem.product`: raw

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.algebra import (AlgebraMismatchError, Element, N2_BASIS,
+from rga.algebra import (THETA, AlgebraMismatchError, Element, N2_BASIS,
                          NotInvertible, SpanEscapeError, Subspace, annihilator,
                          check_representation, decompose,
                          find_idempotent_obstructions, grading_check, invert,
@@ -15,6 +15,7 @@ from rga.algebra import (AlgebraMismatchError, Element, N2_BASIS,
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import OMEGA, OMEGA2, ONE, Scalar
+from rga.tensor import XI
 
 from helpers import rand_element, rand_invertible
 
@@ -397,3 +398,18 @@ def test_grading_check_violation_n3():
 def test_grading_check_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         grading_check(UNIT + T1, T2)
+
+
+# five components, zeros among them: ints, Fractions and Scalars
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+components = st.lists(st.one_of(
+    st.just(0), st.integers(-6, 6), rationals,
+    st.builds(Scalar, rationals, rationals)), min_size=5, max_size=5)
+
+
+@given(st.sampled_from([THETA, XI]) | st.builds(RewriteSystem, st.just(2)),
+       components)
+def test_from_coeffs_is_the_basis_combination(system, v):
+    x = Element.from_coeffs(system, v)
+    assert x == Element(system, dict(zip(N2_BASIS, v)))
+    assert x.coeffs_n2() == tuple(v)

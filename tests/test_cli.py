@@ -809,3 +809,63 @@ def test_shared_parser_answers_as_a_fresh_one(shared_parser_pool, picks):
     for k in picks:
         assert answer(pool[k], tmp) == fresh[k], pool[k]
     assert cli._build_parser.cache_info().misses == 1
+
+
+# -- integers past the interpreter's int/str digit limit ------------------------
+# A literal longer than the interpreter converts is bad input, refused at
+# its position or JSON path; an answer with longer integers prints in full.
+
+ONES, NINES = "1" * 5000, "9" * 3000  # 10**3000 - 1 is within the limit
+NINES_SQUARED = "9" * 2999 + "8" + "0" * 2999 + "1"
+NINES_CUBED = "9" * 2999 + "7" + "0" * 2999 + "2" + "9" * 3000
+
+
+@pytest.mark.parametrize("argv, pos", [
+    (["eval", "-n", "2", f"{ONES} T1"], 0),
+    (["eval", "-n", "2", f"T{ONES}"], 1),
+    (["nf", "-n", "2", f"1 {'2' * 5000}"], 2),
+], ids=["eval-number", "eval-generator-index", "nf-letter"])
+def test_overlong_literal_refused(capsys, digit_limit, argv, pos):
+    assert run(capsys, argv) == (
+        2, f"error: number longer than 4300 digits at position {pos}\n")
+
+
+def test_overlong_matrix_entry_refused(tmp_path, capsys, digit_limit):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X2", "matrix": [[ONES]]}, BACK]}
+    assert check_document(tmp_path, capsys, json.dumps(doc)) == (
+        2, "error: doc.json: $.maps[0].matrix[0][0]: number longer than "
+           "4300 digits at position 0\n")
+
+
+@pytest.mark.parametrize("field", ["n", "module_dim"])
+def test_overlong_json_integer_refused(tmp_path, capsys, digit_limit, field):
+    # `json` itself cannot convert it, so the document holds it as text
+    text = json.dumps({**MODULE, field: 0}).replace(f'"{field}": 0',
+                                                    f'"{field}": {ONES}')
+    assert check_document(tmp_path, capsys, text, "module") == (
+        2, f"error: doc.json: $.{field}: number longer than 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "-n", "2", f"({NINES}) ({NINES}) T1"], f"{NINES_SQUARED} T1"),
+    # 1 + c T1 has the inverse 1 - c T1
+    (["invert", "-n", "2", f"1 + ({NINES}) ({NINES}) T1"],
+     f"1 - {NINES_SQUARED} T1"),
+], ids=["eval", "invert"])
+def test_answer_past_the_digit_limit_is_exact(capsys, digit_limit, argv, out):
+    assert run(capsys, argv) == (0, out + "\n")
+
+
+def test_cocycle_witness_past_the_digit_limit_is_exact(tmp_path, capsys,
+                                                       digit_limit):
+    doc = {"spaces": TWO_SPACES,
+           "maps": [{"from": "X1", "to": "X2", "matrix": [[NINES]]},
+                    {"from": "X2", "to": "X1", "matrix": [[NINES]]}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "cocycle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "regular cocycle: false (fails at index 1)\n"
+    assert captured.err == (f"witness: regularity at 1: X1->X2Matrix"
+                            f"[{NINES_CUBED}] != X1->X2Matrix[{NINES}]\n")

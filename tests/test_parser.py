@@ -244,13 +244,14 @@ def test_scalar_groups_parse_as_the_general_path(text):
         == parse_element(text.replace(")", " + 0 T1)"), S2)
 
 
-@pytest.mark.parametrize("text, terms", [
+@pytest.mark.parametrize("text, sizes", [
     ("-3 + w + (5/4+1/2*w) T1 - (1-2*w) T2 + (1+6*w) T1 T2 "
-     "+ (5/3-3*w) T2 T1", 6),
-    ("1 + T1 - T2 + T1 T2 - T2 T1", 5),
-], ids=["two-part", "unit-coefficients"])
+     "+ (5/3-3*w) T2 T1", [6]),
+    ("1 + T1 - T2 + T1 T2 - T2 T1", [5]),
+    ("T1 T2", []),  # one term with coefficient 1 is its value: no sum
+], ids=["two-part", "unit-coefficients", "one-unit-term"])
 def test_printed_element_scales_by_no_sign_and_sums_once(monkeypatch, text,
-                                                          terms):
+                                                          sizes):
     scales, sums, adds = [], [], []
     scale, add = Combination.scale, Combination.__add__
     linear_combination = parser.linear_combination
@@ -263,7 +264,7 @@ def test_printed_element_scales_by_no_sign_and_sums_once(monkeypatch, text,
                         or linear_combination(terms))
     assert str(parse_element(text, S2)) == text
     assert not [s for s in scales if s in (1, -1)]
-    assert len(sums) == 1 and len(sums[0]) == terms and not adds
+    assert [len(terms) for terms in sums] == sizes and not adds
 
 
 def test_print_parse_products_agree_with_mul():

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rga.algebra import Element, Subspace, left_mul_matrix, mul
+from rga.algebra import (Element, Subspace, annihilator, invert_by_solve,
+                         left_mul_matrix, mul)
 from rga.rewrite import RewriteSystem
 from rga.scalar import Scalar
 from rga.tensor import (XI, TensorElement, _coassociativity_laws, apply_delta,
@@ -199,6 +200,21 @@ def test_operator_reads_each_basis_word_once_in_normal_form():
 def _weighted(keys):
     """Terms with distinct weights 1, 2, ... on `keys`."""
     return [(key, k + 1) for k, key in enumerate(keys)]
+
+
+def test_n2_solve_path_reads_only_the_operator_bases_in_normal_form():
+    # five-component vectors take the trusted path, so with a warm memo
+    # only the operator matrix reads its domain and codomain words, 5 + 5
+    system = RewriteSystem(2)
+    v = (1, 1, 0, 0, 0)
+    a, t1 = Element.from_coeffs(system, v), Element.generator(system, 1)
+    for call, expected in [(lambda: Element.from_coeffs(system, v), 0),
+                           (lambda: invert_by_solve(a), 10),
+                           (lambda: annihilator(t1, "right"), 10)]:
+        call()  # warms the product memo
+        with normal_form_calls() as calls:
+            call()
+        assert len(calls) == expected
 
 
 THETA_WORDS = PAIR.theta.enumerate_normal_forms(2)

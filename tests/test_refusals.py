@@ -88,6 +88,15 @@ REFUSALS = {
                        "letter 7 outside generator range 1..2"),
     "coeff-wick-letter-3": (lambda: WICK.coeff((1,), (3,)), LetterRangeError,
                             "letter 3 outside generator range 1..2"),
+    # a generator's letter, refused as `normal_form` refuses it
+    "generator-0": (lambda: Element.generator(S2, 0), LetterRangeError,
+                    "letter 0 outside generator range 1..2"),
+    "generator-n+1": (lambda: Element.generator(S2, 3), LetterRangeError,
+                      "letter 3 outside generator range 1..2"),
+    "generator-bool": (lambda: Element.generator(S2, True),
+                       LetterRangeError, "letter True is not an int"),
+    "generator-float": (lambda: Element.generator(S2, 1.0),
+                        LetterRangeError, "letter 1.0 is not an int"),
     "enumerate-negative": (lambda: S2.enumerate_normal_forms(-1),
                            ValueError, "max_len must be >= 0"),
     # chains whose maps do not meet
@@ -166,6 +175,24 @@ REFUSALS = {
     "tensor-times-element": (
         lambda: TENSOR * T1, TypeError,
         "unsupported operand type(s) for *: 'TensorElement' and 'Element'"),
+    "scalar-minus-float": (
+        lambda: ONE - 0.5, TypeError,
+        "unsupported operand type(s) for -: 'Scalar' and 'float'"),
+    "scalar-plus-str": (
+        lambda: ONE + "1", TypeError,
+        "unsupported operand type(s) for +: 'Scalar' and 'str'"),
+    "str-minus-scalar": (
+        lambda: "1" - ONE, TypeError,
+        "unsupported operand type(s) for -: 'str' and 'Scalar'"),
+    "scalar-times-str": (lambda: ONE * "1", TypeError,
+                         "can't multiply sequence by non-int of type "
+                         "'Scalar'"),
+    "scalar-over-str": (
+        lambda: ONE / "1", TypeError,
+        "unsupported operand type(s) for /: 'Scalar' and 'str'"),
+    "str-over-scalar": (
+        lambda: "1" / ONE, TypeError,
+        "unsupported operand type(s) for /: 'str' and 'Scalar'"),
     "float-over-scalar": (
         lambda: 0.5 / ONE, TypeError,
         "unsupported operand type(s) for /: 'float' and 'Scalar'"),

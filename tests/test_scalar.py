@@ -3,7 +3,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rga.scalar import (OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR,
                         integer_parts)
@@ -58,6 +58,14 @@ def test_int_promotion():
     assert Scalar(2) + 3 == Scalar(5)
     assert 2 * OMEGA == Scalar(0, 2)
     assert Scalar(4) / 2 == Scalar(2)
+
+
+def test_bool_operands_are_ints():
+    assert Scalar(2) + True == True + Scalar(2) == Scalar(3)
+    assert True - OMEGA == Scalar(1, -1) and OMEGA - False == OMEGA
+    assert OMEGA * True == True * OMEGA == OMEGA and OMEGA * False == 0
+    assert OMEGA / True == OMEGA and True / OMEGA == OMEGA2
+    assert ONE == True and ZERO_SCALAR == False and ONE != False
 
 
 def test_canonical_strings():
@@ -145,6 +153,24 @@ def test_text_is_the_fraction_text(x, y):
     s, t = Scalar(*x), Scalar(*y)
     for u in (s, t, s + t, s * t, -s, s.conjugate(), s * OMEGA,
               s / t if t else s, Scalar(0, x[0]), Scalar(x[1], 1)):
+        assert str(u) == scalar_text_reference(u)
+
+
+# ints of up to 13,000 digits, three times the interpreter's default
+# int/str digit limit, and powers of ten with the digits below them zero
+long_ints = st.one_of(
+    st.builds(lambda bits, seed: Random(seed).getrandbits(bits),
+              st.integers(1, 43_000), st.integers(0, 2 ** 16)),
+    st.builds(lambda k, j: 10 ** k + j, st.integers(0, 13_000),
+              st.integers(-2, 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(long_ints, long_ints, long_ints.map(lambda d: d or 1),
+       st.sampled_from([1, -1]))
+def test_text_past_the_digit_limit_is_the_fraction_text(p, q, d, sign):
+    for u in (Scalar(Fraction(sign * p, d)), Scalar(0, Fraction(sign * q, d)),
+              Scalar(Fraction(p, d), Fraction(-sign * q, d))):
         assert str(u) == scalar_text_reference(u)
 
 

@@ -39,6 +39,22 @@ def test_solved_inverse_self_check(monkeypatch):
         invert_by_solve(Element.from_coeffs(S2, (1, 1, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("inverse, message", [
+    (invert, "closed-form inverse failed self-check"),
+    (invert_by_solve, "solved inverse failed self-check"),
+], ids=["closed-form", "solved"])
+@pytest.mark.parametrize("wrong", ["left", "right"])
+def test_inverse_self_checks_both_sides(monkeypatch, inverse, message, wrong):
+    # a product wrong only with `a` on one side: one-sided is not inverse
+    a = Element.from_coeffs(S2, (1, 1, 0, 0, 0))
+    mul = rga.algebra.mul
+    side = 0 if wrong == "left" else 1
+    monkeypatch.setattr(rga.algebra, "mul", lambda x, y: mul(x, y) + (
+        x if (x, y)[side] is a else 0))
+    with pytest.raises(SelfCheckError, match=f"^{message}$"):
+        inverse(a)
+
+
 def test_obstruction_intertwining_self_check(skewed_mul):
     a = Element.generator(S2, 1)
     with pytest.raises(SelfCheckError,

@@ -70,6 +70,17 @@ def test_base_values():
     assert PSI.apply((2,), (2,)) == wick((), ()) - wick((2,), (2,))
 
 
+@pytest.mark.parametrize("vacuum, vac1, vac2", [
+    ("unit", wick((), ()), wick((), ())),
+    ("idem", wick((1, 2), ()), wick((2, 1), ())),
+])
+def test_regular_base_table(vacuum, vac1, vac2):
+    # X_i (x) T_j goes to T_j (x) X_i off the diagonal, as the flip has it
+    assert CrossSymmetry.regular(PAIR, vacuum).base == {
+        (1, 1): vac1 - wick((1,), (1,)), (1, 2): wick((2,), (1,)),
+        (2, 1): wick((1,), (2,)), (2, 2): vac2 - wick((2,), (2,))}
+
+
 def test_unit_laws():
     for w in PAIR.theta.enumerate_normal_forms(2):
         assert PSI.apply((), w) == wick(w, ())
