@@ -419,8 +419,7 @@ class Element(Combination):
         """Build an n=2 element from (a0, a1, a2, a12, a21): the one place
         where five components meet `N2_BASIS`, whose words are normal in
         every n=2 system, so it takes the trusted path."""
-        if system.n != 2:
-            raise ValueError("coefficient form requires n=2")
+        _require_n2(system, "coefficient form")
         if len(coeffs) != 5:
             raise ValueError("coefficient form needs the five components "
                              f"(a0, a1, a2, a12, a21), got {len(coeffs)}")
@@ -434,8 +433,7 @@ class Element(Combination):
 
     def coeffs_n2(self) -> tuple:
         """The five components (a0, a1, a2, a12, a21) for n=2."""
-        if self.system.n != 2:
-            raise ValueError("component form requires n=2")
+        _require_n2(self.system, "component form")
         num, d = self._num, self._d
         return tuple(_make(*num.get(w, (0, 0)), d) for w in N2_BASIS)
 
@@ -450,6 +448,12 @@ class Element(Combination):
 N2_BASIS = (EMPTY_WORD, Word((1,)), Word((2,)), Word((1, 2)), Word((2, 1)))
 
 THETA = RewriteSystem(2)  # the algebra on T1, T2; callers share its memo
+
+
+def _require_n2(system: RewriteSystem, what: str) -> None:
+    """Refuse every system but n=2 with `<what> requires n=2`."""
+    if system.n != 2:
+        raise ValueError(f"{what} requires n=2")
 
 
 def term_body(mag: Scalar, two_part: bool, w: Word, symbol: str) -> str:
@@ -489,8 +493,7 @@ def mul_closed_form(a: Element, b: Element) -> Element:
     T2, a12*b12 on T1T2 and a21*b21 on T2T1.
     """
     a._require_same(b)
-    if a.system.n != 2:
-        raise ValueError("closed form requires n=2")
+    _require_n2(a.system, "closed form")
     a0, a1, a2, a12, a21 = a.coeffs_n2()
     b0, b1, b2, b12, b21 = b.coeffs_n2()
     return Element.from_coeffs(a.system, (
@@ -511,8 +514,7 @@ def invert(a: Element) -> Element:
     Requires a0 != 0 and D = (a0+a12)(a0+a21) - a1*a2 != 0; the result is
     always re-verified against the product before being returned.
     """
-    if a.system.n != 2:
-        raise ValueError("closed-form inverse requires n=2")
+    _require_n2(a.system, "closed-form inverse")
     a0, a1, a2, a12, a21 = a.coeffs_n2()
     if a0.is_zero():
         raise NotInvertible("a0")
@@ -552,8 +554,7 @@ def invert_by_solve(a: Element) -> Element:
 
 def _n2_span(a: Element) -> Subspace:
     """The span of the five n=2 basis words; other n raises ValueError."""
-    if a.system.n != 2:
-        raise ValueError("solving over the algebra requires n=2")
+    _require_n2(a.system, "solving over the algebra")
     return _N2_SPAN
 
 
@@ -693,8 +694,7 @@ def obstruction(a: Element) -> Element:
     1 + a2 T1 + a1 T2 + a21 T1T2 + a12 T2T1: the constant term is fixed
     to 1 whatever a0 is, and the indices swap 1<->2, 12<->21.
     """
-    if a.system.n != 2:
-        raise ValueError("obstruction map requires n=2")
+    _require_n2(a.system, "obstruction map")
     # the index swap is the letter swap i <-> 3 - i, which keeps words normal
     sums = {EMPTY_WORD: (a._d, 0)}
     sums.update((_word([3 - i for i in w]), pq)
@@ -710,8 +710,7 @@ def obstructed_product(a: Element, b: Element) -> Element:
     exactly; the intertwining is checked on every call.
     """
     a._require_same(b)
-    if a.system.n != 2:
-        raise ValueError("obstructed product requires n=2")
+    _require_n2(a.system, "obstructed product")
     _, a1, a2, a12, a21 = a.coeffs_n2()
     _, b1, b2, b12, b21 = b.coeffs_n2()
     c = Element.from_coeffs(a.system, (

@@ -3,12 +3,12 @@
 Every subcommand prints canonical text and exits 0 on success, 1 when a
 checker answers false (including `invert` on a non-invertible element),
 and 2 on usage or parse errors.  A `check` or `wick coherence` that
-answers false writes its first witness, if it names one, on stderr as
-`witness: <law> at <where>: <lhs> != <rhs>`.  Any other exception is a
-fault and propagates out of `main`.  Output is deterministic: identical
-invocations produce byte-identical stdout.  When the reader of stdout
-closes it early (`rga decompose ... | head`), the console script `entry`
-stops writing and exits with EXIT_BROKEN_PIPE, without a traceback.
+answers false writes its first witness on stderr as `witness: <law> at
+<where>: <lhs> != <rhs>`.  Any other exception is a fault and propagates
+out of `main`.  Output is deterministic: identical invocations produce
+byte-identical stdout.  When the reader of stdout closes it early (`rga
+decompose ... | head`), the console script `entry` stops writing and
+exits with EXIT_BROKEN_PIPE, without a traceback.
 
 Each command is one row of `COMMANDS`, from which `_build_parser` makes
 the argparse tree once per process; it holds no per-call state, since
@@ -79,12 +79,10 @@ def main(argv=None) -> int:
 
 
 def _answer(verdict) -> int:
-    """0 when a verdict holds, else 1 and its first witness on stderr, if it
-    names one (a FunctorVerdict names none)."""
+    """0 when a verdict holds, else 1 and its first witness on stderr."""
     if verdict:
         return 0
-    for w in getattr(verdict, "witnesses", ())[:1]:
-        print(f"witness: {w}", file=sys.stderr)
+    print(f"witness: {verdict.witnesses[0]}", file=sys.stderr)
     return 1
 
 

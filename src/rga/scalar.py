@@ -171,7 +171,11 @@ class Scalar:
                     else (self._p, self._q, self._d))
 
     def __repr__(self):
-        return f"Scalar({self.a!r}, {self.b!r})"
+        """`Scalar(Fraction(p, d), Fraction(q, d))` with each part in lowest
+        terms, as `Fraction` prints it, also past the digit limit."""
+        a, b = (f"Fraction({_decimal(x.numerator)}, "
+                f"{_decimal(x.denominator)})" for x in (self.a, self.b))
+        return f"Scalar({a}, {b})"
 
     def __str__(self):
         """Canonical form: `p/q`, `p/q*w`, or `p/q+r/s*w` (signs folded),

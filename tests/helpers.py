@@ -5,7 +5,9 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from rga.algebra import Combination, Element
+from rga.algebra import Combination, Element, Subspace
+from rga.category import Cocycle, LinearMap
+from rga.linalg import Matrix
 from rga.scalar import Scalar
 from rga.tensor import TensorElement
 from rga.wick import WickElement
@@ -344,3 +346,23 @@ def regularity_failures_reference(mats):
         if matmul(psi, e) != psi:
             failures.append(i + 1)
     return failures
+
+
+def loop_lifting_functor():
+    """(chain, morphism map) that respect composition but not obstructions.
+
+    X1 -> X2 -> X3 -> X1 by [0], [1], [0]: every cycle composite is zero
+    (and the chain is not regular at 2).  Sending the zero loop at X1 to
+    [1] still respects every composable pair of generators (the only pair
+    landing on that loop is the loop with itself, and [1].[1] = [1]), but
+    it moves the obstruction at X1."""
+    x1, x2, x3 = (Subspace(f"X{i}", ("u",)) for i in (1, 2, 3))
+    c = Cocycle([x1, x2, x3], [LinearMap(x1, x2, Matrix([[0]])),
+                               LinearMap(x2, x3, Matrix([[1]])),
+                               LinearMap(x3, x1, Matrix([[0]]))])
+    loop = c.cycle_composite(0)
+
+    def lift_loop(m: LinearMap) -> LinearMap:
+        return LinearMap(x1, x1, Matrix([[1]])) if m == loop else m
+
+    return c, lift_loop

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rga.algebra import Subspace
 from rga.category import (ChainTypeError, Cocycle, DegeneratePairingError,
-                          LinearMap, MatrixFunctor, NotAFunctorError,
+                          LinearMap, MatrixFunctor,
                           check_cocycle_morphism, check_duality_identity,
                           check_natural_transformation,
                           check_obstructed_functor, check_regular_cocycle,
@@ -18,7 +18,8 @@ from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, require_size
 from rga.scalar import Scalar
 
-from helpers import cocycle_from_algebra_reference, rand_scalar
+from helpers import (cocycle_from_algebra_reference, loop_lifting_functor,
+                     rand_scalar)
 
 SWAP = Matrix([[0, 1], [1, 0]])
 
@@ -306,46 +307,29 @@ def test_singular_base_change_rejected():
         MatrixFunctor.base_change(change)
 
 
-def test_non_functor_raises():
-    c = algebra_cocycle()
-
-    def warp(m: LinearMap) -> LinearMap:
-        if m.matrix == SWAP:
-            return LinearMap(m.domain, m.codomain, Matrix([[0, 1], [0, 0]]))
-        return m
-
-    with pytest.raises(NotAFunctorError):
-        check_obstructed_functor(MatrixFunctor(warp), [c])
-
-
 def test_functor_breaking_obstruction_detected():
-    # scaling morphisms is a functor on this free chain but sends the
-    # obstruction to a non-obstruction
+    # doubling every morphism breaks composition (F(g.f) = 2 g f while
+    # F(g)F(f) = 4 g f), sends the obstruction 2 e to no obstruction 4 e,
+    # and leaves an image chain that is not regular
     c = obstructed_example()
 
     def double(m: LinearMap) -> LinearMap:
         return LinearMap(m.domain, m.codomain, m.matrix.scale(2))
 
-    f = MatrixFunctor(double)
-    # composition fails (F(g.f) = 2 g f while F(g)F(f) = 4 g f)
-    with pytest.raises(NotAFunctorError):
-        check_obstructed_functor(f, [c])
+    verdict = check_obstructed_functor(MatrixFunctor(double), [c])
+    # every composable pair (f, g), by generator names, g by g
+    assert [(w.law, w.at) for w in verdict.witnesses] == [
+        ("composition", pair) for pair in [
+            ("psi2", "psi1"), ("e1", "psi1"), ("psi1", "psi2"),
+            ("e2", "psi2"), ("psi2", "e1"), ("e1", "e1"), ("psi1", "e2"),
+            ("e2", "e2")]] + [("obstruction", 1), ("obstruction", 2),
+                              ("regularity", 1), ("regularity", 2)]
+    assert not (verdict.composition_ok or verdict.obstruction_preserved
+                or verdict.images_regular or verdict)
 
 
 def test_functor_that_composes_but_moves_an_obstruction():
-    # X1 -> X2 -> X3 -> X1 by [0], [1], [0]: every cycle composite is zero.
-    # Sending the zero loop at X1 to [1] still respects every composable
-    # pair of generators (the only pair landing on that loop is the loop
-    # with itself, and [1].[1] = [1]), but it moves the obstruction at X1.
-    x1, x2, x3 = (Subspace(f"X{i}", ("u",)) for i in (1, 2, 3))
-    c = Cocycle([x1, x2, x3], [LinearMap(x1, x2, Matrix([[0]])),
-                               LinearMap(x2, x3, Matrix([[1]])),
-                               LinearMap(x3, x1, Matrix([[0]]))])
-    loop = c.cycle_composite(0)
-
-    def lift_loop(m: LinearMap) -> LinearMap:
-        return LinearMap(x1, x1, Matrix([[1]])) if m == loop else m
-
+    c, lift_loop = loop_lifting_functor()
     verdict = check_obstructed_functor(MatrixFunctor(lift_loop), [c])
     assert verdict.composition_ok and not verdict.obstruction_preserved
     assert not verdict.ok and bool(verdict) is False

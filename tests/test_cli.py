@@ -206,6 +206,26 @@ def test_check_functor_file(tmp_path, capsys):
     assert (code, out) == (0, "obstructed functor: true\n")
 
 
+def test_check_functor_failure_writes_its_witness(tmp_path, capsys):
+    # X1 -> X2 -> X1 by [1] and [0] fails regularity at 1, and so does its
+    # image under any base change: here psi1 becomes [1/2] and psi2 [0]
+    doc = {
+        "cocycle": {
+            "spaces": [{"name": "X1", "basis": ["u"]},
+                       {"name": "X2", "basis": ["v"]}],
+            "maps": [{"from": "X1", "to": "X2", "matrix": [["1"]]},
+                     {"from": "X2", "to": "X1", "matrix": [["0"]]}]},
+        "base_change": {"X1": [["2"]], "X2": [["1"]]},
+    }
+    path = tmp_path / "functor.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "functor", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "obstructed functor: false\n")
+    assert captured.err == ("witness: regularity at 1: X1->X2Matrix[0] "
+                            "!= X1->X2Matrix[1/2]\n")
+
+
 def test_check_bialgebra(capsys):
     code, out = run(capsys, ["check", "bialgebra", "-n", "2", "--signs",
                              "koszul", "--evacuum", "idem"])

@@ -34,9 +34,7 @@ RECORDS = [
     (X, SPACE),
     (M, MAP),
     (Obstruction(X, M), f"Obstruction(at={SPACE}, map={MAP})"),
-    (FunctorVerdict(True, False, True),
-     "FunctorVerdict(composition_ok=True, obstruction_preserved=False, "
-     "images_regular=True)"),
+    (FunctorVerdict((), 3), "FunctorVerdict(witnesses=(), checked=3)"),
     (Rule("cyclic(1)", (1, 2, 1), (1,)),
      "Rule(name='cyclic(1)', pattern=(1, 2, 1), replacement=(1,))"),
     (CriticalPair("a", "b", Word((1, 1, 2)), ZERO, Word((1,)), False),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rga.scalar import (OMEGA, OMEGA2, ONE, Scalar, ZERO_SCALAR,
                         integer_parts)
 
-from helpers import rand_scalar, scalar_text_reference
+from helpers import decimal_reference, rand_scalar, scalar_text_reference
 
 
 def test_omega_cubes_to_one():
@@ -172,6 +172,19 @@ def test_text_past_the_digit_limit_is_the_fraction_text(p, q, d, sign):
     for u in (Scalar(Fraction(sign * p, d)), Scalar(0, Fraction(sign * q, d)),
               Scalar(Fraction(p, d), Fraction(-sign * q, d))):
         assert str(u) == scalar_text_reference(u)
+
+
+@given(pairs)
+def test_repr_is_the_fraction_repr(x):
+    s = Scalar(*x)
+    assert repr(s) == f"Scalar({s.a!r}, {s.b!r})"
+
+
+def test_repr_past_the_digit_limit(digit_limit):
+    big = 10 ** 5000 + 7
+    digits = decimal_reference(big)
+    assert repr(Scalar(Fraction(-big, 3), Fraction(1, big))) \
+        == f"Scalar(Fraction(-{digits}, 3), Fraction(1, {digits}))"
 
 
 @given(pairs, nonzero_pairs)

@@ -16,8 +16,10 @@ from rga.algebra import (THETA, Element, N2_BASIS, Subspace, Verdict,
                          left_mul_matrix, verdict_of)
 from rga.category import (Cocycle, LinearMap, MatrixFunctor,
                           check_cocycle_morphism, check_duality_identity,
-                          check_natural_transformation, check_regular_cocycle,
-                          check_tensor_obstruction, dual_cocycle)
+                          check_natural_transformation,
+                          check_obstructed_functor, check_regular_cocycle,
+                          check_tensor_obstruction, cocycle_from_algebra,
+                          dual_cocycle)
 from rga.linalg import Matrix
 from rga.rewrite import RewriteSystem, Word
 from rga.scalar import Scalar
@@ -29,7 +31,7 @@ from rga.tensor import (XI, TensorElement, bialgebra_candidates,
 from rga.wick import (ConjugatedPair, CrossSymmetry, check_coherence,
                       check_regular_cross_symmetry)
 
-from helpers import regularity_failures_reference
+from helpers import loop_lifting_functor, regularity_failures_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rga"
 T1 = Word([1])
@@ -122,6 +124,66 @@ def test_cocycle_morphism_obstruction_intertwining():
     first_witness(verdict, "square", 1)
     assert all((w.lhs.matrix, w.rhs.matrix) == (Matrix([[1]]), Matrix([[0]]))
                for w in verdict.witnesses)
+
+
+def warp(m: LinearMap) -> LinearMap:
+    """The swap sent to a nilpotent map, every other morphism kept."""
+    if m.matrix == Matrix([[0, 1], [1, 0]]):
+        return LinearMap(m.domain, m.codomain, Matrix([[0, 1], [0, 0]]))
+    return m
+
+
+def double(m: LinearMap) -> LinearMap:
+    return LinearMap(m.domain, m.codomain, m.matrix.scale(2))
+
+
+def two_chain():
+    """Y1 -> Y2 -> Y1 by [1; 0] and [1 0], whose obstruction at Y2 is not
+    the identity."""
+    y1, y2 = Subspace("Y1", ("p",)), Subspace("Y2", ("q", "r"))
+    return Cocycle([y1, y2], [LinearMap(y1, y2, Matrix([[1], [0]])),
+                              LinearMap(y2, y1, Matrix([[1, 0]]))])
+
+
+@pytest.mark.parametrize("morphism_map,source,lhs,rhs", [
+    # both maps of the algebra's chain are the swap, so psi1 . psi2 is the
+    # identity of X2, which the warp keeps while squaring its nilpotent
+    (warp, lambda: cocycle_from_algebra(RewriteSystem(2), 2)[0],
+     Matrix.identity(2), Matrix([[0, 0], [0, 0]])),
+    # F(g.f) = 2 g f while F(g) F(f) = 4 g f
+    (double, two_chain, Matrix([[2, 0], [0, 0]]), Matrix([[4, 0], [0, 0]])),
+], ids=["warp", "double"])
+def test_obstructed_functor_composition(morphism_map, source, lhs, rhs):
+    verdict = check_obstructed_functor(MatrixFunctor(morphism_map), [source()])
+    w = first_witness(verdict, "composition", ("psi2", "psi1"))
+    assert (w.lhs.matrix, w.rhs.matrix) == (lhs, rhs)
+    assert w.lhs.domain.label == w.lhs.codomain.label == w.rhs.domain.label
+    assert not verdict.composition_ok
+    # two composable pairs before each of the four generators, two
+    # obstructions and two regularity laws
+    assert verdict.checked == 12
+
+
+def test_obstructed_functor_obstruction():
+    c, lift_loop = loop_lifting_functor()
+    verdict = check_obstructed_functor(MatrixFunctor(lift_loop), [c])
+    w = first_witness(verdict, "obstruction", 1)
+    assert (w.lhs.matrix, w.rhs) == (Matrix([[1]]), c.cycle_composite(0))
+    # the source itself is not regular at 2, so neither is its image
+    assert [(w.law, w.at) for w in verdict.witnesses] == [
+        ("obstruction", 1), ("regularity", 2)]
+    assert verdict.checked == 6 * 2 + 3 + 3
+
+
+def test_obstructed_functor_regularity():
+    # the identity functor keeps composition and obstructions; its image is
+    # the source, whose regularity fails where `check_regular_cocycle` says
+    c = one_dim_cocycle(0, 1)
+    verdict = check_obstructed_functor(MatrixFunctor.identity(), [c])
+    first_witness(verdict, "regularity", 2)
+    assert verdict.witnesses == check_regular_cocycle(c).witnesses
+    assert verdict.composition_ok and verdict.obstruction_preserved
+    assert not verdict.images_regular
 
 
 def test_grading_product_grade():
@@ -253,14 +315,12 @@ def test_representation(monkeypatch):
 
 # -- every checker answers with a Verdict -------------------------------------
 
-# The two checkers that keep their own answer type, each with the benchmark
-# line that reads its fields.
+# The checker that keeps its own answer type, with the benchmark line that
+# reads its fields.
 OWN_ANSWER = {
     # perfbench/workloads.py:550 reads locally_confluent, critical_pairs
     # and joinable
     "check_local_confluence": "ConfluenceReport",
-    # perfbench/workloads.py:483 reads composition_ok and images_regular
-    "check_obstructed_functor": "FunctorVerdict",
 }
 
 
@@ -271,7 +331,7 @@ def _tree(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_checkers_return_no_bool_or_tuple(path):
-    # every check_* is annotated `-> Verdict`, save the two named above
+    # every check_* is annotated `-> Verdict`, save the one named above
     bad = [f"{node.name} (line {node.lineno})"
            for node in ast.walk(_tree(path))
            if isinstance(node, ast.FunctionDef)
