@@ -20,7 +20,7 @@ from math import lcm
 
 from .algebra import (THETA, Combination, Element, Verdict, _lifted,
                       linear_combination, obstruction, verdict_of)
-from .linalg import Matrix
+from .linalg import Matrix, _reduced
 from .rewrite import ZERO, RewriteSystem, Word
 from .scalar import ONE, ZERO_SCALAR, Scalar, _make, _times
 
@@ -110,7 +110,7 @@ def pair_words(xi: Word, theta: Word) -> Scalar:
 
 def pair(xi: Element, a: Element) -> Scalar:
     """Bilinear extension of the reversal pairing to elements."""
-    return _paired(xi, a, Word.reverse)
+    return _paired(_partners(xi, Word.reverse), xi._d, a)
 
 
 def pair_tensor(xi: TensorElement, a: TensorElement,
@@ -120,21 +120,35 @@ def pair_tensor(xi: TensorElement, a: TensorElement,
     'straight' pairs first with first; 'flip' pairs first with second,
     matching (X(x)Y)^dual = Y^dual (x) X^dual.
     """
+    return _paired(_partners(xi, _tensor_partner(convention)), xi._d, a)
+
+
+def _tensor_partner(convention: str):
+    """The T-side key that an X-side tensor key pairs with under
+    `convention`; an unknown convention raises ValueError."""
     if convention not in ("straight", "flip"):
         raise ValueError(f"unknown tensor pairing convention {convention!r}")
     step = -1 if convention == "flip" else 1
-    return _paired(xi, a, lambda key: tuple(w.reverse() for w in key[::step]))
+    return lambda key: tuple(w.reverse() for w in key[::step])
 
 
-def _paired(xi: Combination, a: Combination, partner) -> Scalar:
-    """The sum of xi's coefficient at k times a's at partner(k)."""
+def _partners(xi: Combination, partner) -> dict:
+    """xi's integer coefficients keyed by the key each pairs with: the
+    keyed view every pairing reads.  A partner map reverses words, so it
+    is one-to-one and no two of xi's keys meet."""
+    return {partner(k): x for k, x in xi._num.items()}
+
+
+def _paired(partners: dict, d: int, a: Combination) -> Scalar:
+    """The pairing of the value keyed by `partners` over d with a: the sum
+    of a's coefficient at each key times the partner's there."""
     p = q = 0
-    for k, x in xi._num.items():
-        y = a._num.get(partner(k))
-        if y is not None:
+    for k, y in a._num.items():
+        x = partners.get(k)
+        if x is not None:
             s, t = _times(*x, *y)
             p, q = p + s, q + t
-    return _make(p, q, xi._d * a._d)
+    return _make(p, q, d * a._d)
 
 
 def pairing_matrix() -> Matrix:
@@ -174,21 +188,23 @@ def apply_delta(table: Dict[Word, TensorElement], e: Element) -> TensorElement:
 def check_dual_pairing_identity(table, convention: str) -> Verdict:
     """Re-verify <Delta(w), u (x) v> = <w, u*v> on all THETA basis triples
     of degree <= 2, pairing the tensor legs by `convention` (see
-    `pair_tensor`)."""
-    return verdict_of(_pairing_laws(table, convention))
+    `pair_tensor`; an unknown one is refused before any instance).  Each
+    Delta(w) is keyed by its pairing partners once per call, so each of
+    its 25 targets u (x) v is one lookup."""
+    return verdict_of(_pairing_laws(table, _tensor_partner(convention)))
 
 
-def _pairing_laws(table, convention: str):
+def _pairing_laws(table, partner):
     thetas = THETA.enumerate_normal_forms(2)
     # each pair u (x) v as text, as a tensor and multiplied out
     targets = [(f"{u} (x) {v}", TensorElement.single(THETA, u, v),
                 THETA.product(u, v)) for u in thetas for v in thetas]
     for w, delta_w in table.items():
         name = w.to_text(delta_w.system.symbol)
+        partners = _partners(delta_w, partner)
         for text, target, uv in targets:
             yield ("pairing transport", f"<Delta({name}), {text}>",
-                   pair_tensor(delta_w, target, convention),
-                   pair_words(w, uv))
+                   _paired(partners, delta_w._d, target), pair_words(w, uv))
 
 
 def check_coassociativity(table: Dict[Word, TensorElement]) -> Verdict:
@@ -283,21 +299,47 @@ def check_regular_module(action: Dict[Word, Matrix],
     """Check rho . (e_A (x) e_M) = e_M . rho on all basis pairs.
 
     `action[w]` is the matrix of the basis word w acting on the module, in
-    the order the words are checked; its size is the module's dimension.
-    `e_module` maps module coefficient vectors to vectors (it may be
-    affine, like the element obstruction map).  Each pair (word, module
-    basis index) is an instance.
+    the order the words are checked; every matrix is square, of the
+    module's dimension (other shapes are refused with ValueError).
+    `e_algebra` maps elements of `system` to elements of `system` (an
+    image elsewhere is refused with AlgebraMismatchError); `e_module` maps
+    module coefficient vectors to vectors (it may be affine, like the
+    element obstruction map).  Each pair (word, module basis index) is an
+    instance.  Each map is applied once per basis element, so it must be
+    a function of its argument: rho(e_A(w)) is formed once per word as one
+    matrix, and e_M(e_j) once per module basis vector.
     """
-    def act(element: Element, vec: tuple) -> tuple:
-        out = [ZERO_SCALAR] * len(vec)
-        for w, s in element.terms():
-            col = action[w].apply(vec)
-            out = [o + s * c for o, c in zip(out, col)]
-        return tuple(out)
+    dim = max((m.ncols for m in action.values()), default=0)
+    if any((m.nrows, m.ncols) != (dim, dim) for m in action.values()):
+        raise ValueError(f"action matrices must all be {dim}x{dim}")
+    return verdict_of(_module_laws(action, e_algebra, e_module, system, dim))
 
-    return verdict_of(
-        ("regular module", (w, j), act(e_algebra(a), e_module(m_vec)),
-         e_module(act(a, m_vec)))
-        for w, m in action.items() for a in [Element.from_word(system, w)]
-        for j in range(m.ncols) for m_vec in [tuple(
-            ONE if k == j else ZERO_SCALAR for k in range(m.ncols))])
+
+def _module_laws(action, e_algebra, e_module, system, dim):
+    images = [e_module(e_j) for e_j in Matrix.identity(dim).rows]
+    for w in action:
+        a = Element.from_word(system, w)
+        image = e_algebra(a)
+        a._require_same(image)
+        lhs = _represented(action, image, dim)
+        columns = _represented(action, a, dim).transpose().rows
+        for j in range(dim):
+            yield ("regular module", (w, j), lhs.apply(images[j]),
+                   e_module(columns[j]))
+
+
+def _represented(action, x: Element, dim: int) -> Matrix:
+    """rho(x), the sum of x's coefficient at each word u times action[u],
+    added on the integers over one denominator."""
+    terms = [(action[u], pq) for u, pq in x._num.items()]
+    e = lcm(*(m.d for m, _ in terms))
+    P = [[0] * dim for _ in range(dim)]
+    Q = [[0] * dim for _ in range(dim)]
+    for m, (x0, x1) in terms:
+        f = e // m.d
+        x0, x1 = x0 * f, x1 * f
+        for p, q, mp, mq in zip(P, Q, m.P, m.Q):
+            for k, (y0, y1) in enumerate(zip(mp, mq)):
+                p[k] += x0 * y0 - x1 * y1
+                q[k] += x0 * y1 + x1 * (y0 - y1)
+    return _reduced(dim, dim, P, Q, x._d * e)

@@ -188,7 +188,8 @@ def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
     instance of the law `law1[order]`, `law1[reduction]` or `law2[...]` at
     the split.  The unit instances, one per T-word and one per X-word (10
     at degree 2), are instances too, but they cannot fail: `_compute`
-    answers an empty word by construction.
+    answers an empty word by construction.  Each split's product and class
+    are formed once per call, not once per instance.
     """
     return verdict_of(_coherence_laws(psi, max_deg))
 
@@ -210,26 +211,33 @@ def _coherence_laws(psi: CrossSymmetry, max_deg: int):
         yield ("unit[order]", f"{x_text[w]} (x) 1",
                psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w))
 
+    zero = WickElement(pair)
+    theta_splits = _splits(pair.theta, nonunit_thetas, t_text, "law1")
     for xi in xis:
-        for u in nonunit_thetas:
-            for v in nonunit_thetas:
-                prod = pair.theta.product(u, v)
-                reduces = prod is ZERO or len(prod) != len(u) + len(v)
-                yield (f"law1[{'reduction' if reduces else 'order'}]",
-                       f"{x_text[xi]} (x) {t_text[u]}.{t_text[v]}",
-                       psi._peel_theta(xi, u, v),
-                       WickElement(pair) if prod is ZERO
-                       else psi.apply(xi, prod))
-    for x in nonunit_xis:
-        for y in nonunit_xis:
-            for theta in thetas:
-                prod = pair.xi.product(x, y)
-                reduces = prod is ZERO or len(prod) != len(x) + len(y)
-                yield (f"law2[{'reduction' if reduces else 'order'}]",
-                       f"{x_text[x]}.{x_text[y]} (x) {t_text[theta]}",
-                       psi._peel_xi(x, y, theta),
-                       WickElement(pair) if prod is ZERO
-                       else psi.apply(prod, theta))
+        for u, v, law, split, prod in theta_splits:
+            yield (law, f"{x_text[xi]} (x) {split}",
+                   psi._peel_theta(xi, u, v),
+                   zero if prod is ZERO else psi.apply(xi, prod))
+    for x, y, law, split, prod in _splits(pair.xi, nonunit_xis, x_text,
+                                          "law2"):
+        for theta in thetas:
+            yield (law, f"{split} (x) {t_text[theta]}",
+                   psi._peel_xi(x, y, theta),
+                   zero if prod is ZERO else psi.apply(prod, theta))
+
+
+def _splits(system, words: list, text: dict, law: str) -> list:
+    """(u, v, law[class], 'u.v', nf(u v)) for each pair of `words`, in
+    order: the class is `reduction` when u v rewrites, `order` when the
+    concatenation is already normal."""
+    out = []
+    for u in words:
+        for v in words:
+            prod = system.product(u, v)
+            reduces = prod is ZERO or len(prod) != len(u) + len(v)
+            out.append((u, v, f"{law}[{'reduction' if reduces else 'order'}]",
+                        f"{text[u]}.{text[v]}", prod))
+    return out
 
 
 def order_coherent(verdict: Verdict) -> bool:
@@ -307,14 +315,19 @@ def check_regular_cross_symmetry(psi: CrossSymmetry,
     """(e_A (x) e_Ad) . psi = psi . (e_Ad (x) e_A) on word pairs.
 
     Both sides are evaluated termwise (the obstruction maps are affine)
-    and compared exactly.  Each (xi, theta) is an instance.
+    and compared exactly.  Each (xi, theta) is an instance.  The one-leg
+    singles of the right side, 1 (x) e_Ad(xi) and e_A(theta) (x) 1, are
+    mapped once per word, so each map must be a function of its argument.
     """
     pair = psi.pair
+    lefts = [(xi, xi.to_text(pair.xi.symbol),
+              WickElement.single(pair, (), xi).map_legs(None, e_xi))
+             for xi in pair.xi.enumerate_normal_forms(max_deg)]
+    rights = [(theta, WickElement.single(pair, theta, ()).map_legs(e_theta,
+                                                                     None))
+              for theta in pair.theta.enumerate_normal_forms(max_deg)]
     return verdict_of(
-        ("regular cross symmetry", f"{xi.to_text(pair.xi.symbol)} (x) {theta}",
+        ("regular cross symmetry", f"{text} (x) {theta}",
          psi.apply(xi, theta).map_legs(e_theta, e_xi),
-         wick_mul(WickElement.single(pair, (), xi).map_legs(None, e_xi),
-                  WickElement.single(pair, theta, ()).map_legs(e_theta, None),
-                  psi))
-        for xi in pair.xi.enumerate_normal_forms(max_deg)
-        for theta in pair.theta.enumerate_normal_forms(max_deg))
+         wick_mul(left, right, psi))
+        for xi, text, left in lefts for theta, right in rights)

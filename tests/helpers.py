@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from rga.algebra import Combination, Element, Subspace
+from rga.algebra import Combination, Element, Subspace, obstruction
 from rga.category import Cocycle, LinearMap
 from rga.linalg import Matrix
 from rga.scalar import Scalar
@@ -172,6 +172,142 @@ def decimal_reference(n: int) -> str:
         m, block = divmod(m, 10 ** 500)
         blocks.append(f"{block:0500d}")
     return "-" * (n < 0) + str(m) + "".join(reversed(blocks))
+
+
+def identity(a):
+    return a
+
+
+def shift(a):
+    return a + Element.unit(a.system)
+
+
+# the maps the leg and law properties draw from: affine, linear, affine
+MAPS = (obstruction, identity, shift)
+
+
+def module_action():
+    """The regular module of THETA: each basis word's left multiplication
+    on the five-word n = 2 basis."""
+    from rga.algebra import N2_BASIS, THETA, left_mul_matrix
+    space = Subspace("A", N2_BASIS)
+    return {w: left_mul_matrix(Element.from_word(THETA, w), space, space)
+            for w in N2_BASIS}
+
+
+# Four basis-law checkers as they were before they built each basis value
+# once per call: every value is formed again at each law instance that
+# reads it.  They are the oracles of `check_regular_module`,
+# `check_regular_cross_symmetry`, `check_dual_pairing_identity` and
+# `check_coherence`, whose verdicts must equal theirs.
+
+
+def regular_module_reference(action, e_algebra, e_module, system):
+    """`check_regular_module` acting term by term with `Matrix.apply` and
+    `Scalar` sums, both maps applied at every (word, index) pair."""
+    from rga.algebra import verdict_of
+    from rga.scalar import ONE, ZERO_SCALAR
+
+    def act(element, vec):
+        out = [ZERO_SCALAR] * len(vec)
+        for w, s in element.terms():
+            col = action[w].apply(vec)
+            out = [o + s * c for o, c in zip(out, col)]
+        return tuple(out)
+
+    return verdict_of(
+        ("regular module", (w, j), act(e_algebra(a), e_module(m_vec)),
+         e_module(act(a, m_vec)))
+        for w, m in action.items() for a in [Element.from_word(system, w)]
+        for j in range(m.ncols) for m_vec in [tuple(
+            ONE if k == j else ZERO_SCALAR for k in range(m.ncols))])
+
+
+def cross_symmetry_verdict_reference(psi, e_theta, e_xi, max_deg):
+    """`check_regular_cross_symmetry` with both one-leg singles mapped
+    again at every word pair."""
+    from rga.algebra import verdict_of
+    from rga.wick import wick_mul
+    pair = psi.pair
+    return verdict_of(
+        ("regular cross symmetry", f"{xi.to_text(pair.xi.symbol)} (x) {theta}",
+         psi.apply(xi, theta).map_legs(e_theta, e_xi),
+         wick_mul(WickElement.single(pair, (), xi).map_legs(None, e_xi),
+                  WickElement.single(pair, theta, ()).map_legs(e_theta, None),
+                  psi))
+        for xi in pair.xi.enumerate_normal_forms(max_deg)
+        for theta in pair.theta.enumerate_normal_forms(max_deg))
+
+
+def pairing_verdict_reference(table, convention):
+    """`check_dual_pairing_identity` pairing each Delta(w) with each target
+    by a loop over Delta(w)'s terms, its partner key formed at every
+    target."""
+    from rga.algebra import THETA, verdict_of
+    from rga.scalar import Scalar
+    from rga.tensor import pair_words
+    step = -1 if convention == "flip" else 1
+    thetas = THETA.enumerate_normal_forms(2)
+
+    def paired(xi, a):
+        coeffs = dict(a.terms())
+        total = Scalar(0)
+        for k, x in xi.terms():
+            y = coeffs.get(tuple(w.reverse() for w in k[::step]))
+            if y is not None:
+                total = total + x * y
+        return total
+
+    return verdict_of(
+        ("pairing transport",
+         f"<Delta({w.to_text(delta_w.system.symbol)}), {u} (x) {v}>",
+         paired(delta_w, TensorElement.single(THETA, u, v)),
+         pair_words(w, THETA.product(u, v)))
+        for w, delta_w in table.items() for u in thetas for v in thetas)
+
+
+def coherence_verdict_reference(psi, max_deg):
+    """`check_coherence` forming each split's product and class, and a
+    zero value, at every instance."""
+    from rga.algebra import verdict_of
+    from rga.rewrite import EMPTY_WORD, ZERO
+    pair = psi.pair
+    xis = pair.xi.enumerate_normal_forms(max_deg)
+    thetas = pair.theta.enumerate_normal_forms(max_deg)
+    nonunit_xis = [w for w in xis if len(w)]
+    nonunit_thetas = [w for w in thetas if len(w)]
+
+    def instances():
+        for w in thetas:
+            yield ("unit[order]", f"1 (x) {w.to_text('T')}",
+                   psi.apply(EMPTY_WORD, w), WickElement.single(pair, w, ()))
+        for w in xis:
+            yield ("unit[order]", f"{w.to_text('X')} (x) 1",
+                   psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w))
+        for xi in xis:
+            for u in nonunit_thetas:
+                for v in nonunit_thetas:
+                    prod = pair.theta.product(u, v)
+                    reduces = prod is ZERO or len(prod) != len(u) + len(v)
+                    yield (f"law1[{'reduction' if reduces else 'order'}]",
+                           f"{xi.to_text('X')} (x) "
+                           f"{u.to_text('T')}.{v.to_text('T')}",
+                           psi._peel_theta(xi, u, v),
+                           WickElement(pair) if prod is ZERO
+                           else psi.apply(xi, prod))
+        for x in nonunit_xis:
+            for y in nonunit_xis:
+                for theta in thetas:
+                    prod = pair.xi.product(x, y)
+                    reduces = prod is ZERO or len(prod) != len(x) + len(y)
+                    yield (f"law2[{'reduction' if reduces else 'order'}]",
+                           f"{x.to_text('X')}.{y.to_text('X')} (x) "
+                           f"{theta.to_text('T')}",
+                           psi._peel_xi(x, y, theta),
+                           WickElement(pair) if prod is ZERO
+                           else psi.apply(prod, theta))
+
+    return verdict_of(instances())
 
 
 # The products as they were before `RewriteSystem.product`: raw

@@ -22,8 +22,8 @@ from rga.wick import (ConjugatedPair, CrossSymmetry, WickElement,
                       check_regular_cross_symmetry, wick_mul,
                       wick_mul_regular)
 
-from helpers import (cross_symmetry_sides_reference, tensor_map_reference,
-                     wick_mul_regular_reference)
+from helpers import (MAPS, cross_symmetry_sides_reference, identity, shift,
+                     tensor_map_reference, wick_mul_regular_reference)
 
 S2 = RewriteSystem(2)
 S3 = RewriteSystem(3)
@@ -31,16 +31,6 @@ PAIR = ConjugatedPair()
 PSIS = (CrossSymmetry.regular(PAIR, "unit"),
         CrossSymmetry.regular(PAIR, "idem"), CrossSymmetry.flip(PAIR))
 
-
-def identity(a):
-    return a
-
-
-def shift(a):
-    return a + Element.unit(a.system)
-
-
-MAPS = (obstruction, identity, shift)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 scalars = st.builds(Scalar, rationals, rationals)

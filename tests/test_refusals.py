@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rga.algebra import (Element, Subspace, annihilator,
+from rga.algebra import (AlgebraMismatchError, Element, Subspace, annihilator,
                          find_idempotent_obstructions, invert,
                          left_mul_matrix, mul_closed_form, obstructed_product,
                          obstruction)
@@ -17,8 +17,11 @@ from rga.category import (ChainTypeError, Cocycle, LinearMap,
 from rga.linalg import Matrix
 from rga.rewrite import LetterRangeError, RewriteSystem, Word
 from rga.scalar import ONE, Scalar
-from rga.tensor import XI, TensorElement, pair_tensor
+from rga.tensor import (XI, TensorElement, check_dual_pairing_identity,
+                        check_regular_module, pair_tensor)
 from rga.wick import ConjugatedPair, CrossSymmetry, WickElement
+
+from helpers import identity, module_action
 
 S2, S3, S64 = RewriteSystem(2), RewriteSystem(3), RewriteSystem(64)
 T3 = Element.generator(S3, 1)
@@ -74,6 +77,24 @@ REFUSALS = {
     "pair_tensor-convention": (
         lambda: pair_tensor(TensorElement(S2), TensorElement(S2), "sideways"),
         ValueError, "unknown tensor pairing convention 'sideways'"),
+    # refused before the stream, so also with no instance to check
+    "pairing-identity-convention": (
+        lambda: check_dual_pairing_identity({}, "bogus"),
+        ValueError, "unknown tensor pairing convention 'bogus'"),
+    # an algebra map whose images leave the module's algebra
+    "regular-module-dagger": (
+        lambda: check_regular_module(module_action(), PAIR.dagger,
+                                     identity, S2),
+        AlgebraMismatchError, "Element over RewriteSystem(n=2, symbol='T') "
+        "vs Element over RewriteSystem(n=2, symbol='X')"),
+    "regular-module-n3": (
+        lambda: check_regular_module(module_action(), lambda a: T3,
+                                     identity, S2),
+        AlgebraMismatchError, "Element over RewriteSystem(n=2, symbol='T') "
+        "vs Element over RewriteSystem(n=3, symbol='T')"),
+    "regular-module-shape": (
+        lambda: check_regular_module({Word(()): ROW}, identity, identity, S2),
+        ValueError, "action matrices must all be 2x2"),
     # an operator codomain whose words are no basis in normal form
     "codomain-zero-word": (
         lambda: left_mul_matrix(T1, E, Subspace("C", (Word((2, 2)),))),

@@ -2,8 +2,7 @@ from random import Random
 
 import pytest
 
-from rga.algebra import THETA, Element, N2_BASIS, Subspace, left_mul_matrix, \
-    mul, obstruction
+from rga.algebra import THETA, Element, N2_BASIS, mul, obstruction
 from rga.rewrite import Word
 from rga.scalar import ONE, Scalar
 from rga.tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS, XI,
@@ -14,7 +13,7 @@ from rga.tensor import (BIALGEBRA_RELATIONS, SIGN_CONVENTIONS, XI,
                         element_tensor, pair, pair_tensor, pairing_matrix,
                         tensor_mul)
 
-from helpers import rand_element, rand_scalar
+from helpers import module_action, rand_element, rand_scalar
 
 
 
@@ -206,15 +205,6 @@ def test_idem_interpretation_kills_cross_product():
 
 
 # -- regular module ---------------------------------------------------------------
-
-
-def module_action():
-    space = Subspace("A", N2_BASIS)
-    action = {}
-    for w in N2_BASIS:
-        action[w] = left_mul_matrix(Element.from_word(THETA, w), space,
-                                    space)
-    return action
 
 
 def test_module_identity_maps_pass():
