@@ -9,8 +9,10 @@ form is unique, so `==` and `hash` compare integers; `rows` and `m[i, j]`
 build `Scalar`s on demand.  The shape is stored, so k x 0 and 0 x k
 matrices keep it.
 
-Every operation runs on the integers through the Z[w] kernel of
-`rga.scalar`.  A product with an identity factor is the other factor, by
+Products, `apply`, `transpose` and elimination run on the integers through
+the Z[w] kernel of `rga.scalar`; `+`, `-`, `scale` and `kron` form their
+entries as `Scalar`s and pass them to the constructor, which finds the one
+canonical form.  A product with an identity factor is the other factor, by
 the unit law id . f = f = f . id (Mac Lane, Categories for the Working
 Mathematician, I.1), and costs no arithmetic; any other product takes one
 pass of the kernel and one gcd.  RREF, rank, nullspace, solve and inverse
@@ -34,8 +36,7 @@ from typing import Sequence
 
 from .rewrite import SelfCheckError
 from .scalar import (ONE, ZERO_SCALAR, _conjugate, _make, _products,
-                     _scaled_rows, _times, common_denominator,
-                     integer_parts)
+                     _scaled_rows, _times, common_denominator)
 
 
 class Matrix:
@@ -95,21 +96,14 @@ class Matrix:
         return self._combined(other, -1)
 
     def _combined(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, over the lcm of the two denominators."""
+        """self + sign * other, entry by entry."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        d = lcm(self.d, other.d)
-        s, t = d // self.d, sign * (d // other.d)
-        return _reduced(self.nrows, self.ncols,
-                        [[x * s + y * t for x, y in zip(r, u)]
-                         for r, u in zip(self.P, other.P)],
-                        [[x * s + y * t for x, y in zip(r, u)]
-                         for r, u in zip(self.Q, other.Q)], d)
+        return _built([[x + sign * y for x, y in zip(r, u)]
+                       for r, u in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, s) -> "Matrix":
-        sp, sq, sd = integer_parts(s)
-        return _reduced(self.nrows, self.ncols,
-                        *_scaled_rows(self.P, self.Q, sp, sq), self.d * sd)
+        return _built([[x * s for x in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         """The matrix product.  Past the type and shape checks, an identity
@@ -143,16 +137,10 @@ class Matrix:
                        _columns(self.Q, self.ncols), self.d)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        P, Q = [], []
-        for ap, aq in zip(self.P, self.Q):
-            # one block per entry x + yw of this row: `other` times it
-            blocks = [_scaled_rows(other.P, other.Q, x, y)
-                      for x, y in zip(ap, aq)]
-            for i in range(other.nrows):
-                P.append([v for bp, _ in blocks for v in bp[i]])
-                Q.append([v for _, bq in blocks for v in bq[i]])
-        return _reduced(self.nrows * other.nrows, self.ncols * other.ncols,
-                        P, Q, self.d * other.d)
+        """The Kronecker product: entry ((i, k), (j, l)) is a_ij b_kl."""
+        return _built([[a * b for a in ar for b in br]
+                       for ar in self.rows for br in other.rows],
+                      self.ncols * other.ncols)
 
     def is_identity(self) -> bool:
         """Square, d == 1, P the unit rows and Q zero (`_is_identity`)."""
@@ -249,6 +237,12 @@ def _matrix(nrows: int, ncols: int, P: tuple, Q: tuple, d: int) -> Matrix:
     m = object.__new__(Matrix)
     _init(m, nrows, ncols, P, Q, d)
     return m
+
+
+def _built(rows: list, ncols: int) -> Matrix:
+    """`Matrix(rows)`, which is 0 x 0 for no rows, with the column count
+    `ncols` kept when there are none."""
+    return Matrix(rows) if rows else _matrix(0, ncols, (), (), 1)
 
 
 @cache

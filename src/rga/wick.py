@@ -103,6 +103,7 @@ class CrossSymmetry:
         self.base = dict(base)
         self.label = label
         self._cache: dict = {}
+        self._groups: dict = {}
 
     @classmethod
     def flip(cls, pair: ConjugatedPair) -> "CrossSymmetry":
@@ -162,16 +163,26 @@ class CrossSymmetry:
     def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:
         """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v:
         the Wick product of psi(xi (x) u) with v (x) 1."""
-        first = self.apply(xi, u)
-        return _routed(self, first, _grouped(first, 1),
-                       {v: [(EMPTY_WORD, (1, 0))]}, first._d)
+        first, lefts = self._grouped_value(xi, u, 1)
+        return _routed(self, first, lefts, {v: [(EMPTY_WORD, (1, 0))]},
+                       first._d)
 
     def _peel_xi(self, x: Word, y: Word, theta: Word) -> WickElement:
         """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta:
         the Wick product of 1 (x) x with psi(y (x) theta)."""
-        first = self.apply(y, theta)
-        return _routed(self, first, {x: [(EMPTY_WORD, (1, 0))]},
-                       _grouped(first, 0), first._d)
+        first, rights = self._grouped_value(y, theta, 0)
+        return _routed(self, first, {x: [(EMPTY_WORD, (1, 0))]}, rights,
+                       first._d)
+
+    def _grouped_value(self, xi: Word, theta: Word, side: int) -> tuple:
+        """(psi(xi (x) theta), its terms grouped on leg `side`), grouped the
+        first time a peel asks for them and kept, like the value."""
+        key = (xi, theta, side)
+        hit = self._groups.get(key)
+        if hit is None:
+            first = self.apply(xi, theta)
+            hit = self._groups[key] = (first, _grouped(first, side))
+        return hit
 
 
 def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:

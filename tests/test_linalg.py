@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import rga.linalg
 from rga.linalg import Matrix, _quotients
 from rga.rewrite import SelfCheckError
-from rga.scalar import Scalar, _conjugate, _times
+from rga.scalar import OMEGA, Scalar, _conjugate, _times
 
 from helpers import (inverse_reference, nullspace_reference, rand_scalar,
                      rref_reference, solve_reference)
@@ -293,6 +293,19 @@ def test_empty_shapes_survive():
                     (Matrix.identity(3) * tall, tall)):
         assert x == want
     assert (empty * empty).is_identity()
+    # +, -, scale and kron keep the shapes k x 0 and 0 x k, and are zero
+    square = Matrix([[1, 2], [3, OMEGA]])
+    for m in (wide, tall):
+        k, n = m.nrows, m.ncols
+        for x, shape in ((m + m, (k, n)), (m - m, (k, n)),
+                         (m.scale(OMEGA), (k, n)),
+                         (m.scale(Fraction(-2, 3)), (k, n)),
+                         (m.kron(square), (2 * k, 2 * n)),
+                         (square.kron(m), (2 * k, 2 * n)),
+                         (m.kron(m), (k * k, n * n)),
+                         (m.kron(m.transpose()), (k * n, n * k))):
+            assert (x.nrows, x.ncols) == shape and x.is_zero()
+            assert_canonical(x)
 
 
 def test_inexact_division_is_refused():
@@ -306,3 +319,33 @@ def test_inexact_division_is_refused():
     for xs, n in (([1], 2), ([3, 1], 3), ([4], -3)):
         with pytest.raises(SelfCheckError):
             _quotients(xs, n)
+
+
+# -- +, -, scale and kron, built from Scalars, against the kernel product ------
+
+
+def shaped(nrows, ncols):
+    """Matrices of the shape nrows x ncols, k x 0 and 0 x k included, with
+    no row or column zeroed on purpose: at these sizes that would leave
+    too few nonzero entries to tell a permuted result."""
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(
+        lambda rows: matrix_of(rows, ncols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), entries)
+def test_entrywise_operations_agree_with_the_kernel_product(data, s):
+    m, k, n, p, q, r = (data.draw(st.integers(0, 3)) for _ in range(6))
+    a, c = data.draw(shaped(m, k)), data.draw(shaped(k, n))
+    b, d = data.draw(shaped(p, q)), data.draw(shaped(q, r))
+    # the mixed-product law (A (x) B)(C (x) D) = AC (x) BD
+    assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
+    x, y = a, data.draw(shaped(m, k))
+    assert (x + y).scale(s) == x.scale(s) + y.scale(s)
+    # a scale is a product with the diagonal s, and * distributes
+    diagonal = matrix_of([[s if i == j else 0 for j in range(k)]
+                          for i in range(k)], k)
+    assert x.scale(s) == x * diagonal
+    assert (x + y) * c == x * c + y * c
+    assert (x - y) + y == x and (x - y) * c == x * c - y * c
