@@ -57,6 +57,8 @@ MAX_NESTING = 200
 _TOKEN = re.compile(r"\(x\)|\d+|[TX]\d*|\S")
 _KINDS = {"(x)": "TENSOR", "+": "PLUS", "-": "MINUS", "*": "STAR",
           "/": "SLASH", "(": "LPAREN", ")": "RPAREN", "w": "W"}
+# what an error message calls each kind that `_Stream.expect` asks for
+_EXPECTED = {"NUM": "a number", "RPAREN": "')'", "END": "end of input"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
@@ -108,7 +110,9 @@ class _Stream:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}",
+            found = ("end of input" if tok[0] == "END"
+                     else repr(_TOKEN.match(self.text, tok[2])[0]))
+            raise ParseError(f"expected {_EXPECTED[kind]}, found {found}",
                              tok[2], self.text)
         return tok
 

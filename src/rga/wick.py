@@ -17,7 +17,7 @@ from math import lcm
 from typing import Callable, Dict, Tuple
 
 from .algebra import THETA, Combination, Element, Verdict, verdict_of
-from .rewrite import EMPTY_WORD, ZERO, Word
+from .rewrite import EMPTY_WORD, ZERO, Word, _word
 from .scalar import ONE
 from .tensor import XI
 
@@ -84,26 +84,29 @@ class IncompleteBaseError(ValueError):
 class CrossSymmetry:
     """A cross symmetry given by its values on generator pairs.
 
-    `base[(i, j)]` is the value on X_i (x) T_j.  `apply` extends to
-    arbitrary word pairs by peeling rightmost letters first: the last
-    T-letter through the first coherence law, then the last X-letter
-    through the second.  Results are memoized; the instance stays
+    `base[(i, j)]` is the value on X_i (x) T_j, and it has no other key.
+    `apply` extends to arbitrary word pairs by peeling rightmost letters
+    first: the last T-letter through the first coherence law, then the
+    last X-letter through the second; each law is `wick_mul` with a
+    one-term operand.  Results are memoized; the instance stays
     observably pure.
     """
 
     def __init__(self, pair: ConjugatedPair,
                  base: Dict[Tuple[int, int], WickElement], label: str):
-        for i in (1, 2):
-            for j in (1, 2):
-                if (i, j) not in base:
-                    raise IncompleteBaseError(
-                        f"missing base value for X{i} (x) T{j}")
-                WickElement(pair)._require_same(base[(i, j)])
+        pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
+        for key in base:
+            if key not in pairs:
+                raise ValueError(f"base key {key!r} is not a generator pair")
+        for i, j in pairs:
+            if (i, j) not in base:
+                raise IncompleteBaseError(
+                    f"missing base value for X{i} (x) T{j}")
+            WickElement(pair)._require_same(base[(i, j)])
         self.pair = pair
         self.base = dict(base)
         self.label = label
         self._cache: dict = {}
-        self._groups: dict = {}
 
     @classmethod
     def flip(cls, pair: ConjugatedPair) -> "CrossSymmetry":
@@ -148,41 +151,23 @@ class CrossSymmetry:
 
     def _compute(self, xi: Word, theta: Word) -> WickElement:
         pair = self.pair
-        if len(xi) == 0:
-            return WickElement.single(pair, theta, ())
-        if len(theta) == 0:
-            return WickElement.single(pair, (), xi)
+        if len(xi) == 0 or len(theta) == 0:
+            return _term(pair, theta, xi)
         if len(theta) > 1:
-            # first law: psi(xi (x) u.t) routes psi(xi (x) u) into t
-            return self._peel_theta(xi, Word(theta[:-1]), Word(theta[-1:]))
+            # first law: psi(xi (x) u.t) = psi(xi (x) u) (t (x) 1)
+            return wick_mul(self.apply(xi, _word(theta[:-1])),
+                            _term(pair, _word(theta[-1:]), EMPTY_WORD), self)
         if len(xi) > 1:
-            # second law: psi(x.y (x) t) routes y into t first, then x
-            return self._peel_xi(Word(xi[:-1]), Word(xi[-1:]), theta)
+            # second law: psi(x.y (x) t) = (1 (x) x) psi(y (x) t)
+            return wick_mul(_term(pair, EMPTY_WORD, _word(xi[:-1])),
+                            self.apply(_word(xi[-1:]), theta), self)
         return self.base[(xi[0], theta[0])]
 
-    def _peel_theta(self, xi: Word, u: Word, v: Word) -> WickElement:
-        """(m_A (x) id) . (id (x) psi) . (psi (x) id) on xi (x) u (x) v:
-        the Wick product of psi(xi (x) u) with v (x) 1."""
-        first, lefts = self._grouped_value(xi, u, 1)
-        return _routed(self, first, lefts, {v: [(EMPTY_WORD, (1, 0))]},
-                       first._d)
 
-    def _peel_xi(self, x: Word, y: Word, theta: Word) -> WickElement:
-        """(id (x) m_Ad) . (psi (x) id) . (id (x) psi) on x (x) y (x) theta:
-        the Wick product of 1 (x) x with psi(y (x) theta)."""
-        first, rights = self._grouped_value(y, theta, 0)
-        return _routed(self, first, {x: [(EMPTY_WORD, (1, 0))]}, rights,
-                       first._d)
-
-    def _grouped_value(self, xi: Word, theta: Word, side: int) -> tuple:
-        """(psi(xi (x) theta), its terms grouped on leg `side`), grouped the
-        first time a peel asks for them and kept, like the value."""
-        key = (xi, theta, side)
-        hit = self._groups.get(key)
-        if hit is None:
-            first = self.apply(xi, theta)
-            hit = self._groups[key] = (first, _grouped(first, side))
-        return hit
+def _term(pair: ConjugatedPair, theta: Word, xi: Word) -> WickElement:
+    """theta (x) xi with coefficient 1, both words already normal: built on
+    the trusted path, with no `normal_form` call and no `Scalar`."""
+    return WickElement._new(pair, {(theta, xi): (1, 0)}, 1)
 
 
 def check_coherence(psi: CrossSymmetry, max_deg: int) -> Verdict:
@@ -211,29 +196,32 @@ def _coherence_laws(psi: CrossSymmetry, max_deg: int):
     thetas = pair.theta.enumerate_normal_forms(max_deg)
     nonunit_thetas = [w for w in thetas if len(w)]
     nonunit_xis = [w for w in xis if len(w)]
-    # every split is named, so each word is written out once
+    # every split is named, so each word is written out once; each word's
+    # one-term value w (x) 1 or 1 (x) w is built once too
     t_text = {w: w.to_text("T") for w in thetas}
     x_text = {w: w.to_text("X") for w in xis}
+    t_one = {w: _term(pair, w, EMPTY_WORD) for w in thetas}
+    x_one = {w: _term(pair, EMPTY_WORD, w) for w in xis}
 
     for w in thetas:
         yield ("unit[order]", f"1 (x) {t_text[w]}",
-               psi.apply(EMPTY_WORD, w), WickElement.single(pair, w, ()))
+               psi.apply(EMPTY_WORD, w), t_one[w])
     for w in xis:
         yield ("unit[order]", f"{x_text[w]} (x) 1",
-               psi.apply(w, EMPTY_WORD), WickElement.single(pair, (), w))
+               psi.apply(w, EMPTY_WORD), x_one[w])
 
     zero = WickElement(pair)
     theta_splits = _splits(pair.theta, nonunit_thetas, t_text, "law1")
     for xi in xis:
         for u, v, law, split, prod in theta_splits:
             yield (law, f"{x_text[xi]} (x) {split}",
-                   psi._peel_theta(xi, u, v),
+                   wick_mul(psi.apply(xi, u), t_one[v], psi),
                    zero if prod is ZERO else psi.apply(xi, prod))
     for x, y, law, split, prod in _splits(pair.xi, nonunit_xis, x_text,
                                           "law2"):
         for theta in thetas:
             yield (law, f"{split} (x) {t_text[theta]}",
-                   psi._peel_xi(x, y, theta),
+                   wick_mul(x_one[x], psi.apply(y, theta), psi),
                    zero if prod is ZERO else psi.apply(prod, theta))
 
 
@@ -263,20 +251,14 @@ def wick_mul(x: WickElement, y: WickElement, psi: CrossSymmetry) -> WickElement:
     """(a (x) b)(c (x) d) routes b past c through the cross symmetry.
 
     psi(b (x) c) is looked up once per block of x's terms with X-word b and
-    y's with T-word c.  Assumes psi is coherent at the degrees involved;
-    run `check_coherence` first when in doubt.
+    y's with T-word c; each outer leg product a.p and q.d is formed once
+    per term p (x) q of that value, and each term's coefficient is added
+    into one dict as it is formed.  Assumes psi is coherent at the degrees
+    involved; run `check_coherence` first when in doubt.
     """
     x._require_same(y)
-    return _routed(psi, x, _grouped(x, 1), _grouped(y, 0), x._d * y._d)
-
-
-def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
-            rights: dict, den: int) -> WickElement:
-    """The Wick product, like `like`, of lefts[b] = [(a, (p, q))] for a (x) b
-    with rights[c] = [(d, (p, q))] for c (x) d, all over the denominator den;
-    each leg product a.p and q.d is formed once per term p (x) q of psi, and
-    each term's coefficient is added into one dict as it is formed."""
     theta, xi = psi.pair.theta._products, psi.pair.xi._products
+    lefts, rights = _grouped(x, 1), _grouped(y, 0)
     blocks = [(lefts[b], rights[c], psi.apply(b, c))
               for b in lefts for c in rights]
     e = lcm(*[value._d for _, _, value in blocks])
@@ -296,7 +278,7 @@ def _routed(psi: CrossSymmetry, like: WickElement, lefts: dict,
                     p0, q0 = get(k, (0, 0))
                     sums[k] = (p0 + x0 * y0 - x1 * y1,
                                q0 + x0 * y1 + x1 * (y0 - y1))
-    return like._new(like._context, sums, den * e)
+    return x._new(x._context, sums, x._d * y._d * e)
 
 
 def _grouped(x: WickElement, side: int) -> dict:

@@ -292,7 +292,7 @@ def coherence_verdict_reference(psi, max_deg):
                     yield (f"law1[{'reduction' if reduces else 'order'}]",
                            f"{xi.to_text('X')} (x) "
                            f"{u.to_text('T')}.{v.to_text('T')}",
-                           psi._peel_theta(xi, u, v),
+                           peel_theta_reference(psi, xi, u, v),
                            WickElement(pair) if prod is ZERO
                            else psi.apply(xi, prod))
         for x in nonunit_xis:
@@ -303,7 +303,7 @@ def coherence_verdict_reference(psi, max_deg):
                     yield (f"law2[{'reduction' if reduces else 'order'}]",
                            f"{x.to_text('X')}.{y.to_text('X')} (x) "
                            f"{theta.to_text('T')}",
-                           psi._peel_xi(x, y, theta),
+                           peel_xi_reference(psi, x, y, theta),
                            WickElement(pair) if prod is ZERO
                            else psi.apply(prod, theta))
 
@@ -342,7 +342,8 @@ def wick_mul_reference(x, y, psi):
 
 
 def peel_theta_reference(psi, xi, u, v):
-    """`CrossSymmetry._peel_theta` on xi (x) u (x) v."""
+    """The first coherence law's left side on xi (x) u (x) v: the X-word
+    of each term of psi(xi (x) u) routed past v by psi."""
     return wick_reference(psi.pair, (
         ((p.letters + r.letters, w), (s, t))
         for (p, q), s in psi.apply(xi, u).terms()
@@ -350,7 +351,8 @@ def peel_theta_reference(psi, xi, u, v):
 
 
 def peel_xi_reference(psi, x, y, theta):
-    """`CrossSymmetry._peel_xi` on x (x) y (x) theta."""
+    """The second coherence law's left side on x (x) y (x) theta: x
+    routed past the T-word of each term of psi(y (x) theta) by psi."""
     return wick_reference(psi.pair, (
         ((p, q.letters + w.letters), (s, t))
         for (r, w), t in psi.apply(y, theta).terms()

@@ -14,9 +14,8 @@ from rga.linalg import Matrix
 from rga.scalar import Scalar
 from rga.tensor import (XI, TensorElement, check_dual_pairing_identity,
                         check_regular_module, dual_comultiplication)
-import rga.wick
-from rga.wick import (ConjugatedPair, CrossSymmetry, WickElement,
-                      check_coherence, check_regular_cross_symmetry, wick_mul)
+from rga.wick import (ConjugatedPair, CrossSymmetry, check_coherence,
+                      check_regular_cross_symmetry)
 
 from helpers import (MAPS, coherence_verdict_reference,
                      cross_symmetry_verdict_reference, identity,
@@ -164,38 +163,3 @@ def test_cross_symmetry_maps_run_once_per_single(psi):
     # the 25 word pairs map their singles once per word: 5 of each side
     assert calls == before - Counter({"e_A": 20, "e_Ad": 20})
     assert max(calls.values()) <= 52
-
-
-
-@pytest.mark.parametrize("vacuum", ["unit", "idem"])
-def test_coherence_groups_each_peeled_value_once(vacuum, monkeypatch):
-    grouped, sides = rga.wick._grouped, []
-    monkeypatch.setattr(rga.wick, "_grouped",
-                        lambda x, side: sides.append(side) or grouped(x, side))
-    verdict = check_coherence(CrossSymmetry.regular(PAIR, vacuum), 2)
-    # one grouping per (word pair, side) a peel asks for; 172 when each
-    # peel grouped its value again
-    assert len(sides) <= 40
-    monkeypatch.undo()
-    assert verdict == coherence_verdict_reference(
-        CrossSymmetry.regular(PAIR, vacuum), 2)
-
-
-@pytest.mark.parametrize("psi", PSIS, ids=lambda p: p.label)
-def test_peels_are_wick_products(psi):
-    fresh = CrossSymmetry(PAIR, psi.base, psi.label)
-    thetas = PAIR.theta.enumerate_normal_forms(2)
-    xis = PAIR.xi.enumerate_normal_forms(2)
-    for _ in range(2):  # the second pass reads the kept groupings
-        for xi in xis:
-            for u in thetas[1:]:
-                for v in thetas[1:]:
-                    assert fresh._peel_theta(xi, u, v) == wick_mul(
-                        fresh.apply(xi, u), WickElement.single(PAIR, v, ()),
-                        fresh)
-        for x in xis[1:]:
-            for y in xis[1:]:
-                for theta in thetas:
-                    assert fresh._peel_xi(x, y, theta) == wick_mul(
-                        WickElement.single(PAIR, (), x),
-                        fresh.apply(y, theta), fresh)

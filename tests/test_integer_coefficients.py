@@ -1,12 +1,12 @@
 """Combinations store integer Z[w] numerators over one denominator.
 
 Every result of the constructor, `+ - neg scale`, `linear_combination`,
-`mul`, `tensor_mul`, `element_tensor`, `wick_mul`, the two peels,
-`map_legs`, the dagger and the obstruction map must equal the `Scalar`
-summation kept in `helpers` and be in canonical form: denominator > 0,
-content 1, no zero numerator, and the public constructor rebuilds it with
-the same hash; a result whose terms all cancel is the zero value, with no
-numerator over the denominator 1.  The hot
+`mul`, `tensor_mul`, `element_tensor`, `wick_mul` (also with the one-term
+operands of the coherence laws), `map_legs`, the dagger and the obstruction
+map must equal the `Scalar` summation kept in `helpers` and be in canonical
+form: denominator > 0, content 1, no zero numerator, and the public
+constructor rebuilds it with the same hash; a result whose terms all cancel
+is the zero value, with no numerator over the denominator 1.  The hot
 products must build no `Scalar` at all, `wick_mul` must look the cross
 symmetry up once per routed block, and the Z[w] kernel must live in
 `rga.scalar` alone.  The modules above the algebra (parser, categories,
@@ -40,6 +40,12 @@ PAIR = ConjugatedPair()
 PSIS = {"flip": CrossSymmetry.flip(PAIR),
         "regular[unit]": CrossSymmetry.regular(PAIR, "unit"),
         "regular[idem]": CrossSymmetry.regular(PAIR, "idem")}
+# regular[unit] with its four generator values times (1 + w)/d for
+# d = 1, 2, 3, 5, so that one product adds blocks over different denominators
+PSIS["scaled"] = CrossSymmetry(PAIR, {
+    key: value.scale(Scalar(Fraction(1, d), Fraction(1, d)))
+    for (key, value), d in zip(sorted(PSIS["regular[unit]"].base.items()),
+                               (1, 2, 3, 5))}, "scaled")
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 scalars = st.builds(Scalar, rationals, rationals)
@@ -147,10 +153,10 @@ def test_wick_mul_is_canonical(label, x, y):
 def test_peels_are_canonical(label, words, v, x):
     psi = PSIS[label]
     xi, theta = words
-    got = psi._peel_theta(xi, theta, v)
+    got = wick_mul(psi.apply(xi, theta), WickElement.single(PAIR, v, ()), psi)
     assert got == peel_theta_reference(psi, xi, theta, v)
     assert_canonical(got)
-    got = psi._peel_xi(x, xi, theta)
+    got = wick_mul(WickElement.single(PAIR, (), x), psi.apply(xi, theta), psi)
     assert got == peel_xi_reference(psi, x, xi, theta)
     assert_canonical(got)
 
@@ -248,8 +254,10 @@ def test_all_cancelling_results_are_the_zero_value():
         "linear_combination": linear_combination([(half, a), (-half, a)]),
         "sum": a - a,
         "wick_mul": wick_mul(wick, WickElement.single(PAIR, (1,), ()), psi),
-        "peel_theta": psi._peel_theta(EMPTY_WORD, Word((1,)), Word((1,))),
-        "peel_xi": psi._peel_xi(Word((2,)), Word((2,)), Word((1,))),
+        "wick_mul-law1": wick_mul(psi.apply(EMPTY_WORD, Word((1,))),
+                                  WickElement.single(PAIR, (1,), ()), psi),
+        "wick_mul-law2": wick_mul(WickElement.single(PAIR, (), (2,)),
+                                  psi.apply(Word((2,)), Word((1,))), psi),
         "map_legs": (t1 - t2).scale(third).map_legs(
             lambda e: Element.unit(S2)),
         "dagger": PAIR.dagger(mul(a, t1)),
@@ -345,8 +353,9 @@ def test_products_and_linear_operations_build_no_scalar():
         t + t, t - t, -t, t.scale(s)
         for psi in PSIS.values():
             wick_mul(X, Y, psi)
-            psi._peel_theta(Word((1,)), Word((2,)), Word((1,)))
-            psi._peel_xi(Word((2,)), Word((1,)), Word((1, 2)))
+            # the extension through each coherence law
+            psi._compute(Word((1,)), Word((2, 1)))
+            psi._compute(Word((2, 1)), Word((1,)))
         a + b, a - b, -a, a.scale(s), X + Y, X - Y, -X, X.scale(s)
     assert calls == []
 

@@ -89,17 +89,25 @@ def test_generator_errors():
 
 
 def test_syntax_errors_carry_position():
-    # (parser, text, position of the offending token)
-    rows = [(parse_element, "T1 + ", 5),
-            (parse_element, "(T1", 3),
-            (parse_element, "T1 ^ T2", 3),
-            (parse_element, "1/0 T1", 2),  # the 0, not the T1 after it
-            (parse_scalar, "w+1", 2)]      # the 1, not the end of the text
-    for parse, text, pos in rows:
+    # (parser, text, position of the offending token, message); an
+    # expected token is named by its symbol, a found one by its source text
+    rows = [(parse_element, "T1 + ", 5, "expected a term"),
+            (parse_element, "(T1", 3, "expected ')', found end of input"),
+            (parse_element, "(T1 (x) T2", 4, "expected ')', found '(x)'"),
+            (parse_element, "1/T1", 2, "expected a number, found 'T1'"),
+            (parse_element, "T1)", 2, "expected end of input, found ')'"),
+            (parse_element, "T1 ^ T2", 3, "unexpected character '^'"),
+            # the 0, not the T1 after it
+            (parse_element, "1/0 T1", 2, "zero denominator"),
+            (parse_scalar, "1/", 2, "expected a number, found end of input"),
+            # the 1, not the end of the text
+            (parse_scalar, "w+1", 2, "second scalar part must involve w")]
+    for parse, text, pos, message in rows:
         args = (text,) if parse is parse_scalar else (text, S2)
         with pytest.raises(ParseError) as err:
             parse(*args)
         assert err.value.pos == pos, text
+        assert str(err.value) == f"{message} at position {pos}", text
 
 
 def test_word_letters():

@@ -90,12 +90,14 @@ def test_peeling_matches_concatenation(label):
     for a in xis:
         for b in thetas:
             for c in thetas:
-                assert psi._peel_theta(a, b, c) == \
+                assert wick_mul(psi.apply(a, b),
+                                WickElement.single(PAIR, c, ()), psi) == \
                     peel_theta_reference(psi, a, b, c)
     for a in xis:
         for b in xis:
             for c in thetas:
-                assert psi._peel_xi(a, b, c) == \
+                assert wick_mul(WickElement.single(PAIR, (), a),
+                                psi.apply(b, c), psi) == \
                     peel_xi_reference(psi, a, b, c)
 
 
@@ -229,7 +231,7 @@ MEMO_READERS = {
 
 @pytest.mark.parametrize("name", sorted(MEMO_READERS))
 def test_memo_misses_call_normal_form_and_hits_do_not(name):
-    # `mul`, `tensor_mul` and `_routed` subscript the product memos; each
+    # `mul`, `tensor_mul` and `wick_mul` subscript the product memos; each
     # miss forms its product through the patched class method, once
     x, op = MEMO_READERS[name]
     expected = op(x, x)  # also fills the cross symmetry's own cache

@@ -69,6 +69,11 @@ REFUSALS = {
         ValueError, "side must be 'left' or 'right'"),
     "regular-vacuum": (lambda: CrossSymmetry.regular(PAIR, "vac"),
                        ValueError, "vacuum must be 'unit' or 'idem'"),
+    # a base key beside the four generator pairs, refused by name
+    "cross-symmetry-base-key": (
+        lambda: CrossSymmetry(PAIR, {**CrossSymmetry.flip(PAIR).base,
+                                     (3, 1): WICK, "junk": WICK}, "x"),
+        ValueError, "base key (3, 1) is not a generator pair"),
     "pair-n3": (lambda: ConjugatedPair(S3, XI), TypeError,
                 "ConjugatedPair.__new__() takes 1 positional argument but 3 "
                 "were given"),
