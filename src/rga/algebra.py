@@ -642,23 +642,33 @@ def check_representation(n: int, max_deg: int) -> Verdict:
 
     Both identities are instances of associativity of the rewriting
     product, so a failure here flags a non-confluent presentation.  Each
-    (i, j, word) is a `left` and a `right` instance.
+    (i, j, word) is a `left` and a `right` instance.  L_ij and R_ji act
+    by the elements T_i T_j and T_j T_i, formed by `mul`.  Each of them is
+    one word or zero, and a generator times a normal word is one word or
+    ZERO, so each side is a product word or ZERO, read from a fresh
+    system's product memo: no Element is built per side.
     """
-    sys = RewriteSystem(n)
-    gens = [Element.generator(sys, i) for i in range(1, n + 1)]
-    elements = [(w, Element.from_word(sys, w))
-                for w in sys.enumerate_normal_forms(max_deg)]
-    return verdict_of(_representation_laws(gens, elements))
+    system = RewriteSystem(n)
+    gens = [Element.generator(system, i) for i in range(1, n + 1)]
+    # T_i T_j as its one word, or ZERO, at (i, j)
+    pairs = {(i, j): (mul(gi, gj).support() or [ZERO])[0]
+             for i, gi in enumerate(gens, start=1)
+             for j, gj in enumerate(gens, start=1)}
+    return verdict_of(_representation_laws(
+        system._products, pairs, system.enumerate_normal_forms(max_deg)))
 
 
-def _representation_laws(gens: list, elements: list):
-    for i, gi in enumerate(gens, start=1):
-        for j, gj in enumerate(gens, start=1):
-            gij = mul(gi, gj)
-            gji = mul(gj, gi)
-            for w, x in elements:
-                yield "left", (i, j, w), mul(gi, mul(gj, x)), mul(gij, x)
-                yield "right", (i, j, w), mul(mul(x, gj), gi), mul(x, gji)
+def _representation_laws(products, pairs: dict, words: list):
+    def times(u, v):
+        return ZERO if u is ZERO or v is ZERO else products[u, v]
+
+    for (i, j), gij in pairs.items():
+        gi, gj, gji = Word((i,)), Word((j,)), pairs[j, i]
+        for w in words:
+            yield ("left", (i, j, w), times(gi, products[gj, w]),
+                   times(gij, w))
+            yield ("right", (i, j, w), times(products[w, gj], gi),
+                   times(w, gji))
 
 
 # -- annihilators --------------------------------------------------------

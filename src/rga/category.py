@@ -381,7 +381,7 @@ def cocycle_from_algebra(system: RewriteSystem, max_deg: int):
             keep = []
             for w in bases[src]:
                 # a generator times a word is one word or ZERO
-                u = system.product(gen, w)
+                u = system._products[gen, w]
                 if u is ZERO or u in bases[i]:
                     keep.append(w)
                 else:

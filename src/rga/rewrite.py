@@ -39,7 +39,6 @@ from functools import cache
 from itertools import repeat
 from operator import add
 from typing import NamedTuple, Sequence, Union
-from weakref import ref
 
 
 class LetterRangeError(ValueError):
@@ -203,24 +202,44 @@ def _prepended(head: tuple, words: list):
 
 
 class _Products(dict):
-    """A system's memo of normal-word products, keyed by the operand pair
-    (u, v): subscripting it gives nf(u v), so a hit costs one C-level
-    lookup.  A miss forms nf(u v) through the system's `normal_form`, found
-    on the system when it runs, and stores it while the memo holds fewer
-    than MAX_PRODUCTS entries.  The memo reaches its system by a weak
-    reference, so the two form no cycle and a system, memo and all, is
-    freed as soon as its last user drops it.  Both operands must be
-    Words: a plain tuple equal to one would read its entry (see
-    `product`)."""
+    """The memo of products of normal words over n generators, keyed by
+    the operand pair (u, v): subscripting it gives nf(u v), so a hit costs
+    one C-level lookup.  A miss forms nf(u v) from the seam where u and v
+    meet, as two normal words can only rewrite there, and stores it while
+    the memo holds fewer than MAX_PRODUCTS entries.  It needs only n, so
+    it holds no reference to a system.  Both operands must be normal
+    Words: a plain tuple equal to one would read its entry, and a word
+    that is not normal would get a wrong answer (see `product`)."""
 
-    __slots__ = ("_system",)
+    __slots__ = ("n",)
 
-    def __init__(self, system: "RewriteSystem"):
-        self._system = ref(system)
+    def __init__(self, n: int):
+        self.n = n
 
     def __missing__(self, key):
+        """nf(u v) in O(n).  ZERO when u ends with the letter v starts
+        with; else u v itself, unless v starts with the successor of u's
+        last letter and u's tail run of a letters and v's head run of b
+        letters, each at most n long in a normal word, join into a run of
+        a + b > n.  That run keeps its first a + b - n letters, all from
+        u's tail run, as b <= n: u loses its last n - b letters and v its
+        first b, and what is left joins without a redex, since the kept
+        run ends with v's b-th letter, as a run has period n."""
         u, v = key
-        uv = self._system().normal_form(_word(u + v))
+        n = self.n
+        if not u or not v:
+            uv = u or v
+        elif u[-1] == v[0]:
+            uv = ZERO
+        elif v[0] != u[-1] % n + 1:
+            uv = _word(u + v)
+        else:
+            a = b = 1
+            while b < len(v) and v[b] == v[b - 1] % n + 1:
+                b += 1
+            while a < len(u) and u[-a] == u[-a - 1] % n + 1:
+                a += 1
+            uv = _word(u + v if a + b <= n else u[:len(u) + b - n] + v[b:])
         if len(self) < MAX_PRODUCTS:
             self[key] = uv
         return uv
@@ -260,8 +279,7 @@ class RewriteSystem:
     memoises the normal-word products formed through it.
     """
 
-    __slots__ = ("n", "symbol", "rules", "_products", "_alphabet",
-                 "__weakref__")
+    __slots__ = ("n", "symbol", "rules", "_products", "_alphabet")
 
     def __init__(self, n: int, symbol: str = "T"):
         require_size(n)
@@ -274,7 +292,7 @@ class RewriteSystem:
             pat = tuple(range(i, n + 1)) + tuple(range(1, i)) + (i,)
             rules.append(Rule(f"cyclic({i})", pat, (i,)))
         object.__setattr__(self, "rules", tuple(rules))
-        object.__setattr__(self, "_products", _Products(self))
+        object.__setattr__(self, "_products", _Products(n))
         object.__setattr__(self, "_alphabet", bytes(range(1, n + 1)))
 
     def __setattr__(self, name, value):
@@ -346,16 +364,21 @@ class RewriteSystem:
 
     def product(self, u: Word, v: Word) -> WordOrZero:
         """nf(u v): one normal word or ZERO, since every rule's right-hand
-        side is one word or 0.  Read from the memo `_products`, which forms
-        and stores a missing entry (see `_Products`), up to MAX_PRODUCTS
-        entries; `normal_form` itself is not memoised.  An operand that is
-        not a Word raises TypeError before the memo is read, since a tuple
-        such as (True,) equals, so would find, the entry made for (1,).
-        The combination products, whose keys are normal Words already,
-        subscript the memo directly."""
+        side is one word or 0.  The checked entry to the memo `_products`:
+        an operand that is not a Word raises TypeError, since a tuple such
+        as (True,) equals, so would find, the entry made for (1,); each
+        operand then goes through `normal_form`, which checks its letters
+        and may rewrite it, and nf(nf(u) nf(v)) is read from the memo,
+        which forms and stores a missing entry (see `_Products`).  That is
+        nf(u v) by confluence for n >= 2; at n = 1 every word of two
+        letters is ZERO.  Callers that hold normal Words already, such as
+        the combination products, subscript the memo directly."""
         if type(u) is not Word or type(v) is not Word:
             raise TypeError(f"product takes two Words, got "
                             f"{type(u).__name__} and {type(v).__name__}")
+        u, v = self.normal_form(u), self.normal_form(v)
+        if u is ZERO or v is ZERO:
+            return ZERO
         return self._products[u, v]
 
     def enumerate_normal_forms(self, max_len: int) -> list:

@@ -173,7 +173,7 @@ def dual_comultiplication() -> Dict[Word, TensorElement]:
     thetas = THETA.enumerate_normal_forms(2)
     return {w: TensorElement(XI, (
         ((u.reverse(), v.reverse()), ONE) for u in thetas for v in thetas
-        if THETA.product(u, v) == w.reverse()))
+        if THETA._products[u, v] == w.reverse()))
         for w in XI.enumerate_normal_forms(2)}
 
 
@@ -198,7 +198,7 @@ def _pairing_laws(table, partner):
     thetas = THETA.enumerate_normal_forms(2)
     # each pair u (x) v as text, as a tensor and multiplied out
     targets = [(f"{u} (x) {v}", TensorElement.single(THETA, u, v),
-                THETA.product(u, v)) for u in thetas for v in thetas]
+                THETA._products[u, v]) for u in thetas for v in thetas]
     for w, delta_w in table.items():
         name = w.to_text(delta_w.system.symbol)
         partners = _partners(delta_w, partner)

@@ -232,7 +232,7 @@ def _splits(system, words: list, text: dict, law: str) -> list:
     out = []
     for u in words:
         for v in words:
-            prod = system.product(u, v)
+            prod = system._products[u, v]
             reduces = prod is ZERO or len(prod) != len(u) + len(v)
             out.append((u, v, f"{law}[{'reduction' if reduces else 'order'}]",
                         f"{text[u]}.{text[v]}", prod))

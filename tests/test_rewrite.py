@@ -1,4 +1,5 @@
-import weakref
+import gc
+from functools import cache
 from itertools import product
 from random import Random
 
@@ -397,12 +398,62 @@ def test_product_memo_stops_at_its_bound(monkeypatch):
 
 
 def test_a_dropped_system_is_freed_with_its_memo():
-    # the memo reaches its system weakly, so no cycle waits for the collector
+    # the memo holds n, not its system, so no cycle waits for the collector
     system = RewriteSystem(3)
     system.product(Word([1]), Word([2]))
-    dropped = weakref.ref(system)
-    del system
-    assert dropped() is None
+    assert not any(isinstance(x, RewriteSystem)
+                   for x in gc.get_referents(system._products))
+
+
+def test_a_memo_answers_without_its_system():
+    memo = RewriteSystem(2)._products
+    assert memo[Word((1,)), Word((2,))] == (1, 2)
+    assert memo[Word((1, 2)), Word((1,))] == (1,)
+
+
+@cache
+def normal_words(n):
+    # every normal word up to a degree where both operands can hold a run
+    # of n letters, as far as the enumeration ceiling allows (n <= 6)
+    return RewriteSystem(n).enumerate_normal_forms(min(n, 6))
+
+
+# normal walks at n = 64: runs of 1..64 cyclic successors, each next run
+# starting a jump of 1..62 past the last letter, so never at its successor
+# (a jump of 0) nor at the letter itself (63)
+walk_runs = st.lists(st.tuples(st.integers(1, 64), st.integers(1, 62)),
+                     max_size=6)
+
+
+def normal_walk(runs):
+    out, x = [], 1
+    for length, jump in runs:
+        for _ in range(length):
+            out.append(x)
+            x = x % 64 + 1
+        x = (out[-1] + jump) % 64 + 1
+    return Word(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from(normal_words(n)),
+        st.sampled_from(normal_words(n)))),
+    st.tuples(st.just(64), walk_runs.map(normal_walk),
+              walk_runs.map(normal_walk))))
+@example((2, Word((1, 2)), Word((2, 1))))  # a ZERO seam
+@example((3, Word((2, 3)), Word((1, 2, 1))))  # a + b = n + 1
+@example((3, Word((1, 2, 3)), Word((1, 2, 3))))  # a + b = 2n
+@example((64, Word(range(1, 65)), Word(range(1, 65))))  # a + b = 2n
+@example((4, Word(()), Word((1, 2))))  # an empty operand
+@example((4, Word((3,)), Word(())))
+def test_seam_product_is_normal_form_of_concatenation(case):
+    n, u, v = case
+    expected = RewriteSystem(n).normal_form(u + v)
+    got = rewrite._Products(n)[u, v]
+    assert got is expected if expected is ZERO else (
+        got == expected and type(got) is Word)
 
 
 # -- letters that are not ints ------------------------------------------------
